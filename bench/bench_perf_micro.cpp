@@ -891,10 +891,13 @@ align::IcpResult align_icp(std::span<const geom::Vec2> source,
                            std::span<const geom::Vec2> target,
                            std::span<const sim::TypeId> target_types,
                            const align::IcpOptions& options) {
+  // The type axis sits a magnitude beyond the collective's diameter (the
+  // paper's lift), so a cross-type candidate never beats a same-type one.
+  constexpr double kTypeLiftScale = 10.0;
   const double diameter =
       std::max({geom::bounding_box(target).diagonal(),
                 geom::bounding_box(source).diagonal(), 1.0});
-  const double lift_scale = options.type_lift_scale * diameter;
+  const double lift_scale = kTypeLiftScale * diameter;
 
   const std::vector<double> lifted_target =
       lift(target, target_types, lift_scale);

@@ -19,6 +19,10 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
   support::expect(n > 0, "align_ensemble: empty collective");
   for (const auto& config : configs) {
     support::expect(config.size() == n, "align_ensemble: sample size mismatch");
+    // A diverged sample must fail the frame by name, not hand NaNs to the
+    // matcher below.
+    support::expect(geom::all_finite(config),
+                    "align_ensemble: non-finite coordinate");
   }
   const std::size_t m = configs.size();
 

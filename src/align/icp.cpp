@@ -46,11 +46,13 @@ struct TypedTargetTrees {
     }
   }
 
-  // Global index of the target nearest to `p` among type `type`.
-  [[nodiscard]] std::size_t nearest(geom::Vec2 p, sim::TypeId type) const {
+  // Global index of the target nearest to `p` among type `type`; `bound` as
+  // in KdTree::nearest (the result does not depend on it).
+  [[nodiscard]] std::size_t nearest(geom::Vec2 p, sim::TypeId type,
+                                    double bound) const {
     const double query[2] = {p.x, p.y};
     const geom::Neighbor nn =
-        trees[static_cast<std::size_t>(type)].nearest({query, 2});
+        trees[static_cast<std::size_t>(type)].nearest({query, 2}, bound);
     return index[static_cast<std::size_t>(type)][nn.index];
   }
 };
@@ -82,6 +84,11 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
 
   std::vector<geom::Vec2> moved(source.size());
   std::vector<geom::Vec2> matched(source.size());
+  // Each point's match from the previous iteration. Near convergence a point
+  // moves little, so its old match is almost its new nearest neighbor, and
+  // the distance to it bounds the kd-tree descent tightly; the bound prunes
+  // but never changes the answer (see KdTree::nearest).
+  std::vector<std::size_t> previous(source.size());
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -92,7 +99,12 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
     // NN correspondences within each point's own type (type never crosses).
     double mse = 0.0;
     for (std::size_t i = 0; i < source.size(); ++i) {
-      const std::size_t nn = target_trees.nearest(moved[i], source_types[i]);
+      const double bound =
+          iter == 0 ? std::numeric_limits<double>::infinity()
+                    : geom::dist_sq(moved[i], target[previous[i]]);
+      const std::size_t nn =
+          target_trees.nearest(moved[i], source_types[i], bound);
+      previous[i] = nn;
       matched[i] = target[nn];
       mse += geom::dist_sq(moved[i], matched[i]);
     }
@@ -127,6 +139,10 @@ IcpResult align_icp(std::span<const geom::Vec2> source,
   support::expect(options.rotation_restarts >= 1,
                   "align_icp: need at least one restart");
   check_type_histograms(source_types, target_types);
+  support::expect(geom::all_finite(source),
+                  "align_icp: non-finite source coordinate");
+  support::expect(geom::all_finite(target),
+                  "align_icp: non-finite target coordinate");
 
   const TypedTargetTrees target_trees(target, target_types);
 
@@ -153,6 +169,12 @@ std::vector<std::size_t> match_by_type(std::span<const geom::Vec2> source,
                       target.size() == target_types.size(),
                   "match_by_type: invalid inputs");
   check_type_histograms(source_types, target_types);
+  // A NaN distance never wins best_candidate's strict <, so a non-finite
+  // point would keep re-pushing an already-used target forever.
+  support::expect(geom::all_finite(source),
+                  "match_by_type: non-finite source coordinate");
+  support::expect(geom::all_finite(target),
+                  "match_by_type: non-finite target coordinate");
 
   // Lazy greedy matching, output-identical to sorting all same-type pairs by
   // (dist_sq, s, t) and committing greedily, without materializing the O(n²)

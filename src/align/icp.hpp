@@ -33,11 +33,6 @@ struct IcpOptions {
   std::size_t max_iterations = 50;
   double convergence_tolerance = 1e-9;  ///< stop when MSE improves less
   std::size_t rotation_restarts = 8;    ///< initial angles spread over [0, 2π)
-  /// Multiplier on the collective diameter for the type lift. Retained for
-  /// configuration compatibility; the per-type search structure enforces
-  /// type-preserving correspondences for any positive value, so the exact
-  /// scale no longer enters the computation.
-  double type_lift_scale = 10.0;
 };
 
 /// Result of aligning a source configuration onto a target.
@@ -49,8 +44,8 @@ struct IcpResult {
 
 /// Correspondence-free alignment: finds g ∈ ISO⁺(2) minimizing the NN
 /// mean-squared error of g(source) against target, matching only particles
-/// of equal type. Requires both configurations non-empty with identical
-/// type histograms (over the max type id present).
+/// of equal type. Requires both configurations non-empty and finite, with
+/// identical type histograms (over the max type id present).
 [[nodiscard]] IcpResult align_icp(std::span<const geom::Vec2> source,
                                   std::span<const sim::TypeId> source_types,
                                   std::span<const geom::Vec2> target,
@@ -60,7 +55,8 @@ struct IcpResult {
 /// One-to-one same-type correspondence: returns a permutation π with
 /// π[i] = index of the target particle matched to source particle i.
 /// Greedy by ascending pair distance within each type (each source and
-/// target particle used once). Types must have equal counts on both sides.
+/// target particle used once). Types must have equal counts on both sides;
+/// coordinates must be finite.
 [[nodiscard]] std::vector<std::size_t> match_by_type(
     std::span<const geom::Vec2> source, std::span<const sim::TypeId> source_types,
     std::span<const geom::Vec2> target, std::span<const sim::TypeId> target_types);

@@ -130,24 +130,29 @@ int KdTree::build(std::size_t begin, std::size_t end) {
   return static_cast<int>(self);
 }
 
-Neighbor KdTree::nearest(std::span<const double> query) const {
+Neighbor KdTree::nearest(std::span<const double> query, double bound) const {
   support::expect(query.size() == dim_, "KdTree::nearest: wrong query dim");
   support::expect(count_ > 0, "KdTree::nearest: empty tree");
-  // The 3-D case is the ICP correspondence loop — hundreds of thousands of
-  // queries per alignment — and gets a compile-time-dim instantiation; the
-  // 2-D case serves per-type marginals. Same algorithm either way.
-  if (dim_ == 3) return nearest_fixed<3>(query.data());
-  if (dim_ == 2) return nearest_fixed<2>(query.data());
-  return nearest_generic(query);
+  const double start =
+      std::nextafter(bound, std::numeric_limits<double>::infinity());
+  // The 2-D case is the ICP correspondence loop (one query per source point
+  // per iteration, tens of millions per job) and gets a compile-time-dim
+  // instantiation. Same algorithm either way.
+  const Neighbor nn = dim_ == 2 ? nearest_fixed<2>(query.data(), start)
+                                : nearest_generic(query, start);
+  support::expect(nn.index != kNoPoint,
+                  "KdTree::nearest: no point within bound (bound below the "
+                  "nearest distance, or a non-finite query)");
+  return nn;
 }
 
 // Allocation-free single-neighbor search on a fixed-size stack. Traversal
 // order and the strict-< update are identical to k_nearest(query, 1), so the
 // result — including which index wins an exact distance tie — is the same.
 template <std::size_t kDim>
-Neighbor KdTree::nearest_fixed(const double* query) const {
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::size_t best_slot = 0;
+Neighbor KdTree::nearest_fixed(const double* query, double start) const {
+  double best_d2 = start;
+  std::size_t best_slot = kNoPoint;
   std::array<int, kMaxTraversalStack> stack;
   std::size_t top = 0;
   stack[top++] = root_;
@@ -198,12 +203,14 @@ Neighbor KdTree::nearest_fixed(const double* query) const {
     if (delta * delta < best_d2) stack[top++] = far_child;
     stack[top++] = near_child;
   }
+  if (best_slot == kNoPoint) return {kNoPoint, best_d2};
   return {order_[best_slot], best_d2};
 }
 
-Neighbor KdTree::nearest_generic(std::span<const double> query) const {
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::size_t best_idx = 0;
+Neighbor KdTree::nearest_generic(std::span<const double> query,
+                                 double start) const {
+  double best_d2 = start;
+  std::size_t best_idx = kNoPoint;
   std::array<int, kMaxTraversalStack> stack;
   std::size_t top = 0;
   stack[top++] = root_;

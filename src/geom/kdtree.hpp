@@ -1,12 +1,14 @@
 // Generic-dimension k-d tree over points stored as a flat row-major array.
 //
-// Used by the ICP aligner (3-D type-lifted points), the Kozachenko–Leonenko
-// entropy estimator, and the marginal neighbor counts of the KSG
-// multi-information estimator (2-D per-particle marginals). The tree stores
-// indices into the caller's point array; the array must outlive the tree.
+// Used by the ICP aligner (per-type 2-D correspondence trees), the
+// Kozachenko–Leonenko entropy estimator, and the marginal neighbor counts of
+// the KSG multi-information estimator (2-D per-particle marginals). The tree
+// stores indices into the caller's point array; the array must outlive the
+// tree.
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -49,7 +51,20 @@ class KdTree {
   /// Nearest neighbor of `query` (dimension `dim()`); precondition: non-empty.
   /// Allocation-free; visits points in the same order as k_nearest(query, 1)
   /// with strict-< updates, so exact ties resolve to the same index.
-  [[nodiscard]] Neighbor nearest(std::span<const double> query) const;
+  ///
+  /// `bound` is a squared distance the caller knows the answer lies within
+  /// (the nearest distance is <= bound) — typically its distance to any one
+  /// indexed point, e.g. last query's match when queries move little. The
+  /// descent starts from best = nextafter(bound, +inf) instead of +inf and
+  /// prunes every subtree that cannot beat it. The result is
+  /// bitwise-identical to the unbounded query: the first point in visit
+  /// order that attains the minimum still has every ancestor's delta² <=
+  /// its distance < best, so it is still reached, and strict < still picks
+  /// it. Throws PreconditionError when no point lies within `bound` (a
+  /// bound below the nearest distance, or a non-finite query).
+  [[nodiscard]] Neighbor nearest(
+      std::span<const double> query,
+      double bound = std::numeric_limits<double>::infinity()) const;
 
   /// The k nearest neighbors of `query`, sorted by ascending distance.
   /// Returns fewer than k if the tree holds fewer points. When
@@ -133,9 +148,13 @@ class KdTree {
   }
   [[nodiscard]] double dist_sq_to(std::size_t i,
                                   std::span<const double> query) const noexcept;
+  // Descents behind nearest(), seeded with best = `start`; both return
+  // index kNoPoint when no point beat it.
+  static constexpr std::size_t kNoPoint = static_cast<std::size_t>(-1);
   template <std::size_t kDim>
-  [[nodiscard]] Neighbor nearest_fixed(const double* query) const;
-  [[nodiscard]] Neighbor nearest_generic(std::span<const double> query) const;
+  [[nodiscard]] Neighbor nearest_fixed(const double* query, double start) const;
+  [[nodiscard]] Neighbor nearest_generic(std::span<const double> query,
+                                         double start) const;
   int build(std::size_t begin, std::size_t end);
 
   std::span<const double> points_;

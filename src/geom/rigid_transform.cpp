@@ -18,6 +18,13 @@ std::vector<Vec2> RigidTransform2::apply(std::span<const Vec2> points) const {
   return out;
 }
 
+bool all_finite(std::span<const Vec2> points) noexcept {
+  for (const Vec2 p : points) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
+  }
+  return true;
+}
+
 Vec2 centroid(std::span<const Vec2> points) {
   support::expect(!points.empty(), "centroid: empty point set");
   Vec2 sum{};

@@ -39,6 +39,9 @@ struct RigidTransform2 {
   [[nodiscard]] static constexpr RigidTransform2 identity() noexcept { return {}; }
 };
 
+/// True when no coordinate is NaN or infinite.
+[[nodiscard]] bool all_finite(std::span<const Vec2> points) noexcept;
+
 /// Centroid (mean) of a non-empty point set.
 [[nodiscard]] Vec2 centroid(std::span<const Vec2> points);
 

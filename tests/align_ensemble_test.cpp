@@ -4,6 +4,7 @@
 // permutations.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "align/ensemble.hpp"
@@ -170,6 +171,23 @@ TEST(AlignEnsemble, PreconditionsEnforced) {
   std::vector<TypeId> short_types{0, 1};
   EXPECT_THROW((void)align_ensemble(configs, short_types),
                sops::PreconditionError);
+}
+
+TEST(AlignEnsemble, NonFiniteSampleFailsByNameInsteadOfHanging) {
+  // A diverged sample (one NaN coordinate) used to slip through ICP as an
+  // identity transform and then spin the matcher forever.
+  auto configs = molecule_ensemble(6, kTypes, 0.05, 61);
+  configs[3][4].x = std::nan("");
+  for (const bool rotations : {true, false}) {
+    EnsembleOptions options;
+    options.rotations = rotations;
+    try {
+      (void)align_ensemble(configs, kTypes, options);
+      ADD_FAILURE() << "align_ensemble accepted a NaN sample";
+    } catch (const sops::PreconditionError& e) {
+      EXPECT_STREQ(e.what(), "align_ensemble: non-finite coordinate");
+    }
+  }
 }
 
 TEST(CoarseGrain, ReducesObserverCount) {

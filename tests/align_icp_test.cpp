@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <numeric>
 #include <span>
 
 #include "align/icp.hpp"
+#include "geom/kdtree.hpp"
 #include "rng/samplers.hpp"
 #include "support/error.hpp"
 
@@ -166,6 +171,32 @@ TEST(Icp, PreconditionsEnforced) {
                sops::PreconditionError);
 }
 
+TEST(Icp, NonFiniteCoordinatesRejectedByName) {
+  const Cloud cloud = make_cloud(4, 2, 19);
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    std::vector<Vec2> broken = cloud.points;
+    broken[2].y = bad;
+    try {
+      (void)align_icp(broken, cloud.types, cloud.points, cloud.types);
+      ADD_FAILURE() << "align_icp accepted a non-finite source";
+    } catch (const sops::PreconditionError& e) {
+      EXPECT_STREQ(e.what(), "align_icp: non-finite source coordinate");
+    }
+    EXPECT_THROW(
+        (void)align_icp(cloud.points, cloud.types, broken, cloud.types),
+        sops::PreconditionError);
+    try {
+      (void)match_by_type(broken, cloud.types, cloud.points, cloud.types);
+      ADD_FAILURE() << "match_by_type accepted a non-finite source";
+    } catch (const sops::PreconditionError& e) {
+      EXPECT_STREQ(e.what(), "match_by_type: non-finite source coordinate");
+    }
+    EXPECT_THROW(
+        (void)match_by_type(cloud.points, cloud.types, broken, cloud.types),
+        sops::PreconditionError);
+  }
+}
+
 TEST(MatchByType, IdentityOnEqualClouds) {
   const Cloud cloud = make_cloud(25, 3, 23);
   const auto match =
@@ -269,6 +300,128 @@ TEST(MatchByType, MatchesOracleWithDuplicatePointTies) {
   }
   EXPECT_EQ(match_by_type(a.points, a.types, b.points, b.types),
             sorted_greedy_oracle(a.points, a.types, b.points, b.types));
+}
+
+// Cold-start ICP oracle: align_icp's descent with every correspondence query
+// unbounded, over per-type trees built exactly like the production ones (so
+// kd-tree visit order, and with it exact-tie resolution, is the same).
+// `warm_ties` counts queries after each restart's first iteration whose
+// nearest distance is attained by two or more targets — the queries where a
+// warm-started descent could pick a different winner if it were wrong.
+IcpResult cold_icp_oracle(std::span<const Vec2> source,
+                          std::span<const TypeId> types,
+                          std::span<const Vec2> target,
+                          const IcpOptions& options, std::size_t& warm_ties) {
+  std::size_t type_count = 0;
+  for (const TypeId t : types) type_count = std::max<std::size_t>(type_count, t + 1);
+  std::vector<std::vector<double>> coords(type_count);
+  std::vector<std::vector<std::size_t>> index(type_count);
+  for (std::size_t i = 0; i < target.size(); ++i) {
+    coords[types[i]].push_back(target[i].x);
+    coords[types[i]].push_back(target[i].y);
+    index[types[i]].push_back(i);
+  }
+  std::vector<sops::geom::KdTree> trees;
+  for (std::size_t t = 0; t < type_count; ++t) trees.emplace_back(coords[t], 2);
+
+  IcpResult best;
+  best.mean_squared_error = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < options.rotation_restarts; ++r) {
+    const double angle = 2.0 * kPi * static_cast<double>(r) /
+                         static_cast<double>(options.rotation_restarts);
+    const Vec2 c = sops::geom::centroid(source);
+    RigidTransform2 current{angle, c - sops::geom::rotated(c, angle)};
+    IcpResult result;
+    result.mean_squared_error = std::numeric_limits<double>::infinity();
+    std::vector<Vec2> matched(source.size());
+    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+      result.iterations = iter + 1;
+      double mse = 0.0;
+      for (std::size_t i = 0; i < source.size(); ++i) {
+        const Vec2 moved = current.apply(source[i]);
+        const double query[2] = {moved.x, moved.y};
+        const auto& tree = trees[types[i]];
+        const std::size_t nn = index[types[i]][tree.nearest({query, 2}).index];
+        if (iter > 0) {
+          const auto two = tree.k_nearest({query, 2}, 2);
+          if (two.size() == 2 && two[0].dist_sq == two[1].dist_sq) ++warm_ties;
+        }
+        matched[i] = target[nn];
+        mse += sops::geom::dist_sq(moved, matched[i]);
+      }
+      mse /= static_cast<double>(source.size());
+      if (mse >= result.mean_squared_error - options.convergence_tolerance) {
+        result.mean_squared_error = std::min(mse, result.mean_squared_error);
+        break;
+      }
+      result.mean_squared_error = mse;
+      current = sops::geom::fit_rigid(source, matched);
+    }
+    result.transform = current;
+    if (result.mean_squared_error < best.mean_squared_error) best = result;
+  }
+  return best;
+}
+
+// Mirror-symmetric (about the x axis) multi-type rings on dyadic
+// coordinates. Every point is mirrored, so the on-axis ones become
+// coincident same-type pairs that tie exactly for any query, in every
+// iteration; and while the transform is still exact, a query on the axis is
+// exactly equidistant from each mirror pair.
+Cloud mirror_rings(std::size_t type_count, double offset) {
+  Cloud cloud;
+  for (std::size_t t = 0; t < type_count; ++t) {
+    // Three concentric rings per type: 36 points, so each per-type tree
+    // spans several leaves and the bound has subtrees to prune.
+    for (const double scale : {1.0, 1.5, 2.0}) {
+      const double r = scale * (1.0 + static_cast<double>(t));
+      const Vec2 upper[] = {{r, 0.0},  {0.75 * r, 0.5 * r},  {0.0, r},
+                            {-r, 0.0}, {-0.75 * r, 0.5 * r}, {0.25 * r + offset, 0.0}};
+      for (const Vec2 p : upper) {
+        for (const Vec2 q : {p, Vec2{p.x, -p.y}}) {
+          cloud.points.push_back(q);
+          cloud.types.push_back(static_cast<TypeId>(t));
+        }
+      }
+    }
+  }
+  return cloud;
+}
+
+TEST(Icp, WarmStartedDescentMatchesColdOracleUnderTies) {
+  std::size_t total_warm_ties = 0;
+  for (const double offset : {0.0, 0.125, 0.5}) {
+    const Cloud target = mirror_rings(3, offset);
+    for (const double shift : {0.0, 0.25, 0.5, 1.0}) {
+      // Source: the rings slid along the mirror axis, so moved points stay
+      // on it (exactly) while correspondences are ambiguous.
+      std::vector<Vec2> source = target.points;
+      for (Vec2& p : source) p.x += shift;
+      for (const std::size_t restarts : {std::size_t{1}, std::size_t{8}}) {
+        IcpOptions options;
+        options.rotation_restarts = restarts;
+        std::size_t warm_ties = 0;
+        const IcpResult cold =
+            cold_icp_oracle(source, target.types, target.points, options,
+                            warm_ties);
+        total_warm_ties += warm_ties;
+        const IcpResult warm =
+            align_icp(source, target.types, target.points, target.types,
+                      options);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.transform.angle),
+                  std::bit_cast<std::uint64_t>(cold.transform.angle));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.transform.translation.x),
+                  std::bit_cast<std::uint64_t>(cold.transform.translation.x));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.transform.translation.y),
+                  std::bit_cast<std::uint64_t>(cold.transform.translation.y));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.mean_squared_error),
+                  std::bit_cast<std::uint64_t>(cold.mean_squared_error));
+        EXPECT_EQ(warm.iterations, cold.iterations);
+      }
+    }
+  }
+  // The geometry must actually exercise tied warm-started queries.
+  EXPECT_GT(total_warm_ties, 0u);
 }
 
 TEST(MatchByType, MismatchedHistogramsThrow) {

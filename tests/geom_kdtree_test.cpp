@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geom/kdtree.hpp"
@@ -203,6 +207,75 @@ TEST_P(KdTreeVsBruteForce, NearestIsExactlyKNearestOne) {
     EXPECT_EQ(fast.index, reference.index);
     EXPECT_EQ(fast.dist_sq, reference.dist_sq);
   }
+}
+
+// A bounded query must return the unbounded query's index and dist_sq bits
+// for any bound >= the nearest distance: nextafter of the distance to an
+// arbitrary tree point (what a warm-started caller passes), exactly the
+// nearest distance (the tightest legal bound), and +inf (the default).
+TEST(KdTree, BoundedNearestIsExactlyUnbounded) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t seed : {3u, 7u, 11u, 19u, 23u}) {
+    sops::rng::Xoshiro256 engine(seed);
+    const std::size_t count = 20 + sops::rng::uniform_index(engine, 300);
+    auto data = random_points(count, 2, seed + 100);
+    // Duplicate a tenth of the points (and snap some onto a coarse lattice)
+    // so exact distance ties are common.
+    for (std::size_t i = 0; i < count / 10; ++i) {
+      const std::size_t from = sops::rng::uniform_index(engine, count);
+      const std::size_t to = sops::rng::uniform_index(engine, count);
+      data[2 * to] = data[2 * from];
+      data[2 * to + 1] = data[2 * from + 1];
+    }
+    for (std::size_t i = 0; i < count; i += 7) {
+      data[2 * i] = std::round(data[2 * i]);
+      data[2 * i + 1] = std::round(data[2 * i + 1]);
+    }
+    const KdTree tree(data, 2);
+
+    for (std::size_t q = 0; q < 200; ++q) {
+      // Half the queries sit on tree points or lattice sites (tie-heavy).
+      double query[2];
+      if (q % 2 == 0) {
+        const std::size_t on = sops::rng::uniform_index(engine, count);
+        query[0] = data[2 * on];
+        query[1] = data[2 * on + 1];
+      } else {
+        query[0] = std::round(sops::rng::uniform(engine, -10.0, 10.0));
+        query[1] = sops::rng::uniform(engine, -10.0, 10.0);
+      }
+      const std::span<const double> view{query, 2};
+      const Neighbor cold = tree.nearest(view);
+
+      const std::size_t any = sops::rng::uniform_index(engine, count);
+      const double dx = data[2 * any] - query[0];
+      const double dy = data[2 * any + 1] - query[1];
+      for (const double bound :
+           {std::nextafter(dx * dx + dy * dy, inf), cold.dist_sq, inf}) {
+        const Neighbor warm = tree.nearest(view, bound);
+        EXPECT_EQ(warm.index, cold.index) << "seed=" << seed << " q=" << q;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.dist_sq),
+                  std::bit_cast<std::uint64_t>(cold.dist_sq))
+            << "seed=" << seed << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(KdTree, NearestRejectsBoundBelowNearestAndNonFiniteQuery) {
+  const auto data = random_points(100, 2, 67);
+  const KdTree tree(data, 2);
+  const double query[2] = {0.25, -0.5};
+  const Neighbor nn = tree.nearest({query, 2});
+  ASSERT_GT(nn.dist_sq, 0.0);
+  EXPECT_THROW((void)tree.nearest({query, 2}, nn.dist_sq / 2),
+               sops::PreconditionError);
+  const double nan_query[2] = {std::nan(""), 0.0};
+  EXPECT_THROW((void)tree.nearest({nan_query, 2}), sops::PreconditionError);
+  const auto data3 = random_points(100, 3, 71);
+  const KdTree tree3(data3, 3);
+  const double nan_query3[3] = {0.0, std::nan(""), 0.0};
+  EXPECT_THROW((void)tree3.nearest({nan_query3, 3}), sops::PreconditionError);
 }
 
 std::vector<sops::geom::DimBlock> split_blocks(std::size_t dim) {
