@@ -1,6 +1,7 @@
 #include "align/ensemble.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "cluster/kmeans.hpp"
 #include "support/parallel_for.hpp"
@@ -41,12 +42,15 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
     }
   };
   write_row(0, reference);
+  // One correspondence index per frame, shared read-only by every worker.
+  std::optional<IcpReference> icp_reference;
+  if (options.rotations) icp_reference.emplace(reference, types);
 
   const auto align_sample = [&](std::size_t s) {
     std::vector<geom::Vec2> moved = geom::centered(configs[s]);
     if (options.rotations) {
       const IcpResult icp =
-          align_icp(moved, types, reference, types, options.icp);
+          align_icp(moved, types, *icp_reference, options.icp);
       moved = icp.transform.apply(moved);
       // The fitted transform may reintroduce a tiny translation; shape
       // space demands exact centroid-centering, so re-center.

@@ -1,6 +1,7 @@
 #include "align/icp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,50 +13,59 @@
 namespace sops::align {
 namespace {
 
-// Correspondence search structure: one 2-D kd-tree per particle type.
-//
-// The paper's type-lifted 3-D metric (x, y, type · lift) exists to make NN
-// correspondences type-preserving — the lift is chosen so a cross-type
-// candidate can never beat a same-type one. Querying the matching type's
-// 2-D tree computes the same correspondence directly (for same-type pairs
-// the lifted distance *is* the planar distance: the type axis contributes
-// exactly 0.0), skips every wrong-type candidate the lifted tree still has
-// to wade through near type-boundary splits, and drops a third of the
-// per-point distance arithmetic.
-struct TypedTargetTrees {
-  std::vector<std::vector<double>> coords;       // per type: flat (x, y)
-  std::vector<std::vector<std::uint32_t>> index; // per type: global target idx
-  std::vector<geom::KdTree> trees;               // per type, over coords
+// Grid cells per point of a type. On coarse_n512, 16 answers converged
+// queries no faster (70 vs 75 ns) and takes 3x as long to build.
+constexpr double kCellsPerPoint = 4.0;
+// Padding around each type's bounding box, in cells (about two point
+// spacings), so queries just off the hull still land inside the grid. On
+// coarse_n512, 2 cells left 2% of converged queries outside, 4 cells 0.7%.
+constexpr double kPadCells = 4.0;
+// Relative margin of both exclusion tests. A computed squared distance is
+// within a factor (1 ± 4u), u = 2⁻⁵³, of the exact distance between the two
+// floating-point points, whatever their magnitude; 1e-10 dominates every
+// such factor in the proofs below by five orders of magnitude.
+constexpr double kRelMargin = 1e-10;
+// Absolute margin for the same tests, covering subnormal results (whose
+// rounding error is absolute, not relative).
+constexpr double kAbsMargin = 1e-300;
+// Cell boxes are enlarged by this fraction of the grid's coordinate scale
+// (|origin| + extent) — far above the ~5u rounding of the floor() cell
+// assignment and of the box corners themselves.
+constexpr double kBoxSlack = 1e-12;
+// A cell whose ring scan would need more rings or points than this stays
+// uncovered and its queries use the tree: deep inside an empty region the
+// scan would cover most of the grid, and near the center of a ring every
+// point is a Voronoi neighbor, so a long scan would be slower than the tree.
+constexpr std::ptrdiff_t kMaxRing = 12;
+constexpr std::size_t kMaxCellScan = 128;
 
-  TypedTargetTrees(std::span<const geom::Vec2> target,
-                   std::span<const sim::TypeId> target_types) {
-    sim::TypeId max_type = 0;
-    for (const sim::TypeId t : target_types) max_type = std::max(max_type, t);
-    const std::size_t types = static_cast<std::size_t>(max_type) + 1;
-    coords.resize(types);
-    index.resize(types);
-    for (std::size_t i = 0; i < target.size(); ++i) {
-      const auto type = static_cast<std::size_t>(target_types[i]);
-      coords[type].push_back(target[i].x);
-      coords[type].push_back(target[i].y);
-      index[type].push_back(static_cast<std::uint32_t>(i));
-    }
-    trees.reserve(types);
-    for (std::size_t type = 0; type < types; ++type) {
-      trees.emplace_back(coords[type], 2);
-    }
-  }
+// The kd-tree's distance expression: (x_t − x_q)² + (y_t − y_q)², each
+// product rounded (the build disables FP contraction).
+double tree_dist_sq(const double* p, double qx, double qy) noexcept {
+  const double dx = p[0] - qx;
+  const double dy = p[1] - qy;
+  return dx * dx + dy * dy;
+}
 
-  // Global index of the target nearest to `p` among type `type`; `bound` as
-  // in KdTree::nearest (the result does not depend on it).
-  [[nodiscard]] std::size_t nearest(geom::Vec2 p, sim::TypeId type,
-                                    double bound) const {
-    const double query[2] = {p.x, p.y};
-    const geom::Neighbor nn =
-        trees[static_cast<std::size_t>(type)].nearest({query, 2}, bound);
-    return index[static_cast<std::size_t>(type)][nn.index];
-  }
+struct Box {
+  double x0, y0, x1, y1;
 };
+
+double min_dist_sq(const Box& b, const double* p) noexcept {
+  const double gx = p[0] < b.x0 ? b.x0 - p[0] : (p[0] > b.x1 ? p[0] - b.x1 : 0.0);
+  const double gy = p[1] < b.y0 ? b.y0 - p[1] : (p[1] > b.y1 ? p[1] - b.y1 : 0.0);
+  return gx * gx + gy * gy;
+}
+
+// Squared distances from the box corners to `p`.
+std::array<double, 4> corner_dist_sq(const Box& b, const double* p) noexcept {
+  return {tree_dist_sq(p, b.x0, b.y0), tree_dist_sq(p, b.x1, b.y0),
+          tree_dist_sq(p, b.x0, b.y1), tree_dist_sq(p, b.x1, b.y1)};
+}
+
+double max_of(const std::array<double, 4>& v) noexcept {
+  return std::max(std::max(v[0], v[1]), std::max(v[2], v[3]));
+}
 
 void check_type_histograms(std::span<const sim::TypeId> a,
                            std::span<const sim::TypeId> b) {
@@ -71,9 +81,8 @@ void check_type_histograms(std::span<const sim::TypeId> a,
 // centroid). Returns the final transform and MSE.
 IcpResult icp_descent(std::span<const geom::Vec2> source,
                       std::span<const sim::TypeId> source_types,
-                      std::span<const geom::Vec2> target,
-                      const TypedTargetTrees& target_trees,
-                      double initial_angle, const IcpOptions& options) {
+                      const IcpReference& reference, double initial_angle,
+                      const IcpOptions& options) {
   const geom::Vec2 source_centroid = geom::centroid(source);
   geom::RigidTransform2 current{
       initial_angle,
@@ -84,11 +93,6 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
 
   std::vector<geom::Vec2> moved(source.size());
   std::vector<geom::Vec2> matched(source.size());
-  // Each point's match from the previous iteration. Near convergence a point
-  // moves little, so its old match is almost its new nearest neighbor, and
-  // the distance to it bounds the kd-tree descent tightly; the bound prunes
-  // but never changes the answer (see KdTree::nearest).
-  std::vector<std::size_t> previous(source.size());
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -97,15 +101,15 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
     }
 
     // NN correspondences within each point's own type (type never crosses).
+    // A point's previous match is almost its new nearest neighbor near
+    // convergence, so the distance to it bounds a kd-tree fallback tightly;
+    // the bound prunes but never changes the answer (see KdTree::nearest).
     double mse = 0.0;
     for (std::size_t i = 0; i < source.size(); ++i) {
-      const double bound =
-          iter == 0 ? std::numeric_limits<double>::infinity()
-                    : geom::dist_sq(moved[i], target[previous[i]]);
-      const std::size_t nn =
-          target_trees.nearest(moved[i], source_types[i], bound);
-      previous[i] = nn;
-      matched[i] = target[nn];
+      const double bound = iter == 0
+                               ? std::numeric_limits<double>::infinity()
+                               : geom::dist_sq(moved[i], matched[i]);
+      matched[i] = reference.nearest(moved[i], source_types[i], bound).point;
       mse += geom::dist_sq(moved[i], matched[i]);
     }
     mse /= static_cast<double>(source.size());
@@ -127,32 +131,291 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
 
 }  // namespace
 
+// Candidate table of one type. A cell keeps every point p that could be the
+// nearest (or tie for nearest) to some query assigned to the cell; `box` is
+// the cell enlarged by the floor() slack, so it holds every such query. With
+// anchor a (the point of least maximum distance to the box among those the
+// ring scan saw), p is dropped only when one of two tests proves every
+// query q in the box computes d(q,p) > d(q,a), strictly:
+//  1. mindist(box, p)² > maxdist(box, a)²·(1 + kRelMargin): then exact
+//     d(q,p)² > exact d(q,a)² by more than the (1 ± 4u) computation error.
+//  2. At all four corners c, d(c,p)² − d(c,a)² > kRelMargin·(maxdist(box,
+//     p)² + maxdist(box, a)²). d(q,p)² − d(q,a)² is affine in q (the
+//     bisector is a line), so its minimum over the convex box is at a
+//     corner, and the margin covers the rounding of both query distances.
+// Every dropped point therefore loses strictly to the anchor, which is never
+// dropped: a unique minimum over the candidates is the unique global one.
+IcpReference::TypeIndex::TypeIndex(std::vector<double> coords_in,
+                                   std::vector<std::uint32_t> index_in)
+    : coords(std::move(coords_in)), index(std::move(index_in)), tree(coords, 2) {
+  const std::size_t m = index.size();
+  if (m == 0) return;
+  double x_lo = coords[0], x_hi = coords[0], y_lo = coords[1], y_hi = coords[1];
+  for (std::size_t j = 0; j < m; ++j) {
+    x_lo = std::min(x_lo, coords[2 * j]);
+    x_hi = std::max(x_hi, coords[2 * j]);
+    y_lo = std::min(y_lo, coords[2 * j + 1]);
+    y_hi = std::max(y_hi, coords[2 * j + 1]);
+  }
+  const double width = x_hi - x_lo;
+  const double height = y_hi - y_lo;
+  const double extent = std::max(width, height);
+  // Coincident points always tie: the tree answers them all.
+  if (!(extent > 0.0) || !std::isfinite(extent)) return;
+  const double target_cells = kCellsPerPoint * static_cast<double>(m);
+  // Square cells of ~kCellsPerPoint per point over the box area; a flat
+  // (collinear) type gets ~kCellsPerPoint per point along its extent.
+  const double h = std::max(std::sqrt(width * height / target_cells),
+                            extent / target_cells);
+  // A small type's padding is capped by its extent, or the margin would
+  // hold most of its cells.
+  const double pad = std::min(kPadCells * h, 0.25 * extent);
+  const geom::Vec2 origin{x_lo - pad, y_lo - pad};
+  const double columns = std::floor((width + 2.0 * pad) / h) + 1.0;
+  const double rows = std::floor((height + 2.0 * pad) / h) + 1.0;
+  const double slack = kBoxSlack * (std::abs(origin.x) + std::abs(origin.y) +
+                                    (columns + rows) * h);
+  // Far from the origin relative to the spacing, the slack would swell every
+  // box over many cells; such a type answers from the tree.
+  if (!(slack < 0.25 * h) || !(h > 0.0)) return;
+  // CSR offsets are uint32: at most kMaxCellScan candidates per cell.
+  if (columns * rows * static_cast<double>(kMaxCellScan) >
+      static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+    return;
+  }
+
+  grid = {origin, h, static_cast<std::uint32_t>(columns),
+          static_cast<std::uint32_t>(rows)};
+  inverse_cell_size = 1.0 / h;
+  const std::size_t cells = std::size_t{grid.columns} * grid.rows;
+
+  const auto point = [&](std::uint32_t j) { return &coords[2 * std::size_t{j}]; };
+  // The points bucketed by cell (CSR, counting sort), with the query side's
+  // floor() assignment. The padding keeps every point inside the grid.
+  const auto cell_of = [&](std::uint32_t j) {
+    const double* p = point(j);
+    const auto cx =
+        static_cast<std::uint32_t>((p[0] - origin.x) * inverse_cell_size);
+    const auto cy =
+        static_cast<std::uint32_t>((p[1] - origin.y) * inverse_cell_size);
+    return std::size_t{std::min(cy, grid.rows - 1)} * grid.columns +
+           std::min(cx, grid.columns - 1);
+  };
+  // bucket_start[c] first holds the end of bucket c; the back-to-front
+  // scatter counts it down to the bucket's start.
+  std::vector<std::uint32_t> bucket_start(cells + 1, 0);
+  for (std::uint32_t j = 0; j < m; ++j) ++bucket_start[cell_of(j)];
+  for (std::size_t c = 1; c <= cells; ++c) bucket_start[c] += bucket_start[c - 1];
+  std::vector<std::uint32_t> bucket(m);
+  for (std::uint32_t j = static_cast<std::uint32_t>(m); j-- > 0;) {
+    bucket[--bucket_start[cell_of(j)]] = j;
+  }
+
+  cell_start.reserve(cells + 1);
+  cell_start.push_back(0);
+  std::vector<std::uint32_t> seen;
+  std::vector<std::uint32_t> kept;
+  const auto rows_i = static_cast<std::ptrdiff_t>(grid.rows);
+  const auto columns_i = static_cast<std::ptrdiff_t>(grid.columns);
+  for (std::ptrdiff_t row = 0; row < rows_i; ++row) {
+    for (std::ptrdiff_t column = 0; column < columns_i; ++column) {
+      // The cell as the query side computes it: floor((q − origin) / h).
+      const Box box{origin.x + column * h - slack, origin.y + row * h - slack,
+                    origin.x + (column + 1) * h + slack,
+                    origin.y + (row + 1) * h + slack};
+
+      // Scan rings of buckets around the cell (Chebyshev distance r). Every
+      // point r >= 2 rings out is at least (r − 1.5)·h from the box (its
+      // bucket gap minus the slack on both sides), so once that exceeds
+      // √test1 no unseen point can pass test 1. Meanwhile track the anchor:
+      // the least maximum distance to the box.
+      seen.clear();
+      std::uint32_t anchor = 0;
+      double anchor_max = std::numeric_limits<double>::infinity();
+      // Buckets of columns [first, last] of row y.
+      const auto scan = [&](std::ptrdiff_t y, std::ptrdiff_t first,
+                            std::ptrdiff_t last) {
+        const auto at = static_cast<std::size_t>(y * columns_i);
+        for (std::uint32_t b = bucket_start[at + static_cast<std::size_t>(first)];
+             b < bucket_start[at + static_cast<std::size_t>(last) + 1]; ++b) {
+          seen.push_back(bucket[b]);
+          const double d = max_of(corner_dist_sq(box, point(bucket[b])));
+          if (d < anchor_max) {
+            anchor_max = d;
+            anchor = bucket[b];
+          }
+        }
+      };
+      bool covered = true;
+      for (std::ptrdiff_t r = 0;; ++r) {
+        const double test1 = anchor_max * (1.0 + kRelMargin) + kAbsMargin;
+        if (r >= 2 && (static_cast<double>(r) - 1.5) * h >
+                          std::sqrt(test1) * (1.0 + 1e-6)) {
+          break;
+        }
+        const std::ptrdiff_t y0 = std::max<std::ptrdiff_t>(row - r, 0);
+        const std::ptrdiff_t y1 = std::min(row + r, rows_i - 1);
+        const std::ptrdiff_t x0 = std::max<std::ptrdiff_t>(column - r, 0);
+        const std::ptrdiff_t x1 = std::min(column + r, columns_i - 1);
+        if (r > 0 && y0 > row - r && y1 < row + r && x0 > column - r &&
+            x1 < column + r) {
+          break;  // the ring lies wholly outside the grid: every point seen
+        }
+        if (r > kMaxRing) {
+          covered = false;
+          break;
+        }
+        for (std::ptrdiff_t y = y0; y <= y1; ++y) {
+          if (y == row - r || y == row + r) {
+            scan(y, x0, x1);
+          } else {
+            if (column - r >= 0) scan(y, column - r, column - r);
+            if (column + r < columns_i) scan(y, column + r, column + r);
+          }
+        }
+        if (seen.size() > kMaxCellScan) {
+          covered = false;
+          break;
+        }
+      }
+
+      kept.clear();
+      if (covered) {
+        const auto anchor_corners = corner_dist_sq(box, point(anchor));
+        const double test1 = anchor_max * (1.0 + kRelMargin) + kAbsMargin;
+        for (const std::uint32_t j : seen) {
+          if (j != anchor) {
+            if (min_dist_sq(box, point(j)) > test1) continue;
+            const auto corners = corner_dist_sq(box, point(j));
+            const double margin =
+                kRelMargin * (max_of(corners) + anchor_max) + kAbsMargin;
+            bool bisector = true;
+            for (std::size_t c = 0; c < 4; ++c) {
+              bisector = bisector && corners[c] - anchor_corners[c] > margin;
+            }
+            if (bisector) continue;
+          }
+          kept.push_back(j);
+        }
+        std::sort(kept.begin(), kept.end());
+      }
+      candidates.insert(candidates.end(), kept.begin(), kept.end());
+      cell_start.push_back(static_cast<std::uint32_t>(candidates.size()));
+    }
+  }
+  candidates.shrink_to_fit();
+}
+
+IcpReference::IcpReference(std::span<const geom::Vec2> target,
+                           std::span<const sim::TypeId> target_types)
+    : size_(target.size()) {
+  support::expect(!target.empty() && target.size() == target_types.size(),
+                  "IcpReference: invalid inputs");
+  support::expect(target.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "IcpReference: too many points");
+  support::expect(geom::all_finite(target),
+                  "IcpReference: non-finite target coordinate");
+  sim::TypeId max_type = 0;
+  for (const sim::TypeId t : target_types) max_type = std::max(max_type, t);
+  const std::size_t type_count = static_cast<std::size_t>(max_type) + 1;
+  type_counts_ = sim::type_histogram(target_types, type_count);
+
+  types_.reserve(type_count);
+  for (std::size_t type = 0; type < type_count; ++type) {
+    std::vector<double> coords;
+    std::vector<std::uint32_t> index;
+    coords.reserve(2 * type_counts_[type]);
+    index.reserve(type_counts_[type]);
+    for (std::size_t i = 0; i < target.size(); ++i) {
+      if (target_types[i] != type) continue;
+      coords.push_back(target[i].x);
+      coords.push_back(target[i].y);
+      index.push_back(static_cast<std::uint32_t>(i));
+    }
+    types_.emplace_back(std::move(coords), std::move(index));
+  }
+}
+
+const IcpReference::Grid& IcpReference::grid(sim::TypeId type) const {
+  support::expect(type < types_.size(), "IcpReference::grid: unknown type");
+  return types_[type].grid;
+}
+
+Correspondence IcpReference::nearest(geom::Vec2 query, sim::TypeId type,
+                                     double bound) const {
+  support::expect(type < types_.size(), "IcpReference::nearest: unknown type");
+  const TypeIndex& t = types_[type];
+  CorrespondenceRoute route = CorrespondenceRoute::kUncovered;
+  // Both comparisons fail on NaN, and on an empty grid (0 columns).
+  const double fx = (query.x - t.grid.origin.x) * t.inverse_cell_size;
+  const double fy = (query.y - t.grid.origin.y) * t.inverse_cell_size;
+  if (fx >= 0.0 && fy >= 0.0 && fx < t.grid.columns && fy < t.grid.rows) {
+    const std::size_t cell =
+        std::size_t{static_cast<std::uint32_t>(fy)} * t.grid.columns +
+        static_cast<std::uint32_t>(fx);
+    const std::uint32_t* it = t.candidates.data() + t.cell_start[cell];
+    const std::uint32_t* const end = t.candidates.data() + t.cell_start[cell + 1];
+    if (it != end) {
+      double best = std::numeric_limits<double>::infinity();
+      std::uint32_t best_id = 0;
+      bool tie = false;
+      for (; it != end; ++it) {
+        const double d2 = tree_dist_sq(&t.coords[2 * std::size_t{*it}], query.x,
+                                       query.y);
+        // Branch-free: which candidate wins is data-dependent and the
+        // branchy form mispredicts often.
+        const bool less = d2 < best;
+        tie = (tie || d2 == best) && !less;
+        best_id = less ? *it : best_id;
+        best = less ? d2 : best;
+      }
+      // A tie's winner depends on the tree's visit order: ask the tree.
+      if (!tie) {
+        return {t.index[best_id],
+                {t.coords[2 * std::size_t{best_id}],
+                 t.coords[2 * std::size_t{best_id} + 1]},
+                CorrespondenceRoute::kGrid};
+      }
+      route = CorrespondenceRoute::kTie;
+    }
+  }
+  const double q[2] = {query.x, query.y};
+  const std::size_t local = t.tree.nearest({q, 2}, bound).index;
+  return {t.index[local], {t.coords[2 * local], t.coords[2 * local + 1]}, route};
+}
+
 IcpResult align_icp(std::span<const geom::Vec2> source,
                     std::span<const sim::TypeId> source_types,
-                    std::span<const geom::Vec2> target,
-                    std::span<const sim::TypeId> target_types,
-                    const IcpOptions& options) {
-  support::expect(!source.empty() && source.size() == source_types.size() &&
-                      target.size() == target_types.size(),
+                    const IcpReference& reference, const IcpOptions& options) {
+  support::expect(!source.empty() && source.size() == source_types.size(),
                   "align_icp: invalid inputs");
-  support::expect(source.size() == target.size(), "align_icp: size mismatch");
+  support::expect(source.size() == reference.size(), "align_icp: size mismatch");
   support::expect(options.rotation_restarts >= 1,
                   "align_icp: need at least one restart");
-  check_type_histograms(source_types, target_types);
+  // No iteration leaves every restart at MSE +inf, which no restart beats:
+  // the identity would come back as the alignment.
+  support::expect(options.max_iterations >= 1,
+                  "align_icp: need at least one iteration");
+  // A NaN tolerance never stops a descent (every comparison with it fails).
+  support::expect(options.convergence_tolerance >= 0.0,
+                  "align_icp: convergence tolerance must be >= 0");
+  const auto counts = reference.type_counts();
+  const bool known_types = std::ranges::all_of(
+      source_types, [&](sim::TypeId t) { return t < counts.size(); });
+  support::expect(
+      known_types && std::ranges::equal(
+                         sim::type_histogram(source_types, counts.size()), counts),
+      "align: type histograms differ");
   support::expect(geom::all_finite(source),
                   "align_icp: non-finite source coordinate");
-  support::expect(geom::all_finite(target),
-                  "align_icp: non-finite target coordinate");
-
-  const TypedTargetTrees target_trees(target, target_types);
 
   IcpResult best;
   best.mean_squared_error = std::numeric_limits<double>::infinity();
   for (std::size_t r = 0; r < options.rotation_restarts; ++r) {
     const double angle = 2.0 * std::numbers::pi * static_cast<double>(r) /
                          static_cast<double>(options.rotation_restarts);
-    IcpResult candidate = icp_descent(source, source_types, target,
-                                      target_trees, angle, options);
+    IcpResult candidate =
+        icp_descent(source, source_types, reference, angle, options);
     if (candidate.mean_squared_error < best.mean_squared_error) {
       best = candidate;
     }

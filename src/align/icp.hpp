@@ -20,9 +20,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "geom/kdtree.hpp"
 #include "geom/rigid_transform.hpp"
 #include "sim/particle_system.hpp"
 
@@ -30,8 +33,8 @@ namespace sops::align {
 
 /// ICP options.
 struct IcpOptions {
-  std::size_t max_iterations = 50;
-  double convergence_tolerance = 1e-9;  ///< stop when MSE improves less
+  std::size_t max_iterations = 50;      ///< >= 1
+  double convergence_tolerance = 1e-9;  ///< >= 0; stop when MSE improves less
   std::size_t rotation_restarts = 8;    ///< initial angles spread over [0, 2π)
 };
 
@@ -42,14 +45,99 @@ struct IcpResult {
   std::size_t iterations = 0;        ///< iterations of the winning restart
 };
 
+/// How IcpReference::nearest answered a query.
+enum class CorrespondenceRoute : std::uint8_t {
+  kGrid,       ///< unique minimum over the query cell's candidates
+  kUncovered,  ///< kd-tree: query outside the grid, in an uncovered cell, or NaN
+  kTie,        ///< kd-tree: two candidates tie for the minimum
+};
+
+/// One nearest same-type target.
+struct Correspondence {
+  std::size_t index = 0;  ///< index into the reference's target
+  geom::Vec2 point{};     ///< that target's coordinates
+  CorrespondenceRoute route = CorrespondenceRoute::kGrid;
+};
+
+/// The fixed side of an alignment: a target configuration indexed for
+/// same-type nearest-neighbor queries. Build it once and align any number of
+/// sources onto it; queries are const and safe to run concurrently.
+///
+/// Per type it keeps the type's coordinates, a 2-D kd-tree over them and a
+/// uniform grid over their padded bounding box whose cells list candidate
+/// ids: every target that could be nearest to some point of the cell. A
+/// query scans its cell's candidates with the kd-tree's own distance
+/// expression and returns the unique minimum — the point KdTree::nearest
+/// returns too, since the tree is an exact argmin over the same computed
+/// distances. Queries outside the grid, in an uncovered cell, tied, or NaN
+/// go to the tree unchanged.
+class IcpReference {
+ public:
+  /// Shape of one type's grid: `columns` × `rows` square cells of side
+  /// `cell_size` from `origin`. A type whose grid is empty (no points, all
+  /// points coincident, or coordinates too large for the spacing) answers
+  /// every query from its tree.
+  struct Grid {
+    geom::Vec2 origin{};
+    double cell_size = 0.0;
+    std::uint32_t columns = 0;
+    std::uint32_t rows = 0;
+  };
+
+  /// Requires a non-empty, finite target with one type per point.
+  IcpReference(std::span<const geom::Vec2> target,
+               std::span<const sim::TypeId> target_types);
+
+  // Each tree views its type's coordinate array; a copy's trees would view
+  // the original's arrays.
+  IcpReference(const IcpReference&) = delete;
+  IcpReference& operator=(const IcpReference&) = delete;
+
+  /// Number of target points.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Target points per type, indexed by type id (up to the max type id).
+  [[nodiscard]] std::span<const std::size_t> type_counts() const noexcept {
+    return type_counts_;
+  }
+
+  /// The grid of type `type` (< type_counts().size()).
+  [[nodiscard]] const Grid& grid(sim::TypeId type) const;
+
+  /// Nearest target of type `type` to `query`: the target KdTree::nearest
+  /// returns over that type's points, exact ties included. `bound` as in
+  /// KdTree::nearest; a NaN query throws its PreconditionError.
+  [[nodiscard]] Correspondence nearest(
+      geom::Vec2 query, sim::TypeId type,
+      double bound = std::numeric_limits<double>::infinity()) const;
+
+ private:
+  struct TypeIndex {
+    // Takes one type's points and builds its tree and candidate grid.
+    TypeIndex(std::vector<double> coords_in, std::vector<std::uint32_t> index_in);
+
+    std::vector<double> coords;         // flat (x, y), ascending target index
+    std::vector<std::uint32_t> index;   // target index of each point
+    geom::KdTree tree;                  // over coords
+    Grid grid;
+    double inverse_cell_size = 0.0;
+    std::vector<std::uint32_t> cell_start;  // CSR: columns * rows + 1
+    std::vector<std::uint32_t> candidates;  // local ids, ascending per cell
+  };
+
+  std::size_t size_ = 0;
+  std::vector<std::size_t> type_counts_;
+  std::vector<TypeIndex> types_;
+};
+
 /// Correspondence-free alignment: finds g ∈ ISO⁺(2) minimizing the NN
-/// mean-squared error of g(source) against target, matching only particles
-/// of equal type. Requires both configurations non-empty and finite, with
-/// identical type histograms (over the max type id present).
+/// mean-squared error of g(source) against the reference's target, matching
+/// only particles of equal type. Requires a non-empty, finite source of the
+/// reference's size with its type histogram, and valid options (at least
+/// one restart and one iteration, a non-negative tolerance).
 [[nodiscard]] IcpResult align_icp(std::span<const geom::Vec2> source,
                                   std::span<const sim::TypeId> source_types,
-                                  std::span<const geom::Vec2> target,
-                                  std::span<const sim::TypeId> target_types,
+                                  const IcpReference& reference,
                                   const IcpOptions& options = {});
 
 /// One-to-one same-type correspondence: returns a permutation π with

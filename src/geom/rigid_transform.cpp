@@ -40,18 +40,32 @@ std::vector<Vec2> centered(std::span<const Vec2> points) {
   return out;
 }
 
+namespace {
+
+// The Procrustes angle of the pairs (source_i − source_c, target_i −
+// target_c), centered on the fly so no centered copy is allocated.
+double centered_rotation(std::span<const Vec2> source, Vec2 source_c,
+                         std::span<const Vec2> target, Vec2 target_c) {
+  double cross_sum = 0.0;
+  double dot_sum = 0.0;
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const Vec2 s = source[i] - source_c;
+    const Vec2 t = target[i] - target_c;
+    cross_sum += cross(s, t);
+    dot_sum += dot(s, t);
+  }
+  if (cross_sum == 0.0 && dot_sum == 0.0) return 0.0;
+  return std::atan2(cross_sum, dot_sum);
+}
+
+}  // namespace
+
 double optimal_rotation(std::span<const Vec2> source,
                         std::span<const Vec2> target) {
   support::expect(source.size() == target.size(),
                   "optimal_rotation: size mismatch");
-  double cross_sum = 0.0;
-  double dot_sum = 0.0;
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    cross_sum += cross(source[i], target[i]);
-    dot_sum += dot(source[i], target[i]);
-  }
-  if (cross_sum == 0.0 && dot_sum == 0.0) return 0.0;
-  return std::atan2(cross_sum, dot_sum);
+  // p − (0, 0) is p exactly, so this is the plain sum over the pairs.
+  return centered_rotation(source, {}, target, {});
 }
 
 RigidTransform2 fit_rigid(std::span<const Vec2> source,
@@ -60,13 +74,7 @@ RigidTransform2 fit_rigid(std::span<const Vec2> source,
                   "fit_rigid: size mismatch or empty input");
   const Vec2 source_c = centroid(source);
   const Vec2 target_c = centroid(target);
-  std::vector<Vec2> s_centered;
-  std::vector<Vec2> t_centered;
-  s_centered.reserve(source.size());
-  t_centered.reserve(target.size());
-  for (const Vec2 p : source) s_centered.push_back(p - source_c);
-  for (const Vec2 p : target) t_centered.push_back(p - target_c);
-  const double angle = optimal_rotation(s_centered, t_centered);
+  const double angle = centered_rotation(source, source_c, target, target_c);
   // g(p) = R(p − source_c) + target_c  ⇒  translation = target_c − R·source_c.
   return {angle, target_c - rotated(source_c, angle)};
 }

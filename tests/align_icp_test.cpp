@@ -10,6 +10,8 @@
 #include <numbers>
 #include <numeric>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "align/icp.hpp"
 #include "geom/kdtree.hpp"
@@ -19,7 +21,10 @@
 namespace {
 
 using sops::align::align_icp;
+using sops::align::Correspondence;
+using sops::align::CorrespondenceRoute;
 using sops::align::IcpOptions;
+using sops::align::IcpReference;
 using sops::align::IcpResult;
 using sops::align::match_by_type;
 using sops::geom::RigidTransform2;
@@ -46,6 +51,16 @@ Cloud make_cloud(std::size_t n, std::size_t type_count, std::uint64_t seed) {
   return cloud;
 }
 
+// Aligns source onto a reference built from target, as align_ensemble does.
+IcpResult align_onto(std::span<const Vec2> source,
+                     std::span<const TypeId> source_types,
+                     std::span<const Vec2> target,
+                     std::span<const TypeId> target_types,
+                     const IcpOptions& options = {}) {
+  const IcpReference reference(target, target_types);
+  return align_icp(source, source_types, reference, options);
+}
+
 class IcpRecovery : public ::testing::TestWithParam<double> {};
 
 TEST_P(IcpRecovery, RecoversRotationOfSameCloud) {
@@ -55,7 +70,7 @@ TEST_P(IcpRecovery, RecoversRotationOfSameCloud) {
   const std::vector<Vec2> source = truth.inverse().apply(target.points);
 
   const IcpResult result =
-      align_icp(source, target.types, target.points, target.types);
+      align_onto(source, target.types, target.points, target.types);
   EXPECT_LT(result.mean_squared_error, 1e-12);
 
   const auto moved = result.transform.apply(source);
@@ -91,7 +106,7 @@ TEST(Icp, RecoversUnderShuffledSourceOrder) {
   }
 
   const IcpResult result =
-      align_icp(shuffled, shuffled_types, target.points, target.types);
+      align_onto(shuffled, shuffled_types, target.points, target.types);
   EXPECT_LT(result.mean_squared_error, 1e-10);
 }
 
@@ -103,7 +118,7 @@ TEST(Icp, RobustToNoise) {
   for (Vec2& p : source) p += sops::rng::normal_vec2(engine, 0.02);
 
   const IcpResult result =
-      align_icp(source, target.types, target.points, target.types);
+      align_onto(source, target.types, target.points, target.types);
   EXPECT_LT(result.mean_squared_error, 0.01);
 }
 
@@ -127,7 +142,7 @@ TEST(Icp, NeverMatchesAcrossTypes) {
     source.push_back(unit * 1.0);
     types.push_back(1);
   }
-  const IcpResult result = align_icp(source, types, target, types);
+  const IcpResult result = align_onto(source, types, target, types);
   EXPECT_GT(result.mean_squared_error, 1.0);
 }
 
@@ -148,26 +163,53 @@ TEST(Icp, MultiRestartEscapesLocalOptimum) {
   IcpOptions options;
   options.rotation_restarts = 16;
   const IcpResult result =
-      align_icp(source, target.types, target.points, target.types, options);
+      align_onto(source, target.types, target.points, target.types, options);
   EXPECT_LT(result.mean_squared_error, 1e-10);
 }
 
 TEST(Icp, PreconditionsEnforced) {
   const Cloud cloud = make_cloud(10, 2, 19);
-  EXPECT_THROW((void)align_icp({}, {}, cloud.points, cloud.types),
+  EXPECT_THROW((void)align_onto({}, {}, cloud.points, cloud.types),
                sops::PreconditionError);
 
   // Histogram mismatch: different type counts.
   std::vector<TypeId> wrong_types = cloud.types;
   wrong_types[0] = 1 - wrong_types[0];
   EXPECT_THROW(
-      (void)align_icp(cloud.points, wrong_types, cloud.points, cloud.types),
+      (void)align_onto(cloud.points, wrong_types, cloud.points, cloud.types),
       sops::PreconditionError);
 
   IcpOptions bad;
   bad.rotation_restarts = 0;
-  EXPECT_THROW((void)align_icp(cloud.points, cloud.types, cloud.points,
-                               cloud.types, bad),
+  EXPECT_THROW((void)align_onto(cloud.points, cloud.types, cloud.points,
+                                cloud.types, bad),
+               sops::PreconditionError);
+
+  // Options that would make ICP silently wrong: no iteration leaves every
+  // restart at MSE +inf (the identity comes back), and a NaN tolerance never
+  // stops a descent. Each fails by name.
+  const IcpReference reference(cloud.points, cloud.types);
+  const auto rejects = [&](const IcpOptions& options, const char* message) {
+    try {
+      (void)align_icp(cloud.points, cloud.types, reference, options);
+      ADD_FAILURE() << "align_icp accepted: " << message;
+    } catch (const sops::PreconditionError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  };
+  IcpOptions no_iterations;
+  no_iterations.max_iterations = 0;
+  rejects(no_iterations, "align_icp: need at least one iteration");
+  for (const double tolerance : {std::nan(""), -1e-9}) {
+    IcpOptions bad_tolerance;
+    bad_tolerance.convergence_tolerance = tolerance;
+    rejects(bad_tolerance, "align_icp: convergence tolerance must be >= 0");
+  }
+  // Size mismatch against the reference.
+  const std::span<const Vec2> fewer(cloud.points.data(), cloud.points.size() - 2);
+  const std::span<const TypeId> fewer_types(cloud.types.data(),
+                                            cloud.types.size() - 2);
+  EXPECT_THROW((void)align_icp(fewer, fewer_types, reference),
                sops::PreconditionError);
 }
 
@@ -177,13 +219,13 @@ TEST(Icp, NonFiniteCoordinatesRejectedByName) {
     std::vector<Vec2> broken = cloud.points;
     broken[2].y = bad;
     try {
-      (void)align_icp(broken, cloud.types, cloud.points, cloud.types);
+      (void)align_onto(broken, cloud.types, cloud.points, cloud.types);
       ADD_FAILURE() << "align_icp accepted a non-finite source";
     } catch (const sops::PreconditionError& e) {
       EXPECT_STREQ(e.what(), "align_icp: non-finite source coordinate");
     }
     EXPECT_THROW(
-        (void)align_icp(cloud.points, cloud.types, broken, cloud.types),
+        (void)align_onto(cloud.points, cloud.types, broken, cloud.types),
         sops::PreconditionError);
     try {
       (void)match_by_type(broken, cloud.types, cloud.points, cloud.types);
@@ -308,10 +350,14 @@ TEST(MatchByType, MatchesOracleWithDuplicatePointTies) {
 // `warm_ties` counts queries after each restart's first iteration whose
 // nearest distance is attained by two or more targets — the queries where a
 // warm-started descent could pick a different winner if it were wrong.
+// `tie_fallbacks` counts the tied queries (any iteration) that `reference`
+// answers through its tie fallback to the tree.
 IcpResult cold_icp_oracle(std::span<const Vec2> source,
                           std::span<const TypeId> types,
                           std::span<const Vec2> target,
-                          const IcpOptions& options, std::size_t& warm_ties) {
+                          const IcpReference& reference,
+                          const IcpOptions& options, std::size_t& warm_ties,
+                          std::size_t& tie_fallbacks) {
   std::size_t type_count = 0;
   for (const TypeId t : types) type_count = std::max<std::size_t>(type_count, t + 1);
   std::vector<std::vector<double>> coords(type_count);
@@ -342,9 +388,13 @@ IcpResult cold_icp_oracle(std::span<const Vec2> source,
         const double query[2] = {moved.x, moved.y};
         const auto& tree = trees[types[i]];
         const std::size_t nn = index[types[i]][tree.nearest({query, 2}).index];
-        if (iter > 0) {
-          const auto two = tree.k_nearest({query, 2}, 2);
-          if (two.size() == 2 && two[0].dist_sq == two[1].dist_sq) ++warm_ties;
+        const auto two = tree.k_nearest({query, 2}, 2);
+        if (two.size() == 2 && two[0].dist_sq == two[1].dist_sq) {
+          if (iter > 0) ++warm_ties;
+          if (reference.nearest(moved, types[i]).route ==
+              CorrespondenceRoute::kTie) {
+            ++tie_fallbacks;
+          }
         }
         matched[i] = target[nn];
         mse += sops::geom::dist_sq(moved, matched[i]);
@@ -390,8 +440,10 @@ Cloud mirror_rings(std::size_t type_count, double offset) {
 
 TEST(Icp, WarmStartedDescentMatchesColdOracleUnderTies) {
   std::size_t total_warm_ties = 0;
+  std::size_t total_tie_fallbacks = 0;
   for (const double offset : {0.0, 0.125, 0.5}) {
     const Cloud target = mirror_rings(3, offset);
+    const IcpReference reference(target.points, target.types);
     for (const double shift : {0.0, 0.25, 0.5, 1.0}) {
       // Source: the rings slid along the mirror axis, so moved points stay
       // on it (exactly) while correspondences are ambiguous.
@@ -402,12 +454,11 @@ TEST(Icp, WarmStartedDescentMatchesColdOracleUnderTies) {
         options.rotation_restarts = restarts;
         std::size_t warm_ties = 0;
         const IcpResult cold =
-            cold_icp_oracle(source, target.types, target.points, options,
-                            warm_ties);
+            cold_icp_oracle(source, target.types, target.points, reference,
+                            options, warm_ties, total_tie_fallbacks);
         total_warm_ties += warm_ties;
         const IcpResult warm =
-            align_icp(source, target.types, target.points, target.types,
-                      options);
+            align_icp(source, target.types, reference, options);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.transform.angle),
                   std::bit_cast<std::uint64_t>(cold.transform.angle));
         EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.transform.translation.x),
@@ -420,8 +471,207 @@ TEST(Icp, WarmStartedDescentMatchesColdOracleUnderTies) {
       }
     }
   }
-  // The geometry must actually exercise tied warm-started queries.
+  // The geometry must actually exercise tied warm-started queries, and
+  // tied queries inside the grid must reach the reference's tie fallback.
   EXPECT_GT(total_warm_ties, 0u);
+  EXPECT_GT(total_tie_fallbacks, 0u);
+}
+
+// Square and sheared-triangular lattices on dyadic coordinates: lattice
+// midpoints, cell-edge and corner queries tie exactly between neighbors.
+Cloud lattice(std::size_t side, bool triangular, std::size_t type_count) {
+  Cloud cloud;
+  for (std::size_t j = 0; j < side; ++j) {
+    for (std::size_t i = 0; i < side; ++i) {
+      const double shift = triangular && j % 2 == 1 ? 0.5 : 0.0;
+      cloud.points.push_back({static_cast<double>(i) + shift,
+                              static_cast<double>(j) * (triangular ? 0.875 : 1.0)});
+      cloud.types.push_back(static_cast<TypeId>((i + j) % type_count));
+    }
+  }
+  return cloud;
+}
+
+struct RouteCounts {
+  std::size_t grid = 0;
+  std::size_t uncovered = 0;
+  std::size_t tie = 0;
+};
+
+// Every query's IcpReference answer against KdTree::nearest over the same
+// per-type points (built in the reference's order, ascending target index):
+// the same index — exact ties included — or, for a NaN query, the same
+// named error. Each query also runs with a bound (its distance to an
+// arbitrary same-type point), which the answer must not depend on.
+void expect_tree_parity(const Cloud& cloud, std::span<const Vec2> queries,
+                        RouteCounts& routes) {
+  const IcpReference reference(cloud.points, cloud.types);
+  const std::size_t type_count = reference.type_counts().size();
+  std::vector<std::vector<double>> coords(type_count);
+  std::vector<std::vector<std::size_t>> index(type_count);
+  for (std::size_t i = 0; i < cloud.points.size(); ++i) {
+    coords[cloud.types[i]].push_back(cloud.points[i].x);
+    coords[cloud.types[i]].push_back(cloud.points[i].y);
+    index[cloud.types[i]].push_back(i);
+  }
+  for (std::size_t type = 0; type < type_count; ++type) {
+    if (index[type].empty()) continue;
+    const sops::geom::KdTree tree(coords[type], 2);
+    const auto t = static_cast<TypeId>(type);
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      const Vec2 q = queries[qi];
+      const double query[2] = {q.x, q.y};
+      if (std::isnan(q.x) || std::isnan(q.y)) {
+        std::string tree_error;
+        try {
+          (void)tree.nearest({query, 2});
+        } catch (const sops::PreconditionError& e) {
+          tree_error = e.what();
+        }
+        try {
+          (void)reference.nearest(q, t);
+          ADD_FAILURE() << "NaN query answered";
+        } catch (const sops::PreconditionError& e) {
+          EXPECT_EQ(e.what(), tree_error);
+        }
+        continue;
+      }
+      const std::size_t expected = index[type][tree.nearest({query, 2}).index];
+      const Correspondence got = reference.nearest(q, t);
+      ASSERT_EQ(got.index, expected)
+          << "type " << type << " query (" << q.x << ", " << q.y << ")";
+      EXPECT_EQ(got.point, cloud.points[expected]);
+      const Vec2 other = cloud.points[index[type][qi % index[type].size()]];
+      EXPECT_EQ(reference.nearest(q, t, sops::geom::dist_sq(q, other)).index,
+                expected);
+      switch (got.route) {
+        case CorrespondenceRoute::kGrid: ++routes.grid; break;
+        case CorrespondenceRoute::kUncovered: ++routes.uncovered; break;
+        case CorrespondenceRoute::kTie: ++routes.tie; break;
+      }
+    }
+  }
+}
+
+// Queries for `cloud`: random ones over (and past) its box, every point
+// itself, lattice midpoints, exact grid lines (cell edges and corners) of
+// every type, far-away points, and NaN.
+std::vector<Vec2> parity_queries(const Cloud& cloud, std::uint64_t seed) {
+  double x_lo = cloud.points[0].x, x_hi = x_lo;
+  double y_lo = cloud.points[0].y, y_hi = y_lo;
+  for (const Vec2 p : cloud.points) {
+    x_lo = std::min(x_lo, p.x);
+    x_hi = std::max(x_hi, p.x);
+    y_lo = std::min(y_lo, p.y);
+    y_hi = std::max(y_hi, p.y);
+  }
+  const double margin = 0.5 * std::max({x_hi - x_lo, y_hi - y_lo, 1.0});
+  sops::rng::Xoshiro256 engine(seed);
+  std::vector<Vec2> queries;
+  for (int i = 0; i < 400; ++i) {
+    queries.push_back({sops::rng::uniform(engine, x_lo - margin, x_hi + margin),
+                       sops::rng::uniform(engine, y_lo - margin, y_hi + margin)});
+  }
+  for (std::size_t i = 0; i < cloud.points.size(); ++i) {
+    const Vec2 p = cloud.points[i];
+    const Vec2 q = cloud.points[(i * 7 + 1) % cloud.points.size()];
+    queries.push_back(p);
+    queries.push_back({0.5 * (p.x + q.x), 0.5 * (p.y + q.y)});
+    queries.push_back({p.x + 0.5, p.y});
+    queries.push_back({p.x, p.y + 0.5});
+  }
+  const IcpReference reference(cloud.points, cloud.types);
+  for (std::size_t type = 0; type < reference.type_counts().size(); ++type) {
+    const IcpReference::Grid grid = reference.grid(static_cast<TypeId>(type));
+    for (std::uint32_t c = 0; c <= grid.columns; c += 1 + grid.columns / 8) {
+      for (std::uint32_t r = 0; r <= grid.rows; r += 1 + grid.rows / 8) {
+        const double x = grid.origin.x + c * grid.cell_size;
+        const double y = grid.origin.y + r * grid.cell_size;
+        queries.push_back({x, y});                          // corner
+        queries.push_back({x, y + 0.5 * grid.cell_size});   // vertical edge
+        queries.push_back({x + 0.5 * grid.cell_size, y});   // horizontal edge
+        queries.push_back({std::nextafter(x, -1e300), std::nextafter(y, 1e300)});
+      }
+    }
+  }
+  queries.push_back({x_lo - 1e6, y_lo});
+  queries.push_back({x_hi + 1e3, y_hi + 1e3});
+  queries.push_back({0.5 * (x_lo + x_hi), -1e12});
+  queries.push_back({std::nan(""), y_lo});
+  queries.push_back({x_lo, std::nan("")});
+  return queries;
+}
+
+TEST(IcpReference, MatchesKdTreeOnFuzzedClouds) {
+  RouteCounts routes;
+  std::vector<Cloud> clouds;
+  clouds.push_back(make_cloud(300, 3, 51));
+  clouds.push_back(make_cloud(40, 1, 52));
+  clouds.push_back(lattice(12, false, 1));
+  clouds.push_back(lattice(12, false, 2));
+  clouds.push_back(lattice(12, true, 1));
+  clouds.push_back(lattice(13, true, 3));
+  {
+    // Duplicates, and a type (2) with a single point.
+    Cloud dup = make_cloud(60, 2, 53);
+    for (std::size_t i = 0; i < 20; i += 2) dup.points[i + 20] = dup.points[i];
+    dup.points.push_back({0.25, 0.75});
+    dup.types.push_back(2);
+    clouds.push_back(dup);
+    // A type whose points all coincide.
+    Cloud same = make_cloud(30, 2, 54);
+    for (std::size_t i = 0; i < same.points.size(); i += 2) same.points[i] = {1.0, 1.0};
+    clouds.push_back(same);
+  }
+  {
+    // Collinear: horizontal, vertical and diagonal lines.
+    Cloud line;
+    for (std::size_t i = 0; i < 40; ++i) {
+      const double s = 0.25 * static_cast<double>(i);
+      line.points.push_back({s, 1.5});
+      line.types.push_back(0);
+      line.points.push_back({-2.0, s});
+      line.types.push_back(1);
+      line.points.push_back({s, s});
+      line.types.push_back(2);
+    }
+    clouds.push_back(line);
+  }
+  // Far from the origin: rounding scales with the coordinates, not the
+  // spacing. The largest offset leaves the grid too coarse to use.
+  for (const double offset : {1e6, 3e9, 1e13}) {
+    for (Cloud cloud : {make_cloud(200, 2, 55), lattice(10, true, 2)}) {
+      for (Vec2& p : cloud.points) p += Vec2{offset, -offset};
+      clouds.push_back(cloud);
+    }
+  }
+  for (std::size_t c = 0; c < clouds.size(); ++c) {
+    SCOPED_TRACE(c);
+    const std::vector<Vec2> queries = parity_queries(clouds[c], 100 + c);
+    expect_tree_parity(clouds[c], queries, routes);
+  }
+  // Every route must be exercised.
+  EXPECT_GT(routes.grid, 0u);
+  EXPECT_GT(routes.uncovered, 0u);
+  EXPECT_GT(routes.tie, 0u);
+}
+
+TEST(IcpReference, PreconditionsEnforced) {
+  const Cloud cloud = make_cloud(6, 2, 57);
+  EXPECT_THROW((IcpReference{{}, {}}), sops::PreconditionError);
+  EXPECT_THROW((IcpReference{cloud.points, std::span<const TypeId>(
+                                               cloud.types.data(), 5)}),
+               sops::PreconditionError);
+  std::vector<Vec2> broken = cloud.points;
+  broken[3].x = std::numeric_limits<double>::infinity();
+  try {
+    const IcpReference reference(broken, cloud.types);
+    ADD_FAILURE() << "IcpReference accepted a non-finite target";
+  } catch (const sops::PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "IcpReference: non-finite target coordinate");
+  }
+  const IcpReference reference(cloud.points, cloud.types);
+  EXPECT_THROW((void)reference.nearest({0.0, 0.0}, 2), sops::PreconditionError);
 }
 
 TEST(MatchByType, MismatchedHistogramsThrow) {
