@@ -510,13 +510,6 @@ struct VerletBenchRow {
   double skip_rate = 0.0;
   double grid_rebuild_us = 0.0;
   double verlet_rebuild_us = 0.0;
-  /// Adaptive-skin + partial-rebuild opt-ins engaged (the recommended
-  /// production configuration); the fixed-skin leg above stays for trend
-  /// continuity with pre-adaptive baselines.
-  double adaptive_steps_per_sec = 0.0;
-  double adaptive_skip_rate = 0.0;
-  double adaptive_skin = 0.0;
-  double adaptive_partials_per_step = 0.0;
 };
 
 constexpr double kVerletBenchSkin = 1.5;
@@ -571,39 +564,6 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
                     std::chrono::steady_clock::now() - start)
                     .count();
     row.skip_rate = verlet.stats().skip_rate();
-    return rate;
-  });
-  row.adaptive_steps_per_sec = best_throughput([&] {
-    auto adaptive_system = system;
-    rng::Xoshiro256 engine(2);
-    geom::VerletListBackend verlet(kVerletBenchSkin);
-    geom::VerletListBackend::AdaptiveSkin adapt;
-    adapt.enabled = true;
-    verlet.set_adaptive_skin(adapt);
-    verlet.set_partial_rebuild(true);
-    // The shell only moves on displacement-triggered full rebuilds, so give
-    // the controller an untimed stretch of the same trajectory to converge
-    // before the measured window (the post-alignment regime is stationary:
-    // noise dominates the decayed drift, so the later segment is the same
-    // workload the fixed-skin leg sees).
-    for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(adaptive_system, table, 3.0, drift, verlet);
-      sim::apply_euler_maruyama_update(adaptive_system, drift, params, engine);
-    }
-    verlet.reset_stats();
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(adaptive_system, table, 3.0, drift, verlet);
-      sim::apply_euler_maruyama_update(adaptive_system, drift, params, engine);
-    }
-    const double rate =
-        steps / std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    row.adaptive_skip_rate = verlet.stats().skip_rate();
-    row.adaptive_skin = verlet.skin();
-    row.adaptive_partials_per_step =
-        static_cast<double>(verlet.stats().partial_builds) / steps;
     return rate;
   });
   // Isolated full re-index cost at the settled positions.
@@ -1290,8 +1250,6 @@ void emit_engine_json() {
   // re-index cost — all gated by tools/bench_trend.py (throughput and skip
   // rate on drops, rebuild_us on growth).
   const std::size_t verlet_sizes[] = {4096, 16384};
-  double adaptive_speedup_min = 1e300;
-  double adaptive_skip_rate_min = 1e300;
   std::fprintf(out, "  \"verlet\": [\n");
   for (std::size_t k = 0; k < 2; ++k) {
     const std::size_t n = verlet_sizes[k];
@@ -1299,41 +1257,22 @@ void emit_engine_json() {
     const double speedup = row.grid_steps_per_sec > 0.0
                                ? row.verlet_steps_per_sec / row.grid_steps_per_sec
                                : 0.0;
-    const double adaptive_speedup =
-        row.grid_steps_per_sec > 0.0
-            ? row.adaptive_steps_per_sec / row.grid_steps_per_sec
-            : 0.0;
-    adaptive_speedup_min = std::min(adaptive_speedup_min, adaptive_speedup);
-    adaptive_skip_rate_min =
-        std::min(adaptive_skip_rate_min, row.adaptive_skip_rate);
     std::fprintf(out,
                  "    {\"n\": %zu, \"skin\": %.2f, \"settle_steps\": %d, "
                  "\"cell_grid_steps_per_sec\": %.1f, "
                  "\"verlet_steps_per_sec\": %.1f, \"speedup\": %.3f, "
                  "\"rebuild_skip_rate\": %.3f, "
-                 "\"adaptive_steps_per_sec\": %.1f, "
-                 "\"adaptive_speedup\": %.3f, "
-                 "\"adaptive_skip_rate\": %.3f, "
-                 "\"adaptive_skin\": %.3f, "
-                 "\"adaptive_partials_per_step\": %.3f, "
                  "\"cell_grid_rebuild_us\": %.1f, "
                  "\"verlet_rebuild_us\": %.1f}%s\n",
                  n, kVerletBenchSkin, kVerletSettleSteps,
                  row.grid_steps_per_sec, row.verlet_steps_per_sec, speedup,
-                 row.skip_rate, row.adaptive_steps_per_sec, adaptive_speedup,
-                 row.adaptive_skip_rate, row.adaptive_skin,
-                 row.adaptive_partials_per_step, row.grid_rebuild_us,
-                 row.verlet_rebuild_us, k + 1 < 2 ? "," : "");
+                 row.skip_rate, row.grid_rebuild_us, row.verlet_rebuild_us,
+                 k + 1 < 2 ? "," : "");
     std::printf("verlet n=%zu skin=%.1f: grid %.0f steps/s, verlet %.0f "
                 "steps/s (%.2fx), skip rate %.2f, rebuild %.0f vs %.0f us\n",
                 n, kVerletBenchSkin, row.grid_steps_per_sec,
                 row.verlet_steps_per_sec, speedup, row.skip_rate,
                 row.grid_rebuild_us, row.verlet_rebuild_us);
-    std::printf("verlet n=%zu adaptive: %.0f steps/s (%.2fx), skip rate "
-                "%.2f, skin -> %.2f, %.2f partial passes/step\n",
-                n, row.adaptive_steps_per_sec, adaptive_speedup,
-                row.adaptive_skip_rate, row.adaptive_skin,
-                row.adaptive_partials_per_step);
   }
   std::fprintf(out, "  ],\n");
 
@@ -1518,18 +1457,6 @@ void emit_engine_json() {
                   ? "[PASS]"
                   : "[FAIL]",
               simd_vs_pre_soa[0], simd_vs_pre_soa[1], simd_speedup_at_16384);
-  // The dense chunk path once ate the Verlet opt-in's advantage (the grid
-  // streamed bucket-ordered lanes while the Verlet rows still gathered by
-  // index, parity ~0.9x). Packed candidate lanes closed that gap, and the
-  // adaptive shell + partial rebuilds re-opened the win — the gate is an
-  // advantage claim again, at both bench sizes.
-  std::printf("CHECK %s adaptive verlet >= 1.4x cell grid post-alignment at "
-              "n=4096 and n=16384 (min %.2fx) with skip rate >= 0.85 "
-              "(min %.2f)\n",
-              adaptive_speedup_min >= 1.4 && adaptive_skip_rate_min >= 0.85
-                  ? "[PASS]"
-                  : "[FAIL]",
-              adaptive_speedup_min, adaptive_skip_rate_min);
   std::printf("CHECK %s streaming analyzer >= 3x the frozen post-hoc "
               "baseline at n=1024, m=100 (%.2fx) with bitwise-identical "
               "output (%s)\n",
@@ -1629,44 +1556,9 @@ int run_smoke() {
     sim::apply_euler_maruyama_update(verlet_pooled_system, pooled_drift,
                                      params, verlet_pooled_engine);
   }
-  // Adaptive-skin + partial-rebuild leg (the configuration the bench's
-  // adaptive rows measure): same serial-vs-pooled bitwise contract with the
-  // controller resizing the shell and runaway rows patched in place.
-  auto adaptive_serial_system = random_system(n, 34.0, 3, 7);
-  auto adaptive_pooled_system = adaptive_serial_system;
-  rng::Xoshiro256 adaptive_serial_engine(1);
-  rng::Xoshiro256 adaptive_pooled_engine(1);
-  geom::VerletListBackend adaptive_serial;
-  geom::VerletListBackend adaptive_pooled;
-  geom::VerletListBackend::AdaptiveSkin smoke_adapt;
-  smoke_adapt.enabled = true;
-  adaptive_serial.set_adaptive_skin(smoke_adapt);
-  adaptive_serial.set_partial_rebuild(true);
-  adaptive_pooled.set_adaptive_skin(smoke_adapt);
-  adaptive_pooled.set_partial_rebuild(true);
-  for (int step = 0; step < 25; ++step) {
-    sim::accumulate_drift(adaptive_serial_system, table, 3.0, serial_drift,
-                          adaptive_serial, 1);
-    sim::accumulate_drift(adaptive_pooled_system, table, 3.0, pooled_drift,
-                          adaptive_pooled, pool.executor());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(serial_drift[i] == pooled_drift[i])) {
-        std::fprintf(stderr,
-                     "smoke: adaptive verlet drift diverged at step %d "
-                     "particle %zu\n",
-                     step, i);
-        return 1;
-      }
-    }
-    sim::apply_euler_maruyama_update(adaptive_serial_system, serial_drift,
-                                     params, adaptive_serial_engine);
-    sim::apply_euler_maruyama_update(adaptive_pooled_system, pooled_drift,
-                                     params, adaptive_pooled_engine);
-  }
   std::printf(
       "smoke: 25 steps, serial == 4-thread sharded == pooled == scalar "
-      "bitwise (cell grid + verlet, fixed and adaptive skin; simd policy "
-      "%s)\n",
+      "bitwise (cell grid + verlet; simd policy %s)\n",
       support::simd_isa());
   return 0;
 }

@@ -127,23 +127,6 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
         "config: 'neighbor = verlet' needs a finite positive cut-off "
         "radius 'rc'");
   }
-  simulation.verlet_skin_adapt =
-      config.get_bool("verlet_skin_adapt", simulation.verlet_skin_adapt);
-  simulation.verlet_skin_min =
-      config.get_double("verlet_skin_min", simulation.verlet_skin_min);
-  simulation.verlet_skin_max =
-      config.get_double("verlet_skin_max", simulation.verlet_skin_max);
-  if (!(simulation.verlet_skin_min > 0.0) ||
-      !std::isfinite(simulation.verlet_skin_min) ||
-      !std::isfinite(simulation.verlet_skin_max) ||
-      simulation.verlet_skin_max < simulation.verlet_skin_min) {
-    throw Error(
-        "config: 'verlet_skin_min'/'verlet_skin_max' must be finite, "
-        "positive, and ordered");
-  }
-  simulation.verlet_partial_rebuild = config.get_bool(
-      "verlet_partial_rebuild", simulation.verlet_partial_rebuild);
-
   ConfiguredExperiment configured{ExperimentConfig(std::move(simulation)), {}};
   configured.experiment.samples = config.get_size("samples", 200);
 
@@ -187,9 +170,7 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
 const std::vector<std::string>& known_config_keys() {
   static const std::vector<std::string> keys{
       "preset", "force", "types", "particles", "k", "r", "sigma", "tau",
-      "rc", "neighbor", "verlet_skin", "verlet_skin_adapt", "verlet_skin_min",
-      "verlet_skin_max", "verlet_partial_rebuild",
-      "steps", "stride", "samples", "seed",
+      "rc", "neighbor", "verlet_skin", "steps", "stride", "samples", "seed",
       "frame_storage", "spill_dir", "spill_threshold_mb",
       "dt", "noise",
       "init_radius", "max_step", "equilibrium_threshold", "equilibrium_hold",

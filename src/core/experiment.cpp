@@ -298,9 +298,6 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
                   workspace.verlet_backend()) {
             chunk_stats[k].rebuilds = verlet->stats().builds;
             chunk_stats[k].steps = verlet->stats().steps;
-            chunk_stats[k].partial_rebuilds = verlet->stats().partial_builds;
-            chunk_stats[k].partial_rows = verlet->stats().partial_rows;
-            chunk_stats[k].final_skin = verlet->skin();
           } else {
             const std::size_t evals =
                 (chunk.end - chunk.begin) * (config.simulation.steps + 1);
@@ -312,12 +309,6 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
     for (const NeighborRebuildStats& stats : chunk_stats) {
       series.rebuild_stats.rebuilds += stats.rebuilds;
       series.rebuild_stats.steps += stats.steps;
-      series.rebuild_stats.partial_rebuilds += stats.partial_rebuilds;
-      series.rebuild_stats.partial_rows += stats.partial_rows;
-      // "Final" across chunks: the widest shell still in play — under
-      // adaptation that is the chunk whose samples tripped hardest.
-      series.rebuild_stats.final_skin =
-          std::max(series.rebuild_stats.final_skin, stats.final_skin);
     }
   }
   // Recording finished: whoever consumes the series next (the analyzer's

@@ -132,20 +132,12 @@ struct ExperimentConfig {
 /// Aggregated neighbor-list rebuild accounting of one experiment: `steps`
 /// counts every per-step backend refresh across all samples, `rebuilds` the
 /// ones that actually re-indexed. Only NeighborMode::kVerletSkin skips
-/// refreshes, so for every other mode rebuilds == steps (and the skip rate
-/// is 0) — benches and tests assert the Verlet opt-in's skip rate here.
+/// refreshes (quiet steps on its fixed-skin lists), so for every other mode
+/// rebuilds == steps (and the skip rate is 0) — benches and tests assert
+/// the Verlet opt-in's skip rate here, and `sops_run` prints it.
 struct NeighborRebuildStats {
   std::size_t rebuilds = 0;
   std::size_t steps = 0;
-  /// Verlet partial-rebuild accounting (zero unless the opt-in is on):
-  /// passes that re-enumerated runaway rows instead of fully rebuilding,
-  /// and the rows re-enumerated across them.
-  std::size_t partial_rebuilds = 0;
-  std::size_t partial_rows = 0;
-  /// The Verlet shell at the end of the slowest-converging worker chunk
-  /// (equals the configured skin unless adaptation is on); 0 for non-Verlet
-  /// modes.
-  double final_skin = 0.0;
 
   [[nodiscard]] double skip_rate() const noexcept {
     return steps > 0

@@ -283,11 +283,6 @@ void CellGrid::append_block_candidates(std::size_t cell,
   }
 }
 
-void CellGrid::append_block_candidates_at(
-    Vec2 q, std::vector<std::uint32_t>& out) const {
-  for_each_candidate(q, [&](std::uint32_t j) { out.push_back(j); });
-}
-
 std::size_t CellGrid::block_spans(std::size_t cell,
                                   std::array<Span, 3>& spans) const {
   return block_spans_at(cell_keys_[cell], spans);

@@ -141,17 +141,6 @@ class CellGrid {
   void append_block_candidates(std::size_t cell,
                                std::vector<std::uint32_t>& out) const;
 
-  /// Query-scoped form: appends the 3×3-block candidates around the cell
-  /// *containing q* — which may itself be unoccupied (the block's occupied
-  /// neighbors are still walked), so a point that has drifted out of every
-  /// indexed cell can still be re-enumerated against the grid. Same
-  /// (dx, dy)-major, ascending-index order as the dense-cell form. This is
-  /// the re-enumeration primitive behind the Verlet backend's partial
-  /// rebuilds: a runaway particle's fresh candidate row is one block walk
-  /// of the (still-indexed) full-build grid, no grid rebuild required.
-  void append_block_candidates_at(Vec2 q,
-                                  std::vector<std::uint32_t>& out) const;
-
   /// The 3×3 block of dense cell `cell` as at most 3 contiguous ranges
   /// [first, second) of bucket_entries(), one per dx column, in the same
   /// (dx, dy)-major enumeration order as append_block_candidates (dense ids

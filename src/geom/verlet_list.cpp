@@ -19,34 +19,6 @@ void VerletListBackend::set_skin(double skin) {
   if (skin != skin_) {
     skin_ = skin;
     valid_ = false;
-    rate_ema_ = 0.0;
-  }
-}
-
-void VerletListBackend::set_adaptive_skin(const AdaptiveSkin& params) {
-  support::expect(params.skin_min > 0.0 && std::isfinite(params.skin_min) &&
-                      params.skin_max >= params.skin_min &&
-                      std::isfinite(params.skin_max),
-                  "VerletListBackend: adaptive skin bounds must be finite, "
-                  "positive, and ordered");
-  support::expect(params.target_interval >= 1.0 &&
-                      std::isfinite(params.target_interval),
-                  "VerletListBackend: adaptive skin target interval must be "
-                  "finite and >= 1");
-  if (params.enabled != adapt_.enabled ||
-      params.skin_min != adapt_.skin_min ||
-      params.skin_max != adapt_.skin_max ||
-      params.target_interval != adapt_.target_interval) {
-    adapt_ = params;
-    valid_ = false;
-    rate_ema_ = 0.0;
-  }
-}
-
-void VerletListBackend::set_partial_rebuild(bool enabled) noexcept {
-  if (enabled != partial_enabled_) {
-    partial_enabled_ = enabled;
-    valid_ = false;
   }
 }
 
@@ -69,65 +41,16 @@ void VerletListBackend::rebuild(PositionLanes points, double radius,
   // Safety condition: while every particle sits within skin/2 of its
   // reference position, any pair now within `radius` was within
   // radius + 2·(skin/2) = radius + skin at build time, i.e. inside the
-  // cached rows. A particle past the threshold invalidates the list — or,
-  // with partial rebuilds, becomes a runaway whose row is re-enumerated
-  // fresh below while everyone else's cached row stays provably sound.
+  // cached rows. One particle past the threshold invalidates the list.
   const double limit_sq = (skin_ / 2.0) * (skin_ / 2.0);
-  bool full_trip = false;
-  if (!partial_enabled_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dx = points.x[i] - ref_x_[i];
-      const double dy = points.y[i] - ref_y_[i];
-      if (dx * dx + dy * dy > limit_sq) {
-        full_trip = true;
-        break;
-      }
-    }
-  } else {
-    runaways_.clear();
-    const std::size_t cap =
-        std::min(kMaxRunaways, std::max<std::size_t>(1, n / 4));
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dx = points.x[i] - ref_x_[i];
-      const double dy = points.y[i] - ref_y_[i];
-      if (dx * dx + dy * dy > limit_sq) {
-        if (runaways_.size() == cap) {
-          full_trip = true;
-          break;
-        }
-        runaways_.push_back(static_cast<std::uint32_t>(i));
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = points.x[i] - ref_x_[i];
+    const double dy = points.y[i] - ref_y_[i];
+    if (dx * dx + dy * dy > limit_sq) {
+      build(points, radius, executor);
+      return;
     }
   }
-  if (full_trip) {
-    if (adapt_.enabled) adapt_skin_on_trip();
-    build(points, radius, executor);
-    return;
-  }
-
-  if (partial_enabled_ && !runaways_.empty()) {
-    partial_pass(points);
-  } else if (!partial_members_.empty()) {
-    // Everyone is back within skin/2 of the reference: the cached rows are
-    // sound again on their own and the partial overlays can drop.
-    clear_partial_rows();
-  }
-  ++steps_since_build_;
-}
-
-void VerletListBackend::adapt_skin_on_trip() {
-  // The interval that just ended measures the collective's fastest
-  // particle: it covered skin/2 in `steps_since_build_` steps. Steer the
-  // shell toward the one that would stretch the interval to the setpoint
-  // (skin*/2 = ν · target), smoothed and rate-limited so a single noisy
-  // interval can at most halve or double it, then clamp to the bounds.
-  const double interval =
-      static_cast<double>(std::max<std::size_t>(1, steps_since_build_));
-  const double rate = (skin_ / 2.0) / interval;
-  rate_ema_ = rate_ema_ == 0.0 ? rate : 0.5 * (rate_ema_ + rate);
-  double want = 2.0 * rate_ema_ * adapt_.target_interval;
-  want = std::clamp(want, 0.5 * skin_, 2.0 * skin_);
-  skin_ = std::clamp(want, adapt_.skin_min, adapt_.skin_max);
 }
 
 void VerletListBackend::build(PositionLanes points, double radius,
@@ -136,15 +59,11 @@ void VerletListBackend::build(PositionLanes points, double radius,
   radius_ = radius;
   ref_x_.assign(points.x.begin(), points.x.end());
   ref_y_.assign(points.y.begin(), points.y.end());
-  clear_partial_rows();
   const double list_radius = radius + skin_;
   grid_.rebuild(points, list_radius, executor);
 
-  // Freeze the grid's cell-major point order: it is both the enumeration
-  // backbone of the build and the shard ordering until the next build (the
-  // grid's coordinate view goes stale the moment particles move on, but its
-  // cell structure keeps serving partial-pass block queries — quiet
-  // particles stay within skin/2 of the positions it indexed).
+  // Freeze the grid's cell-major point order: it is the enumeration
+  // backbone of the build.
   const std::span<const std::uint32_t> entries = grid_.bucket_entries();
   order_.assign(entries.begin(), entries.end());
   const std::span<const std::uint32_t> grid_bounds =
@@ -230,138 +149,7 @@ void VerletListBackend::build(PositionLanes points, double radius,
 
   valid_ = true;
   ++stats_.builds;
-  steps_since_build_ = 0;
   shard_cache_width_ = 0;  // the partition must reflect the new rows
-}
-
-bool VerletListBackend::row_contains(std::size_t i,
-                                     std::uint32_t j) const noexcept {
-  const std::uint32_t* p = indices_.data() + offsets_[i];
-  const std::uint32_t* e = indices_.data() + offsets_[i + 1];
-  for (; p != e; ++p) {
-    if (*p == j) return true;
-  }
-  return false;
-}
-
-void VerletListBackend::clear_partial_rows() {
-  for (const std::uint32_t i : partial_members_) partial_slot_[i] = kNoSlot;
-  partial_members_.clear();
-  for (const std::uint32_t i : extra_members_) extra_slot_[i] = kNoSlot;
-  extra_members_.clear();
-  partial_offsets_.clear();
-  partial_indices_.clear();
-  extra_offsets_.clear();
-  extra_indices_.clear();
-}
-
-void VerletListBackend::partial_pass(PositionLanes points) {
-  // Serial by design: the runaway set is capped at kMaxRunaways, each row
-  // is one block walk of the full-build grid, and a serial pass is
-  // trivially executor-width-invariant.
-  //
-  // Soundness: a pair (i, j) within `radius` at the current step must be
-  // covered by some row. Quiet–quiet pairs sit in the cached rows (both
-  // endpoints within skin/2 of reference — the standard argument). A
-  // runaway j's own row is re-enumerated *this step*: a quiet partner k
-  // within list range of j's current position has its reference within
-  // radius + skin/2 + skin/2 of it, i.e. inside the 3×3 block of the
-  // reference grid (cell side radius + skin) around j — the query-scoped
-  // block walk sees it. The reverse rows (quiet k missing runaway j) are
-  // patched by extras, and runaway–runaway pairs are checked directly.
-  const std::size_t n = points.size();
-  if (partial_slot_.size() != n) {
-    partial_members_.clear();
-    extra_members_.clear();
-    partial_slot_.assign(n, kNoSlot);
-    extra_slot_.assign(n, kNoSlot);
-    partial_offsets_.clear();
-    partial_indices_.clear();
-    extra_offsets_.clear();
-    extra_indices_.clear();
-  } else {
-    clear_partial_rows();
-  }
-  if (runaway_flag_.size() != n) runaway_flag_.assign(n, 0);
-  for (const std::uint32_t j : runaways_) runaway_flag_[j] = 1;
-
-  const double list_radius = radius_ + skin_;
-  const double list_radius_sq = list_radius * list_radius;
-  partial_offsets_.push_back(0);
-  pair_k_.clear();
-  pair_j_.clear();
-  GatherScratch& s = partial_scratch_;
-  for (std::size_t slot = 0; slot < runaways_.size(); ++slot) {
-    const std::uint32_t j = runaways_[slot];
-    partial_slot_[j] = static_cast<std::uint32_t>(slot);
-    partial_members_.push_back(j);
-    const double xj = points.x[j];
-    const double yj = points.y[j];
-    // Quiet candidates from the reference grid, enumerated in its
-    // (dx, dy)-major ascending-index order, filtered at current positions.
-    s.idx.clear();
-    grid_.append_block_candidates_at(Vec2{xj, yj}, s.idx);
-    for (const std::uint32_t k : s.idx) {
-      if (k == j || runaway_flag_[k] != 0) continue;
-      const double dx = points.x[k] - xj;
-      const double dy = points.y[k] - yj;
-      if (dx * dx + dy * dy >= list_radius_sq) continue;
-      partial_indices_.push_back(k);
-      // The reverse pair needs an extra only when k's cached row predates
-      // j's arrival; a row that already holds j evaluates the pair at the
-      // current gathered coordinates, and patching it again would count
-      // the pair twice.
-      if (!row_contains(k, j)) {
-        pair_k_.push_back(k);
-        pair_j_.push_back(j);
-      }
-    }
-    // Runaway–runaway pairs, all-pairs over the capped set (both endpoints
-    // have left their reference cells, so the grid cannot attest them).
-    for (const std::uint32_t r : runaways_) {
-      if (r == j) continue;
-      const double dx = points.x[r] - xj;
-      const double dy = points.y[r] - yj;
-      if (dx * dx + dy * dy >= list_radius_sq) continue;
-      partial_indices_.push_back(r);
-    }
-    partial_offsets_.push_back(partial_indices_.size());
-    max_row_count_ = std::max(
-        max_row_count_, partial_offsets_[slot + 1] - partial_offsets_[slot]);
-  }
-
-  // Extra rows: group the pending (quiet k, runaway j) patches per k with
-  // a stable counting scatter — slots in first-encounter order, patches in
-  // runaway-major order within a slot. Deterministic either way; frozen
-  // here so re-runs enumerate identically.
-  for (const std::uint32_t k : pair_k_) {
-    if (extra_slot_[k] == kNoSlot) {
-      extra_slot_[k] = static_cast<std::uint32_t>(extra_members_.size());
-      extra_members_.push_back(k);
-    }
-  }
-  extra_offsets_.assign(extra_members_.size() + 1, 0);
-  for (const std::uint32_t k : pair_k_) ++extra_offsets_[extra_slot_[k] + 1];
-  for (std::size_t t = 1; t < extra_offsets_.size(); ++t) {
-    extra_offsets_[t] += extra_offsets_[t - 1];
-  }
-  const std::size_t extra_total = pair_k_.size();
-  extra_indices_.resize(extra_total);
-  extra_cursor_.assign(extra_offsets_.begin(), extra_offsets_.end() - 1);
-  for (std::size_t t = 0; t < extra_total; ++t) {
-    const std::size_t pos = extra_cursor_[extra_slot_[pair_k_[t]]]++;
-    extra_indices_[pos] = pair_j_[t];
-  }
-  if (!extra_members_.empty()) {
-    for (std::size_t s2 = 0; s2 < extra_members_.size(); ++s2) {
-      max_row_count_ = std::max(max_row_count_,
-                                extra_offsets_[s2 + 1] - extra_offsets_[s2]);
-    }
-  }
-
-  ++stats_.partial_builds;
-  stats_.partial_rows += runaways_.size();
-  for (const std::uint32_t j : runaways_) runaway_flag_[j] = 0;
 }
 
 std::span<const std::uint32_t> VerletListBackend::neighbors(std::size_t i) {
@@ -370,11 +158,6 @@ std::span<const std::uint32_t> VerletListBackend::neighbors(std::size_t i) {
   const double yi = points_.y[i];
   scratch_.clear();
   for (const std::uint32_t j : candidate_row(i)) {
-    const double dx = points_.x[j] - xi;
-    const double dy = points_.y[j] - yi;
-    if (dx * dx + dy * dy < radius_sq) scratch_.push_back(j);
-  }
-  for (const std::uint32_t j : extra_candidates(i)) {
     const double dx = points_.x[j] - xi;
     const double dy = points_.y[j] - yi;
     if (dx * dx + dy * dy < radius_sq) scratch_.push_back(j);
@@ -402,9 +185,7 @@ std::span<const std::uint32_t> VerletListBackend::shard_bounds(
   // Unlike the cell grid, cuts need no cell alignment: rows are pure
   // per-particle gathers, so any contiguous split is bitwise-safe — and the
   // id-order walk streams the CSR arrays sequentially, which on large sets
-  // beats the cell-major walk's scattered row jumps. Partial overlays
-  // perturb row lengths only slightly (the runaway set is capped), so the
-  // cached-row estimate keeps the partition balanced.
+  // beats the cell-major walk's scattered row jumps.
   const double total = static_cast<double>(indices_.size() + n);
   double run = 0.0;
   std::size_t shard = 1;

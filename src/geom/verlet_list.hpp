@@ -14,18 +14,18 @@
 // Quiet-step evaluation: rows are short (a dozen candidates at production
 // densities), so the dominant cost of a per-row dispatch is not the row
 // math but the per-row overhead around it. The accumulate path therefore
-// hands each shard's whole slice of the frozen build order to one chunked
+// hands each shard's whole slice of particle-id order to one chunked
 // kernel call (sim::IndexedChunk over csr_offsets/csr_indices below), which
 // inlines the indexed row body per particle — identical arithmetic to the
 // per-row indexed kernel, bitwise, with the call overhead paid once per
 // shard. Candidates gather their *current* coordinates from the n-sized,
 // cache-resident global lanes; the kernel's live mask zeroes out-of-cutoff
 // and coincident candidates in place, which on short over-approximated rows
-// beats compressing survivors first. The filter/packed kernel pair
-// (sim::FilterRow → sim::PackedRow, staged through ensure_filter_shards /
-// filter_scratch) serves the partial-overlay rows — re-enumerated runaway
-// rows and additive extra rows, patched serially after the chunked pass —
-// and the packed-vs-indexed parity coverage.
+// beats compressing survivors first for the cheap spring law. The
+// double-Gaussian's per-candidate exp flips that: its rows go through the
+// filter/packed kernel pair (sim::FilterRow → sim::PackedRow, staged
+// through ensure_filter_shards / filter_scratch), which compacts survivors
+// before the dense kernel.
 //
 // The build is a single pass + stitch: per shard, each grid cell's 3×3
 // candidate block is gathered once into contiguous lanes (indices + both
@@ -41,41 +41,12 @@
 // list — rows are written per particle, and each row's enumeration order is
 // the grid walk's, independent of the partition.
 //
-// Adaptive skin (opt-in): instead of a fixed shell, the backend can track
-// the observed displacement rate — skin/2 divided by the quiet interval
-// that preceded each displacement-triggered rebuild — and resize the shell
-// toward a rebuild-interval setpoint, clamped to configured bounds and
-// rate-limited to at most halving/doubling per rebuild. Fast regimes get a
-// thicker shell (fewer rebuilds), settled regimes a thinner one (shorter
-// rows per quiet step).
-//
-// Partial rebuilds (opt-in): when only a few "runaway" particles have
-// tripped the skin/2 gate, the full O(n) re-enumeration is deferred.
-// Instead, each runaway gets a fresh candidate row re-enumerated every step
-// from the *full-build* grid (still indexed at the reference positions): a
-// quiet particle now within list range of the runaway's current position
-// was, by the skin/2 bound, within one 3×3 block of it in the reference
-// frame, so one query-scoped block walk per runaway suffices — no grid
-// rebuild. The reverse direction (a quiet row missing the runaway that
-// drifted into range) is patched by per-particle "extra" rows: the runaway
-// is appended to every quiet particle it now ranges over whose cached row
-// does not already contain it. Runaway–runaway pairs are checked directly
-// (the set is capped). Drift for a row with extras is the filtered
-// reduction of the cached row plus that of the extra row — a deterministic,
-// ISA-invariant sequence. The full rebuild fires once the runaway set
-// exceeds its cap, which is what stretches the list lifetime: one fast
-// particle stops costing a full O(n) enumeration.
-//
 // Reproducibility contract (see README "Neighbor backends"): within one
 // list lifetime the enumeration order of every row is frozen at build time,
 // so consecutive quiet steps are bitwise-stable and the sharded drift path
 // equals the serial one bitwise. *When* rebuilds happen depends on the
 // trajectory, though, so cross-mode golden pins do not transfer —
 // NeighborMode::kAuto therefore never selects this backend; it is opt-in.
-// Adaptive skin and partial rebuilds additionally shift rebuild timing (and
-// the skin changes the build grid's cell size, i.e. enumeration order), so
-// they are themselves opt-in *within* the opt-in: defaults-off keeps every
-// existing Verlet pin byte-exact.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +56,6 @@
 #include "geom/cell_grid.hpp"
 #include "geom/neighbor_backend.hpp"
 #include "geom/position_lanes.hpp"
-#include "geom/vec2.hpp"
 
 namespace sops::geom {
 
@@ -99,45 +69,13 @@ class VerletListBackend final : public NeighborBackend {
   explicit VerletListBackend(double skin = kDefaultVerletSkin);
 
   /// Changes the skin; invalidates the cached list when the value differs.
-  /// With adaptation enabled this is the *base* skin the controller starts
-  /// from — it re-anchors the controller as well.
   void set_skin(double skin);
   [[nodiscard]] double skin() const noexcept { return skin_; }
-
-  /// Adaptive-skin controller parameters. `target_interval` is the quiet
-  /// interval (steps between displacement-triggered full rebuilds) the
-  /// controller steers toward; the shell that achieves it under the
-  /// observed displacement rate ν is 2·ν·target_interval, clamped to
-  /// [skin_min, skin_max] and rate-limited per rebuild.
-  struct AdaptiveSkin {
-    bool enabled = false;
-    double skin_min = 0.25;
-    double skin_max = 4.0;
-    /// Swept on the bench's settled collectives (double-Gaussian law, both
-    /// sizes): throughput is flat across 16–32 and best near 24; shorter
-    /// setpoints thin the shell until full rebuilds dominate, longer ones
-    /// fatten rows faster than they save rebuilds.
-    double target_interval = 24.0;
-  };
-  /// Replaces the controller parameters; invalidates the cached list and
-  /// resets the controller state when they differ.
-  void set_adaptive_skin(const AdaptiveSkin& params);
-  [[nodiscard]] const AdaptiveSkin& adaptive_skin() const noexcept {
-    return adapt_;
-  }
-
-  /// Enables/disables partial rebuilds; invalidates the cached list when
-  /// the value changes.
-  void set_partial_rebuild(bool enabled) noexcept;
-  [[nodiscard]] bool partial_rebuild_enabled() const noexcept {
-    return partial_enabled_;
-  }
 
   using NeighborBackend::rebuild;
   /// Displacement-gated: a full rebuild (grid + candidate enumeration) only
   /// when the safety condition no longer holds; otherwise records the step
-  /// and keeps the cached list (re-enumerating runaway rows when partial
-  /// rebuilds are enabled). Serial build.
+  /// and keeps the cached list. Serial build.
   void rebuild(PositionLanes points, double radius) override;
   /// Same, with the candidate enumeration sharded on `executor` (the
   /// engine's lent step executor). List contents are identical for any
@@ -145,10 +83,9 @@ class VerletListBackend final : public NeighborBackend {
   void rebuild(PositionLanes points, double radius,
                support::Executor& executor) override;
 
-  /// Filters the cached candidate row (and, on partial steps, the extra
-  /// row) by the positions of the last rebuild() call, so the result
-  /// satisfies the NeighborBackend contract exactly (all j with
-  /// ‖p_j − p_i‖ < radius, cached row in frozen build order, extras after).
+  /// Filters the cached candidate row by the positions of the last
+  /// rebuild() call, so the result satisfies the NeighborBackend contract
+  /// exactly (all j with ‖p_j − p_i‖ < radius, in frozen build order).
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) override;
 
   [[nodiscard]] NeighborBackendKind kind() const noexcept override {
@@ -166,7 +103,7 @@ class VerletListBackend final : public NeighborBackend {
       std::size_t max_shards) override;
 
   /// Empty = identity: shards walk particle ids directly. The cell-major
-  /// build order stays internal (enumeration backbone + partial queries).
+  /// build order stays internal (the enumeration backbone).
   [[nodiscard]] std::span<const std::uint32_t> shard_order()
       const noexcept override {
     return {};
@@ -174,57 +111,20 @@ class VerletListBackend final : public NeighborBackend {
 
   /// Cached candidates of particle i: every j ≠ i within radius + skin of
   /// the reference build (true neighbors are a subset while the list is
-  /// valid; on partial steps a runaway's row is its fresh re-enumeration).
-  /// Read-only and shared-state-free — the sharded drift kernel iterates
-  /// rows from several threads between rebuilds. Extras (extra_candidates)
-  /// are
-  /// *not* included.
+  /// valid). Read-only and shared-state-free — the sharded drift kernel
+  /// iterates rows from several threads between rebuilds.
   [[nodiscard]] std::span<const std::uint32_t> candidate_row(
       std::size_t i) const noexcept {
-    if (!partial_members_.empty() && partial_slot_[i] != kNoSlot) {
-      const std::size_t s = partial_slot_[i];
-      return {partial_indices_.data() + partial_offsets_[s],
-              partial_offsets_[s + 1] - partial_offsets_[s]};
-    }
     return {indices_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
 
-  /// The additive extra row of particle i (runaways patched into quiet
-  /// rows on partial steps); empty when there is none. A consumer's row
-  /// total is the cached-row reduction plus the extra-row reduction.
-  [[nodiscard]] std::span<const std::uint32_t> extra_candidates(
-      std::size_t i) const noexcept {
-    if (extra_members_.empty() || extra_slot_[i] == kNoSlot) return {};
-    const std::size_t s = extra_slot_[i];
-    return {extra_indices_.data() + extra_offsets_[s],
-            extra_offsets_[s + 1] - extra_offsets_[s]};
-  }
-
   /// The raw CSR arrays of the cached list: the row of particle i is
-  /// csr_indices()[csr_offsets()[i] .. csr_offsets()[i+1]). This is the
-  /// full-build list only — partial-row overlays are NOT applied, so a
-  /// consumer walking these arrays directly (the chunked drift kernel)
-  /// must afterwards re-evaluate every partial_members() row via
-  /// candidate_row() and add every extra_members() row via
-  /// extra_candidates().
+  /// csr_indices()[csr_offsets()[i] .. csr_offsets()[i+1]).
   [[nodiscard]] std::span<const std::size_t> csr_offsets() const noexcept {
     return offsets_;
   }
   [[nodiscard]] std::span<const std::uint32_t> csr_indices() const noexcept {
     return indices_;
-  }
-
-  /// Particles whose cached row is currently replaced by a fresh partial
-  /// re-enumeration (ascending; empty outside partial steps).
-  [[nodiscard]] std::span<const std::uint32_t> partial_members()
-      const noexcept {
-    return partial_members_;
-  }
-
-  /// Particles carrying a non-empty additive extra row (ascending; empty
-  /// outside partial steps).
-  [[nodiscard]] std::span<const std::uint32_t> extra_members() const noexcept {
-    return extra_members_;
   }
 
   /// Grows the per-shard filter pool to at least `shards` buffers — the
@@ -240,8 +140,8 @@ class VerletListBackend final : public NeighborBackend {
     return filter_[k];
   }
 
-  /// Longest cached candidate row of the current list (partial rows
-  /// included) — what a filter buffer must hold, plus the compress slack.
+  /// Longest cached candidate row of the current list — what a filter
+  /// buffer must hold, plus the compress slack.
   [[nodiscard]] std::size_t max_row_count() const noexcept {
     return max_row_count_;
   }
@@ -250,16 +150,11 @@ class VerletListBackend final : public NeighborBackend {
   [[nodiscard]] PositionLanes points() const noexcept { return points_; }
 
   /// Rebuild accounting across the backend's lifetime: `steps` counts
-  /// rebuild() calls, `builds` the ones that fully rebuilt. Partial
-  /// accounting rides along: `partial_builds` counts partial passes (steps
-  /// that re-enumerated runaway rows instead of rebuilding) and
-  /// `partial_rows` the runaway rows re-enumerated across them. The skip
-  /// rate is what the opt-in buys; benches and tests assert on it.
+  /// rebuild() calls, `builds` the ones that fully rebuilt. The skip rate
+  /// is what the opt-in buys; benches and tests assert on it.
   struct Stats {
     std::size_t builds = 0;
     std::size_t steps = 0;
-    std::size_t partial_builds = 0;
-    std::size_t partial_rows = 0;
     [[nodiscard]] double skip_rate() const noexcept {
       return steps > 0
                  ? 1.0 - static_cast<double>(builds) / static_cast<double>(steps)
@@ -269,36 +164,21 @@ class VerletListBackend final : public NeighborBackend {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
-  /// Forces the next rebuild() to rebuild regardless of displacement and
-  /// re-anchors the adaptive controller (benches measure full-rebuild cost
-  /// this way; the workspace isolates runs with it).
-  void invalidate() noexcept {
-    valid_ = false;
-    rate_ema_ = 0.0;
-  }
+  /// Forces the next rebuild() to rebuild regardless of displacement
+  /// (benches measure full-rebuild cost this way; the workspace isolates
+  /// runs with it).
+  void invalidate() noexcept { valid_ = false; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  /// Full rebuild once more than this many particles are past skin/2 (also
-  /// bounded by n/4 so tiny sets never linger on partial passes).
-  static constexpr std::size_t kMaxRunaways = 32;
-
   void build(PositionLanes points, double radius, support::Executor& executor);
-  void partial_pass(PositionLanes points);
-  void clear_partial_rows();
-  void adapt_skin_on_trip();
-  [[nodiscard]] bool row_contains(std::size_t i,
-                                  std::uint32_t j) const noexcept;
 
   double skin_;
   double radius_ = 0.0;
   bool valid_ = false;
-  AdaptiveSkin adapt_{};
-  bool partial_enabled_ = false;
   PositionLanes points_;           // coordinate lanes of the current step
-  std::vector<double> ref_x_;      // positions of the last full build
+  std::vector<double> ref_x_;      // positions of the last build
   std::vector<double> ref_y_;
-  CellGrid grid_;                  // full-build grid; partial passes query it
+  CellGrid grid_;                  // build grid (radius + skin cells)
   std::vector<std::size_t> offsets_;     // per-particle CSR rows
   std::vector<std::uint32_t> indices_;   // candidates, row-contiguous
   std::vector<std::uint32_t> order_;     // frozen cell-major build order
@@ -307,30 +187,8 @@ class VerletListBackend final : public NeighborBackend {
   std::vector<GatherScratch> build_scratch_;  // per-shard gather + row buffers
   std::vector<GatherScratch> filter_;    // per-shard survivor lanes
   std::vector<std::uint32_t> scratch_;       // neighbors() filter output
-  std::size_t max_row_count_ = 0;      // longest row (partial rows included)
+  std::size_t max_row_count_ = 0;      // longest cached row
   std::size_t shard_cache_width_ = 0;  // shard_bounds_ is valid for this width
-
-  // Adaptive-skin controller state.
-  std::size_t steps_since_build_ = 0;  // quiet/partial steps since full build
-  double rate_ema_ = 0.0;              // smoothed displacement rate
-
-  // Partial-rebuild state: runaway rows replace their cached row via
-  // partial_slot_, extras add to quiet rows via extra_slot_. Slot arrays
-  // are n-sized and reset through the members lists (O(active) per pass).
-  std::vector<std::uint32_t> runaways_;        // past skin/2, ascending
-  std::vector<std::uint8_t> runaway_flag_;     // per-particle membership
-  std::vector<std::uint32_t> partial_slot_;
-  std::vector<std::uint32_t> partial_members_;
-  std::vector<std::size_t> partial_offsets_;
-  std::vector<std::uint32_t> partial_indices_;
-  std::vector<std::uint32_t> extra_slot_;
-  std::vector<std::uint32_t> extra_members_;
-  std::vector<std::size_t> extra_offsets_;
-  std::vector<std::uint32_t> extra_indices_;
-  std::vector<std::uint32_t> pair_k_;  // pending (quiet, runaway) patches
-  std::vector<std::uint32_t> pair_j_;
-  std::vector<std::size_t> extra_cursor_;  // stable-scatter cursors
-  GatherScratch partial_scratch_;
 
   Stats stats_;
 };

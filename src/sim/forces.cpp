@@ -238,14 +238,6 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     // global lanes; out-of-cutoff and coincident candidates zero out under
     // the live-lane mask. Rows are per-particle gathers, so the sharded
     // pass is width-invariant and, between rebuilds, bitwise-stable.
-    //
-    // On partial-rebuild steps the raw CSR rows are stale for the (capped)
-    // runaway set, so a serial postfix patches them: each partial member's
-    // row is re-evaluated from its overlay (candidate_row resolves to the
-    // fresh re-enumeration) and each extra member gets its additive extra
-    // row, both via the filter → packed kernel pair — the survivor
-    // selection is exact-comparison arithmetic, hence ISA-invariant, and
-    // the postfix is serial and ordered, hence width-invariant.
     const std::span<const std::uint32_t> bounds =
         backend.shard_bounds(executor.width());
     const std::span<const std::size_t> offsets = verlet->csr_offsets();
@@ -266,8 +258,8 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     const bool compact_first = table.kind() == ForceLawKind::kDoubleGaussian;
     const std::size_t lane_room = verlet->max_row_count() + support::kSimdWidth;
     const std::size_t shard_count = bounds.empty() ? 0 : bounds.size() - 1;
-    verlet->ensure_filter_shards(std::max<std::size_t>(shard_count, 1));
-    for (std::size_t k = 0; k < std::max<std::size_t>(shard_count, 1); ++k) {
+    verlet->ensure_filter_shards(shard_count);
+    for (std::size_t k = 0; k < shard_count; ++k) {
       geom::GatherScratch& s = verlet->filter_scratch(k);
       if (s.x.size() < lane_room) {
         s.x.resize(lane_room);
@@ -307,33 +299,6 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
             out[i] = kernels.packed(table, row);
           }
         });
-    const std::span<const std::uint32_t> partials = verlet->partial_members();
-    const std::span<const std::uint32_t> extras = verlet->extra_members();
-    if (!partials.empty() || !extras.empty()) {
-      geom::GatherScratch& s = verlet->filter_scratch(0);
-      const auto row_drift = [&](std::size_t i,
-                                 std::span<const std::uint32_t> cand) {
-        const FilterRow frow{system.x[i],          system.y[i],
-                             system.x.data(),      system.y.data(),
-                             system.types.data(),  cand.data(),
-                             cand.size(),          cutoff_sq,
-                             s.x.data(),           s.y.data(),
-                             s.tag.data()};
-        const std::size_t kept = kernels.filter(frow);
-        const PackedRow row{system.x[i], system.y[i], system.types[i],
-                            s.x.data(),  s.y.data(),  s.tag.data(),
-                            kept,        cutoff_sq};
-        return kernels.packed(table, row);
-      };
-      for (const std::uint32_t i : partials) {
-        out[i] = row_drift(i, verlet->candidate_row(i));
-      }
-      for (const std::uint32_t i : extras) {
-        const geom::Vec2 e = row_drift(i, verlet->extra_candidates(i));
-        out[i].x += e.x;
-        out[i].y += e.y;
-      }
-    }
     return;
   }
   if (const auto* delaunay =

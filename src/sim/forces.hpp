@@ -5,12 +5,13 @@
 //
 // Interchangeable neighbor strategies are provided; all must produce
 // identical drifts for the same pair set (tested): all-pairs O(n²), a
-// uniform cell grid that is O(n) per step for bounded density, and the
-// Delaunay-tessellation extension. The enum-mode entry point rebuilds its
-// index from scratch on every call (the reference / baseline path); the
-// engine's hot loop instead reuses a persistent geom::NeighborBackend,
-// which enumerates the same pairs in the same order without per-step
-// construction.
+// uniform cell grid that is O(n) per step for bounded density, the
+// Delaunay-tessellation extension, and fixed-skin Verlet lists that reuse
+// cached candidate rows until a particle moves past skin/2. The enum-mode
+// entry point rebuilds its index from scratch on every call (the reference
+// / baseline path); the engine's hot loop instead reuses a persistent
+// geom::NeighborBackend, which enumerates the same pairs in the same order
+// without per-step construction.
 #pragma once
 
 #include <cmath>
@@ -45,7 +46,8 @@ enum class NeighborMode {
   /// rebuild *timing* is trajectory-dependent, so cross-mode golden pins do
   /// not transfer and kAuto never selects it (within-list enumeration order
   /// stays frozen, so runs remain bitwise-reproducible per mode). Requires
-  /// finite r_c; skin comes from SimulationConfig::verlet_skin.
+  /// finite r_c; the skin (SimulationConfig::verlet_skin) is fixed for the
+  /// whole run.
   kVerletSkin,
 };
 

@@ -47,18 +47,6 @@ struct SimulationConfig {
   /// pair lists cache everything within r_c + skin and rebuild only once a
   /// particle drifted past skin/2. Ignored by every other mode.
   double verlet_skin = geom::kDefaultVerletSkin;
-  /// Adaptive skin (kVerletSkin only, default off): resize the shell
-  /// between rebuilds toward a rebuild-interval setpoint, clamped to
-  /// [verlet_skin_min, verlet_skin_max]. Off keeps rebuild timing (and the
-  /// build enumeration order) exactly that of the fixed shell — existing
-  /// Verlet golden pins depend on that.
-  bool verlet_skin_adapt = false;
-  double verlet_skin_min = 0.25;
-  double verlet_skin_max = 4.0;
-  /// Partial rebuilds (kVerletSkin only, default off): defer the full
-  /// re-enumeration while only a capped set of runaway particles tripped
-  /// the skin/2 gate, re-enumerating just their rows each step.
-  bool verlet_partial_rebuild = false;
 
   std::size_t steps = 250;        ///< t_max
   std::size_t record_stride = 1;  ///< record every k-th step (plus step 0)

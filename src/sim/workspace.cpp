@@ -16,12 +16,6 @@ void SimulationWorkspace::prepare(const SimulationConfig& config) {
   if (kind == geom::NeighborBackendKind::kVerletSkin) {
     auto& verlet = static_cast<geom::VerletListBackend&>(*backend_);
     verlet.set_skin(config.verlet_skin);
-    geom::VerletListBackend::AdaptiveSkin adapt;  // target_interval: default
-    adapt.enabled = config.verlet_skin_adapt;
-    adapt.skin_min = config.verlet_skin_min;
-    adapt.skin_max = config.verlet_skin_max;
-    verlet.set_adaptive_skin(adapt);
-    verlet.set_partial_rebuild(config.verlet_partial_rebuild);
     // A run must not inherit the previous run's frozen enumeration order:
     // if the new initial positions happened to sit within skin/2 of the
     // stale reference build, the list would be reused and the trajectory

@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
 #include "geom/neighbor_backend.hpp"
+#include "geom/verlet_list.hpp"
 #include "rng/samplers.hpp"
 #include "sim/simulation.hpp"
+#include "sim/workspace.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -311,6 +314,69 @@ TEST(GoldenTrajectory, DelaunayBitwiseStable) {
             (Vec2{-0x1.0f159b7fe3df8p+2, 0x1.70e0de5b92894p+1}));
   EXPECT_EQ(trajectory.frames.back()[29],
             (Vec2{-0x1.12079cdbf7bbfp-2, 0x1.ea0cb49d994bdp-1}));
+}
+
+TEST(GoldenTrajectory, VerletSkinBitwiseStable) {
+  // One case per Verlet eval path: the spring law takes the chunked
+  // indexed kernel, the double-Gaussian filter → packed. Each run must both
+  // skip rebuilds (quiet steps on the cached list) and rebuild after its
+  // first build, so both kinds of step are pinned.
+  const auto check = [](const SimulationConfig& config,
+                        const std::vector<double>& residuals,
+                        const std::vector<std::pair<std::size_t, Vec2>>& probes) {
+    SimulationWorkspace workspace;
+    const Trajectory trajectory = run_simulation(config, workspace);
+    const sops::geom::VerletListBackend* verlet = workspace.verlet_backend();
+    ASSERT_NE(verlet, nullptr);
+    EXPECT_LT(verlet->stats().builds, verlet->stats().steps);
+    EXPECT_GE(verlet->stats().builds, 2u);
+    ASSERT_EQ(trajectory.residual_norms.size(), residuals.size());
+    for (std::size_t f = 0; f < residuals.size(); ++f) {
+      EXPECT_EQ(trajectory.residual_norms[f], residuals[f]) << f;
+    }
+    ASSERT_EQ(trajectory.frames.back().size(), config.types.size());
+    for (const auto& [i, expected] : probes) {
+      EXPECT_EQ(trajectory.frames.back()[i], expected) << "particle " << i;
+    }
+  };
+
+  InteractionModel spring(ForceLawKind::kSpring, 3,
+                          PairParams{1.0, 2.5, 1.0, 1.0});
+  spring.set_r(0, 1, 3.5);
+  SimulationConfig spring_config(std::move(spring));
+  spring_config.types = sops::sim::evenly_distributed_types(40, 3);
+  spring_config.cutoff_radius = 4.0;
+  spring_config.init_disc_radius = 6.0;
+  spring_config.neighbor_mode = NeighborMode::kVerletSkin;
+  spring_config.steps = 60;
+  spring_config.record_stride = 20;
+  spring_config.seed = 23;
+  check(spring_config,
+        {0x1.50043370bfd84p+7, 0x1.98f3650e95d1ep+5, 0x1.00e300e0c2d47p+6,
+         0x1.08d213723e928p+5},
+        {{0, Vec2{-0x1.0f45ddd5a940cp+0, 0x1.bdb22f90c5074p+0}},
+         {13, Vec2{-0x1.03cddfbe6e3fbp-1, 0x1.0e326dce5558bp+1}},
+         {26, Vec2{-0x1.d2d98c8643744p+1, -0x1.13c3c1309b778p+0}},
+         {39, Vec2{-0x1.62dc67e0713b5p+0, 0x1.600da468f72fbp-2}}});
+
+  InteractionModel gaussian(ForceLawKind::kDoubleGaussian, 2,
+                            PairParams{5.0, 1.0, 1.0, 4.0});
+  gaussian.set_k(0, 1, 3.0);
+  SimulationConfig gaussian_config(std::move(gaussian));
+  gaussian_config.types = sops::sim::evenly_distributed_types(60, 2);
+  gaussian_config.cutoff_radius = 5.0;
+  gaussian_config.init_disc_radius = 4.0;
+  gaussian_config.neighbor_mode = NeighborMode::kVerletSkin;
+  gaussian_config.steps = 40;
+  gaussian_config.record_stride = 10;
+  gaussian_config.seed = 11;
+  check(gaussian_config,
+        {0x1.d92a731943ab5p+11, 0x1.c25f4750b9bc8p+7, 0x1.c1f826a92cb58p+6,
+         0x1.6ba19bbc37881p+6, 0x1.5f7a7e380d455p+6},
+        {{0, Vec2{0x1.19629bd723cd2p+3, 0x1.19e16e9fb7f5ap+3}},
+         {21, Vec2{-0x1.659e9d1ca1cc3p+2, -0x1.295b2304d2ec7p+1}},
+         {38, Vec2{0x1.ab9fa452d175ep+1, -0x1.f2a2b924269dcp-2}},
+         {59, Vec2{-0x1.1d4cd2f402116p+0, 0x1.794172e98a876p+1}}});
 }
 
 TEST(GoldenEnsemble, StreamedExperimentBitwiseStable) {

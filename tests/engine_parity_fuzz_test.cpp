@@ -414,54 +414,6 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
   }
 }
 
-TEST(SimdParity, AdaptivePartialVerletTrajectoriesBitwise) {
-  // The adaptive-skin + partial-rebuild configuration along real
-  // trajectories, forced-scalar vs forced-SIMD: rebuild timing, runaway
-  // selection, and the partial/extra overlay structure depend only on
-  // positions and exact comparisons, so the two policies must walk the
-  // identical trajectory bitwise — through full rebuilds, partial passes,
-  // and the postfix overlay evaluation alike. Both force-law families ride
-  // the sweep, so the compact-first (double-Gaussian) and chunked-indexed
-  // (spring) quiet paths are both pinned.
-  for (std::uint64_t c = 0; c < kCases; c += 7) {
-    const FuzzCase fuzz = draw_case(c);
-    const PairScalingTable table(fuzz.model);
-    const auto run = [&](sops::support::SimdPolicy policy) {
-      const SimdPolicyGuard guard(policy);
-      ParticleSystem system = fuzz.system;
-      sops::geom::VerletListBackend backend;
-      sops::geom::VerletListBackend::AdaptiveSkin adapt;
-      adapt.enabled = true;
-      adapt.target_interval = 8.0;  // small: trips adaptation quickly
-      backend.set_adaptive_skin(adapt);
-      backend.set_partial_rebuild(true);
-      sops::sim::IntegratorParams params;
-      params.dt = 0.08;
-      sops::rng::Xoshiro256 engine(0xADA7 + c);
-      std::vector<Vec2> drift;
-      std::vector<Vec2> history;
-      for (int step = 0; step < 25; ++step) {
-        accumulate_drift(system, table, fuzz.cutoff, drift, backend,
-                         std::size_t{1});
-        history.insert(history.end(), drift.begin(), drift.end());
-        sops::sim::apply_euler_maruyama_update(system, drift, params, engine);
-      }
-      return std::pair{history, backend.stats()};
-    };
-    const auto [scalar_drift, scalar_stats] =
-        run(sops::support::SimdPolicy::kScalar);
-    const auto [simd_drift, simd_stats] = run(sops::support::SimdPolicy::kSimd);
-    ASSERT_EQ(scalar_drift.size(), simd_drift.size());
-    for (std::size_t k = 0; k < scalar_drift.size(); ++k) {
-      ASSERT_EQ(scalar_drift[k], simd_drift[k]) << "case " << c << " k " << k;
-    }
-    // Identical trajectories must gate identically.
-    EXPECT_EQ(scalar_stats.builds, simd_stats.builds) << "case " << c;
-    EXPECT_EQ(scalar_stats.partial_builds, simd_stats.partial_builds)
-        << "case " << c;
-  }
-}
-
 TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const FuzzCase fuzz = draw_case(c);

@@ -242,185 +242,6 @@ TEST(VerletList, ShardBoundsPartitionParticleIdOrder) {
   EXPECT_TRUE(backend.shard_order().empty());
 }
 
-TEST(VerletList, AdaptiveSkinStaysClampedToItsBounds) {
-  // Scripted displacement at two extremes: a near-frozen collective drives
-  // the wanted shell toward zero (the skin_min clamp must hold), a
-  // fast-marching one drives it far past any sane shell (skin_max). The
-  // controller is also rate-limited, so the march toward a clamp takes
-  // several trips — every intermediate skin must respect the bounds too.
-  const double radius = 1.5;
-  std::vector<Vec2> points = random_points(80, 6.0, 131);
-  VerletListBackend backend(1.0);
-  VerletListBackend::AdaptiveSkin adapt;
-  adapt.enabled = true;
-  adapt.skin_min = 0.6;
-  adapt.skin_max = 1.6;
-  adapt.target_interval = 16.0;
-  backend.set_adaptive_skin(adapt);
-  backend.rebuild(points, radius);
-
-  // Slow regime: one particle creeps just past skin/2 every ~40 steps, so
-  // the observed rate asks for a shell thinner than skin_min.
-  for (int trip = 0; trip < 6; ++trip) {
-    for (int step = 0; step < 40; ++step) {
-      points[0] += Vec2{backend.skin() / 2.0 / 39.5, 0.0};
-      backend.rebuild(points, radius);
-      ASSERT_GE(backend.skin(), adapt.skin_min);
-      ASSERT_LE(backend.skin(), adapt.skin_max);
-    }
-  }
-  EXPECT_DOUBLE_EQ(backend.skin(), adapt.skin_min);
-
-  // Fast regime: a particle that blows through skin/2 every step wants a
-  // shell ~2·target_interval times its step — far past skin_max.
-  for (int trip = 0; trip < 10; ++trip) {
-    points[0] += Vec2{0.0, backend.skin()};
-    backend.rebuild(points, radius);
-    ASSERT_GE(backend.skin(), adapt.skin_min);
-    ASSERT_LE(backend.skin(), adapt.skin_max);
-  }
-  EXPECT_DOUBLE_EQ(backend.skin(), adapt.skin_max);
-}
-
-TEST(VerletList, AdaptiveSkinConvergesToTheRebuildIntervalSetpoint) {
-  // Constant-velocity schedule: particle 0 moves `v` per step, everyone
-  // else is frozen, so a shell of width s rebuilds every ~s/(2v) steps.
-  // The controller's fixed point is s* = 2·v·target, i.e. an observed
-  // rebuild interval equal to the setpoint.
-  const double radius = 1.5;
-  const double v = 0.02;
-  const double target = 20.0;
-  std::vector<Vec2> points = random_points(60, 5.0, 167);
-  VerletListBackend backend(2.0);  // start far above the fixed point
-  VerletListBackend::AdaptiveSkin adapt;
-  adapt.enabled = true;
-  adapt.skin_min = 0.1;
-  adapt.skin_max = 4.0;
-  adapt.target_interval = target;
-  backend.set_adaptive_skin(adapt);
-  backend.rebuild(points, radius);
-
-  for (int step = 0; step < 400; ++step) {
-    points[0] += Vec2{v, 0.0};
-    backend.rebuild(points, radius);
-  }
-  // s* = 2·v·target = 0.8; allow the EMA's smoothing slack.
-  EXPECT_NEAR(backend.skin(), 2.0 * v * target, 0.15);
-
-  // Measure the converged interval directly: builds over a trailing window.
-  backend.reset_stats();
-  for (int step = 0; step < 200; ++step) {
-    points[0] += Vec2{v, 0.0};
-    backend.rebuild(points, radius);
-  }
-  const double interval = static_cast<double>(backend.stats().steps) /
-                          static_cast<double>(backend.stats().builds);
-  EXPECT_GT(interval, 0.7 * target);
-  EXPECT_LT(interval, 1.3 * target);
-}
-
-TEST(VerletList, PartialRebuildFuzzNeverMissesAPairAndCountsItsWork) {
-  // Randomized trajectories with a deliberately split population: most
-  // particles jitter within skin/2 (quiet), a handful march steadily
-  // (runaways), so steps land in every regime — quiet, partial, and full
-  // rebuilds once the cap trips. At every step the backend's neighbors()
-  // must equal brute force exactly; the stats must show partial passes
-  // actually happened.
-  const double radius = 2.0;
-  const double skin = 1.0;
-  sops::rng::Xoshiro256 engine(0xD1CE);
-  std::vector<Vec2> points = random_points(140, 8.0, 53);
-  std::vector<Vec2> reference = points;
-  VerletListBackend backend(skin);
-  backend.set_partial_rebuild(true);
-  backend.rebuild(points, radius);
-
-  for (int step = 0; step < 60; ++step) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (i < 5) {
-        // Runaways: a steady outward march, past skin/2 within a few steps.
-        const double angle = 1.3 * static_cast<double>(i);
-        points[i] += Vec2{0.2 * std::cos(angle), 0.2 * std::sin(angle)};
-        continue;
-      }
-      const Vec2 jitter = sops::rng::uniform_disc(engine, 0.1);
-      const Vec2 candidate = points[i] + jitter;
-      if (sops::geom::dist_sq(candidate, reference[i]) <
-          (skin / 2) * (skin / 2) * 0.9) {
-        points[i] = candidate;
-      }
-    }
-    backend.rebuild(points, radius);
-    if (backend.stats().builds > 0) reference = points;  // approximate re-anchor
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(sorted_neighbors(backend, i),
-                brute_neighbors(points, i, radius))
-          << "step " << step << " i " << i;
-    }
-  }
-  const auto& stats = backend.stats();
-  EXPECT_GT(stats.partial_builds, 0u) << "fuzz never exercised a partial pass";
-  EXPECT_GT(stats.builds, 0u) << "the runaway cap never tripped";
-  EXPECT_GE(stats.partial_rows, stats.partial_builds)
-      << "every partial pass re-enumerates at least one row";
-  EXPECT_LT(stats.builds, stats.steps / 4)
-      << "partial rebuilds failed to stretch the list lifetime";
-}
-
-TEST(VerletList, PartialStepDriftIsThreadInvariant) {
-  // The accumulate path on a partial step = sharded chunk pass + serial
-  // overlay postfix; both are width-invariant by construction. Pin that:
-  // serial vs pooled drift must agree bitwise while overlays are active.
-  const double cutoff = 2.5;
-  const std::size_t n = 500;
-  const InteractionModel model(ForceLawKind::kSpring, 3,
-                               PairParams{1.0, 2.0, 1.0, 1.0});
-  const PairScalingTable table(model);
-  std::vector<sops::sim::TypeId> types;
-  for (std::size_t i = 0; i < n; ++i) {
-    types.push_back(static_cast<sops::sim::TypeId>(i % 3));
-  }
-  ParticleSystem serial_system(random_points(n, 16.0, 77), types);
-  ParticleSystem pooled_system = serial_system;
-
-  const auto configure = [](VerletListBackend& backend) {
-    VerletListBackend::AdaptiveSkin adapt;
-    adapt.enabled = true;
-    backend.set_adaptive_skin(adapt);
-    backend.set_partial_rebuild(true);
-  };
-  VerletListBackend serial_backend;
-  VerletListBackend pooled_backend;
-  configure(serial_backend);
-  configure(pooled_backend);
-  sops::support::TaskPool pool(4);
-  sops::sim::IntegratorParams params;
-  params.dt = 0.08;  // enough motion to trip runaways regularly
-  sops::rng::Xoshiro256 serial_engine(11);
-  sops::rng::Xoshiro256 pooled_engine(11);
-  std::vector<Vec2> serial_drift;
-  std::vector<Vec2> pooled_drift;
-
-  for (int step = 0; step < 30; ++step) {
-    accumulate_drift(serial_system, table, cutoff, serial_drift, serial_backend,
-                     std::size_t{1});
-    accumulate_drift(pooled_system, table, cutoff, pooled_drift, pooled_backend,
-                     pool.executor());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(serial_drift[i], pooled_drift[i])
-          << "step " << step << " i " << i;
-    }
-    sops::sim::apply_euler_maruyama_update(serial_system, serial_drift, params,
-                                           serial_engine);
-    sops::sim::apply_euler_maruyama_update(pooled_system, pooled_drift, params,
-                                           pooled_engine);
-  }
-  EXPECT_GT(serial_backend.stats().partial_builds, 0u)
-      << "the trajectory never took a partial step";
-  EXPECT_EQ(serial_backend.stats().partial_builds,
-            pooled_backend.stats().partial_builds);
-}
-
 TEST(VerletList, ModeResolutionIsExhaustiveAndAutoNeverPicksVerlet) {
   using sops::sim::resolve_neighbor_mode;
   // kAuto keeps its PR 1 rules: cell grid for finite r_c at n ≥ 64.

@@ -18,7 +18,8 @@ different hardware (thread count, CPU model, or the ISA the SIMD kernels
 dispatched to) are appended but not gated against each other — neither
 steps/sec nor RSS is comparable across hardware, a run whose kernels fell
 back from avx2 to the generic vector path is measuring different machine
-code, and a false alarm would train people to ignore the gate.
+code, and a false alarm would train people to ignore the gate. Baseline
+metrics the run no longer emits are listed as retired, ungated.
 
 With --remeasure-cmd, a first-pass regression is treated as *suspected*
 rather than final: the command (which must rewrite the engine JSON, e.g.
@@ -78,22 +79,6 @@ def flatten_metrics(engine_json):
         # LOWER_IS_BETTER via prefix: full re-index cost per backend.
         metrics[f"rebuild_us/cell_grid/n={n}"] = row["cell_grid_rebuild_us"]
         metrics[f"rebuild_us/verlet/n={n}"] = row["verlet_rebuild_us"]
-        # Adaptive-skin + partial-rebuild sweep (rows predating the opt-in
-        # lack these fields). Throughput and skip rate gate as
-        # higher-is-better; the converged shell width and partial-pass rate
-        # are controller diagnostics with no regression direction — the
-        # right shell depends on the motion regime, and fewer partial
-        # passes can mean either a wider shell (good) or more full
-        # rebuilds (bad). The gated rows already catch both outcomes.
-        if "adaptive_steps_per_sec" in row:
-            metrics[f"verlet/adaptive_steps_per_sec/n={n}"] = \
-                row["adaptive_steps_per_sec"]
-            metrics[f"verlet/adaptive_skip_rate/n={n}"] = \
-                row["adaptive_skip_rate"]
-            for key in ("adaptive_skin", "adaptive_partials_per_step"):
-                name = f"verlet/{key}/n={n}"
-                metrics[name] = row[key]
-                ungated.add(name)
     for row in engine_json.get("simd", {}).get("results", []):
         n = row["n"]
         # Both kernel families gate as throughputs; the speedup ratio is
@@ -334,6 +319,11 @@ def main():
                   f"({change:+.1%}) {status}")
             if regressed:
                 regressions.append(name)
+        # A section that silently stops emitting would otherwise never be
+        # mentioned: name every baseline metric this run lacks. Informational
+        # only — a retired row gates nothing.
+        for name in sorted(set(baseline["metrics"]) - set(metrics)):
+            print(f"trend: {name}: retired (absent from this run)")
     if regressions and args.remeasure_cmd:
         regressions = remeasure_suspects(regressions, metrics, baseline,
                                          args)

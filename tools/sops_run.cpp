@@ -179,8 +179,7 @@ void report_spill(const sops::core::EnsembleSeries& series,
 }
 
 // The Verlet opt-in's accounting, printed whenever `neighbor = verlet`:
-// what the skip rate bought, where the adaptive shell settled, and how many
-// full rebuilds the partial passes replaced.
+// how many steps reused the cached lists instead of rebuilding them.
 void report_verlet(const sops::core::EnsembleSeries& series,
                    const sops::core::ExperimentConfig& experiment) {
   if (experiment.simulation.neighbor_mode != sops::sim::NeighborMode::kVerletSkin) {
@@ -188,14 +187,8 @@ void report_verlet(const sops::core::EnsembleSeries& series,
   }
   const sops::core::NeighborRebuildStats& stats = series.rebuild_stats;
   if (stats.steps == 0) return;  // fully resumed shard: nothing simulated
-  std::printf("verlet: skip rate %.3f (%zu full rebuilds / %zu steps), "
-              "%zu partial passes (%zu rows)\n",
-              stats.skip_rate(), stats.rebuilds, stats.steps,
-              stats.partial_rebuilds, stats.partial_rows);
-  std::printf("verlet: skin %.3g -> %.3g (adapt %s, partial %s)\n",
-              experiment.simulation.verlet_skin, stats.final_skin,
-              experiment.simulation.verlet_skin_adapt ? "on" : "off",
-              experiment.simulation.verlet_partial_rebuild ? "on" : "off");
+  std::printf("verlet: skip rate %.3f (%zu full rebuilds / %zu steps)\n",
+              stats.skip_rate(), stats.rebuilds, stats.steps);
 }
 
 // ---------------------------------------------------------------------------
