@@ -38,7 +38,7 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
                             bool coarse, const AnalysisOptions& options,
                             support::Executor& executor) {
   // The inner stages never fork on their own (threads = 1); every loop —
-  // the alignment rows, the estimator's sample queries — dispatches on the
+  // the alignment rows, the estimator's pair passes — dispatches on the
   // caller's executor. Neither affects results.
   align::EnsembleOptions ensemble_options = options.ensemble;
   ensemble_options.threads = 1;
@@ -57,15 +57,12 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
         align::coarse_grain_ensemble(aligned, options.kmeans_per_type, engine);
   }
 
-  // One subspace-tree cache serves every estimator call on this frame's
-  // matrix (the estimators resolve their trees serially at entry, per the
-  // cache's single-writer contract, so sharing it across the sequential
-  // calls below is safe).
+  // The entropy curves share one subspace-tree cache across this frame's
+  // calls (each resolves its trees serially at entry, per the cache's
+  // single-writer contract). The KSG multi-information builds no trees.
   std::optional<info::FrameNeighborCache> cache;
-  if (options.reuse_neighbor_cache &&
-      ksg.search == info::NeighborSearch::kBlockedTree) {
+  if (options.compute_entropies && options.reuse_neighbor_cache) {
     cache.emplace(aligned.samples);
-    ksg.cache = &*cache;
   }
   info::FrameNeighborCache* entropy_cache = cache ? &*cache : nullptr;
 
@@ -77,7 +74,7 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
       info::multi_information_ksg(aligned.samples, aligned.blocks, ksg);
 
   if (options.compute_entropies) {
-    // Same lent executor as the KSG queries: the entropy curves ride the
+    // Same lent executor as the KSG passes: the entropy curves ride the
     // persistent pool instead of running serially (or forking).
     point.joint_entropy =
         info::entropy_kl(aligned.samples, ksg.k, executor, entropy_cache);

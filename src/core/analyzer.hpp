@@ -32,8 +32,8 @@ struct AnalysisOptions {
   bool compute_decomposition = false; ///< per-type Eq. 5 decomposition
   std::size_t threads = 0;            ///< across time steps (0 = auto)
   /// Build one FrameNeighborCache per analyzed frame and share its subspace
-  /// kd-trees across that frame's estimator calls (the KSG multi-information,
-  /// the entropy curves, and the decomposition's total term). Purely a
+  /// kd-trees across that frame's entropy curves (the joint and per-block KL
+  /// entropies; only built when `compute_entropies` is set). Purely a
   /// throughput knob: every estimate is bitwise-identical either way.
   bool reuse_neighbor_cache = true;
 };
@@ -99,7 +99,7 @@ struct FrameAnalysis {
 /// serves the whole analysis: frames are processed in parallel on it, and
 /// when the frame axis cannot absorb the budget (fewer frames than
 /// threads), each frame chunk lends its leftover slice to the KSG
-/// estimator's sample queries — no per-frame thread creation and no
+/// estimator's pair passes — no per-frame thread creation and no
 /// oversubscription. Deterministic in (series, options): neither the frame
 /// partition nor the estimator's width affects any estimate.
 [[nodiscard]] AnalysisResult analyze_self_organization(

@@ -66,11 +66,6 @@ Decomposition decompose_multi_information(const SampleMatrix& samples,
   Decomposition result;
   result.total = multi_information_ksg(samples, blocks, options);
 
-  // The gathered/merged matrices below are call-local, so a caller-supplied
-  // per-frame cache (bound to `samples`) must not be handed to them.
-  KsgOptions local_options = options;
-  local_options.cache = nullptr;
-
   // Between-groups: one merged block per group. The KSG metric needs
   // contiguous blocks, so gather all groups into a fresh layout.
   if (grouping.size() >= 2) {
@@ -88,7 +83,7 @@ Decomposition decompose_multi_information(const SampleMatrix& samples,
       cursor += gathered.samples.dim();
     }
     result.between_groups =
-        multi_information_ksg(merged, merged_blocks, local_options);
+        multi_information_ksg(merged, merged_blocks, options);
   }
 
   // Within-group terms.
@@ -100,8 +95,7 @@ Decomposition decompose_multi_information(const SampleMatrix& samples,
     }
     const GatheredGroup gathered = gather(samples, blocks, group);
     result.within_group.push_back(
-        multi_information_ksg(gathered.samples, gathered.blocks,
-                              local_options));
+        multi_information_ksg(gathered.samples, gathered.blocks, options));
   }
   return result;
 }

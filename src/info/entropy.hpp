@@ -59,8 +59,8 @@ class FrameNeighborCache;
 
 /// Cache-aware forms: when `cache` (a FrameNeighborCache bound to `samples`)
 /// is non-null, the k-th-neighbor distances come from the cached subspace
-/// kd-tree — shared with the KSG calls on the same frame — instead of an
-/// exhaustive scan per sample. The k-th distance is an order statistic, so
+/// kd-tree — shared with the other entropy calls on the same frame —
+/// instead of an exhaustive scan per sample. The k-th distance is an order statistic, so
 /// the estimate is bitwise-identical either way; null `cache` is exactly the
 /// executor form above.
 [[nodiscard]] double entropy_kl(const SampleMatrix& samples, std::size_t k,

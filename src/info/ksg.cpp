@@ -1,36 +1,56 @@
 #include "info/ksg.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <limits>
 #include <numbers>
-#include <optional>
 #include <vector>
 
 #include "info/digamma.hpp"
-#include "info/neighbor_cache.hpp"
+#include "support/executor.hpp"
 #include "support/parallel_for.hpp"
-#include "support/simd.hpp"
 
 namespace sops::info {
 namespace {
 
-// Distance from sample s to every other sample under the block-max metric,
-// returning the k-th smallest (excluding s itself). scratch holds m doubles.
-double kth_joint_distance(const SampleMatrix& samples,
-                          std::span<const Block> blocks, std::size_t s,
-                          std::size_t k, std::vector<double>& scratch) {
-  const std::size_t m = samples.count();
-  scratch.clear();
-  scratch.reserve(m - 1);
-  for (std::size_t j = 0; j < m; ++j) {
-    if (j == s) continue;
-    scratch.push_back(block_max_dist(samples, s, j, blocks));
+// block_dist_sq's expression on raw rows, inlined into the pair loops.
+// Symmetric in (a, b) bit for bit: a − b is exactly −(b − a).
+inline double block_sq(const double* a, const double* b,
+                       const Block& block) noexcept {
+  double sum = 0.0;
+  for (std::size_t d = block.offset; d < block.offset + block.dim; ++d) {
+    const double diff = a[d] - b[d];
+    sum += diff * diff;
   }
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   scratch.end());
-  return scratch[k - 1];
+  return sum;
+}
+
+// Inserts v into `top`, the ascending k smallest values seen so far (padded
+// with +inf); a no-op unless v beats the current k-th.
+inline void push_top_k(double* top, std::size_t k, double v) noexcept {
+  if (!(v < top[k - 1])) return;
+  std::size_t slot = k - 1;
+  while (slot > 0 && top[slot - 1] > v) {
+    top[slot] = top[slot - 1];
+    --slot;
+  }
+  top[slot] = v;
+}
+
+// Row bands [bounds[c], bounds[c+1]) holding about equal shares of the
+// unordered pairs (i, j > i); row i owns its m−1−i pairs. Depends only on
+// (m, bands), and the estimate does not depend on the bands at all.
+std::vector<std::size_t> pair_bands(std::size_t m, std::size_t bands) {
+  const std::size_t total = m * (m - 1) / 2;
+  std::vector<std::size_t> bounds(bands + 1, m);
+  bounds[0] = 0;
+  std::size_t c = 1;
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < m && c < bands; ++i) {
+    done += m - 1 - i;
+    while (c < bands && done * bands >= total * c) bounds[c++] = i + 1;
+  }
+  return bounds;
 }
 
 }  // namespace
@@ -40,38 +60,116 @@ double multi_information_ksg(const SampleMatrix& samples,
                              const KsgOptions& options) {
   const std::size_t m = samples.count();
   const std::size_t n = blocks.size();
-  support::expect(options.k >= 1, "multi_information_ksg: k must be >= 1");
-  support::expect(m >= options.k + 1,
+  const std::size_t k = options.k;
+  support::expect(k >= 1, "multi_information_ksg: k must be >= 1");
+  support::expect(m >= k + 1,
                   "multi_information_ksg: need at least k+1 samples");
   support::expect(n >= 2, "multi_information_ksg: need at least two blocks");
   validate_blocks(blocks, samples.dim());
+  const std::span<const double> flat = samples.flat();
+  support::expect(std::all_of(flat.begin(), flat.end(),
+                              [](double v) { return std::isfinite(v); }),
+                  "multi_information_ksg: non-finite sample coordinate");
 
-  // Per-sample Σ_i ψ-terms, filled in parallel, reduced sequentially so the
-  // result does not depend on the thread count.
-  std::vector<double> per_sample(m, 0.0);
+  support::SpawnExecutor spawned(options.threads);
+  support::Executor& executor =
+      options.executor != nullptr ? *options.executor : spawned;
+  const std::vector<std::size_t> bounds =
+      pair_bands(m, std::min(executor.width(), m));
+  const std::size_t bands = bounds.size() - 1;
+  const std::size_t dim = samples.dim();
+  const double* rows = flat.data();
 
-  // Marginal searchers for the tree path, resolved serially up front (the
-  // cache is single-writer; the parallel phase below only reads). The
-  // psi_arg mapping and the per-sample ψ accumulation order (block 0, 1, …,
-  // each from 0.0) match the brute-force loop exactly, and each tree count
-  // equals the scan's strict-< count, so both paths return the same bits.
-  const bool use_trees = options.search == NeighborSearch::kBlockedTree;
-  std::optional<FrameNeighborCache> local_cache;
-  std::vector<const FrameNeighborCache::SubspaceTree*> marginals;
-  if (use_trees) {
-    FrameNeighborCache* cache = options.cache;
-    if (cache != nullptr) {
-      support::expect(&cache->samples() == &samples,
-                      "multi_information_ksg: cache bound to another matrix");
-    } else {
-      local_cache.emplace(samples);
-      cache = &*local_cache;
+  // Pass 1: each unordered pair's joint squared distance (max over blocks
+  // of block_dist_sq) enters both rows' top-k. A pair stops early once its
+  // running max reaches both rows' current k-th: it can enter neither.
+  // Each band keeps its own top-k per row; the k-th smallest of their union
+  // is the k-th of the full row, whichever band saw which pair.
+  std::vector<double> top(bands * m * k,
+                          std::numeric_limits<double>::infinity());
+  support::parallel_for_shards(
+      executor, std::span<const std::size_t>(bounds),
+      [&](std::size_t band, std::size_t begin, std::size_t end) {
+        double* band_top = top.data() + band * m * k;
+        for (std::size_t i = begin; i < end; ++i) {
+          const double* ri = rows + i * dim;
+          double* top_i = band_top + i * k;
+          for (std::size_t j = i + 1; j < m; ++j) {
+            const double* rj = rows + j * dim;
+            double* top_j = band_top + j * k;
+            const double bound = std::max(top_i[k - 1], top_j[k - 1]);
+            double max_sq = 0.0;
+            bool entered = true;
+            for (const Block& block : blocks) {
+              max_sq = std::max(max_sq, block_sq(ri, rj, block));
+              if (!(max_sq < bound)) {
+                entered = false;
+                break;
+              }
+            }
+            if (entered) {
+              push_top_k(top_i, k, max_sq);
+              push_top_k(top_j, k, max_sq);
+            }
+          }
+        }
+      });
+
+  // ε_s is the k-th joint neighbor distance; sqrt is monotone, so the root
+  // of the k-th squared distance is the k-th of the roots.
+  std::vector<double> eps_sq(m);
+  for (std::size_t s = 0; s < m; ++s) {
+    double* merged = top.data() + s * k;
+    for (std::size_t band = 1; band < bands; ++band) {
+      const double* other = top.data() + (band * m + s) * k;
+      for (std::size_t r = 0; r < k; ++r) push_top_k(merged, k, other[r]);
     }
-    marginals.reserve(n);
-    for (const Block& block : blocks) {
-      marginals.push_back(&cache->tree_for({&block, 1}));
-    }
+    const double eps = std::sqrt(merged[k - 1]);
+    eps_sq[s] = eps * eps;
   }
+
+  // Pass 2: c_i — samples strictly closer than ε in marginal i — counted
+  // for both ends of each pair into the band's own counters. Per row i and
+  // block, one loop over j > i takes the block distances with
+  // block_dist_sq's expression (a column-major copy makes each coordinate
+  // contiguous in j) and adds j's end as integer-valued doubles (exact
+  // below 2^53), so both loops vectorize; i's end is one sum.
+  std::vector<double> columns(dim * m);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t d = 0; d < dim; ++d) columns[d * m + s] = rows[s * dim + d];
+  }
+  std::vector<double> hits(bands * n * m, 0.0);
+  support::parallel_for_shards(
+      executor, std::span<const std::size_t>(bounds),
+      [&](std::size_t band, std::size_t begin, std::size_t end) {
+        std::vector<double> dist(m);
+        for (std::size_t i = begin; i < end; ++i) {
+          const double* ri = rows + i * dim;
+          for (std::size_t b = 0; b < n; ++b) {
+            const Block& block = blocks[b];
+            for (std::size_t d = block.offset; d < block.offset + block.dim;
+                 ++d) {
+              const double* column = columns.data() + d * m;
+              const double x = ri[d];
+              const bool first = d == block.offset;
+              for (std::size_t j = i + 1; j < m; ++j) {
+                const double diff = x - column[j];
+                dist[j] = (first ? 0.0 : dist[j]) + diff * diff;
+              }
+            }
+            double* block_hits = hits.data() + (band * n + b) * m;
+            for (std::size_t j = i + 1; j < m; ++j) {
+              block_hits[j] += dist[j] < eps_sq[j] ? 1.0 : 0.0;
+            }
+            const double eps_i = eps_sq[i];
+            std::size_t c = 0;
+            for (std::size_t j = i + 1; j < m; ++j) {
+              c += dist[j] < eps_i ? 1 : 0;
+            }
+            block_hits[i] += static_cast<double>(c);
+          }
+        }
+      });
 
   const auto psi_arg = [&options](std::size_t c) noexcept {
     return options.convention == KsgConvention::kStandard
@@ -79,70 +177,22 @@ double multi_information_ksg(const SampleMatrix& samples,
                : std::max<std::size_t>(c, 1);
   };
 
-  const auto query_chunk = [&](std::size_t begin, std::size_t end) {
-    std::vector<double> scratch;
-    if (!use_trees) {
-      for (std::size_t s = begin; s < end; ++s) {
-        const double eps =
-            kth_joint_distance(samples, blocks, s, options.k, scratch);
-        const double eps_sq = eps * eps;
-        double psi_sum = 0.0;
-        for (const Block& block : blocks) {
-          // c_i: samples strictly closer than ε in this marginal.
-          std::size_t c = 0;
-          for (std::size_t j = 0; j < m; ++j) {
-            if (j == s) continue;
-            if (block_dist_sq(samples, s, j, block) < eps_sq) ++c;
-          }
-          psi_sum += digamma_int(psi_arg(c));
-        }
-        per_sample[s] = psi_sum;
-      }
-      return;
-    }
-
-    // Tree path: ε per sample first, then per block a batched count query —
-    // support::kSimdWidth consecutive samples (contiguous gathered rows)
-    // share each tree descent.
-    std::vector<double> eps(end - begin);
-    for (std::size_t s = begin; s < end; ++s) {
-      eps[s - begin] = kth_joint_distance(samples, blocks, s, options.k,
-                                          scratch);
-      per_sample[s] = 0.0;
-    }
-    constexpr std::size_t kBatch = support::kSimdWidth;
-    static_assert(kBatch <= geom::KdTree::kMaxCountBatch);
-    std::array<std::size_t, kBatch> skips;
-    std::array<std::size_t, kBatch> counts;
-    for (const auto* marginal : marginals) {
-      for (std::size_t s0 = begin; s0 < end; s0 += kBatch) {
-        const std::size_t batch = std::min(kBatch, end - s0);
-        for (std::size_t b = 0; b < batch; ++b) skips[b] = s0 + b;
-        const std::span<const double> queries = marginal->points.subspan(
-            s0 * marginal->point_dim, batch * marginal->point_dim);
-        marginal->tree.count_within_blocks(
-            queries, std::span<const double>(eps.data() + (s0 - begin), batch),
-            marginal->metric, std::span<const std::size_t>(skips.data(), batch),
-            std::span<std::size_t>(counts.data(), batch));
-        for (std::size_t b = 0; b < batch; ++b) {
-          per_sample[s0 + b] += digamma_int(psi_arg(counts[b]));
-        }
-      }
-    }
-  };
-  if (options.executor != nullptr) {
-    // Pooled path: the caller's persistent executor serves every frame's
-    // chunked queries — no per-call thread creation.
-    support::parallel_for_chunked(*options.executor, 0, m, query_chunk);
-  } else {
-    support::parallel_for_chunked(0, m, query_chunk, options.threads);
-  }
-
+  // Σ_i ψ per sample in block order, then the mean in sample order.
   double mean_psi = 0.0;
-  for (const double v : per_sample) mean_psi += v;
+  for (std::size_t s = 0; s < m; ++s) {
+    double psi_sum = 0.0;
+    for (std::size_t b = 0; b < n; ++b) {
+      double c = 0.0;
+      for (std::size_t band = 0; band < bands; ++band) {
+        c += hits[(band * n + b) * m + s];
+      }
+      psi_sum += digamma_int(psi_arg(static_cast<std::size_t>(c)));
+    }
+    mean_psi += psi_sum;
+  }
   mean_psi /= static_cast<double>(m);
 
-  const double nats = digamma_int(options.k) +
+  const double nats = digamma_int(k) +
                       (static_cast<double>(n) - 1.0) * digamma_int(m) - mean_psi;
   return nats * std::numbers::log2e;  // report bits, like the paper's figures
 }

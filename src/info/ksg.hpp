@@ -22,14 +22,16 @@ namespace sops::info {
 
 class FrameNeighborCache;
 
-/// How the marginal neighbor counts are computed. Both paths compare the
+/// How an estimator computes its neighbor counts. Both paths compare the
 /// identical squared distances with the identical strict < and therefore
 /// produce bitwise-equal estimates; the choice is purely a throughput knob.
+/// Read by conditional_mutual_information_ksg (transfer_entropy.hpp);
+/// ignored by multi_information_ksg, which has one path.
 enum class NeighborSearch {
-  /// Per-block kd-trees with batched (kSimdWidth queries per descent)
+  /// Per-subspace kd-trees with batched (kSimdWidth queries per descent)
   /// count queries — the default.
   kBlockedTree,
-  /// The original exhaustive per-pair scan; the reference path.
+  /// The exhaustive per-pair scan; the reference path.
   kBruteForce,
 };
 
@@ -49,19 +51,15 @@ struct KsgOptions {
   std::size_t k = 4;  ///< neighbor order (paper §6 uses 4; §5.3 mentions 5)
   KsgConvention convention = KsgConvention::kStandard;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// When set, the per-sample query loop dispatches its chunks on this
-  /// executor (a persistent pool the caller reuses across frames) and
-  /// `threads` is ignored; when null, a transient fork/join of `threads`
-  /// workers runs per call. Never affects the estimate: per-sample terms
-  /// are reduced in a fixed order regardless of who computes them.
+  /// When set, both pair passes dispatch their row bands on this executor
+  /// (a persistent pool the caller reuses across frames) and `threads` is
+  /// ignored; when null, a transient fork/join of `threads` workers runs per
+  /// call. Never affects the estimate (see multi_information_ksg).
   support::Executor* executor = nullptr;
-  /// Neighbor-count implementation; never affects the estimate.
+  /// Ignored by multi_information_ksg; kept for callers that still set it.
   NeighborSearch search = NeighborSearch::kBlockedTree;
-  /// Optional per-frame tree cache (kBlockedTree only). Must be bound to
-  /// the same SampleMatrix the estimator is called on; marginal trees are
-  /// then built once per frame instead of once per call. The estimator
-  /// resolves every tree serially before its parallel query phase, per the
-  /// cache's single-writer contract.
+  /// Ignored by multi_information_ksg, which builds no kd-trees; kept for
+  /// callers that still set it.
   FrameNeighborCache* cache = nullptr;
 };
 
@@ -69,12 +67,29 @@ struct KsgOptions {
 /// in bits (the digamma formula is evaluated in nats and converted).
 ///
 /// Requirements: at least k+1 samples, at least two blocks, blocks valid for
-/// the sample dimension. Complexity O(m² · D) with D = total dimension;
-/// parallel over samples; the result is independent of the thread count
-/// (per-sample contributions are reduced in a fixed order).
+/// the sample dimension, every coordinate finite (a NaN or ±inf throws
+/// PreconditionError).
 ///
-/// Exact ties in the joint metric (possible with duplicated samples) are
-/// resolved by index order, matching a stable sort over (distance, index).
+/// Complexity O(m² · D) with D = total dimension, in two passes over the
+/// m(m−1)/2 unordered sample pairs, each pair visited once per pass. Pass 1
+/// takes the pair's joint squared distance (the max over blocks of
+/// block_dist_sq, stopping early once it can enter neither row's k
+/// smallest) into a bounded top-k for both rows; ε_s is the square root of
+/// row s's k-th value. Pass 2 recomputes the block distances and adds the
+/// strict-< marginal counts to both ends of the pair. Scratch: a
+/// column-major copy of the matrix, plus m·k top-k slots and m·n counters
+/// per band.
+///
+/// Parallel over row bands holding equal shares of the pairs; each band
+/// keeps its own top-k lists and marginal counters, merged afterwards. A
+/// top-k merge is a set operation, the counts are exact integers (held in
+/// doubles, exact below 2^53) that sum to the same value in any order, and
+/// the ψ terms are summed per sample in block order and then in sample
+/// order, so the result is bitwise independent of the thread count and the
+/// executor.
+///
+/// Exact ties in the joint metric (possible with duplicated samples) need
+/// no tie-break: ε depends only on the k-th smallest distance value.
 [[nodiscard]] double multi_information_ksg(const SampleMatrix& samples,
                                            std::span<const Block> blocks,
                                            const KsgOptions& options = {});

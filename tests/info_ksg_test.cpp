@@ -1,18 +1,31 @@
 // KSG multi-information estimator tests: exact zero/positive behavior on
-// synthetic ensembles with known mutual information.
+// synthetic ensembles with known mutual information, and bitwise equality of
+// the symmetric pair passes with a per-sample reference at every width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <numbers>
+#include <vector>
 
+#include "info/digamma.hpp"
 #include "info/entropy.hpp"
 #include "info/ksg.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
 
 namespace {
 
 using sops::info::Block;
+using sops::info::block_dist_sq;
+using sops::info::block_max_dist;
+using sops::info::digamma_int;
 using sops::info::gaussian_mi_bits;
 using sops::info::KsgConvention;
 using sops::info::KsgOptions;
@@ -199,6 +212,143 @@ TEST(Ksg, PreconditionsEnforced) {
   zero_k.k = 0;
   EXPECT_THROW((void)multi_information_ksg(samples, 1, zero_k),
                sops::PreconditionError);
+}
+
+// The per-sample estimator the symmetric passes replaced, kept as the test
+// oracle: full-row joint distances, nth_element for ε, then a strict-< scan
+// of every other sample per block.
+double reference_ksg(const SampleMatrix& samples, std::span<const Block> blocks,
+                     std::size_t k, KsgConvention convention) {
+  const std::size_t m = samples.count();
+  const std::size_t n = blocks.size();
+  std::vector<double> row;
+  double mean_psi = 0.0;
+  for (std::size_t s = 0; s < m; ++s) {
+    row.clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j != s) row.push_back(block_max_dist(samples, s, j, blocks));
+    }
+    std::nth_element(row.begin(),
+                     row.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     row.end());
+    const double eps = row[k - 1];
+    const double eps_sq = eps * eps;
+    double psi_sum = 0.0;
+    for (const Block& block : blocks) {
+      std::size_t c = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j != s && block_dist_sq(samples, s, j, block) < eps_sq) ++c;
+      }
+      psi_sum += digamma_int(convention == KsgConvention::kStandard
+                                 ? c + 1
+                                 : std::max<std::size_t>(c, 1));
+    }
+    mean_psi += psi_sum;
+  }
+  mean_psi /= static_cast<double>(m);
+  const double nats = digamma_int(k) +
+                      (static_cast<double>(n) - 1.0) * digamma_int(m) - mean_psi;
+  return nats * std::numbers::log2e;
+}
+
+enum class Fill {
+  kGaussian,    // continuous, no ties
+  kLattice,     // small integers: many equal distances
+  kDuplicated,  // second half copies rows 0..2: ε = 0 for those rows
+};
+
+SampleMatrix fuzz_matrix(std::size_t m, std::size_t dim, Fill fill,
+                         std::uint64_t seed) {
+  Xoshiro256 engine(seed);
+  SampleMatrix samples(m, dim);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double v = sops::rng::standard_normal(engine);
+      samples(s, d) = fill == Fill::kLattice ? std::floor(2.0 * v) : v;
+    }
+  }
+  if (fill == Fill::kDuplicated) {
+    for (std::size_t s = m / 2; s < m; ++s) {
+      for (std::size_t d = 0; d < dim; ++d) samples(s, d) = samples(s % 3, d);
+    }
+  }
+  return samples;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Ksg, SymmetricPassMatchesPerSampleReferenceBitwise) {
+  // Uniform scalars, uneven blocks listed out of offset order, and many
+  // narrow blocks (the fig4 layout).
+  const std::vector<std::vector<Block>> layouts = {
+      {{0, 1}, {1, 1}},
+      {{3, 1}, {0, 3}, {6, 2}, {4, 2}},
+      sops::info::uniform_blocks(12, 2),
+  };
+  std::vector<std::unique_ptr<sops::support::TaskPool>> pools;
+  for (std::size_t width = 2; width <= 5; ++width) {
+    pools.push_back(std::make_unique<sops::support::TaskPool>(width));
+  }
+  std::size_t compared = 0;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (const std::size_t k : {1u, 4u, 10u}) {
+      for (const std::size_t m : {k + 1, k + 2, std::size_t{37}, 300 / k}) {
+        for (const auto& blocks : layouts) {
+          std::size_t dim = 0;
+          for (const Block& b : blocks) dim += b.dim;
+          for (const Fill fill :
+               {Fill::kGaussian, Fill::kLattice, Fill::kDuplicated}) {
+            const SampleMatrix samples =
+                fuzz_matrix(m, dim, fill, seed * 1000 + m);
+            for (const KsgConvention convention :
+                 {KsgConvention::kStandard, KsgConvention::kPaperLiteral}) {
+              const double expected =
+                  reference_ksg(samples, blocks, k, convention);
+              KsgOptions options;
+              options.k = k;
+              options.convention = convention;
+              options.threads = 3;  // the transient fork/join path
+              const auto where = ::testing::Message()
+                                 << "seed " << seed << " k " << k << " m "
+                                 << m << " dim " << dim << " fill "
+                                 << static_cast<int>(fill);
+              EXPECT_TRUE(same_bits(
+                  multi_information_ksg(samples, blocks, options), expected))
+                  << where << " threads 3";
+              options.executor = &sops::support::serial_executor();
+              EXPECT_TRUE(same_bits(
+                  multi_information_ksg(samples, blocks, options), expected))
+                  << where << " width 1";
+              for (const auto& pool : pools) {
+                options.executor = &pool->executor();
+                EXPECT_TRUE(same_bits(
+                    multi_information_ksg(samples, blocks, options), expected))
+                    << where << " width " << pool->width();
+              }
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2u * 3u * 4u * 3u * 3u * 2u);
+}
+
+TEST(Ksg, NonFiniteSamplesAreRejected) {
+  // A NaN or ±inf coordinate used to give an arbitrary estimate (and
+  // different ones per neighbor path) instead of an error.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SampleMatrix samples = fuzz_matrix(60, 8, Fill::kGaussian, 141);
+    samples(17, 5) = bad;
+    EXPECT_THROW((void)multi_information_ksg(samples, 2),
+                 sops::PreconditionError)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// FrameNeighborCache + tree-backed estimator parity: the kBlockedTree
-// search and a caller-supplied cache are pure throughput knobs, so every
-// estimator must return the exact bits of its brute-force reference on any
-// input — including degenerate ones with duplicated rows (ε ties, zero
-// marginal counts).
+// FrameNeighborCache + tree-backed estimator parity: the cache and the
+// kBlockedTree search are pure throughput knobs for the estimators that
+// still read them (the KL entropies and transfer entropy), so each must
+// return the exact bits of its exhaustive reference on any input —
+// including degenerate ones with duplicated rows (ε ties, zero marginal
+// counts). The KSG multi-information builds no trees and ignores the cache.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,19 +50,25 @@ SampleMatrix fuzzed_matrix(std::size_t m, std::size_t dim, std::uint64_t seed,
   return samples;
 }
 
-TEST(NeighborCache, KsgTreeMatchesBruteForceBitwise) {
+TEST(NeighborCache, EntropyBlockTreeMatchesExhaustiveBitwise) {
+  // One cache serves every marginal and the joint of the same matrix; each
+  // cached estimate equals the cacheless exhaustive scan.
+  sops::support::TaskPool pool(3);
+  const std::vector<Block> blocks = {{0, 2}, {2, 2}, {4, 2}, {2, 4}, {0, 6}};
   for (const std::uint64_t seed : {7u, 19u, 23u}) {
     for (const std::size_t duplicates : {std::size_t{0}, std::size_t{6}}) {
       const SampleMatrix samples = fuzzed_matrix(60, 6, seed, duplicates);
-      KsgOptions brute;
-      brute.search = NeighborSearch::kBruteForce;
-      KsgOptions tree;  // kBlockedTree default, call-local cache
       FrameNeighborCache cache(samples);
-      KsgOptions cached = tree;
-      cached.cache = &cache;
-      const double reference = multi_information_ksg(samples, 2, brute);
-      EXPECT_EQ(multi_information_ksg(samples, 2, tree), reference);
-      EXPECT_EQ(multi_information_ksg(samples, 2, cached), reference);
+      for (const Block& block : blocks) {
+        const double reference =
+            entropy_kl_block(samples, block, 4, pool.executor());
+        EXPECT_EQ(entropy_kl_block(samples, block, 4, pool.executor(), &cache),
+                  reference);
+        EXPECT_EQ(entropy_kl_block(samples, block, 4,
+                                   sops::support::serial_executor(), &cache),
+                  reference);
+      }
+      EXPECT_EQ(cache.tree_count(), blocks.size());
     }
   }
 }
@@ -102,7 +109,7 @@ TEST(NeighborCache, EntropyCacheMatchesExhaustiveBitwise) {
   }
 }
 
-TEST(NeighborCache, DecompositionKeepsCacheForTotalOnly) {
+TEST(NeighborCache, DecompositionIgnoresTheKsgCacheField) {
   const SampleMatrix samples = fuzzed_matrix(45, 6, 29);
   const auto blocks = sops::info::uniform_blocks(3, 2);
   const sops::info::ObserverGrouping grouping = {{0, 1}, {2}};
@@ -120,10 +127,15 @@ TEST(NeighborCache, DecompositionKeepsCacheForTotalOnly) {
   for (std::size_t g = 0; g < without.within_group.size(); ++g) {
     EXPECT_EQ(with_cache.within_group[g], without.within_group[g]);
   }
+  // KSG builds no trees, so the cache it was handed stays empty.
+  EXPECT_EQ(cache.tree_count(), 0u);
+  EXPECT_EQ(multi_information_ksg(samples, 2, cached),
+            multi_information_ksg(samples, 2));
+  EXPECT_EQ(cache.tree_count(), 0u);
 }
 
 TEST(NeighborCache, SubspaceTreesAreBuiltOnceAndShared) {
-  const SampleMatrix samples = fuzzed_matrix(30, 4, 3);
+  const SampleMatrix samples = fuzzed_matrix(30, 6, 3);
   FrameNeighborCache cache(samples);
   EXPECT_EQ(cache.tree_count(), 0u);
 
@@ -134,14 +146,29 @@ TEST(NeighborCache, SubspaceTreesAreBuiltOnceAndShared) {
   EXPECT_EQ(&cache.tree_for({&b0, 1}), &first);
   EXPECT_EQ(cache.tree_count(), 1u);
 
-  // A KSG call with this cache adds its two marginals but reuses them on a
-  // second call.
-  KsgOptions options;
+  // The per-block entropies reuse b0's tree and add one for b1; a second
+  // round adds nothing.
+  sops::support::TaskPool pool(2);
+  const Block b1{2, 2};
+  const double h0 = entropy_kl_block(samples, b0, 4, pool.executor(), &cache);
+  const double h1 = entropy_kl_block(samples, b1, 4, pool.executor(), &cache);
+  EXPECT_EQ(cache.tree_count(), 2u);
+  EXPECT_EQ(entropy_kl_block(samples, b0, 4, pool.executor(), &cache), h0);
+  EXPECT_EQ(entropy_kl_block(samples, b1, 4, pool.executor(), &cache), h1);
+  EXPECT_EQ(&cache.tree_for({&b0, 1}), &first);
+  EXPECT_EQ(cache.tree_count(), 2u);
+
+  // Transfer entropy's conditional MI adds its joint and conditioning
+  // subspaces once, and reuses them (and nothing else) on a repeat call.
+  const Block c{4, 2};
+  TransferEntropyOptions options;
   options.cache = &cache;
-  const double mi = multi_information_ksg(samples, 2, options);
+  const double cmi =
+      conditional_mutual_information_ksg(samples, b0, b1, c, options);
   const std::size_t after_first = cache.tree_count();
-  EXPECT_GT(after_first, 1u);
-  EXPECT_EQ(multi_information_ksg(samples, 2, options), mi);
+  EXPECT_GT(after_first, 2u);
+  EXPECT_EQ(conditional_mutual_information_ksg(samples, b0, b1, c, options),
+            cmi);
   EXPECT_EQ(cache.tree_count(), after_first);
 }
 
