@@ -7,7 +7,6 @@
 #include <limits>
 #include <numbers>
 
-#include "geom/kdtree.hpp"
 #include "support/error.hpp"
 
 namespace sops::align {
@@ -341,44 +340,9 @@ const IcpReference::Grid& IcpReference::grid(sim::TypeId type) const {
   return types_[type].grid;
 }
 
-Correspondence IcpReference::nearest(geom::Vec2 query, sim::TypeId type,
-                                     double bound) const {
-  support::expect(type < types_.size(), "IcpReference::nearest: unknown type");
-  const TypeIndex& t = types_[type];
-  CorrespondenceRoute route = CorrespondenceRoute::kUncovered;
-  // Both comparisons fail on NaN, and on an empty grid (0 columns).
-  const double fx = (query.x - t.grid.origin.x) * t.inverse_cell_size;
-  const double fy = (query.y - t.grid.origin.y) * t.inverse_cell_size;
-  if (fx >= 0.0 && fy >= 0.0 && fx < t.grid.columns && fy < t.grid.rows) {
-    const std::size_t cell =
-        std::size_t{static_cast<std::uint32_t>(fy)} * t.grid.columns +
-        static_cast<std::uint32_t>(fx);
-    const std::uint32_t* it = t.candidates.data() + t.cell_start[cell];
-    const std::uint32_t* const end = t.candidates.data() + t.cell_start[cell + 1];
-    if (it != end) {
-      double best = std::numeric_limits<double>::infinity();
-      std::uint32_t best_id = 0;
-      bool tie = false;
-      for (; it != end; ++it) {
-        const double d2 = tree_dist_sq(&t.coords[2 * std::size_t{*it}], query.x,
-                                       query.y);
-        // Branch-free: which candidate wins is data-dependent and the
-        // branchy form mispredicts often.
-        const bool less = d2 < best;
-        tie = (tie || d2 == best) && !less;
-        best_id = less ? *it : best_id;
-        best = less ? d2 : best;
-      }
-      // A tie's winner depends on the tree's visit order: ask the tree.
-      if (!tie) {
-        return {t.index[best_id],
-                {t.coords[2 * std::size_t{best_id}],
-                 t.coords[2 * std::size_t{best_id} + 1]},
-                CorrespondenceRoute::kGrid};
-      }
-      route = CorrespondenceRoute::kTie;
-    }
-  }
+Correspondence IcpReference::tree_nearest(const TypeIndex& t, geom::Vec2 query,
+                                          double bound,
+                                          CorrespondenceRoute route) {
   const double q[2] = {query.x, query.y};
   const std::size_t local = t.tree.nearest({q, 2}, bound).index;
   return {t.index[local], {t.coords[2 * local], t.coords[2 * local + 1]}, route};

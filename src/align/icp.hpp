@@ -28,6 +28,7 @@
 #include "geom/kdtree.hpp"
 #include "geom/rigid_transform.hpp"
 #include "sim/particle_system.hpp"
+#include "support/error.hpp"
 
 namespace sops::align {
 
@@ -41,7 +42,9 @@ struct IcpOptions {
 /// Result of aligning a source configuration onto a target.
 struct IcpResult {
   geom::RigidTransform2 transform;   ///< apply to source to match target
-  double mean_squared_error = 0.0;   ///< final NN MSE in the plane
+  /// Least NN MSE in the plane among the winning restart's evaluations.
+  /// At max_iterations, `transform` is the fit made after the last one.
+  double mean_squared_error = 0.0;
   std::size_t iterations = 0;        ///< iterations of the winning restart
 };
 
@@ -107,6 +110,9 @@ class IcpReference {
   /// Nearest target of type `type` to `query`: the target KdTree::nearest
   /// returns over that type's points, exact ties included. `bound` as in
   /// KdTree::nearest; a NaN query throws its PreconditionError.
+  /// The grid route is inline: it is ICP's per-point inner loop, and
+  /// compiled into the descent it runs about 1.5x faster than as a call.
+  /// The rare kd-tree fallback stays out of line.
   [[nodiscard]] Correspondence nearest(
       geom::Vec2 query, sim::TypeId type,
       double bound = std::numeric_limits<double>::infinity()) const;
@@ -125,10 +131,57 @@ class IcpReference {
     std::vector<std::uint32_t> candidates;  // local ids, ascending per cell
   };
 
+  // nearest()'s kd-tree route: outside the grid, uncovered cell, tie, NaN.
+  static Correspondence tree_nearest(const TypeIndex& t, geom::Vec2 query,
+                                     double bound, CorrespondenceRoute route);
+
   std::size_t size_ = 0;
   std::vector<std::size_t> type_counts_;
   std::vector<TypeIndex> types_;
 };
+
+inline Correspondence IcpReference::nearest(geom::Vec2 query, sim::TypeId type,
+                                            double bound) const {
+  support::expect(type < types_.size(), "IcpReference::nearest: unknown type");
+  const TypeIndex& t = types_[type];
+  CorrespondenceRoute route = CorrespondenceRoute::kUncovered;
+  // Both comparisons fail on NaN, and on an empty grid (0 columns).
+  const double fx = (query.x - t.grid.origin.x) * t.inverse_cell_size;
+  const double fy = (query.y - t.grid.origin.y) * t.inverse_cell_size;
+  if (fx >= 0.0 && fy >= 0.0 && fx < t.grid.columns && fy < t.grid.rows) {
+    const std::size_t cell =
+        std::size_t{static_cast<std::uint32_t>(fy)} * t.grid.columns +
+        static_cast<std::uint32_t>(fx);
+    const std::uint32_t* it = t.candidates.data() + t.cell_start[cell];
+    const std::uint32_t* const end = t.candidates.data() + t.cell_start[cell + 1];
+    if (it != end) {
+      double best = std::numeric_limits<double>::infinity();
+      std::uint32_t best_id = 0;
+      bool tie = false;
+      for (; it != end; ++it) {
+        // The kd-tree's distance expression (the build never fuses it).
+        const double dx = t.coords[2 * std::size_t{*it}] - query.x;
+        const double dy = t.coords[2 * std::size_t{*it} + 1] - query.y;
+        const double d2 = dx * dx + dy * dy;
+        // Branch-free: which candidate wins is data-dependent and the
+        // branchy form mispredicts often.
+        const bool less = d2 < best;
+        tie = (tie || d2 == best) && !less;
+        best_id = less ? *it : best_id;
+        best = less ? d2 : best;
+      }
+      // A tie's winner depends on the tree's visit order: ask the tree.
+      if (!tie) {
+        return {t.index[best_id],
+                {t.coords[2 * std::size_t{best_id}],
+                 t.coords[2 * std::size_t{best_id} + 1]},
+                CorrespondenceRoute::kGrid};
+      }
+      route = CorrespondenceRoute::kTie;
+    }
+  }
+  return tree_nearest(t, query, bound, route);
+}
 
 /// Correspondence-free alignment: finds g ∈ ISO⁺(2) minimizing the NN
 /// mean-squared error of g(source) against the reference's target, matching

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "info/neighbor_cache.hpp"
-#include "sim/parallel_policy.hpp"
 #include "support/executor.hpp"
 
 namespace sops::core {
@@ -119,39 +118,17 @@ AnalysisResult analyze_self_organization(const EnsembleSeries& series,
   result.coarse_grained = coarse;
   result.points.resize(frame_count);
 
-  std::vector<std::size_t> observer_counts(frame_count, 0);
-
-  // One pool for the whole analysis, split like the engine's sample × step
-  // budget — literally: kHybrid's waste-minimizing search divides the
-  // thread budget between frame chunks and each chunk's KSG estimator
-  // (e.g. 8 threads over 5 frames → 4 frame workers × 2 KSG threads, not
-  // 5 × 1 with 3 threads stranded). run_partitioned lends each frame chunk
-  // its disjoint KSG slice; every frame — and within it every KSG call —
-  // reuses the same parked workers, nothing forks per frame.
-  const sim::ThreadBudget split = sim::resolve_parallel_policy(
-      sim::ParallelPolicy::kHybrid, series.particle_count(), frame_count,
-      options.threads);
-  const std::size_t frame_workers = split.sample_threads;
-  const std::size_t ksg_share = split.step_threads;
-  support::TaskPool pool(frame_workers * ksg_share);
-
-  auto frame_chunk = [&](std::size_t k, support::Executor& inner_executor) {
-    const support::ChunkRange chunk =
-        support::chunk_range(k, frame_count, frame_workers);
-    // The alignment loop shares the slice: a KSG-heavy split (e.g. 1 frame
-    // worker × 7 estimator threads when 7 threads meet 5 frames) still
-    // aligns each frame's samples in parallel.
-    for (std::size_t f = chunk.begin; f < chunk.end; ++f) {
-      FrameAnalysis frame = analyze_frame(series.frames[f], series.types,
-                                          series.frame_steps[f], f, coarse,
-                                          options, inner_executor);
-      observer_counts[f] = frame.observer_count;
-      result.points[f] = std::move(frame.point);
-    }
-  };
-  pool.run_partitioned(frame_workers, ksg_share, frame_chunk);
-
-  result.observer_count = observer_counts.front();
+  // One pool for the whole analysis, the streaming consumer's schedule:
+  // frames run in order, and every worker serves the current frame's inner
+  // loops (the alignment rows and the estimators' pair passes).
+  support::TaskPool pool(options.threads);
+  for (std::size_t f = 0; f < frame_count; ++f) {
+    FrameAnalysis frame =
+        analyze_frame(series.frames[f], series.types, series.frame_steps[f], f,
+                      coarse, options, pool.executor());
+    if (f == 0) result.observer_count = frame.observer_count;
+    result.points[f] = std::move(frame.point);
+  }
   return result;
 }
 

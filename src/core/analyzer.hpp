@@ -30,7 +30,7 @@ struct AnalysisOptions {
   std::uint64_t kmeans_seed = 0x5eed;
   bool compute_entropies = false;     ///< joint + marginal KL entropy curves
   bool compute_decomposition = false; ///< per-type Eq. 5 decomposition
-  std::size_t threads = 0;            ///< across time steps (0 = auto)
+  std::size_t threads = 0;            ///< pool width incl. caller (0 = auto)
   /// Build one FrameNeighborCache per analyzed frame and share its subspace
   /// kd-trees across that frame's entropy curves (the joint and per-block KL
   /// entropies; only built when `compute_entropies` is set). Purely a
@@ -95,13 +95,11 @@ struct FrameAnalysis {
 /// Runs the full measurement pipeline on a recorded ensemble.
 ///
 /// Per frame: align to shape space (centroid + ICP + same-type permutation),
-/// optionally coarse-grain, then estimate. One TaskPool of `threads` width
-/// serves the whole analysis: frames are processed in parallel on it, and
-/// when the frame axis cannot absorb the budget (fewer frames than
-/// threads), each frame chunk lends its leftover slice to the KSG
-/// estimator's pair passes — no per-frame thread creation and no
-/// oversubscription. Deterministic in (series, options): neither the frame
-/// partition nor the estimator's width affects any estimate.
+/// optionally coarse-grain, then estimate. The streaming consumer's
+/// schedule on one TaskPool of `options.threads` width: frames run in
+/// order, each on the whole pool (its alignment rows, then the estimator's
+/// passes), so no worker idles while another finishes a whole frame. The
+/// pool's width never affects any estimate.
 [[nodiscard]] AnalysisResult analyze_self_organization(
     const EnsembleSeries& series, const AnalysisOptions& options = {});
 

@@ -393,8 +393,11 @@ void JobManager::run_job(Job& job, std::size_t slot) {
       set_state(job, JobState::kStreaming);
       support::CancelToken::check(&job.token,
                                   "job cancelled before analysis");
-      outcome.analysis =
-          analyze_self_organization(outcome.series, job.configured.analysis);
+      // The analysis pool gets the slot's share, like the simulation: left
+      // at 0, every job would spawn a pool as wide as the machine.
+      AnalysisOptions analysis = job.configured.analysis;
+      analysis.threads = slices_[slot].width();
+      outcome.analysis = analyze_self_organization(outcome.series, analysis);
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -73,10 +73,9 @@ void StreamingAnalyzer::on_frames_recorded(std::size_t begin_frame,
 
 void StreamingAnalyzer::consume() {
   try {
-    // The consumer owns the whole analysis thread budget: frames become
-    // ready one at a time, so instead of the post-hoc frames × estimator
-    // split, every worker serves the current frame's inner loops (the
-    // alignment rows and the estimators' sample-query chunks).
+    // The consumer owns the whole analysis thread budget, and every worker
+    // serves the current frame's inner loops (the alignment rows and the
+    // estimators' passes): analyze_self_organization's schedule.
     support::TaskPool pool(options_.threads);
     support::Executor& executor = pool.executor();
     while (true) {

@@ -477,6 +477,48 @@ TEST(Icp, WarmStartedDescentMatchesColdOracleUnderTies) {
   EXPECT_GT(total_tie_fallbacks, 0u);
 }
 
+// A descent that reaches max_iterations returns the transform fitted after
+// its last evaluated MSE, so the pair (transform, MSE) is one fit apart.
+// Pinned at max_iterations = 1 with the identity start: the MSE is that of
+// the unmoved source, the transform the first fit to its correspondences.
+TEST(Icp, IterationCapReturnsTheFitAfterTheLastEvaluatedMse) {
+  const Cloud target = make_cloud(40, 3, 5);
+  const std::vector<Vec2> source =
+      RigidTransform2{0.3, {0.4, -0.2}}.apply(target.points);
+  const IcpReference reference(target.points, target.types);
+  IcpOptions options;
+  options.max_iterations = 1;
+  options.rotation_restarts = 1;  // initial angle 0: moved == source
+  const IcpResult result = align_icp(source, target.types, reference, options);
+
+  std::vector<Vec2> matched(source.size());
+  double mse = 0.0;
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    matched[i] = reference.nearest(source[i], target.types[i]).point;
+    mse += sops::geom::dist_sq(source[i], matched[i]);
+  }
+  mse /= static_cast<double>(source.size());
+  const RigidTransform2 fit = sops::geom::fit_rigid(source, matched);
+
+  EXPECT_EQ(result.iterations, 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.mean_squared_error),
+            std::bit_cast<std::uint64_t>(mse));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.transform.angle),
+            std::bit_cast<std::uint64_t>(fit.angle));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.transform.translation.x),
+            std::bit_cast<std::uint64_t>(fit.translation.x));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.transform.translation.y),
+            std::bit_cast<std::uint64_t>(fit.translation.y));
+  // The returned transform moves the source closer than the reported MSE.
+  double fitted_mse = 0.0;
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const Vec2 moved = fit.apply(source[i]);
+    fitted_mse += sops::geom::dist_sq(
+        moved, reference.nearest(moved, target.types[i]).point);
+  }
+  EXPECT_LT(fitted_mse / static_cast<double>(source.size()), mse);
+}
+
 // Square and sheared-triangular lattices on dyadic coordinates: lattice
 // midpoints, cell-edge and corner queries tie exactly between neighbors.
 Cloud lattice(std::size_t side, bool triangular, std::size_t type_count) {

@@ -12,6 +12,7 @@
 
 #include "core/analyzer.hpp"
 #include "core/config_builder.hpp"
+#include "core/streaming_analyzer.hpp"
 #include "io/config.hpp"
 
 namespace {
@@ -21,12 +22,8 @@ struct Pin {
   double multi_information;
 };
 
-void expect_pinned(const std::string& config_text, bool coarse,
+void expect_result(const sops::core::AnalysisResult& result, bool coarse,
                    std::size_t observers, const std::vector<Pin>& pins) {
-  const sops::core::ConfiguredExperiment configured =
-      sops::core::build_experiment(sops::io::Config::parse(config_text));
-  const sops::core::AnalysisResult result =
-      sops::core::measure_experiment(configured.experiment, configured.analysis);
   EXPECT_EQ(result.coarse_grained, coarse);
   EXPECT_EQ(result.observer_count, observers);
   ASSERT_EQ(result.points.size(), pins.size());
@@ -36,6 +33,28 @@ void expect_pinned(const std::string& config_text, bool coarse,
         << "frame " << f << ": got " << std::hexfloat
         << result.points[f].multi_information;
   }
+}
+
+// Checks the pins at the default pool width (0: every hardware thread), at
+// widths 1, 2, 3 and 5 — the 3-frame jobs meet fewer frames than workers
+// and widths that divide no row count — and through the streaming analyzer.
+void expect_pinned(const std::string& config_text, bool coarse,
+                   std::size_t observers, const std::vector<Pin>& pins) {
+  const sops::core::ConfiguredExperiment configured =
+      sops::core::build_experiment(sops::io::Config::parse(config_text));
+  const sops::core::EnsembleSeries series =
+      sops::core::run_experiment(configured.experiment);
+  for (const std::size_t threads : {0, 1, 2, 3, 5}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    sops::core::AnalysisOptions options = configured.analysis;
+    options.threads = threads;
+    expect_result(sops::core::analyze_self_organization(series, options),
+                  coarse, observers, pins);
+  }
+  SCOPED_TRACE("streamed");
+  expect_result(sops::core::measure_experiment_streamed(configured.experiment,
+                                                        configured.analysis),
+                coarse, observers, pins);
 }
 
 // n = 128 spring collective: above coarse_grain_above, so every frame runs

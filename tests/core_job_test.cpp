@@ -202,6 +202,64 @@ TEST(CoreJobManager, TwoConcurrentJobsMatchSequentialBatchRuns) {
   }
 }
 
+// Live threads of this process, as /proc/self/task lists them.
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(CoreJobManager, PostHocAnalysisStaysWithinItsSlotShare) {
+  // Two post-hoc jobs on a 2-slot, 2-thread manager: each slot's share is
+  // its driver thread alone, so the analysis pools may add no thread. An
+  // analysis left at threads = 0 would spawn a machine-wide pool per job.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  // Declared before the manager: a driver may still be in the event
+  // callback when wait() returns.
+  std::atomic<int> analyzing{0};
+  std::atomic<bool> done{false};
+  std::size_t samples_taken = 0;
+  std::size_t peak = 0;
+  JobManager manager(JobLimits{.machine_threads = 2, .job_slots = 2});
+  std::thread sampler([&] {
+    while (!done.load()) {
+      if (analyzing.load() == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      peak = std::max(peak, live_threads());
+      ++samples_taken;
+    }
+  });
+  JobOptions options;
+  options.analysis = JobAnalysis::kPostHoc;
+  options.events.on_state_change = [&](const JobStatus& status) {
+    // kStreaming marks the analysis phase of a post-hoc job.
+    if (status.state == JobState::kStreaming) ++analyzing;
+    if (status.state == JobState::kDone) --analyzing;
+  };
+  // The test thread, the sampler and the two drivers (plus any runtime
+  // threads): the machine pool has no workers, 2 slots × (1 − 1 driver).
+  const std::size_t idle = live_threads();
+  const std::uint64_t a = manager.submit(small_job(300, 60), options);
+  const std::uint64_t b = manager.submit(small_job(301, 60), options);
+  const JobOutcome outcome_a = manager.wait(a);
+  const JobOutcome outcome_b = manager.wait(b);
+  done = true;
+  sampler.join();
+
+  EXPECT_TRUE(outcome_a.analysis.has_value());
+  EXPECT_TRUE(outcome_b.analysis.has_value());
+  ASSERT_GT(samples_taken, 0u);
+  EXPECT_LE(peak, idle);
+}
+
 // ------------------------------------------------------------- admission
 
 TEST(CoreJobManager, RejectsJobWhoseResidentFootprintExceedsBudget) {
