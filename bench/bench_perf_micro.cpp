@@ -167,9 +167,10 @@ void BM_DriftCellGridPersistent(benchmark::State& state) {
   const auto model = default_model(3);
   const sim::PairScalingTable table(model);  // cached per run, as the engine does
   std::vector<geom::Vec2> drift;
-  geom::CellGridBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, drift, backend);
+    sim::accumulate_drift(system, table, 3.0, drift, backend,
+                          support::serial_executor());
     benchmark::DoNotOptimize(drift.data());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
@@ -186,9 +187,10 @@ void BM_DriftVerletPersistent(benchmark::State& state) {
   const auto model = default_model(3);
   const sim::PairScalingTable table(model);
   std::vector<geom::Vec2> drift;
-  geom::VerletListBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kVerletSkin);
   for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, drift, backend);
+    sim::accumulate_drift(system, table, 3.0, drift, backend,
+                          support::serial_executor());
     benchmark::DoNotOptimize(drift.data());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
@@ -226,10 +228,11 @@ void BM_StepEngine(benchmark::State& state) {
   sim::IntegratorParams params;
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
-  geom::CellGridBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   for (auto _ : state) {
     // The engine's steady-state step: cached table, persistent backend.
-    sim::accumulate_drift(system, table, 3.0, scratch, backend);
+    sim::accumulate_drift(system, table, 3.0, scratch, backend,
+                          support::serial_executor());
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
     sim::apply_euler_maruyama_update(system, scratch, params, engine);
   }
@@ -254,9 +257,10 @@ void BM_StepEngineIntraStep(benchmark::State& state) {
   sim::IntegratorParams params;
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
-  geom::CellGridBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
+  support::SpawnExecutor spawn(step_threads);
   for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, scratch, backend, step_threads);
+    sim::accumulate_drift(system, table, 3.0, scratch, backend, spawn);
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
     sim::apply_euler_maruyama_update(system, scratch, params, engine);
   }
@@ -286,7 +290,7 @@ void BM_StepEngineIntraStepPooled(benchmark::State& state) {
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
   std::vector<std::uint64_t> noise_words;
-  geom::CellGridBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   support::TaskPool pool(step_threads);
   for (auto _ : state) {
     sim::accumulate_drift(system, table, 3.0, scratch, backend,
@@ -400,12 +404,13 @@ double measure_steps_per_sec(std::size_t n, bool use_engine) {
   sim::IntegratorParams params;
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
-  geom::CellGridBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   SeedBaselineStepper baseline;
 
   const auto one_step = [&] {
     if (use_engine) {
-      sim::accumulate_drift(system, table, 3.0, scratch, backend);
+      sim::accumulate_drift(system, table, 3.0, scratch, backend,
+                            support::serial_executor());
       const double residual = sim::total_drift_norm(scratch);
       sim::apply_euler_maruyama_update(system, scratch, params, engine);
       return residual;
@@ -438,7 +443,7 @@ double measure_intra_step_steps_per_sec(std::size_t n, std::size_t step_threads,
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
   std::vector<std::uint64_t> noise_words;
-  geom::CellGridBackend backend;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   std::optional<support::TaskPool> pool;
   support::SpawnExecutor spawn(step_threads);
   if (pooled) pool.emplace(step_threads);
@@ -522,11 +527,12 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
   const sim::PairScalingTable table(model);
   sim::IntegratorParams params;
   std::vector<geom::Vec2> drift;
-  geom::CellGridBackend grid;
+  geom::NeighborBackend grid(geom::NeighborBackendKind::kCellGrid);
   {
     rng::Xoshiro256 engine(1);
     for (int i = 0; i < kVerletSettleSteps; ++i) {
-      sim::accumulate_drift(system, table, 3.0, drift, grid);
+      sim::accumulate_drift(system, table, 3.0, drift, grid,
+                            support::serial_executor());
       sim::apply_euler_maruyama_update(system, drift, params, engine);
     }
   }
@@ -541,7 +547,8 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
     rng::Xoshiro256 engine(2);
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(grid_system, table, 3.0, drift, grid);
+      sim::accumulate_drift(grid_system, table, 3.0, drift, grid,
+                            support::serial_executor());
       sim::apply_euler_maruyama_update(grid_system, drift, params, engine);
     }
     return steps / std::chrono::duration<double>(
@@ -551,12 +558,16 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
   row.verlet_steps_per_sec = best_throughput([&] {
     auto verlet_system = system;
     rng::Xoshiro256 engine(2);
-    geom::VerletListBackend verlet(kVerletBenchSkin);
-    sim::accumulate_drift(verlet_system, table, 3.0, drift, verlet);  // warm
+    geom::NeighborBackend backend(geom::NeighborBackendKind::kVerletSkin);
+    auto& verlet = std::get<geom::VerletListBackend>(backend.get());
+    verlet.set_skin(kVerletBenchSkin);
+    sim::accumulate_drift(verlet_system, table, 3.0, drift, backend,
+                          support::serial_executor());  // warm
     verlet.reset_stats();
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(verlet_system, table, 3.0, drift, verlet);
+      sim::accumulate_drift(verlet_system, table, 3.0, drift, backend,
+                            support::serial_executor());
       sim::apply_euler_maruyama_update(verlet_system, drift, params, engine);
     }
     const double rate =
@@ -1494,24 +1505,25 @@ int run_smoke() {
   std::vector<geom::Vec2> sharded_drift;
   std::vector<geom::Vec2> pooled_drift;
   std::vector<geom::Vec2> scalar_drift;
-  geom::CellGridBackend serial_backend;
-  geom::CellGridBackend sharded_backend;
-  geom::CellGridBackend pooled_backend;
-  geom::CellGridBackend scalar_backend;
+  geom::NeighborBackend serial_backend(geom::NeighborBackendKind::kCellGrid);
+  geom::NeighborBackend sharded_backend(geom::NeighborBackendKind::kCellGrid);
+  geom::NeighborBackend pooled_backend(geom::NeighborBackendKind::kCellGrid);
+  geom::NeighborBackend scalar_backend(geom::NeighborBackendKind::kCellGrid);
+  support::SpawnExecutor spawn(4);
   support::TaskPool pool(4);
   const auto smoke_policy = support::simd_policy();
   for (int step = 0; step < 25; ++step) {
     sim::accumulate_drift(serial_system, table, 3.0, serial_drift,
-                          serial_backend, 1);
+                          serial_backend, support::serial_executor());
     sim::accumulate_drift(sharded_system, table, 3.0, sharded_drift,
-                          sharded_backend, 4);
+                          sharded_backend, spawn);
     sim::accumulate_drift(pooled_system, table, 3.0, pooled_drift,
                           pooled_backend, pool.executor());
     // The scalar reference kernels must reproduce whatever the ambient
     // policy (simd, on capable builds) computed, bit for bit.
     support::set_simd_policy(support::SimdPolicy::kScalar);
     sim::accumulate_drift(scalar_system, table, 3.0, scalar_drift,
-                          scalar_backend, 1);
+                          scalar_backend, support::serial_executor());
     support::set_simd_policy(smoke_policy);
     for (std::size_t i = 0; i < n; ++i) {
       if (!(serial_drift[i] == sharded_drift[i]) ||
@@ -1537,11 +1549,11 @@ int run_smoke() {
   auto verlet_pooled_system = verlet_serial_system;
   rng::Xoshiro256 verlet_serial_engine(1);
   rng::Xoshiro256 verlet_pooled_engine(1);
-  geom::VerletListBackend verlet_serial;
-  geom::VerletListBackend verlet_pooled;
+  geom::NeighborBackend verlet_serial(geom::NeighborBackendKind::kVerletSkin);
+  geom::NeighborBackend verlet_pooled(geom::NeighborBackendKind::kVerletSkin);
   for (int step = 0; step < 25; ++step) {
     sim::accumulate_drift(verlet_serial_system, table, 3.0, serial_drift,
-                          verlet_serial, 1);
+                          verlet_serial, support::serial_executor());
     sim::accumulate_drift(verlet_pooled_system, table, 3.0, pooled_drift,
                           verlet_pooled, pool.executor());
     for (std::size_t i = 0; i < n; ++i) {

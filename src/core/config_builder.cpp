@@ -95,6 +95,14 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
   simulation.equilibrium.hold_steps =
       config.get_size("equilibrium_hold", simulation.equilibrium.hold_steps);
 
+  // Validated here, where the error can name the key: a zero, negative or
+  // non-finite disc radius gives initial positions no run can start from.
+  if (!(simulation.init_disc_radius > 0.0) ||
+      !std::isfinite(simulation.init_disc_radius)) {
+    throw Error("config: 'init_radius' must be positive and finite, got '" +
+                config.get_string("init_radius", "") + "'");
+  }
+
   const std::string neighbor = config.get_string("neighbor", "auto");
   if (neighbor == "auto") {
     simulation.neighbor_mode = sim::NeighborMode::kAuto;

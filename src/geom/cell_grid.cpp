@@ -8,6 +8,24 @@
 
 namespace sops::geom {
 
+namespace {
+
+// static_cast<int64_t>(std::floor(q)) without the libm call that floor is
+// on the baseline ISA: truncate, then step down for negative non-integers.
+// Exact wherever the cast is defined; the step is unsigned so it cannot
+// overflow on the saturated value a non-finite q casts to.
+std::int64_t floor_to_int(double q) noexcept {
+  const auto t = static_cast<std::int64_t>(q);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(t) -
+                                   (q < static_cast<double>(t) ? 1U : 0U));
+}
+
+// Cell coordinates a rebuild accepts: |x / cell_size| < 2^62 keeps every
+// key, its ±1 block neighbors and key differences inside int64.
+constexpr double kMaxCellCoordinate = 0x1p62;
+
+}  // namespace
+
 CellGrid::CellGrid(PositionLanes points, double cell_size) {
   rebuild(points, cell_size);
 }
@@ -71,7 +89,15 @@ void CellGrid::rebuild(PositionLanes points, double cell_size,
     constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
     KeyBounds b{kMax, kMin, kMax, kMin};
     for (std::size_t i = r.begin; i < r.end; ++i) {
-      const CellKey key = key_of(Vec2{xs_[i], ys_[i]});
+      // key_of's expressions, range-checked before the int64 conversion
+      // (NaN fails the test too).
+      const double qx = xs_[i] / cell_size_;
+      const double qy = ys_[i] / cell_size_;
+      support::expect(std::abs(qx) < kMaxCellCoordinate &&
+                          std::abs(qy) < kMaxCellCoordinate,
+                      "CellGrid: a point coordinate is NaN, infinite, or too "
+                      "far out for the cell size");
+      const CellKey key{floor_to_int(qx), floor_to_int(qy)};
       cell_keys_[i] = key;
       b.min_x = std::min(b.min_x, key.x);
       b.max_x = std::max(b.max_x, key.x);
@@ -219,20 +245,6 @@ void CellGrid::rebuild(PositionLanes points, double cell_size,
   executor.run(chunks, scatter_pass);
   shard_cost_valid_ = price_cells;
 }
-
-namespace {
-
-// static_cast<int64_t>(std::floor(q)) without the libm call that floor is
-// on the baseline ISA: truncate, then step down for negative non-integers.
-// Exact wherever the cast is defined; the step is unsigned so it cannot
-// overflow on the saturated value a non-finite q casts to.
-std::int64_t floor_to_int(double q) noexcept {
-  const auto t = static_cast<std::int64_t>(q);
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(t) -
-                                   (q < static_cast<double>(t) ? 1U : 0U));
-}
-
-}  // namespace
 
 CellGrid::CellKey CellGrid::key_of(Vec2 p) const noexcept {
   return {floor_to_int(p.x / cell_size_), floor_to_int(p.y / cell_size_)};

@@ -4,39 +4,31 @@
 #include <cmath>
 
 #include "geom/delaunay.hpp"
-#include "geom/verlet_list.hpp"
 #include "support/error.hpp"
 
 namespace sops::geom {
 
-// ------------------------------------------------------------ base class
-
-std::span<const std::uint32_t> NeighborBackend::shard_bounds(
-    std::size_t max_shards) {
-  // Default partition: equal contiguous split of the identity ordering.
-  // Per-particle drift sums are gathers, so any split is bitwise-safe; equal
-  // ranges are a fine balance for backends without occupancy information.
-  const auto n = static_cast<std::uint32_t>(size());
+std::span<const std::uint32_t> equal_shard_bounds(
+    std::size_t n, std::size_t max_shards,
+    std::vector<std::uint32_t>& scratch) {
+  const auto n32 = static_cast<std::uint32_t>(n);
   const auto shards =
       static_cast<std::uint32_t>(std::min<std::size_t>(std::max<std::size_t>(
                                      max_shards, 1),
-                                 std::max<std::uint32_t>(n, 1)));
-  shard_bounds_.clear();
+                                 std::max<std::uint32_t>(n32, 1)));
+  scratch.clear();
   for (std::uint32_t s = 0; s < shards; ++s) {
-    shard_bounds_.push_back(static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(n) * s) / shards));
+    scratch.push_back(static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(n32) * s) / shards));
   }
-  shard_bounds_.push_back(n);
-  return shard_bounds_;
-}
-
-std::span<const std::uint32_t> NeighborBackend::shard_order() const noexcept {
-  return {};
+  scratch.push_back(n32);
+  return scratch;
 }
 
 // ------------------------------------------------------------- all-pairs
 
-void AllPairsBackend::rebuild(PositionLanes points, double radius) {
+void AllPairsBackend::rebuild(PositionLanes points, double radius,
+                              support::Executor& /*executor*/) {
   support::expect(radius > 0.0, "AllPairsBackend: radius must be positive");
   points_ = points;
   radius_ = radius;
@@ -57,10 +49,6 @@ std::span<const std::uint32_t> AllPairsBackend::neighbors(std::size_t i) {
 
 // ------------------------------------------------------------- cell grid
 
-void CellGridBackend::rebuild(PositionLanes points, double radius) {
-  rebuild(points, radius, support::serial_executor());
-}
-
 void CellGridBackend::rebuild(PositionLanes points, double radius,
                               support::Executor& executor) {
   support::expect(std::isfinite(radius),
@@ -79,8 +67,13 @@ std::span<const std::uint32_t> CellGridBackend::neighbors(std::size_t i) {
 
 // -------------------------------------------------------------- Delaunay
 
-void DelaunayBackend::rebuild(PositionLanes points, double radius) {
+void DelaunayBackend::rebuild(PositionLanes points, double radius,
+                              support::Executor& /*executor*/) {
   support::expect(radius > 0.0, "DelaunayBackend: radius must be positive");
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    support::expect(std::isfinite(points.x[i]) && std::isfinite(points.y[i]),
+                    "DelaunayBackend: point coordinates must be finite");
+  }
   // The tessellation consumes interleaved points; materialize them once per
   // rebuild (the triangulation itself dwarfs this copy).
   interleave(points, points_aos_);
@@ -99,25 +92,27 @@ void DelaunayBackend::rebuild(PositionLanes points, double radius) {
   }
 }
 
-std::span<const std::uint32_t> DelaunayBackend::neighbors(std::size_t i) {
-  return {indices_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-}
+// ----------------------------------------------------------- closed type
 
-// --------------------------------------------------------------- factory
+namespace {
 
-std::unique_ptr<NeighborBackend> make_neighbor_backend(NeighborBackendKind kind) {
+NeighborBackend::Variant make_variant(NeighborBackendKind kind) {
   switch (kind) {
     case NeighborBackendKind::kAllPairs:
-      return std::make_unique<AllPairsBackend>();
+      return AllPairsBackend{};
     case NeighborBackendKind::kCellGrid:
-      return std::make_unique<CellGridBackend>();
+      return CellGridBackend{};
     case NeighborBackendKind::kDelaunay:
-      return std::make_unique<DelaunayBackend>();
+      return DelaunayBackend{};
     case NeighborBackendKind::kVerletSkin:
-      return std::make_unique<VerletListBackend>();
+      return VerletListBackend{};
   }
-  support::expect(false, "make_neighbor_backend: unknown kind");
-  return nullptr;
+  throw PreconditionError("NeighborBackend: unknown NeighborBackendKind");
 }
+
+}  // namespace
+
+NeighborBackend::NeighborBackend(NeighborBackendKind kind)
+    : backend_(make_variant(kind)) {}
 
 }  // namespace sops::geom

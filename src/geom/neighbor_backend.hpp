@@ -15,27 +15,28 @@
 //    dependent; see geom/verlet_list.hpp for the relaxed contract).
 //
 // Rebuilds take SoA coordinate lanes (geom::PositionLanes) — the particle
-// system's native layout and what the vectorized kernels stream. Callers
-// still holding interleaved Vec2 arrays use the base class's non-virtual
-// span overloads, which deinterleave into backend-owned scratch lanes.
+// system's native layout and what the vectorized kernels stream.
+//
+// The set of backends is closed: `NeighborBackend` holds exactly one of the
+// four concrete backends in a std::variant, and the drift path picks each
+// backend's fused kernel with std::get_if; there is no base class.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "geom/cell_grid.hpp"
 #include "geom/position_lanes.hpp"
 #include "geom/vec2.hpp"
-
-namespace sops::support {
-class Executor;
-}  // namespace sops::support
+#include "geom/verlet_list.hpp"
+#include "support/executor.hpp"
 
 namespace sops::geom {
 
-/// The concrete neighbor-search strategy a backend implements.
+/// The concrete neighbor-search strategy a backend implements. The order
+/// matches NeighborBackend's variant alternatives.
 enum class NeighborBackendKind {
   kAllPairs,    ///< O(n²) reference; the only choice for r_c = ∞
   kCellGrid,    ///< uniform cell grid, O(n) per step at bounded density
@@ -43,127 +44,60 @@ enum class NeighborBackendKind {
   kVerletSkin,  ///< cached skin-radius pair lists, displacement-gated rebuilds
 };
 
-/// Default extra shell of the Verlet/skin backend (position units); see
-/// VerletListBackend. SimulationConfig::verlet_skin starts here.
-inline constexpr double kDefaultVerletSkin = 1.0;
+/// Equal contiguous split of [0, n) into at most `max_shards` ranges
+/// (at least one): ascending boundaries, first 0, last n, written into
+/// `scratch`. Per-particle drift sums are gathers, so any split is
+/// bitwise-safe; equal ranges suit backends without occupancy information.
+[[nodiscard]] std::span<const std::uint32_t> equal_shard_bounds(
+    std::size_t n, std::size_t max_shards, std::vector<std::uint32_t>& scratch);
 
-/// Persistent fixed-radius neighbor index: `rebuild` once per step, then
-/// query `neighbors(i)` per particle.
-///
-/// The returned span is valid until the next `neighbors()` or `rebuild()`
-/// call on the same backend (it may alias internal scratch). Backends are
-/// not thread-safe; use one per worker.
-class NeighborBackend {
- public:
-  virtual ~NeighborBackend() = default;
-
-  /// Re-indexes the lanes for queries with the given radius. The lane
-  /// storage must stay valid until the next rebuild. Retains capacity.
-  virtual void rebuild(PositionLanes points, double radius) = 0;
-
-  /// Executor-aware rebuild: backends whose rebuild shards (the cell
-  /// grid's counting sort, the Verlet list's candidate enumeration)
-  /// dispatch it on `executor`; everyone else falls through to the serial
-  /// rebuild. Results never depend on the executor's width.
-  virtual void rebuild(PositionLanes points, double radius,
-                       support::Executor& executor) {
-    (void)executor;
-    rebuild(points, radius);
-  }
-
-  /// Interleaved-span convenience: deinterleaves into backend-owned lane
-  /// scratch (valid until the next rebuild) and forwards to the virtual.
-  void rebuild(std::span<const Vec2> points, double radius) {
-    deinterleave(points, aos_x_, aos_y_);
-    rebuild(PositionLanes{aos_x_, aos_y_}, radius);
-  }
-  void rebuild(std::span<const Vec2> points, double radius,
-               support::Executor& executor) {
-    deinterleave(points, aos_x_, aos_y_);
-    rebuild(PositionLanes{aos_x_, aos_y_}, radius, executor);
-  }
-
-  /// Indices j ≠ i with ‖p_j − p_i‖ < radius, in the backend's enumeration
-  /// order (Delaunay: tessellation neighbors within the radius).
-  [[nodiscard]] virtual std::span<const std::uint32_t> neighbors(
-      std::size_t i) = 0;
-
-  [[nodiscard]] virtual NeighborBackendKind kind() const noexcept = 0;
-
-  /// Number of points of the current build (0 before the first rebuild).
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  /// Intra-step shard partition: ascending boundaries (first 0, last size())
-  /// of at most `max_shards` contiguous ranges over the backend's shard
-  /// ordering. Shard k owns ordering positions [bounds[k], bounds[k+1]);
-  /// `shard_order()` maps a position to a particle index (an empty span
-  /// means the identity order). Shards are disjoint particle sets, and each
-  /// particle's neighbor enumeration is independent of the partition, so
-  /// sharded drift accumulation is bitwise-equal to the serial loop for any
-  /// shard count. The default partition is an equal split of [0, size());
-  /// the cell grid overrides it with cell-aligned CSR bucket ranges
-  /// balanced by a pair-count estimate. Call after rebuild(); the span
-  /// aliases internal scratch and stays valid until the next shard_bounds()
-  /// call or rebuild.
-  [[nodiscard]] virtual std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards);
-
-  /// Shard-ordering permutation for shard_bounds(); empty span = identity.
-  [[nodiscard]] virtual std::span<const std::uint32_t> shard_order()
-      const noexcept;
-
- protected:
-  std::vector<std::uint32_t> shard_bounds_;  // scratch for the default split
-  std::vector<double> aos_x_;  // deinterleave scratch for Vec2-span callers
-  std::vector<double> aos_y_;
-};
+// Every backend offers the same surface: `rebuild(lanes, radius, executor)`
+// once per step (the lane storage must stay valid until the next rebuild;
+// capacity is retained), then `neighbors(i)` — the indices j ≠ i with
+// ‖p_j − p_i‖ < radius in the backend's enumeration order, valid until the
+// next neighbors() or rebuild() call (it may alias internal scratch) — and
+// `size()`, the point count of the current build. `shard_bounds(max_shards)`
+// is the intra-step partition: ascending boundaries (first 0, last size())
+// of at most `max_shards` contiguous ranges; shards are disjoint particle
+// sets and each particle's enumeration is independent of the partition, so
+// sharded drift sums equal the serial loop bitwise for any shard count
+// (the span aliases backend scratch, valid until the next shard_bounds() or
+// rebuild). Backends are not thread-safe; use one per worker.
 
 /// O(n²) reference backend; supports an unbounded radius.
-class AllPairsBackend final : public NeighborBackend {
+class AllPairsBackend {
  public:
-  using NeighborBackend::rebuild;
-  void rebuild(PositionLanes points, double radius) override;
-  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) override;
-  [[nodiscard]] NeighborBackendKind kind() const noexcept override {
-    return NeighborBackendKind::kAllPairs;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return points_.size();
+  void rebuild(PositionLanes points, double radius,
+               support::Executor& executor = support::serial_executor());
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
+  [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
+  [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
+      std::size_t max_shards) {
+    return equal_shard_bounds(size(), max_shards, shard_bounds_);
   }
 
  private:
   PositionLanes points_;
   double radius_ = 0.0;
   std::vector<std::uint32_t> scratch_;
+  std::vector<std::uint32_t> shard_bounds_;
 };
 
 /// Cell-grid backend; the grid is rebuilt in place each step with retained
 /// bucket capacity. Requires a finite radius.
-class CellGridBackend final : public NeighborBackend {
+class CellGridBackend {
  public:
-  using NeighborBackend::rebuild;
-  void rebuild(PositionLanes points, double radius) override;
   /// Dispatches the grid's rebuild chunks on `executor`.
   void rebuild(PositionLanes points, double radius,
-               support::Executor& executor) override;
-  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) override;
-  [[nodiscard]] NeighborBackendKind kind() const noexcept override {
-    return NeighborBackendKind::kCellGrid;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return grid_.size();
-  }
+               support::Executor& executor = support::serial_executor());
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
+  [[nodiscard]] std::size_t size() const noexcept { return grid_.size(); }
 
-  /// Cell-aligned CSR bucket ranges balanced by the grid's pair estimate.
+  /// Cell-aligned CSR bucket ranges balanced by the grid's pair estimate;
+  /// positions index the grid's cell-major `bucket_entries()`.
   [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards) override {
+      std::size_t max_shards) {
     return grid_.shard_bounds(max_shards);
-  }
-
-  /// Cell-major point order: positions index the grid's CSR entry block.
-  [[nodiscard]] std::span<const std::uint32_t> shard_order()
-      const noexcept override {
-    return grid_.bucket_entries();
   }
 
   /// The underlying grid (exposed for capacity-retention tests).
@@ -198,34 +132,77 @@ class CellGridBackend final : public NeighborBackend {
 };
 
 /// Tessellation backend: rebuild triangulates and stores the radius-pruned
-/// adjacency as a CSR list, so queries are span lookups.
-class DelaunayBackend final : public NeighborBackend {
+/// adjacency as a CSR list, so queries are span lookups. Rejects non-finite
+/// coordinates (the tessellation would silently drop them).
+class DelaunayBackend {
  public:
-  using NeighborBackend::rebuild;
-  void rebuild(PositionLanes points, double radius) override;
-  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) override;
-  [[nodiscard]] NeighborBackendKind kind() const noexcept override {
-    return NeighborBackendKind::kDelaunay;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
-  }
-
-  /// CSR adjacency row of point i; read-only and shared-state-free, so the
-  /// sharded drift path may call it from several threads between rebuilds.
-  [[nodiscard]] std::span<const std::uint32_t> adjacency_row(
+  void rebuild(PositionLanes points, double radius,
+               support::Executor& executor = support::serial_executor());
+  /// Tessellation neighbors within the radius. Read-only and
+  /// shared-state-free, so the sharded drift path may call it from several
+  /// threads between rebuilds.
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(
       std::size_t i) const noexcept {
     return {indices_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
+      std::size_t max_shards) {
+    return equal_shard_bounds(size(), max_shards, shard_bounds_);
   }
 
  private:
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> indices_;
   std::vector<Vec2> points_aos_;  // interleaved copy for the tessellation
+  std::vector<std::uint32_t> shard_bounds_;
 };
 
-/// Factory for the kind chosen by the run setup.
-[[nodiscard]] std::unique_ptr<NeighborBackend> make_neighbor_backend(
-    NeighborBackendKind kind);
+/// Persistent fixed-radius neighbor index of the kind chosen by the run
+/// setup: one of the four concrete backends. `rebuild` once per step, then
+/// query `neighbors(i)` per particle; the drift path reaches the concrete
+/// backend through `get()`.
+class NeighborBackend {
+ public:
+  using Variant = std::variant<AllPairsBackend, CellGridBackend,
+                               DelaunayBackend, VerletListBackend>;
+
+  /// Throws PreconditionError on a kind outside the enum.
+  explicit NeighborBackend(NeighborBackendKind kind);
+
+  /// Re-indexes the lanes for queries with the given radius. Backends
+  /// whose rebuild shards (the cell grid's counting sort, the Verlet
+  /// list's candidate enumeration) dispatch it on `executor`; results never
+  /// depend on its width.
+  void rebuild(PositionLanes points, double radius,
+               support::Executor& executor = support::serial_executor()) {
+    std::visit([&](auto& b) { b.rebuild(points, radius, executor); },
+               backend_);
+  }
+
+  /// Indices j ≠ i with ‖p_j − p_i‖ < radius, in the backend's enumeration
+  /// order (Delaunay: tessellation neighbors within the radius).
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) {
+    return std::visit([&](auto& b) { return b.neighbors(i); }, backend_);
+  }
+
+  [[nodiscard]] NeighborBackendKind kind() const noexcept {
+    return static_cast<NeighborBackendKind>(backend_.index());
+  }
+
+  /// Number of points of the current build (0 before the first rebuild).
+  [[nodiscard]] std::size_t size() const noexcept {
+    return std::visit([](const auto& b) { return b.size(); }, backend_);
+  }
+
+  /// The concrete backend.
+  [[nodiscard]] Variant& get() noexcept { return backend_; }
+  [[nodiscard]] const Variant& get() const noexcept { return backend_; }
+
+ private:
+  Variant backend_;
+};
 
 }  // namespace sops::geom

@@ -22,10 +22,6 @@ void VerletListBackend::set_skin(double skin) {
   }
 }
 
-void VerletListBackend::rebuild(PositionLanes points, double radius) {
-  rebuild(points, radius, support::serial_executor());
-}
-
 void VerletListBackend::rebuild(PositionLanes points, double radius,
                                 support::Executor& executor) {
   support::expect(radius > 0.0 && std::isfinite(radius),

@@ -54,13 +54,18 @@
 #include <vector>
 
 #include "geom/cell_grid.hpp"
-#include "geom/neighbor_backend.hpp"
 #include "geom/position_lanes.hpp"
+#include "support/executor.hpp"
 
 namespace sops::geom {
 
-/// Cached-pair-list backend; opt-in via NeighborMode::kVerletSkin.
-class VerletListBackend final : public NeighborBackend {
+/// Default extra shell of the Verlet/skin backend (position units); see
+/// VerletListBackend. SimulationConfig::verlet_skin starts here.
+inline constexpr double kDefaultVerletSkin = 1.0;
+
+/// Cached-pair-list backend; opt-in via NeighborMode::kVerletSkin. One of
+/// the alternatives of geom::NeighborBackend (geom/neighbor_backend.hpp).
+class VerletListBackend {
  public:
   /// `skin` is the extra shell (in position units) beyond the query radius
   /// that candidates are cached at; a rebuild triggers once any particle
@@ -72,26 +77,20 @@ class VerletListBackend final : public NeighborBackend {
   void set_skin(double skin);
   [[nodiscard]] double skin() const noexcept { return skin_; }
 
-  using NeighborBackend::rebuild;
   /// Displacement-gated: a full rebuild (grid + candidate enumeration) only
   /// when the safety condition no longer holds; otherwise records the step
-  /// and keeps the cached list. Serial build.
-  void rebuild(PositionLanes points, double radius) override;
-  /// Same, with the candidate enumeration sharded on `executor` (the
-  /// engine's lent step executor). List contents are identical for any
-  /// width.
+  /// and keeps the cached list. The candidate enumeration shards on
+  /// `executor` (the engine's lent step executor); list contents are
+  /// identical for any width.
   void rebuild(PositionLanes points, double radius,
-               support::Executor& executor) override;
+               support::Executor& executor = support::serial_executor());
 
   /// Filters the cached candidate row by the positions of the last
   /// rebuild() call, so the result satisfies the NeighborBackend contract
   /// exactly (all j with ‖p_j − p_i‖ < radius, in frozen build order).
-  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) override;
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
 
-  [[nodiscard]] NeighborBackendKind kind() const noexcept override {
-    return NeighborBackendKind::kVerletSkin;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
+  [[nodiscard]] std::size_t size() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
@@ -100,14 +99,7 @@ class VerletListBackend final : public NeighborBackend {
   /// cell grid the partition needs no cell alignment — and id order lets
   /// the chunked drift kernel stream the CSR arrays sequentially.
   [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards) override;
-
-  /// Empty = identity: shards walk particle ids directly. The cell-major
-  /// build order stays internal (the enumeration backbone).
-  [[nodiscard]] std::span<const std::uint32_t> shard_order()
-      const noexcept override {
-    return {};
-  }
+      std::size_t max_shards);
 
   /// Cached candidates of particle i: every j ≠ i within radius + skin of
   /// the reference build (true neighbors are a subset while the list is
@@ -187,6 +179,7 @@ class VerletListBackend final : public NeighborBackend {
   std::vector<GatherScratch> build_scratch_;  // per-shard gather + row buffers
   std::vector<GatherScratch> filter_;    // per-shard survivor lanes
   std::vector<std::uint32_t> scratch_;       // neighbors() filter output
+  std::vector<std::uint32_t> shard_bounds_;  // last eval partition
   std::size_t max_row_count_ = 0;      // longest cached row
   std::size_t shard_cache_width_ = 0;  // shard_bounds_ is valid for this width
 

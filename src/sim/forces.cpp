@@ -12,9 +12,9 @@
 namespace sops::sim {
 namespace {
 
-// The one precondition checker behind every accumulate_drift overload: the
-// enum-mode, backend, and sharded entry points must reject exactly the same
-// inputs, so they all funnel through here.
+// The one precondition checker behind both accumulate_drift entry points:
+// the enum-mode reference and the engine path must reject exactly the same
+// inputs, so they both funnel through here.
 void check_drift_preconditions(const ParticleSystem& system,
                                std::size_t model_types, double cutoff_radius,
                                bool needs_finite_cutoff) {
@@ -26,27 +26,17 @@ void check_drift_preconditions(const ParticleSystem& system,
 }
 
 // Shards the per-particle gather `out[i] = drift_of(i)` over the backend's
-// partition, dispatching the chunks on `executor` (shard count = executor
-// width). Shards hold disjoint particles and drift_of is a pure gather, so
-// any partition and worker count produce bitwise-identical output.
+// partition `bounds` of particle-id order, dispatching the chunks on
+// `executor`. Shards hold disjoint particles and drift_of is a pure gather,
+// so any partition and worker count produce bitwise-identical output.
 template <typename DriftOf>
-void accumulate_sharded(geom::NeighborBackend& backend,
+void accumulate_sharded(std::span<const std::uint32_t> bounds,
                         support::Executor& executor, const DriftOf& drift_of,
                         std::vector<geom::Vec2>& out) {
-  const std::span<const std::uint32_t> bounds =
-      backend.shard_bounds(executor.width());
-  const std::span<const std::uint32_t> order = backend.shard_order();
   support::parallel_for_chunked(
       executor, bounds, [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        if (order.empty()) {
-          for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-            out[i] = drift_of(i);
-          }
-        } else {
-          for (std::size_t k = chunk_begin; k < chunk_end; ++k) {
-            const std::size_t i = order[k];
-            out[i] = drift_of(i);
-          }
+        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
+          out[i] = drift_of(i);
         }
       });
 }
@@ -157,27 +147,10 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
                                 mode == NeighborMode::kVerletSkin);
   // One construction path for every mode: a fresh backend built and
   // consumed once — the per-call reference the persistent engine path is
-  // (trivially) identical to. The former per-mode free functions are gone;
-  // enum modes and the engine share one cell-grid/kernel entry point.
-  const auto backend = geom::make_neighbor_backend(neighbor_backend_kind(mode));
-  const PairScalingTable table(model);
-  accumulate_drift(system, table, cutoff_radius, out, *backend,
+  // (trivially) identical to.
+  geom::NeighborBackend backend(neighbor_backend_kind(mode));
+  accumulate_drift(system, PairScalingTable(model), cutoff_radius, out, backend,
                    support::serial_executor());
-}
-
-void accumulate_drift(const ParticleSystem& system, const InteractionModel& model,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      geom::NeighborBackend& backend) {
-  accumulate_drift(system, PairScalingTable(model), cutoff_radius, out, backend);
-}
-
-void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      geom::NeighborBackend& backend, std::size_t step_threads) {
-  // The fork-per-call path: a transient SpawnExecutor of the requested
-  // width. Same partition as the pooled overload, so same bits.
-  support::SpawnExecutor executor(step_threads);
-  accumulate_drift(system, table, cutoff_radius, out, backend, executor);
 }
 
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
@@ -188,9 +161,9 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
       system, table.types(), cutoff_radius,
       backend.kind() == geom::NeighborBackendKind::kCellGrid ||
           backend.kind() == geom::NeighborBackendKind::kVerletSkin);
-  // Executor-aware: the Verlet backend shards its (occasional) candidate
-  // enumeration on the same lent workers the drift sum uses; everyone else
-  // rebuilds serially as before.
+  // Executor-aware: the cell grid's counting sort and the Verlet backend's
+  // (occasional) candidate enumeration shard on the same lent workers the
+  // drift sum uses; the other backends rebuild serially.
   backend.rebuild(system.lanes(), cutoff_radius, executor);
 
   const std::size_t n = system.size();
@@ -200,22 +173,20 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
   out.resize(n);
   const double cutoff_sq = cutoff_radius * cutoff_radius;
 
-  // Fused kernel paths for the built-in backends: candidates flow through
-  // the lane-structured drift kernels (sim/drift_kernel.hpp) — dense rows
-  // where coordinates already sit contiguously, indexed rows elsewhere.
-  // Every out[i] is a pure gather in a fixed per-particle order, so the
-  // sharded dispatch is bitwise-identical to the serial loop for any width,
-  // and the scalar/SIMD kernel selection never changes the bits. Backends
-  // outside this translation unit fall through to the generic span path
-  // below, always serially: NeighborBackend::neighbors() may alias shared
-  // scratch, which the shards' workers must not race on.
-  if (auto* cell_backend = dynamic_cast<geom::CellGridBackend*>(&backend)) {
+  // One fused kernel path per backend: candidates flow through the
+  // lane-structured drift kernels (sim/drift_kernel.hpp) — dense rows where
+  // coordinates already sit contiguously, indexed rows elsewhere. Every
+  // out[i] is a pure gather in a fixed per-particle order, so the sharded
+  // dispatch is bitwise-identical to the serial loop for any width, and the
+  // scalar/SIMD kernel selection never changes the bits.
+  geom::NeighborBackend::Variant& concrete = backend.get();
+  if (auto* cell_backend = std::get_if<geom::CellGridBackend>(&concrete)) {
     accumulate_cell_kernel(system, table, cutoff_radius, out, *cell_backend,
                            executor);
     return;
   }
   const DriftKernels& kernels = select_drift_kernels();
-  if (dynamic_cast<const geom::AllPairsBackend*>(&backend) != nullptr) {
+  if (auto* all_pairs = std::get_if<geom::AllPairsBackend>(&concrete)) {
     // The whole particle set is one dense candidate block (self masks out
     // at Δz = 0); cutoff_sq may be +inf for the unbounded radius.
     const auto drift_of = [&](std::size_t i) {
@@ -225,10 +196,11 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
                          n,                cutoff_sq};
       return kernels.dense(table, row);
     };
-    accumulate_sharded(backend, executor, drift_of, out);
+    accumulate_sharded(all_pairs->shard_bounds(executor.width()), executor,
+                       drift_of, out);
     return;
   }
-  if (auto* verlet = dynamic_cast<geom::VerletListBackend*>(&backend)) {
+  if (auto* verlet = std::get_if<geom::VerletListBackend>(&concrete)) {
     // The cached pair-list path: each shard's slice of particle-id order
     // goes to ONE chunked kernel call streaming the raw CSR arrays —
     // Verlet rows are short, so amortizing the per-row dispatch across the
@@ -239,7 +211,7 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     // the live-lane mask. Rows are per-particle gathers, so the sharded
     // pass is width-invariant and, between rebuilds, bitwise-stable.
     const std::span<const std::uint32_t> bounds =
-        backend.shard_bounds(executor.width());
+        verlet->shard_bounds(executor.width());
     const std::span<const std::size_t> offsets = verlet->csr_offsets();
     const std::span<const std::uint32_t> indices = verlet->csr_indices();
     // Eval-path selection by force law: the double-Gaussian's per-candidate
@@ -301,32 +273,20 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
         });
     return;
   }
-  if (const auto* delaunay =
-          dynamic_cast<const geom::DelaunayBackend*>(&backend)) {
-    // Adjacency rows are already pruned by the cut-off at rebuild; the
-    // kernel mask is idempotent on them.
-    const auto drift_of = [&](std::size_t i) {
-      const std::span<const std::uint32_t> adj = delaunay->adjacency_row(i);
-      const IndexedRow row{system.x[i],      system.y[i],
-                           system.types[i],  system.x.data(),
-                           system.y.data(),  system.types.data(),
-                           adj.data(),       adj.size(),
-                           cutoff_sq};
-      return kernels.indexed(table, row);
-    };
-    accumulate_sharded(backend, executor, drift_of, out);
-    return;
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const std::uint32_t> nb = backend.neighbors(i);
+  // Adjacency rows are already pruned by the cut-off at rebuild; the kernel
+  // mask is idempotent on them.
+  auto& delaunay = std::get<geom::DelaunayBackend>(concrete);
+  const auto drift_of = [&](std::size_t i) {
+    const std::span<const std::uint32_t> adj = delaunay.neighbors(i);
     const IndexedRow row{system.x[i],      system.y[i],
                          system.types[i],  system.x.data(),
                          system.y.data(),  system.types.data(),
-                         nb.data(),        nb.size(),
+                         adj.data(),       adj.size(),
                          cutoff_sq};
-    out[i] = kernels.indexed(table, row);
-  }
+    return kernels.indexed(table, row);
+  };
+  accumulate_sharded(delaunay.shard_bounds(executor.width()), executor,
+                     drift_of, out);
 }
 
 double total_drift_norm(std::span<const geom::Vec2> drift) {

@@ -24,10 +24,6 @@
 #include "sim/force_law.hpp"
 #include "sim/particle_system.hpp"
 
-namespace sops::support {
-class Executor;
-}  // namespace sops::support
-
 namespace sops::sim {
 
 /// Neighbor-search strategy selection.
@@ -142,37 +138,17 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       NeighborMode mode = NeighborMode::kAuto);
 
-/// Drift accumulation through a persistent backend: rebuilds the backend
-/// for the current positions, then sums pair drifts in the backend's
-/// enumeration order — bitwise-identical to the matching NeighborMode path,
-/// but with no per-step index construction.
-void accumulate_drift(const ParticleSystem& system, const InteractionModel& model,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      geom::NeighborBackend& backend);
-
-/// Same, with a caller-cached scaling table — the engine's steady-state
-/// path: no allocation of any kind per step.
+/// The engine's steady-state path, through a persistent backend: rebuilds
+/// the backend for the current positions on `executor`, then sums pair
+/// drifts in the backend's enumeration order — bitwise-identical to the
+/// matching NeighborMode path, with no per-step index construction and,
+/// given a caller-cached scaling table, no allocation of any kind.
 ///
-/// `step_threads` (0 = hardware concurrency) shards the particle loop over
-/// the backend's cell-major partition (NeighborBackend::shard_bounds).
-/// Shards own disjoint particle ranges and every particle keeps its serial
-/// neighbor-enumeration order, so the result is bitwise-identical to
-/// `step_threads == 1` for any thread count and any partition. Backends
-/// outside this translation unit run serially regardless (their neighbor
-/// queries may share scratch state). This overload forks and joins
-/// transient workers every call (SpawnExecutor); the engine's hot loop uses
-/// the Executor overload below with a persistent pool instead.
-void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      geom::NeighborBackend& backend,
-                      std::size_t step_threads = 1);
-
-/// The pooled steady-state path: shard count and worker cap both come from
-/// `executor.width()`, so a run dispatches each step onto the same
-/// persistent runners (SimulationWorkspace owns or borrows them) with no
-/// per-step thread creation. Partition, enumeration order, and therefore
-/// results are bitwise-identical to the `step_threads` overload at the
-/// same width.
+/// The particle loop is sharded over the backend's partition
+/// (`shard_bounds(executor.width())`), dispatched on `executor`'s
+/// persistent runners. Shards own disjoint particle ranges and every
+/// particle keeps its serial neighbor-enumeration order, so the result is
+/// bitwise-identical for any executor width and any partition.
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,

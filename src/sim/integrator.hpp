@@ -57,12 +57,4 @@ double euler_maruyama_step(ParticleSystem& system, const InteractionModel& model
                            std::vector<geom::Vec2>& drift_scratch,
                            NeighborMode mode = NeighborMode::kAuto);
 
-/// Same step through a persistent neighbor backend (no per-step index
-/// construction); otherwise identical contract and identical results.
-double euler_maruyama_step(ParticleSystem& system, const InteractionModel& model,
-                           double cutoff_radius, const IntegratorParams& params,
-                           rng::Xoshiro256& engine,
-                           std::vector<geom::Vec2>& drift_scratch,
-                           geom::NeighborBackend& backend);
-
 }  // namespace sops::sim

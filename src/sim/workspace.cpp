@@ -1,6 +1,5 @@
 #include "sim/workspace.hpp"
 
-#include "geom/verlet_list.hpp"
 #include "sim/simulation.hpp"
 #include "support/error.hpp"
 
@@ -10,19 +9,16 @@ void SimulationWorkspace::prepare(const SimulationConfig& config) {
   const NeighborMode resolved = resolve_neighbor_mode(
       config.neighbor_mode, config.types.size(), config.cutoff_radius);
   const geom::NeighborBackendKind kind = neighbor_backend_kind(resolved);
-  if (!backend_ || backend_->kind() != kind) {
-    backend_ = geom::make_neighbor_backend(kind);
-  }
-  if (kind == geom::NeighborBackendKind::kVerletSkin) {
-    auto& verlet = static_cast<geom::VerletListBackend&>(*backend_);
-    verlet.set_skin(config.verlet_skin);
+  if (!backend_ || backend_->kind() != kind) backend_.emplace(kind);
+  if (auto* verlet = std::get_if<geom::VerletListBackend>(&backend_->get())) {
+    verlet->set_skin(config.verlet_skin);
     // A run must not inherit the previous run's frozen enumeration order:
     // if the new initial positions happened to sit within skin/2 of the
     // stale reference build, the list would be reused and the trajectory
     // would depend on workspace history (and thus on how an ensemble's
     // samples were chunked over workers). One forced build per run keeps
     // every run a pure function of its config; capacity stays warm.
-    verlet.invalidate();
+    verlet->invalidate();
   }
   scaling_table_.emplace(config.model);
   drift_.reserve(config.types.size());
@@ -55,11 +51,12 @@ support::Executor& SimulationWorkspace::step_executor() noexcept {
 
 const geom::VerletListBackend* SimulationWorkspace::verlet_backend()
     const noexcept {
-  return dynamic_cast<const geom::VerletListBackend*>(backend_.get());
+  return backend_ ? std::get_if<geom::VerletListBackend>(&backend_->get())
+                  : nullptr;
 }
 
 geom::NeighborBackend& SimulationWorkspace::backend() {
-  support::expect(backend_ != nullptr,
+  support::expect(backend_.has_value(),
                   "SimulationWorkspace::backend: prepare() a run first");
   return *backend_;
 }

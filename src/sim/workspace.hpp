@@ -27,10 +27,6 @@
 #include "sim/forces.hpp"
 #include "support/executor.hpp"
 
-namespace sops::geom {
-class VerletListBackend;
-}  // namespace sops::geom
-
 namespace sops::sim {
 
 struct SimulationConfig;
@@ -88,7 +84,7 @@ class SimulationWorkspace {
  private:
   std::vector<geom::Vec2> drift_;
   std::vector<std::uint64_t> noise_words_;
-  std::unique_ptr<geom::NeighborBackend> backend_;
+  std::optional<geom::NeighborBackend> backend_;
   std::optional<PairScalingTable> scaling_table_;
   rng::Xoshiro256 engine_{0};
   support::Executor* lent_executor_ = nullptr;

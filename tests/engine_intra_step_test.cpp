@@ -42,6 +42,7 @@ using sops::sim::ThreadBudget;
 using sops::sim::Trajectory;
 
 constexpr std::size_t kThreadMatrix[] = {1, 2, 3, 8};
+constexpr auto kCellGrid = sops::geom::NeighborBackendKind::kCellGrid;
 
 ParticleSystem random_system(std::size_t n, double radius, std::size_t types,
                              std::uint64_t seed) {
@@ -72,13 +73,15 @@ TEST(IntraStepInvariance, DriftBitwiseAcrossThreadCounts) {
         sops::geom::NeighborBackendKind::kDelaunay}) {
     std::vector<Vec2> reference;
     {
-      const auto backend = sops::geom::make_neighbor_backend(kind);
-      accumulate_drift(system, table, 3.0, reference, *backend, 1);
+      sops::geom::NeighborBackend backend(kind);
+      accumulate_drift(system, table, 3.0, reference, backend,
+                       sops::support::serial_executor());
     }
     for (const std::size_t threads : kThreadMatrix) {
-      const auto backend = sops::geom::make_neighbor_backend(kind);
+      sops::geom::NeighborBackend backend(kind);
+      sops::support::SpawnExecutor executor(threads);
       std::vector<Vec2> sharded;
-      accumulate_drift(system, table, 3.0, sharded, *backend, threads);
+      accumulate_drift(system, table, 3.0, sharded, backend, executor);
       ASSERT_EQ(reference.size(), sharded.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(reference[i], sharded[i])
@@ -98,12 +101,13 @@ TEST(IntraStepInvariance, PooledDriftBitwiseMatchesSerialAndSpawn) {
   const PairScalingTable table(model);
   std::vector<Vec2> reference;
   {
-    sops::geom::CellGridBackend backend;
-    accumulate_drift(system, table, 3.0, reference, backend, 1);
+    sops::geom::NeighborBackend backend(kCellGrid);
+    accumulate_drift(system, table, 3.0, reference, backend,
+                     sops::support::serial_executor());
   }
   for (const std::size_t width : {2u, 3u, 8u, 32u}) {
     sops::support::TaskPool pool(width);
-    sops::geom::CellGridBackend backend;
+    sops::geom::NeighborBackend backend(kCellGrid);
     std::vector<Vec2> pooled;
     accumulate_drift(system, table, 3.0, pooled, backend, pool.executor());
     ASSERT_EQ(reference.size(), pooled.size());
@@ -125,14 +129,15 @@ TEST(IntraStepInvariance, DriftAfterPartitionedThrowIsBitwiseUnaffected) {
   const PairScalingTable table(model);
   std::vector<Vec2> reference;
   {
-    sops::geom::CellGridBackend backend;
-    accumulate_drift(system, table, 3.0, reference, backend, 1);
+    sops::geom::NeighborBackend backend(kCellGrid);
+    accumulate_drift(system, table, 3.0, reference, backend,
+                     sops::support::serial_executor());
   }
   sops::support::TaskPool pool(6);
   EXPECT_THROW(
       pool.run_partitioned(3, 2,
                            [&](std::size_t k, sops::support::Executor& inner) {
-                             sops::geom::CellGridBackend backend;
+                             sops::geom::NeighborBackend backend(kCellGrid);
                              std::vector<Vec2> scratch;
                              accumulate_drift(system, table, 3.0, scratch,
                                               backend, inner);
@@ -143,7 +148,7 @@ TEST(IntraStepInvariance, DriftAfterPartitionedThrowIsBitwiseUnaffected) {
       std::runtime_error);
   pool.run_partitioned(2, 3, [&](std::size_t,
                                  sops::support::Executor& inner) {
-    sops::geom::CellGridBackend backend;
+    sops::geom::NeighborBackend backend(kCellGrid);
     std::vector<Vec2> pooled;
     accumulate_drift(system, table, 3.0, pooled, backend, inner);
     ASSERT_EQ(reference.size(), pooled.size());
@@ -160,8 +165,9 @@ TEST(IntraStepInvariance, WorkerStarvedPoolMatchesSerialOnManyShards) {
   const auto model = spring_model(2);
   const PairScalingTable table(model);
   std::vector<Vec2> reference;
-  sops::geom::CellGridBackend serial_backend;
-  accumulate_drift(system, table, 3.0, reference, serial_backend, 1);
+  sops::geom::NeighborBackend serial_backend(kCellGrid);
+  accumulate_drift(system, table, 3.0, reference, serial_backend,
+                   sops::support::serial_executor());
 
   sops::geom::CellGridBackend backend;
   backend.rebuild(system.lanes(), 3.0);
@@ -173,7 +179,7 @@ TEST(IntraStepInvariance, WorkerStarvedPoolMatchesSerialOnManyShards) {
   // pool reproduces the engine's bits shard by shard.
   const auto& grid = backend.grid();
   const auto starts = grid.bucket_starts();
-  const auto order = backend.shard_order();
+  const auto order = grid.bucket_entries();
   const auto& kernels = sops::sim::select_drift_kernels();
   const double cutoff_sq = 3.0 * 3.0;
   sops::support::TaskPool pool(2);
@@ -216,7 +222,7 @@ TEST(IntraStepInvariance, ShardPartitionCoversEveryParticleOnce) {
   backend.rebuild(system.lanes(), 3.0);
   for (const std::size_t max_shards : {1u, 2u, 3u, 8u, 64u}) {
     const auto bounds = backend.shard_bounds(max_shards);
-    const auto order = backend.shard_order();
+    const auto order = backend.grid().bucket_entries();
     ASSERT_GE(bounds.size(), 2u);
     ASSERT_LE(bounds.size(), max_shards + 1);
     EXPECT_EQ(bounds.front(), 0u);

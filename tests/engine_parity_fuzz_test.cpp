@@ -28,6 +28,7 @@
 #include "sim/drift_kernel.hpp"
 #include "sim/forces.hpp"
 #include "sim/integrator.hpp"
+#include "support/executor.hpp"
 #include "support/simd.hpp"
 
 namespace {
@@ -40,6 +41,7 @@ using sops::sim::NeighborMode;
 using sops::sim::PairParams;
 using sops::sim::PairScalingTable;
 using sops::sim::ParticleSystem;
+using sops::support::serial_executor;
 
 struct FuzzCase {
   ParticleSystem system;
@@ -107,9 +109,9 @@ TEST(ParityFuzz, PersistentBackendsMatchEnumModesBitwise) {
       std::vector<Vec2> via_backend;
       accumulate_drift(fuzz.system, fuzz.model, fuzz.cutoff, via_mode,
                        pair.mode);
-      const auto backend = sops::geom::make_neighbor_backend(pair.kind);
-      accumulate_drift(fuzz.system, fuzz.model, fuzz.cutoff, via_backend,
-                       *backend);
+      sops::geom::NeighborBackend backend(pair.kind);
+      accumulate_drift(fuzz.system, PairScalingTable(fuzz.model), fuzz.cutoff,
+                       via_backend, backend, serial_executor());
       ASSERT_EQ(via_mode.size(), via_backend.size());
       for (std::size_t i = 0; i < via_mode.size(); ++i) {
         ASSERT_EQ(via_mode[i], via_backend[i])
@@ -145,9 +147,10 @@ TEST(ParityFuzz, DelaunayBackendMatchesPrunedTessellationWithin1e12) {
     }
 
     std::vector<Vec2> via_backend;
-    sops::geom::DelaunayBackend backend;
-    accumulate_drift(fuzz.system, fuzz.model, fuzz.cutoff, via_backend,
-                     backend);
+    sops::geom::NeighborBackend backend(
+        sops::geom::NeighborBackendKind::kDelaunay);
+    accumulate_drift(fuzz.system, table, fuzz.cutoff, via_backend, backend,
+                     serial_executor());
     for (std::size_t i = 0; i < fuzz.system.size(); ++i) {
       ASSERT_NEAR(reference[i].x, via_backend[i].x, 1e-12)
           << "case " << c << " i " << i;
@@ -170,17 +173,19 @@ TEST(ParityFuzz, VerletSkinTracksCellGridAlongTrajectoriesWithin1e12) {
   for (std::uint64_t c = 0; c < kCases; c += 5) {
     FuzzCase fuzz = draw_case(c);
     const PairScalingTable table(fuzz.model);
-    sops::geom::CellGridBackend grid_backend;
-    sops::geom::VerletListBackend verlet_backend;
+    sops::geom::NeighborBackend grid_backend(
+        sops::geom::NeighborBackendKind::kCellGrid);
+    sops::geom::NeighborBackend verlet_backend(
+        sops::geom::NeighborBackendKind::kVerletSkin);
     sops::sim::IntegratorParams params;
     sops::rng::Xoshiro256 engine(0xBEE5 + c);
     std::vector<Vec2> grid_drift;
     std::vector<Vec2> verlet_drift;
     for (int step = 0; step < 25; ++step) {
       accumulate_drift(fuzz.system, table, fuzz.cutoff, grid_drift,
-                       grid_backend, std::size_t{1});
+                       grid_backend, serial_executor());
       accumulate_drift(fuzz.system, table, fuzz.cutoff, verlet_drift,
-                       verlet_backend, std::size_t{1});
+                       verlet_backend, serial_executor());
       for (std::size_t i = 0; i < fuzz.system.size(); ++i) {
         ASSERT_NEAR(grid_drift[i].x, verlet_drift[i].x, 1e-12)
             << "case " << c << " step " << step << " i " << i;
@@ -191,8 +196,10 @@ TEST(ParityFuzz, VerletSkinTracksCellGridAlongTrajectoriesWithin1e12) {
       sops::sim::apply_euler_maruyama_update(fuzz.system, grid_drift, params,
                                              engine);
     }
-    total_steps += verlet_backend.stats().steps;
-    total_builds += verlet_backend.stats().builds;
+    const auto& verlet =
+        std::get<sops::geom::VerletListBackend>(verlet_backend.get());
+    total_steps += verlet.stats().steps;
+    total_builds += verlet.stats().builds;
   }
   // The gating must actually have skipped rebuilds somewhere across the
   // sweep — otherwise this test exercised nothing beyond a fresh build.
@@ -223,9 +230,9 @@ std::vector<Vec2> drift_under_policy(sops::support::SimdPolicy policy,
                                      double cutoff,
                                      sops::geom::NeighborBackendKind kind) {
   const SimdPolicyGuard guard(policy);
-  const auto backend = sops::geom::make_neighbor_backend(kind);
+  sops::geom::NeighborBackend backend(kind);
   std::vector<Vec2> out;
-  accumulate_drift(system, table, cutoff, out, *backend, std::size_t{1});
+  accumulate_drift(system, table, cutoff, out, backend, serial_executor());
   return out;
 }
 
@@ -423,14 +430,15 @@ TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
           sops::geom::NeighborBackendKind::kCellGrid,
           sops::geom::NeighborBackendKind::kDelaunay,
           sops::geom::NeighborBackendKind::kVerletSkin}) {
-      const auto serial_backend = sops::geom::make_neighbor_backend(kind);
-      const auto sharded_backend = sops::geom::make_neighbor_backend(kind);
+      sops::geom::NeighborBackend serial_backend(kind);
+      sops::geom::NeighborBackend sharded_backend(kind);
+      sops::support::SpawnExecutor executor(3);
       std::vector<Vec2> serial;
       std::vector<Vec2> sharded;
-      accumulate_drift(fuzz.system, table, fuzz.cutoff, serial,
-                       *serial_backend, 1);
+      accumulate_drift(fuzz.system, table, fuzz.cutoff, serial, serial_backend,
+                       serial_executor());
       accumulate_drift(fuzz.system, table, fuzz.cutoff, sharded,
-                       *sharded_backend, 3);
+                       sharded_backend, executor);
       ASSERT_EQ(serial.size(), sharded.size());
       for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(serial[i], sharded[i])

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -342,6 +343,36 @@ TEST(CellGridShardedRebuild, SparseBoxNeighborsMatchBruteForce) {
     std::sort(actual.begin(), actual.end());
     EXPECT_EQ(actual, expected);
   }
+}
+
+TEST(CellGridShardedRebuild, RejectsCoordinatesWithoutAnInt64CellKey) {
+  // A NaN, infinite or astronomically far coordinate has no int64 cell key;
+  // the key pass must name the problem instead of converting it (UB) and
+  // crashing further down. Checked at executor widths 1 and 4, with the
+  // bad point inside a later chunk.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Vec2 bad : {Vec2{nan, 0.0}, Vec2{0.0, nan}, Vec2{inf, 0.0},
+                         Vec2{0.0, -inf}, Vec2{1e300, 0.0}, Vec2{0.0, -1e300}}) {
+    auto points = random_cloud(40, 5.0, 31);
+    points[29] = bad;
+    std::vector<double> xs;
+    std::vector<double> ys;
+    sops::geom::deinterleave(points, xs, ys);
+    for (const std::size_t width : {1u, 4u}) {
+      sops::support::TaskPool pool(width);
+      CellGrid grid;
+      EXPECT_THROW(grid.rebuild(sops::geom::PositionLanes{xs, ys}, 3.0,
+                                pool.executor()),
+                   sops::PreconditionError)
+          << "(" << bad.x << ", " << bad.y << ") width " << width;
+    }
+  }
+  // Far but representable points still index: 1e19 / 3 < 2^62.
+  std::vector<Vec2> far{{1e19, 0.0}, {-1e19, 1e19}, {0.0, 0.0}};
+  const CellGrid grid(far, 3.0);
+  EXPECT_EQ(grid.size(), 3u);
+  EXPECT_TRUE(grid.neighbors_of(0, 3.0).empty());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "geom/neighbor_backend.hpp"
 #include "geom/verlet_list.hpp"
 #include "rng/samplers.hpp"
 #include "sim/forces.hpp"
@@ -37,6 +38,18 @@ std::vector<Vec2> random_points(std::size_t n, double disc_radius,
   return points;
 }
 
+// SoA copy of interleaved test points for the lane-based rebuild. The
+// backend reads the lanes until its next rebuild, so each test keeps one
+// alive across its queries.
+struct Lanes {
+  std::vector<double> x;
+  std::vector<double> y;
+  sops::geom::PositionLanes of(const std::vector<Vec2>& points) {
+    sops::geom::deinterleave(points, x, y);
+    return {x, y};
+  }
+};
+
 // Ascending-index reference: every j ≠ i with ‖p_j − p_i‖ < radius.
 std::vector<std::uint32_t> brute_neighbors(const std::vector<Vec2>& points,
                                            std::size_t i, double radius) {
@@ -65,14 +78,15 @@ TEST(VerletList, QuietStepsSkipAndDisplacementPastHalfSkinRebuilds) {
   const double skin = 0.8;
   std::vector<Vec2> points = random_points(60, 5.0, 71);
   VerletListBackend backend(skin);
+  Lanes lanes;
 
-  backend.rebuild(points, radius);
+  backend.rebuild(lanes.of(points), radius);
   EXPECT_EQ(backend.stats().builds, 1u);
   EXPECT_EQ(backend.stats().steps, 1u);
 
   // Under the threshold: the cached list must be kept...
   points[0] += Vec2{0.39, 0.0};
-  backend.rebuild(points, radius);
+  backend.rebuild(lanes.of(points), radius);
   EXPECT_EQ(backend.stats().builds, 1u);
   EXPECT_EQ(backend.stats().steps, 2u);
   // ...and still satisfy the exact neighbor contract at the new positions.
@@ -84,7 +98,7 @@ TEST(VerletList, QuietStepsSkipAndDisplacementPastHalfSkinRebuilds) {
   // Crossing skin/2 (total displacement from the *reference* build, not the
   // previous step) must trigger a rebuild.
   points[0] += Vec2{0.02, 0.0};  // total 0.41 > skin/2 = 0.4
-  backend.rebuild(points, radius);
+  backend.rebuild(lanes.of(points), radius);
   EXPECT_EQ(backend.stats().builds, 2u);
   EXPECT_EQ(backend.stats().steps, 3u);
 }
@@ -97,11 +111,12 @@ TEST(VerletList, NeverMissesAPairThatEntersTheRadiusBetweenRebuilds) {
   const double skin = 0.8;
   std::vector<Vec2> points{{0.0, 0.0}, {1.6, 0.0}, {4.0, 4.0}};
   VerletListBackend backend(skin);
-  backend.rebuild(points, radius);
+  Lanes lanes;
+  backend.rebuild(lanes.of(points), radius);
   EXPECT_TRUE(sorted_neighbors(backend, 0).empty());
 
   points[1].x = 1.25;  // moved 0.35 < skin/2; now inside r_c
-  backend.rebuild(points, radius);
+  backend.rebuild(lanes.of(points), radius);
   EXPECT_EQ(backend.stats().builds, 1u) << "displacement under skin/2 rebuilt";
   EXPECT_EQ(sorted_neighbors(backend, 0), (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(sorted_neighbors(backend, 1), (std::vector<std::uint32_t>{0}));
@@ -116,7 +131,8 @@ TEST(VerletList, FuzzedQuietMotionNeverMissesAPair) {
   std::vector<Vec2> points = random_points(120, 7.0, 19);
   std::vector<Vec2> reference = points;
   VerletListBackend backend(skin);
-  backend.rebuild(points, radius);
+  Lanes lanes;
+  backend.rebuild(lanes.of(points), radius);
 
   for (int step = 0; step < 30; ++step) {
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -129,7 +145,7 @@ TEST(VerletList, FuzzedQuietMotionNeverMissesAPair) {
         points[i] = candidate;
       }
     }
-    backend.rebuild(points, radius);
+    backend.rebuild(lanes.of(points), radius);
     ASSERT_EQ(backend.stats().builds, 1u);
     for (std::size_t i = 0; i < points.size(); ++i) {
       ASSERT_EQ(sorted_neighbors(backend, i),
@@ -147,6 +163,7 @@ TEST(VerletList, ShardParallelRebuildIsThreadInvariantOnTheTaskPool) {
   VerletListBackend serial_backend;
   VerletListBackend pooled_backend;
   sops::support::TaskPool pool(4);
+  Lanes lanes;
 
   // Build, quiet refresh, and displacement-triggered rebuild: after each,
   // every cached row must be identical for width 1 and width 4.
@@ -161,20 +178,23 @@ TEST(VerletList, ShardParallelRebuildIsThreadInvariantOnTheTaskPool) {
     }
   };
 
-  serial_backend.rebuild(points, radius);
-  pooled_backend.rebuild(points, radius, pool.executor());
+  lanes.of(points);
+  serial_backend.rebuild({lanes.x, lanes.y}, radius);
+  pooled_backend.rebuild({lanes.x, lanes.y}, radius, pool.executor());
   expect_identical_rows();
 
   for (Vec2& p : points) p += Vec2{0.05, -0.03};  // quiet: under skin/2
-  serial_backend.rebuild(points, radius);
-  pooled_backend.rebuild(points, radius, pool.executor());
+  lanes.of(points);
+  serial_backend.rebuild({lanes.x, lanes.y}, radius);
+  pooled_backend.rebuild({lanes.x, lanes.y}, radius, pool.executor());
   EXPECT_EQ(serial_backend.stats().builds, 1u);
   EXPECT_EQ(pooled_backend.stats().builds, 1u);
   expect_identical_rows();
 
   points[7] += Vec2{2.0, 2.0};  // forced: past skin/2
-  serial_backend.rebuild(points, radius);
-  pooled_backend.rebuild(points, radius, pool.executor());
+  lanes.of(points);
+  serial_backend.rebuild({lanes.x, lanes.y}, radius);
+  pooled_backend.rebuild({lanes.x, lanes.y}, radius, pool.executor());
   EXPECT_EQ(serial_backend.stats().builds, 2u);
   EXPECT_EQ(pooled_backend.stats().builds, 2u);
   expect_identical_rows();
@@ -193,8 +213,12 @@ TEST(VerletList, ShardedDriftIsBitwiseEqualToSerialAcrossRebuilds) {
   ParticleSystem serial_system(random_points(n, 18.0, 91), types);
   ParticleSystem pooled_system = serial_system;
 
-  VerletListBackend serial_backend;
-  VerletListBackend pooled_backend;
+  sops::geom::NeighborBackend serial_list(
+      sops::geom::NeighborBackendKind::kVerletSkin);
+  sops::geom::NeighborBackend pooled_list(
+      sops::geom::NeighborBackendKind::kVerletSkin);
+  const auto& serial_backend = std::get<VerletListBackend>(serial_list.get());
+  const auto& pooled_backend = std::get<VerletListBackend>(pooled_list.get());
   sops::support::TaskPool pool(4);
   sops::sim::IntegratorParams params;
   sops::rng::Xoshiro256 serial_engine(5);
@@ -206,9 +230,9 @@ TEST(VerletList, ShardedDriftIsBitwiseEqualToSerialAcrossRebuilds) {
   // guarantees the quiet refresh path is exercised and compared; the other
   // steps move freely, so displacement-triggered rebuilds happen too.
   for (int step = 0; step < 20; ++step) {
-    accumulate_drift(serial_system, table, cutoff, serial_drift, serial_backend,
-                     std::size_t{1});
-    accumulate_drift(pooled_system, table, cutoff, pooled_drift, pooled_backend,
+    accumulate_drift(serial_system, table, cutoff, serial_drift, serial_list,
+                     sops::support::serial_executor());
+    accumulate_drift(pooled_system, table, cutoff, pooled_drift, pooled_list,
                      pool.executor());
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(serial_drift[i], pooled_drift[i]) << "step " << step << " i " << i;
@@ -227,7 +251,8 @@ TEST(VerletList, ShardedDriftIsBitwiseEqualToSerialAcrossRebuilds) {
 TEST(VerletList, ShardBoundsPartitionParticleIdOrder) {
   std::vector<Vec2> points = random_points(150, 9.0, 37);
   VerletListBackend backend;
-  backend.rebuild(points, 2.0);
+  Lanes lanes;
+  backend.rebuild(lanes.of(points), 2.0);
 
   for (const std::size_t shards : {1u, 3u, 8u}) {
     const auto bounds = backend.shard_bounds(shards);
@@ -237,9 +262,6 @@ TEST(VerletList, ShardBoundsPartitionParticleIdOrder) {
     EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
     EXPECT_LE(bounds.size() - 1, std::max<std::size_t>(shards, 1));
   }
-  // Identity shard order: shards walk particle ids directly, so the chunked
-  // drift kernel streams the CSR arrays sequentially.
-  EXPECT_TRUE(backend.shard_order().empty());
 }
 
 TEST(VerletList, ModeResolutionIsExhaustiveAndAutoNeverPicksVerlet) {

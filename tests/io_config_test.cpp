@@ -274,7 +274,13 @@ TEST(ConfigBuilder, InvalidInputsThrow) {
                sops::Error);
   EXPECT_THROW((void)build_experiment(Config::parse(
                    "types = 2\nr = 1 2 ; 3 1\n")),  // asymmetric
-               sops::Error);
+               sops::Error);  // The initial disc radius must be positive and finite.
+  for (const char* radius : {"0", "-3", "inf"}) {
+    EXPECT_THROW((void)build_experiment(Config::parse(
+                     std::string("init_radius = ") + radius + "\n")),
+                 sops::Error)
+        << radius;
+  }
 }
 
 TEST(ConfigBuilder, BuiltExperimentActuallyRuns) {
