@@ -289,7 +289,6 @@ void BM_StepEngineIntraStepPooled(benchmark::State& state) {
   sim::IntegratorParams params;
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
-  std::vector<std::uint64_t> noise_words;
   geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   support::TaskPool pool(step_threads);
   for (auto _ : state) {
@@ -297,7 +296,7 @@ void BM_StepEngineIntraStepPooled(benchmark::State& state) {
                           pool.executor());
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
     sim::apply_euler_maruyama_update(system, scratch, params, engine,
-                                     pool.executor(), &noise_words);
+                                     pool.executor());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["steps/sec"] =
@@ -442,7 +441,6 @@ double measure_intra_step_steps_per_sec(std::size_t n, std::size_t step_threads,
   sim::IntegratorParams params;
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
-  std::vector<std::uint64_t> noise_words;
   geom::NeighborBackend backend(geom::NeighborBackendKind::kCellGrid);
   std::optional<support::TaskPool> pool;
   support::SpawnExecutor spawn(step_threads);
@@ -454,8 +452,8 @@ double measure_intra_step_steps_per_sec(std::size_t n, std::size_t step_threads,
   const auto one_step = [&] {
     sim::accumulate_drift(system, table, 3.0, scratch, backend, executor);
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
-    sim::apply_euler_maruyama_update(system, scratch, params, engine, executor,
-                                     &noise_words);
+    sim::apply_euler_maruyama_update(system, scratch, params, engine,
+                                     executor);
   };
   const int warmup = 20;
   const int steps = n >= 16384 ? 150 : n >= 4096 ? 500 : 1500;

@@ -13,17 +13,31 @@
 
 namespace sops::rng {
 
-/// SplitMix64 — used only to expand a user seed into engine state.
+/// SplitMix64's state increment γ (the 64-bit golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64's output mix of one state word. Output k (k ≥ 1) of the
+/// generator seeded with s is splitmix64_mix(s + k·γ), so any output can be
+/// computed without its predecessors. A template so the lane code of the
+/// step noise (rng/step_noise.cpp) runs the same mix on vectors of words;
+/// force-inlined so those vectors never cross a call.
+template <typename Word>
+[[gnu::always_inline]] constexpr Word splitmix64_mix(Word z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// SplitMix64 — expands a user seed into engine state, and (by random
+/// access through splitmix64_mix) turns each integrator step's one engine
+/// word into every particle's noise uniforms (rng/step_noise.hpp).
 /// Passing the same input always yields the same output sequence.
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
+    return splitmix64_mix(state_ += kSplitMixGamma);
   }
 
  private:

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <numbers>
 
@@ -41,25 +40,15 @@ namespace sops::rng {
   }
 }
 
-/// The Box–Muller transform of two consecutive engine words — the
-/// arithmetic half of standard_normal(), for callers that draw the words
-/// first and transform them elsewhere (e.g. on other threads).
-[[nodiscard]] inline double standard_normal_of(std::uint64_t u_word,
-                                               std::uint64_t v_word) noexcept {
-  // u ∈ (0,1] to keep log(u) finite.
-  const double u = 1.0 - uniform01_of(u_word);
-  const double v = uniform01_of(v_word);
-  return std::sqrt(-2.0 * std::log(u)) *
-         std::cos(2.0 * std::numbers::pi * v);
-}
-
 /// Standard normal draw via Box–Muller (both values used alternately would
 /// require state; we deliberately spend two uniforms per normal to keep the
 /// sampler stateless and the draw count predictable).
 [[nodiscard]] inline double standard_normal(Xoshiro256& engine) noexcept {
-  const std::uint64_t u_word = engine();
-  const std::uint64_t v_word = engine();
-  return standard_normal_of(u_word, v_word);
+  // u ∈ (0,1] to keep log(u) finite.
+  const double u = 1.0 - uniform01(engine);
+  const double v = uniform01(engine);
+  return std::sqrt(-2.0 * std::log(u)) *
+         std::cos(2.0 * std::numbers::pi * v);
 }
 
 /// Normal draw with the given mean and standard deviation.
@@ -68,24 +57,14 @@ namespace sops::rng {
   return mean + stddev * standard_normal(engine);
 }
 
-/// Engine words one normal_vec2() draw consumes.
-inline constexpr std::size_t kNormalVec2Words = 4;
-
-/// normal_vec2() from its kNormalVec2Words engine words, in draw order.
-[[nodiscard]] inline geom::Vec2 normal_vec2_of(const std::uint64_t* words,
-                                               double stddev) noexcept {
-  const double x = standard_normal_of(words[0], words[1]);
-  const double y = standard_normal_of(words[2], words[3]);
-  return {stddev * x, stddev * y};
-}
-
-/// 2-D vector of i.i.d. N(0, stddev²) components — the noise term w of the
-/// paper's equation of motion.
+/// 2-D vector of i.i.d. N(0, stddev²) components, x drawn first. (The
+/// integrator's per-step noise is the counter-based stream of
+/// rng/step_noise.hpp, not this sampler.)
 [[nodiscard]] inline geom::Vec2 normal_vec2(Xoshiro256& engine,
                                             double stddev) noexcept {
-  std::uint64_t words[kNormalVec2Words];
-  for (std::uint64_t& word : words) word = engine();
-  return normal_vec2_of(words, stddev);
+  const double x = standard_normal(engine);
+  const double y = standard_normal(engine);
+  return {stddev * x, stddev * y};
 }
 
 /// Uniform point on the disc of given radius centered at the origin —

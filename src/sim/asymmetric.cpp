@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "rng/samplers.hpp"
-
 namespace sops::sim {
 
 bool FullMatrix::is_symmetric() const noexcept {
@@ -99,19 +97,7 @@ double euler_maruyama_step_asymmetric(ParticleSystem& system,
 
   accumulate_drift_asymmetric(system, model, cutoff_radius, drift_scratch);
   const double residual = total_drift_norm(drift_scratch);
-
-  const double noise_scale =
-      std::sqrt(params.dt) * std::sqrt(params.noise_variance);
-  const double max_step_sq =
-      params.max_step > 0.0 ? params.max_step * params.max_step : 0.0;
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    geom::Vec2 step = drift_scratch[i] * params.dt;
-    if (max_step_sq > 0.0 && geom::norm_sq(step) > max_step_sq) {
-      step *= params.max_step / geom::norm(step);
-    }
-    if (noise_scale > 0.0) step += rng::normal_vec2(engine, 1.0) * noise_scale;
-    system.translate(i, step);
-  }
+  apply_euler_maruyama_update(system, drift_scratch, params, engine);
   return residual;
 }
 

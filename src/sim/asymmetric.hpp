@@ -91,7 +91,8 @@ void accumulate_drift_asymmetric(const ParticleSystem& system,
                                  std::vector<geom::Vec2>& out);
 
 /// Euler–Maruyama step under an asymmetric model. Same contract as the
-/// symmetric euler_maruyama_step (returns the pre-step Σ‖drift‖).
+/// symmetric euler_maruyama_step (returns the pre-step Σ‖drift‖), and the
+/// same position update and step noise (apply_euler_maruyama_update).
 double euler_maruyama_step_asymmetric(ParticleSystem& system,
                                       const AsymmetricInteractionModel& model,
                                       double cutoff_radius,

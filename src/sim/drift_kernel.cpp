@@ -18,16 +18,10 @@
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
 
-// The AVX2 variants are plain C++ behind a per-function target attribute —
-// no separately-flagged translation unit, so no inline helper is ever
+// The AVX2 variants (SOPS_KERNEL_AVX2, support/simd.hpp) are plain C++
+// behind a per-function target attribute, so no inline helper is ever
 // compiled under AVX2 flags except where it is force-inlined into the
 // wrappers below (which only ever run behind the CPUID check).
-#if defined(SOPS_HAVE_VECTOR_EXT) && defined(SOPS_SIMD_DISPATCH_AVX2) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define SOPS_KERNEL_AVX2 1
-#else
-#define SOPS_KERNEL_AVX2 0
-#endif
 
 #if SOPS_KERNEL_AVX2
 #include <immintrin.h>

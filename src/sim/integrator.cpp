@@ -1,6 +1,8 @@
 #include "sim/integrator.hpp"
 
-#include "rng/samplers.hpp"
+#include <algorithm>
+
+#include "rng/step_noise.hpp"
 #include "support/parallel_for.hpp"
 
 namespace sops::sim {
@@ -24,8 +26,7 @@ void apply_euler_maruyama_update(ParticleSystem& system,
                                  std::span<const geom::Vec2> drift,
                                  const IntegratorParams& params,
                                  rng::Xoshiro256& engine,
-                                 support::Executor& executor,
-                                 std::vector<std::uint64_t>* noise_words) {
+                                 support::Executor& executor) {
   support::expect(params.dt > 0.0,
                   "apply_euler_maruyama_update: dt must be positive");
   support::expect(params.noise_variance >= 0.0,
@@ -37,39 +38,24 @@ void apply_euler_maruyama_update(ParticleSystem& system,
       std::sqrt(params.dt) * std::sqrt(params.noise_variance);
   const double max_step_sq =
       params.max_step > 0.0 ? params.max_step * params.max_step : 0.0;
-  const std::size_t n = system.size();
-
-  if (executor.width() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      geom::Vec2 step = drift_step(drift[i], params, max_step_sq);
-      if (noise_scale > 0.0) {
-        step += rng::normal_vec2(engine, 1.0) * noise_scale;
-      }
-      system.translate(i, step);
-    }
-    return;
-  }
-
-  // The engine is one serial stream, so only the draws stay serial: the
-  // words land in particle order, and the transcendental Box–Muller math
-  // (normal_vec2's own expressions, via normal_vec2_of) runs sharded.
-  std::vector<std::uint64_t> local_words;
-  std::vector<std::uint64_t>& words =
-      noise_words != nullptr ? *noise_words : local_words;
-  if (noise_scale > 0.0) {
-    words.resize(rng::kNormalVec2Words * n);
-    for (std::uint64_t& word : words) word = engine();
-  }
+  const bool noisy = noise_scale > 0.0;
+  // The step's one engine word keys every particle's noise, so each shard
+  // generates its own particles' noise and any partition gives the same bits.
+  const std::uint64_t key = noisy ? engine() : 0;
+  const rng::StepNoiseKernels& noise = rng::select_step_noise_kernels();
   support::parallel_for_chunked(
-      executor, 0, n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          geom::Vec2 step = drift_step(drift[i], params, max_step_sq);
-          if (noise_scale > 0.0) {
-            step += rng::normal_vec2_of(&words[rng::kNormalVec2Words * i],
-                                        1.0) *
-                    noise_scale;
+      executor, 0, system.size(), [&](std::size_t begin, std::size_t end) {
+        constexpr std::size_t kBlock = 256;
+        double xi_x[kBlock];
+        double xi_y[kBlock];
+        for (std::size_t b = begin; b < end; b += kBlock) {
+          const std::size_t m = std::min(kBlock, end - b);
+          if (noisy) noise.normal_pairs(key, b, m, xi_x, xi_y);
+          for (std::size_t j = 0; j < m; ++j) {
+            geom::Vec2 step = drift_step(drift[b + j], params, max_step_sq);
+            if (noisy) step += geom::Vec2{xi_x[j], xi_y[j]} * noise_scale;
+            system.translate(b + j, step);
           }
-          system.translate(i, step);
         }
       });
 }

@@ -3,10 +3,11 @@
 //   z_i(t+dt) = z_i(t) + dt · drift_i(t) + √dt · ς · ξ,  ξ ~ N(0, I₂),
 //
 // where ς² is the paper's noise variance (0.05 throughout its experiments).
+// ξ comes from the counter-based step noise of rng/step_noise.hpp: one
+// engine word per noisy step keys the noise of every particle.
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,21 +32,20 @@ struct IntegratorParams {
 };
 
 /// Applies the position update of one Euler–Maruyama step given the
-/// already-accumulated drift of the current configuration. Draws the noise
-/// from `engine` in particle order. Split out so the engine's stepping loop
-/// can share one drift computation between integration, recording, and
-/// equilibrium detection.
+/// already-accumulated drift of the current configuration. Split out so the
+/// engine's stepping loop can share one drift computation between
+/// integration, recording, and equilibrium detection.
 ///
-/// A width-1 `executor` draws and applies particle by particle. A wider one
-/// first draws the step's engine words serially, in that same order, into
-/// `noise_words` (a call-local buffer when null), then shards the Box–Muller
-/// transform and the position update over `executor`. Every position bit
-/// and the engine's final state are the same for every executor.
+/// A noisy step draws exactly one word from `engine`, the step key, and a
+/// noiseless one (√dt·ς = 0) draws none. Particle i's ξ is a pure function
+/// of (key, i) (rng/step_noise.hpp), so `executor` only decides which
+/// runner updates which particles: every position bit and the engine's
+/// final state are the same for every executor, and the same under the
+/// scalar, generic and AVX2 noise kernels.
 void apply_euler_maruyama_update(
     ParticleSystem& system, std::span<const geom::Vec2> drift,
     const IntegratorParams& params, rng::Xoshiro256& engine,
-    support::Executor& executor = support::serial_executor(),
-    std::vector<std::uint64_t>* noise_words = nullptr);
+    support::Executor& executor = support::serial_executor());
 
 /// One Euler–Maruyama step, in place. `drift_scratch` avoids per-step
 /// allocation; it is resized as needed. Returns the total drift norm

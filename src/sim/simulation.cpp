@@ -89,7 +89,7 @@ StreamedRun run_simulation_streamed(const SimulationConfig& config,
     if (t == config.steps || stop_now) break;
 
     apply_euler_maruyama_update(system, drift, config.integrator, engine,
-                                step_executor, &workspace.noise_words());
+                                step_executor);
 
     if (config.track_equilibrium) {
       const bool was_triggered = equilibrium.triggered();

@@ -1,7 +1,7 @@
 // Reusable per-run scratch state of the simulation engine.
 //
 // A workspace owns everything a run needs besides the configuration: the
-// drift and noise buffers, the persistent neighbor backend, the RNG engine,
+// drift buffer, the persistent neighbor backend, the RNG engine,
 // and — when the run's resolved policy shards steps — the persistent
 // TaskPool the per-step dispatches run on. One workspace serves many runs
 // back to back (the ensemble driver hands each worker thread one workspace
@@ -16,7 +16,6 @@
 // Not thread-safe: use one workspace per worker.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -57,12 +56,6 @@ class SimulationWorkspace {
   [[nodiscard]] std::vector<geom::Vec2>& drift() noexcept { return drift_; }
   [[nodiscard]] rng::Xoshiro256& engine() noexcept { return engine_; }
 
-  /// The engine-word buffer a sharded integration step draws its noise
-  /// into (see apply_euler_maruyama_update); 32 bytes per particle.
-  [[nodiscard]] std::vector<std::uint64_t>& noise_words() noexcept {
-    return noise_words_;
-  }
-
   /// Borrows an executor for the intra-step drift dispatch instead of the
   /// workspace sizing its own pool — the ensemble driver lends each sample
   /// worker a disjoint slice of the experiment's pool this way. Pass
@@ -83,7 +76,6 @@ class SimulationWorkspace {
 
  private:
   std::vector<geom::Vec2> drift_;
-  std::vector<std::uint64_t> noise_words_;
   std::optional<geom::NeighborBackend> backend_;
   std::optional<PairScalingTable> scaling_table_;
   rng::Xoshiro256 engine_{0};

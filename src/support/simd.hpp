@@ -29,6 +29,18 @@ typedef double v4d __attribute__((vector_size(32)));
 typedef long long v4m __attribute__((vector_size(32)));
 #endif
 
+// Whether this translation unit compiles the AVX2 kernel variants: plain
+// C++ behind a per-function target attribute (no separately-flagged
+// translation unit), selected at runtime by cpu_dispatch_avx2(). Only the
+// library's own sources see SOPS_SIMD_DISPATCH_AVX2 (CMake option
+// SOPS_SIMD_DISPATCH), so this is 0 everywhere else.
+#if defined(SOPS_HAVE_VECTOR_EXT) && defined(SOPS_SIMD_DISPATCH_AVX2) && \
+    (defined(__x86_64__) || defined(__i386__))
+#define SOPS_KERNEL_AVX2 1
+#else
+#define SOPS_KERNEL_AVX2 0
+#endif
+
 /// Which pair-kernel implementation accumulate_drift selects at runtime.
 enum class SimdPolicy {
   kAuto,    ///< vector kernels (best compiled ISA); the default

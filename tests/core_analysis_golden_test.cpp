@@ -4,7 +4,9 @@
 // same-type matcher, k-means coarse-graining, and the KSG estimator. The
 // values were captured from the cold-start ICP descent (every
 // correspondence query unbounded); warm-started queries must reproduce them
-// exactly. Any change here is a numerics change under the golden-pin policy.
+// exactly. Any change here is a numerics change under the golden-pin policy;
+// the t > 0 values were re-captured when the step noise became the
+// counter-based stream of rng/step_noise.hpp.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,8 +69,8 @@ TEST(AnalysisGolden, CoarseGrainedSpringCollective) {
       "steps = 50\nstride = 25\nseed = 1000\n",
       true, 12,
       {{0, 0x1.1b29ec4ebfe5ap-4},
-       {25, 0x1.18b30b71c7475p-1},
-       {50, 0x1.e0e8d4793e631p-9}});
+       {25, -0x1.a32ea904ded82p-5},
+       {50, 0x1.3e5123c995ec5p-2}});
 }
 
 // The paper's fig4 collective (n = 50, every particle an observer).
@@ -77,8 +79,8 @@ TEST(AnalysisGolden, Fig4Collective) {
       "preset = fig4\nsamples = 40\nsteps = 50\nstride = 25\nseed = 1000\n",
       false, 50,
       {{0, -0x1.e63c9067da297p-7},
-       {25, 0x1.67fafc33155f5p-2},
-       {50, 0x1.975ff3a4110bbp-1}});
+       {25, 0x1.62d910fdb9bbp-1},
+       {50, 0x1.3488840abcc7bp+0}});
 }
 
 }  // namespace

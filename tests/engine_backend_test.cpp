@@ -197,7 +197,10 @@ TEST(RecordingSteps, MatchesDriverGrid) {
 // The golden values below were captured from the pre-refactor engine (the
 // seed implementation with per-step index construction). The refactored
 // engine must reproduce them bit for bit: neighbor enumeration order, drift
-// summation order, and RNG draw order are all part of the contract.
+// summation order, and RNG draw order are all part of the contract. The
+// post-step values were re-captured once, deliberately, when the step noise
+// became the counter-based stream of rng/step_noise.hpp; the frame-0
+// residuals precede any noise and did not move.
 
 SimulationConfig golden_all_pairs_config() {
   SimulationConfig config(spring_model(1));
@@ -248,23 +251,23 @@ void expect_bitwise(const Trajectory& trajectory,
 
 TEST(GoldenTrajectory, AllPairsBitwiseStable) {
   const std::vector<Vec2> expected{
-      {0x1.1ef7ea1269a6cp-1, 0x1.039635f182f12p+0},
-      {0x1.b30772ec513c1p+0, -0x1.c15eb31a3c5a7p-3},
-      {0x1.93cbba609fbd4p+0, 0x1.10ac55839f08ap+0},
-      {0x1.21e39419821afp-1, 0x1.996c06222763ep+0},
-      {-0x1.aa53b88625095p-1, -0x1.f45420e80eb3ep-2},
-      {-0x1.f94ffbcabf7bdp-1, 0x1.397d89a52ab13p-1},
-      {0x1.402ffce3cfffp-2, -0x1.947adf570a67bp-1},
-      {0x1.2b4613ce2b995p+0, -0x1.a1f6fa7b962cp-1},
-      {-0x1.b28464bf6b676p-4, -0x1.38aaf89b5ba66p+0},
-      {-0x1.5e3609020d1f6p-1, 0x1.4cb344597857fp+0},
-      {0x1.2ef94d63d1f95p+0, 0x1.8f085cc91076ap-2},
-      {-0x1.36fb0a18c38acp-3, 0x1.1ff4014c50894p-2},
+      {0x1.9c9980bcd5a8ap-1, 0x1.091eb125c9356p+0},
+      {0x1.d42116b6638c4p+0, -0x1.5155a99c6557p-2},
+      {0x1.e3ab8e527dd6dp+0, 0x1.5fee028558952p-1},
+      {0x1.07a38c5194f22p+0, 0x1.ad9c9742f0f9bp+0},
+      {-0x1.d428992ff808ep-1, 0x1.5eb513067bea4p-7},
+      {-0x1.45f727793750ep-1, 0x1.a72cb38fc0558p-1},
+      {0x1.40135b238c13ap-2, -0x1.32676250f2ec8p+0},
+      {0x1.3bcd707bcb40dp+0, -0x1.e0633b2545fp-1},
+      {-0x1.0aee0c595395ep-2, -0x1.74caa118fa4e7p-1},
+      {-0x1.3ce4b33f486b2p-5, 0x1.69852a56f4816p+0},
+      {0x1.54966b4449822p+0, 0x1.1961aeaafb2ap-2},
+      {0x1.486bf3318c27bp-3, -0x1.955e77e99b73fp-4},
   };
   const std::vector<double> residuals{
-      0x1.0e6241ffbcadfp+7, 0x1.97f3f733159a7p+2, 0x1.bcd7a5d121048p+2,
-      0x1.6696580c56cbp+2,  0x1.86a5dc63f5533p+2, 0x1.209449f5953d2p+2,
-      0x1.28153089e6437p+2,
+      0x1.0e6241ffbcadfp+7, 0x1.2cfb2265d9a42p+2, 0x1.74443409ffedbp+2,
+      0x1.f2dbf278019b6p+1, 0x1.2eb6a8f1a694ep+2, 0x1.191c3991c5dccp+2,
+      0x1.e4a31c2d06d07p+1,
   };
   expect_bitwise(run_simulation(golden_all_pairs_config()), expected, residuals);
 }
@@ -275,9 +278,9 @@ TEST(GoldenTrajectory, CellGridBitwiseStable) {
   const Trajectory trajectory = run_simulation(golden_cell_grid_config());
   const std::vector<double> residuals{
       0x1.ef0063549657bp+9,
-      0x1.bc4ce24c0d49dp+10,
-      0x1.446a80132d5fp+10,
-      0x1.9e60dbdf36411p+10,
+      0x1.9c981accbd0b7p+10,
+      0x1.a74b8197d49efp+10,
+      0x1.2dd21dfa35bf8p+10,
   };
   ASSERT_EQ(trajectory.residual_norms.size(), residuals.size());
   for (std::size_t f = 0; f < residuals.size(); ++f) {
@@ -285,23 +288,23 @@ TEST(GoldenTrajectory, CellGridBitwiseStable) {
   }
   ASSERT_EQ(trajectory.frames.back().size(), 80u);
   EXPECT_EQ(trajectory.frames.back()[0],
-            (Vec2{-0x1.527a0b2e1c64ep+1, -0x1.2d79ca63a7c5bp+2}));
+            (Vec2{-0x1.1b79a87d122fp+1, -0x1.2b4e51ce1391fp+2}));
   EXPECT_EQ(trajectory.frames.back()[17],
-            (Vec2{0x1.427a2594312e5p+2, 0x1.d482d2ca92d0bp-1}));
+            (Vec2{0x1.5487af431447dp+2, 0x1.8009a91cd84b8p-1}));
   EXPECT_EQ(trajectory.frames.back()[40],
-            (Vec2{0x1.07a2fb4248dddp+0, 0x1.44ad91e17f0e2p-1}));
+            (Vec2{-0x1.101003ee4e1bfp+1, 0x1.346a580546cdcp+1}));
   EXPECT_EQ(trajectory.frames.back()[63],
-            (Vec2{0x1.1a1c2c8b3d239p-2, 0x1.1c71623d23537p+2}));
+            (Vec2{-0x1.560a313d58eafp+0, 0x1.c3c75c93679d2p+1}));
   EXPECT_EQ(trajectory.frames.back()[79],
-            (Vec2{-0x1.e9f1b0e9c2d86p+0, 0x1.09a31af750a8bp+2}));
+            (Vec2{-0x1.166b77f990bb6p+1, 0x1.838a90aa4439bp+1}));
   EXPECT_FALSE(trajectory.equilibrium_step.has_value());
 }
 
 TEST(GoldenTrajectory, DelaunayBitwiseStable) {
   const Trajectory trajectory = run_simulation(golden_delaunay_config());
   const std::vector<double> residuals{
-      0x1.2549eecdc823p+6,  0x1.1f4bfb2080183p+5, 0x1.8c1dacd14e873p+4,
-      0x1.3f6fec88b2745p+4, 0x1.26582d4d2b597p+4, 0x1.14ca330459fd1p+4,
+      0x1.2549eecdc823p+6,  0x1.1eb136220af03p+5, 0x1.77e275120e689p+4,
+      0x1.545665f153956p+4, 0x1.35e9aba02d2b1p+4, 0x1.218f520555d4cp+4,
   };
   ASSERT_EQ(trajectory.residual_norms.size(), residuals.size());
   for (std::size_t f = 0; f < residuals.size(); ++f) {
@@ -309,11 +312,11 @@ TEST(GoldenTrajectory, DelaunayBitwiseStable) {
   }
   ASSERT_EQ(trajectory.frames.back().size(), 30u);
   EXPECT_EQ(trajectory.frames.back()[0],
-            (Vec2{-0x1.a7975d073be9cp-1, -0x1.178f6300dba9ep+1}));
+            (Vec2{-0x1.2ce0bc62bc359p-1, -0x1.cb9285dc0e269p+0}));
   EXPECT_EQ(trajectory.frames.back()[15],
-            (Vec2{-0x1.0f159b7fe3df8p+2, 0x1.70e0de5b92894p+1}));
+            (Vec2{-0x1.05166d9a89a9ep+2, 0x1.83f4f8c560be4p+1}));
   EXPECT_EQ(trajectory.frames.back()[29],
-            (Vec2{-0x1.12079cdbf7bbfp-2, 0x1.ea0cb49d994bdp-1}));
+            (Vec2{-0x1.ab5108f56b9c8p-2, 0x1.a3421a91e1b1p-1}));
 }
 
 TEST(GoldenTrajectory, VerletSkinBitwiseStable) {
@@ -352,12 +355,12 @@ TEST(GoldenTrajectory, VerletSkinBitwiseStable) {
   spring_config.record_stride = 20;
   spring_config.seed = 23;
   check(spring_config,
-        {0x1.50043370bfd84p+7, 0x1.98f3650e95d1ep+5, 0x1.00e300e0c2d47p+6,
-         0x1.08d213723e928p+5},
-        {{0, Vec2{-0x1.0f45ddd5a940cp+0, 0x1.bdb22f90c5074p+0}},
-         {13, Vec2{-0x1.03cddfbe6e3fbp-1, 0x1.0e326dce5558bp+1}},
-         {26, Vec2{-0x1.d2d98c8643744p+1, -0x1.13c3c1309b778p+0}},
-         {39, Vec2{-0x1.62dc67e0713b5p+0, 0x1.600da468f72fbp-2}}});
+        {0x1.50043370bfd84p+7, 0x1.91e630678bdc2p+5, 0x1.bcf8f96d01e79p+5,
+         0x1.cfd8220dec69cp+4},
+        {{0, Vec2{-0x1.e22fd2c197p-1, 0x1.7e014053aa7e9p+0}},
+         {13, Vec2{-0x1.647f267efa7f8p-1, 0x1.ee462d39d2d62p+0}},
+         {26, Vec2{-0x1.ba087eb42cce6p+1, -0x1.8241b58cef8b3p+0}},
+         {39, Vec2{-0x1.b8003a3cb162dp+0, 0x1.b30c864a511ffp-1}}});
 
   InteractionModel gaussian(ForceLawKind::kDoubleGaussian, 2,
                             PairParams{5.0, 1.0, 1.0, 4.0});
@@ -371,12 +374,12 @@ TEST(GoldenTrajectory, VerletSkinBitwiseStable) {
   gaussian_config.record_stride = 10;
   gaussian_config.seed = 11;
   check(gaussian_config,
-        {0x1.d92a731943ab5p+11, 0x1.c25f4750b9bc8p+7, 0x1.c1f826a92cb58p+6,
-         0x1.6ba19bbc37881p+6, 0x1.5f7a7e380d455p+6},
-        {{0, Vec2{0x1.19629bd723cd2p+3, 0x1.19e16e9fb7f5ap+3}},
-         {21, Vec2{-0x1.659e9d1ca1cc3p+2, -0x1.295b2304d2ec7p+1}},
-         {38, Vec2{0x1.ab9fa452d175ep+1, -0x1.f2a2b924269dcp-2}},
-         {59, Vec2{-0x1.1d4cd2f402116p+0, 0x1.794172e98a876p+1}}});
+        {0x1.d92a731943ab5p+11, 0x1.c206c4c8cf457p+7, 0x1.c0f3e406a03ap+6,
+         0x1.663e4f47c467fp+6, 0x1.2f0019566b826p+6},
+        {{0, Vec2{0x1.0ade8d81cc79bp+3, 0x1.0f9e0ca7521cfp+3}},
+         {21, Vec2{-0x1.54e2b0166a343p+2, -0x1.939be992da2dep+0}},
+         {38, Vec2{0x1.ea6d4673a2cabp+1, -0x1.c9410ae742b3p-1}},
+         {59, Vec2{-0x1.3683390fd2faap+0, 0x1.79386a04bd846p+1}}});
 }
 
 TEST(GoldenEnsemble, StreamedExperimentBitwiseStable) {
@@ -394,21 +397,21 @@ TEST(GoldenEnsemble, StreamedExperimentBitwiseStable) {
       {0x1.398315231a5a5p+1, -0x1.838df774a3c54p+1},
       {-0x1.53280ab0162e8p+0, -0x1.5947af3243c01p+1},
       {-0x1.7ee1bad3bc8e3p+1, 0x1.4c2ce15bd4737p+1},
-      {0x1.0a5fb91cbc908p+2, 0x1.105e7c51eb708p+2},
-      {0x1.47c927a2ac31ap+2, 0x1.357598fbf1ef1p+1},
-      {0x1.65a0ed13f7db9p+0, -0x1.6f7973512e719p+2},
-      {-0x1.ce0d745ef57bp+0, -0x1.918d78705d808p+2},
-      {-0x1.2b8057e1d991ap+2, 0x1.45cc23c2ead86p+1},
-      {0x1.472d7aee81399p+2, 0x1.06153dda61745p+1},
-      {0x1.4a7fa99903729p+2, 0x1.1baf3f788fa1dp+1},
-      {0x1.eabd5b9ffda19p-1, -0x1.9fff980f49079p+2},
-      {-0x1.fd09a7717d036p+0, -0x1.ae102b6889e2fp+2},
-      {-0x1.55cb3cf5cb395p+2, 0x1.32ae2c65c7f74p+0},
-      {0x1.427a2594312e5p+2, 0x1.d482d2ca92d0bp-1},
-      {0x1.527d8b51186a1p+2, 0x1.e660acdfde172p+0},
-      {0x1.68bf0d2647b8ep-1, -0x1.bbf25e432426cp+2},
-      {-0x1.d9c73930a3427p+0, -0x1.a9b6321a22c37p+2},
-      {-0x1.482ad8e7f4ceap+2, 0x1.ccf8c404fd0a1p-1},
+      {0x1.ee64fad141485p+1, 0x1.2db568b148c96p+2},
+      {0x1.45aef60d09815p+2, 0x1.2c20f91570737p+1},
+      {0x1.2ebf0cbf4374ep+0, -0x1.5d1a55a26c5abp+2},
+      {-0x1.079b8eddce25p+1, -0x1.83b93f9950576p+2},
+      {-0x1.331cb6e46eb3ep+2, 0x1.5e1e107c1211dp+1},
+      {0x1.24bfa8c3a9d38p+2, 0x1.a6f821f623431p+1},
+      {0x1.59566cb4d2a26p+2, 0x1.cf878c425305ep+0},
+      {0x1.9a0293df3ac6cp-1, -0x1.a60ab0f18fb6fp+2},
+      {-0x1.febc87cc44d1ap+0, -0x1.c32cd2dab602ap+2},
+      {-0x1.84ffdb79c8c96p+2, 0x1.cd527d16bac41p+0},
+      {0x1.5487af431447dp+2, 0x1.8009a91cd84b8p-1},
+      {0x1.484c5ed7b0bf1p+2, 0x1.e9e333f6d49bbp-1},
+      {0x1.9d724b247f50fp-1, -0x1.cba17b600fa5fp+2},
+      {-0x1.fa806fdb23458p+0, -0x1.c883e3bb1cf34p+2},
+      {-0x1.a40fedb5becafp+2, 0x1.30cd17e5f833bp+0},
   };
   std::size_t probe = 0;
   for (std::size_t f = 0; f < series.frame_count(); ++f) {

@@ -1,11 +1,20 @@
-// RNG tests: determinism, stream independence, and sampler statistics.
+// RNG tests: determinism, stream independence, sampler statistics, and the
+// integrator's counter-based step noise (definition, bitwise parity of its
+// kernels, lane log/sincos accuracy, and N(0, I₂) statistics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
+#include "rng/step_noise.hpp"
+#include "support/simd.hpp"
 
 namespace {
 
@@ -186,6 +195,277 @@ TEST(UniformDisc, CentroidNearOrigin) {
   for (int i = 0; i < n; ++i) sum += sops::rng::uniform_disc(engine, 2.0);
   EXPECT_NEAR(sum.x / n, 0.0, 0.02);
   EXPECT_NEAR(sum.y / n, 0.0, 0.02);
+}
+
+// ------------------------------------------------------------ step noise
+
+using sops::rng::scalar_step_noise_kernels;
+using sops::rng::select_step_noise_kernels;
+using sops::rng::StepNoiseKernels;
+
+TEST(SplitMix64, RandomAccessMatchesSequence) {
+  SplitMix64 sequence(0xC0FFEEull);
+  for (std::uint64_t k = 1; k <= 100; ++k) {
+    EXPECT_EQ(sequence.next(), sops::rng::splitmix64_mix(
+                                   0xC0FFEEull + k * sops::rng::kSplitMixGamma));
+  }
+}
+
+// Distance in units in the last place between two finite doubles (+0 and
+// −0 are the same point).
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double x) {
+    const auto bits = std::bit_cast<std::int64_t>(x);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return static_cast<std::uint64_t>(d < 0 ? -d : d);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+struct Pairs {
+  std::vector<double> x;
+  std::vector<double> y;
+};
+
+Pairs step_noise(const StepNoiseKernels& kernels, std::uint64_t key,
+                 std::size_t first, std::size_t count) {
+  Pairs out{std::vector<double>(count), std::vector<double>(count)};
+  kernels.normal_pairs(key, first, count, out.x.data(), out.y.data());
+  return out;
+}
+
+// The kernels the SIMD policy selects: AVX2 where the build carries it and
+// the CPU has it, else the generic vector build (the only vector tier of a
+// -DSOPS_SIMD_DISPATCH=OFF build).
+const StepNoiseKernels& simd_step_noise_kernels() {
+  sops::support::set_simd_policy(sops::support::SimdPolicy::kSimd);
+  const StepNoiseKernels& kernels = select_step_noise_kernels();
+  sops::support::set_simd_policy(sops::support::SimdPolicy::kAuto);
+  return kernels;
+}
+
+TEST(StepNoise, IsPairedBoxMullerOfSplitMix64Outputs) {
+  // Particle i takes outputs 2i+1 (u = 1 − U) and 2i+2 (v = U) of the key's
+  // SplitMix64 sequence; libm's Box–Muller of them agrees to rounding.
+  const std::uint64_t key = 0x243F6A8885A308D3ull;
+  const Pairs noise = step_noise(scalar_step_noise_kernels(), key, 0, 1000);
+  SplitMix64 sequence(key);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const double u = 1.0 - sops::rng::uniform01_of(sequence.next());
+    const double v = sops::rng::uniform01_of(sequence.next());
+    const double r = std::sqrt(-2.0 * std::log(u));
+    EXPECT_NEAR(noise.x[i], r * std::cos(2.0 * std::numbers::pi * v),
+                1e-14 * std::max(1.0, r))
+        << i;
+    EXPECT_NEAR(noise.y[i], r * std::sin(2.0 * std::numbers::pi * v),
+                1e-14 * std::max(1.0, r))
+        << i;
+  }
+}
+
+TEST(StepNoise, BitwiseAcrossKernelsAndPartitions) {
+  const StepNoiseKernels& scalar = scalar_step_noise_kernels();
+  const StepNoiseKernels& simd = simd_step_noise_kernels();
+  EXPECT_NE(&simd, &scalar);
+  Xoshiro256 keys(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint64_t key = keys();
+    const std::size_t count = 1001;
+    const Pairs whole = step_noise(scalar, key, 0, count);
+    const Pairs vector = step_noise(simd, key, 0, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(same_bits(whole.x[i], vector.x[i])) << trial << " " << i;
+      ASSERT_TRUE(same_bits(whole.y[i], vector.y[i])) << trial << " " << i;
+    }
+    // Any cut into ranges (odd offsets, partial lane blocks) is the same
+    // function of (key, i).
+    for (std::size_t first = 0; first < count;) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + sops::rng::uniform_index(keys, 37),
+                                count - first);
+      const StepNoiseKernels& kernels = (first % 2 == 0) ? simd : scalar;
+      const Pairs part = step_noise(kernels, key, first, len);
+      for (std::size_t j = 0; j < len; ++j) {
+        ASSERT_TRUE(same_bits(part.x[j], whole.x[first + j])) << first + j;
+        ASSERT_TRUE(same_bits(part.y[j], whole.y[first + j])) << first + j;
+      }
+      first += len;
+    }
+  }
+  // Extreme keys and particle indices wrap the counter like any other.
+  for (const std::uint64_t key : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+    const std::size_t first = std::size_t{1} << 62;
+    const Pairs a = step_noise(scalar, key, first, 9);
+    const Pairs b = step_noise(simd, key, first, 9);
+    for (std::size_t j = 0; j < 9; ++j) {
+      EXPECT_TRUE(same_bits(a.x[j], b.x[j]) && same_bits(a.y[j], b.y[j]));
+      EXPECT_TRUE(std::isfinite(a.x[j]) && std::isfinite(a.y[j]));
+    }
+  }
+}
+
+TEST(StepNoise, LaneLogWithinTwoUlpOfStdLog) {
+  // The transform's u: 10⁶ draws of 1 − U ∈ (0, 1], the edges u = 1 and
+  // u = 2⁻⁵³, and positive normals across the exponent range.
+  std::vector<double> in{1.0, 0x1p-53, 0.5, 2.0, std::nextafter(1.0, 0.0),
+                         std::nextafter(1.0, 2.0), 0x1.6a09e667f3bcdp-1,
+                         0x1.6a09e667f3bccp-1, 0x1p-1022, 0x1.fffffffffffffp+1023};
+  Xoshiro256 engine(43);
+  for (int i = 0; i < 1000000; ++i) {
+    in.push_back(1.0 - sops::rng::uniform01(engine));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const int exponent =
+        static_cast<int>(sops::rng::uniform_index(engine, 2045)) - 1022;
+    in.push_back(std::ldexp(1.0 + sops::rng::uniform01(engine), exponent));
+  }
+  std::vector<double> scalar_out(in.size());
+  std::vector<double> simd_out(in.size());
+  scalar_step_noise_kernels().log(in.data(), scalar_out.data(), in.size());
+  simd_step_noise_kernels().log(in.data(), simd_out.data(), in.size());
+  EXPECT_TRUE(same_bits(scalar_out[0], 0.0));  // ln 1 = +0 exactly
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_TRUE(same_bits(scalar_out[i], simd_out[i])) << std::hexfloat << in[i];
+    ASSERT_LE(ulp_distance(scalar_out[i], std::log(in[i])), 2u)
+        << std::hexfloat << in[i];
+  }
+}
+
+TEST(StepNoise, LaneSincosWithinTwoUlpOfStdSinCos) {
+  // The transform's v: 10⁶ draws of U ∈ [0, 1), every octant boundary k/8,
+  // and 1 − 2⁻⁵³. The reference evaluates std::sin/std::cos in long double
+  // on the exactly reduced argument: sin 2πv = sin(2πw + qπ/2) with
+  // q = rint(4v), w = v − q/4 — without the reduction, rounding 2πv itself
+  // swamps the value near v = 1/2 and v = 1.
+  std::vector<double> in;
+  for (int k = 0; k <= 8; ++k) in.push_back(k / 8.0);
+  in.push_back(1.0 - 0x1p-53);
+  in.push_back(0x1p-53);
+  in.push_back(0.5 - 0x1p-54);
+  Xoshiro256 engine(47);
+  for (int i = 0; i < 1000000; ++i) in.push_back(sops::rng::uniform01(engine));
+  const std::size_t n = in.size();
+  std::vector<double> sin_scalar(n), cos_scalar(n), sin_simd(n), cos_simd(n);
+  scalar_step_noise_kernels().sincos_2pi(in.data(), sin_scalar.data(),
+                                         cos_scalar.data(), n);
+  simd_step_noise_kernels().sincos_2pi(in.data(), sin_simd.data(),
+                                       cos_simd.data(), n);
+  constexpr long double kTwoPi = 2.0L * std::numbers::pi_v<long double>;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = in[i];
+    ASSERT_TRUE(same_bits(sin_scalar[i], sin_simd[i])) << std::hexfloat << v;
+    ASSERT_TRUE(same_bits(cos_scalar[i], cos_simd[i])) << std::hexfloat << v;
+    const double q = std::nearbyint(4.0 * v);
+    const long double theta = kTwoPi * static_cast<long double>(v - q / 4.0);
+    const long double s = std::sin(theta);
+    const long double c = std::cos(theta);
+    long double sin_ref = s;
+    long double cos_ref = c;
+    switch (static_cast<int>(q) % 4) {
+      case 1: sin_ref = c; cos_ref = -s; break;
+      case 2: sin_ref = -s; cos_ref = -c; break;
+      case 3: sin_ref = -c; cos_ref = s; break;
+      default: break;
+    }
+    ASSERT_LE(ulp_distance(sin_scalar[i], static_cast<double>(sin_ref)), 2u)
+        << std::hexfloat << v;
+    ASSERT_LE(ulp_distance(cos_scalar[i], static_cast<double>(cos_ref)), 2u)
+        << std::hexfloat << v;
+  }
+  // Quadrant points are exact.
+  EXPECT_EQ(sin_scalar[2], 1.0);   // v = 1/4
+  EXPECT_EQ(cos_scalar[4], -1.0);  // v = 1/2
+  EXPECT_EQ(sin_scalar[6], -1.0);  // v = 3/4
+  EXPECT_EQ(cos_scalar[8], 1.0);   // v = 1
+}
+
+// One step key per step from an engine, n particles per step.
+std::vector<Pairs> noise_steps(std::size_t steps, std::size_t n) {
+  Xoshiro256 engine = sops::rng::make_stream(2012, 6);
+  std::vector<Pairs> out;
+  for (std::size_t t = 0; t < steps; ++t) {
+    out.push_back(step_noise(select_step_noise_kernels(), engine(), 0, n));
+  }
+  return out;
+}
+
+TEST(StepNoise, MomentsMatchStandardNormal) {
+  const std::vector<Pairs> steps = noise_steps(20, 20000);
+  double n = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (const Pairs& step : steps) {
+    for (const std::vector<double>* component : {&step.x, &step.y}) {
+      for (const double z : *component) {
+        n += 1.0;
+        m1 += z;
+        m2 += z * z;
+        m3 += z * z * z;
+        m4 += z * z * z * z;
+      }
+    }
+  }
+  // Standard errors at n = 8·10⁵: mean 1/√n, variance √(2/n), third moment
+  // √(15/n), fourth √(96/n); the bounds are ≈ 5 of them.
+  EXPECT_NEAR(m1 / n, 0.0, 0.006);
+  EXPECT_NEAR(m2 / n, 1.0, 0.008);
+  EXPECT_NEAR(m3 / n, 0.0, 0.022);
+  EXPECT_NEAR(m4 / n, 3.0, 0.055);
+}
+
+TEST(StepNoise, KolmogorovSmirnovAgainstPhi) {
+  const std::vector<Pairs> steps = noise_steps(2, 50000);
+  for (const Pairs& step : steps) {
+    for (const std::vector<double>* component : {&step.x, &step.y}) {
+      std::vector<double> z = *component;
+      std::sort(z.begin(), z.end());
+      const double n = static_cast<double>(z.size());
+      double d = 0.0;
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        const double phi = 0.5 * std::erfc(-z[i] / std::numbers::sqrt2);
+        d = std::max({d, phi - static_cast<double>(i) / n,
+                      static_cast<double>(i + 1) / n - phi});
+      }
+      // The α = 0.001 critical value of the one-sample KS statistic.
+      EXPECT_LT(d, 1.95 / std::sqrt(n));
+    }
+  }
+}
+
+TEST(StepNoise, ComponentsNeighboursAndStepsUncorrelated) {
+  const std::size_t n = 20000;
+  const std::vector<Pairs> steps = noise_steps(10, n);
+  const auto correlation = [](const std::vector<double>& a,
+                              const std::vector<double>& b) {
+    double sab = 0.0, saa = 0.0, sbb = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sab += a[i] * b[i];
+      saa += a[i] * a[i];
+      sbb += b[i] * b[i];
+    }
+    return sab / std::sqrt(saa * sbb);
+  };
+  // The standard error of a null correlation over m pairs is 1/√m.
+  const double bound = 5.0 / std::sqrt(static_cast<double>(n));
+  for (std::size_t t = 0; t < steps.size(); ++t) {
+    const Pairs& s = steps[t];
+    EXPECT_NEAR(correlation(s.x, s.y), 0.0, bound) << "x–y, step " << t;
+    const std::vector<double> x_next(s.x.begin() + 1, s.x.end());
+    const std::vector<double> x_prev(s.x.begin(), s.x.end() - 1);
+    const std::vector<double> y_next(s.y.begin() + 1, s.y.end());
+    const std::vector<double> y_prev(s.y.begin(), s.y.end() - 1);
+    EXPECT_NEAR(correlation(x_prev, x_next), 0.0, bound) << "i, i+1 x " << t;
+    EXPECT_NEAR(correlation(y_prev, y_next), 0.0, bound) << "i, i+1 y " << t;
+    EXPECT_NEAR(correlation(x_prev, y_next), 0.0, bound) << "i, i+1 xy " << t;
+    if (t > 0) {
+      EXPECT_NEAR(correlation(steps[t - 1].x, s.x), 0.0, bound)
+          << "steps " << t - 1 << ", " << t;
+      EXPECT_NEAR(correlation(steps[t - 1].y, s.y), 0.0, bound)
+          << "steps " << t - 1 << ", " << t;
+    }
+  }
 }
 
 }  // namespace

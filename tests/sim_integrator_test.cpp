@@ -8,9 +8,11 @@
 
 #include "geom/rigid_transform.hpp"
 #include "rng/samplers.hpp"
+#include "rng/step_noise.hpp"
 #include "sim/integrator.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/simd.hpp"
 
 namespace {
 
@@ -169,7 +171,7 @@ TEST(Integrator, InvalidParamsThrow) {
 
 TEST(Integrator, NoiseDrawsAreSequencedPerParticle) {
   // Two identical engines must produce identical trajectories when stepping
-  // the same system — the per-particle draw order is part of the contract
+  // the same system — the step noise is part of the contract
   // (reproducibility does not depend on neighbor strategy or thread count).
   const InteractionModel model = spring_model(1.0, 2.0);
   IntegratorParams params;
@@ -194,9 +196,9 @@ TEST(Integrator, NoiseDrawsAreSequencedPerParticle) {
   }
 }
 
-// The sharded update (engine words drawn serially, transform and position
-// update sharded) against the 4-argument serial form: every position bit
-// and the engine's next draw must agree at every width.
+// The update at executor widths 1–5, under the scalar and the SIMD noise
+// kernels, against the 4-argument serial form: every position bit and the
+// engine's next draw must agree.
 TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
   sops::rng::Xoshiro256 setup(31);
   std::vector<Vec2> positions;
@@ -215,37 +217,78 @@ TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
   noisy.noise_variance = 0.05;
   noisy.max_step = 0.5;
   for (const IntegratorParams& params : {noisy, no_noise()}) {
+    sops::support::set_simd_policy(sops::support::SimdPolicy::kScalar);
     ParticleSystem serial(positions, types);
     sops::rng::Xoshiro256 serial_engine(77);
     for (int step = 0; step < 3; ++step) {
       sops::sim::apply_euler_maruyama_update(serial, drift, params,
                                              serial_engine);
     }
-    for (std::size_t width = 1; width <= 4; ++width) {
-      sops::support::TaskPool pool(width);
-      std::vector<std::uint64_t> words;
-      ParticleSystem sharded(positions, types);
-      sops::rng::Xoshiro256 engine(77);
-      for (int step = 0; step < 3; ++step) {
-        sops::sim::apply_euler_maruyama_update(sharded, drift, params, engine,
-                                               pool.executor(), &words);
+    for (const auto policy : {sops::support::SimdPolicy::kScalar,
+                              sops::support::SimdPolicy::kSimd}) {
+      sops::support::set_simd_policy(policy);
+      for (std::size_t width = 1; width <= 5; ++width) {
+        sops::support::TaskPool pool(width);
+        ParticleSystem sharded(positions, types);
+        sops::rng::Xoshiro256 engine(77);
+        for (int step = 0; step < 3; ++step) {
+          sops::sim::apply_euler_maruyama_update(sharded, drift, params,
+                                                 engine, pool.executor());
+        }
+        for (std::size_t i = 0; i < positions.size(); ++i) {
+          ASSERT_EQ(sharded.position(i), serial.position(i))
+              << "width " << width << " particle " << i;
+        }
+        sops::rng::Xoshiro256 serial_next = serial_engine;
+        EXPECT_EQ(engine(), serial_next()) << "width " << width;
       }
-      for (std::size_t i = 0; i < positions.size(); ++i) {
-        ASSERT_EQ(sharded.position(i), serial.position(i))
-            << "width " << width << " particle " << i;
-      }
-      sops::rng::Xoshiro256 serial_next = serial_engine;
-      EXPECT_EQ(engine(), serial_next()) << "width " << width;
     }
   }
-  // Zero noise draws nothing: the engine is left untouched.
-  ParticleSystem quiet(positions, types);
-  sops::rng::Xoshiro256 engine(5);
-  sops::rng::Xoshiro256 untouched(5);
-  sops::support::TaskPool pool(4);
-  sops::sim::apply_euler_maruyama_update(quiet, drift, no_noise(), engine,
-                                         pool.executor());
-  EXPECT_EQ(engine(), untouched());
+  sops::support::set_simd_policy(sops::support::SimdPolicy::kAuto);
+}
+
+TEST(Integrator, EngineAdvancesOneWordPerNoisyStepAndNonePerQuiet) {
+  ParticleSystem system({{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 2}},
+                        {0, 0, 0, 0, 0});
+  const std::vector<Vec2> drift(system.size(), Vec2{0.25, -0.5});
+  IntegratorParams noisy;
+  sops::rng::Xoshiro256 engine(9);
+  sops::rng::Xoshiro256 shadow(9);
+  sops::support::TaskPool pool(3);
+  for (int step = 0; step < 4; ++step) {
+    sops::sim::apply_euler_maruyama_update(system, drift, noisy, engine,
+                                           pool.executor());
+    (void)shadow();
+    sops::sim::apply_euler_maruyama_update(system, drift, no_noise(), engine);
+    sops::rng::Xoshiro256 probe = engine;
+    sops::rng::Xoshiro256 shadow_probe = shadow;
+    EXPECT_EQ(probe(), shadow_probe()) << "step " << step;
+  }
+}
+
+TEST(Integrator, NoiseIsTheStepKeysCounterStream) {
+  // Zero drift: each particle moves by exactly √dt·ς·ξ_i, with ξ the step
+  // noise of the engine's next word at particle i.
+  std::vector<Vec2> positions;
+  for (int i = 0; i < 37; ++i) positions.push_back({0.5 * i, -0.25 * i});
+  ParticleSystem system(positions,
+                        std::vector<sops::sim::TypeId>(positions.size(), 0));
+  const std::vector<Vec2> drift(positions.size(), Vec2{});
+  IntegratorParams params;
+  sops::rng::Xoshiro256 engine(123);
+  sops::rng::Xoshiro256 peek = engine;
+  const std::uint64_t key = peek();
+  std::vector<double> xi_x(positions.size());
+  std::vector<double> xi_y(positions.size());
+  sops::rng::scalar_step_noise_kernels().normal_pairs(
+      key, 0, positions.size(), xi_x.data(), xi_y.data());
+  sops::sim::apply_euler_maruyama_update(system, drift, params, engine);
+  const double scale =
+      std::sqrt(params.dt) * std::sqrt(params.noise_variance);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const Vec2 expected = positions[i] + Vec2{xi_x[i], xi_y[i]} * scale;
+    EXPECT_EQ(system.position(i), expected) << i;
+  }
 }
 
 }  // namespace
