@@ -77,7 +77,9 @@ void check_type_histograms(std::span<const sim::TypeId> a,
 }
 
 // One ICP descent from the given initial rotation (about the source
-// centroid). Returns the final transform and MSE.
+// centroid). Returns the final transform and MSE. A descent that reaches
+// max_iterations evaluates its last fit once more, so the MSE it returns is
+// that fit's own.
 IcpResult icp_descent(std::span<const geom::Vec2> source,
                       std::span<const sim::TypeId> source_types,
                       const IcpReference& reference, double initial_angle,
@@ -93,8 +95,7 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
   std::vector<geom::Vec2> moved(source.size());
   std::vector<geom::Vec2> matched(source.size());
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
+  for (std::size_t iter = 0;; ++iter) {
     for (std::size_t i = 0; i < source.size(); ++i) {
       moved[i] = current.apply(source[i]);
     }
@@ -113,6 +114,11 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
     }
     mse /= static_cast<double>(source.size());
 
+    if (iter == options.max_iterations) {
+      result.mean_squared_error = mse;
+      break;
+    }
+    result.iterations = iter + 1;
     if (mse >= result.mean_squared_error - options.convergence_tolerance) {
       result.mean_squared_error = std::min(mse, result.mean_squared_error);
       break;

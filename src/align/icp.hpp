@@ -42,8 +42,9 @@ struct IcpOptions {
 /// Result of aligning a source configuration onto a target.
 struct IcpResult {
   geom::RigidTransform2 transform;   ///< apply to source to match target
-  /// Least NN MSE in the plane among the winning restart's evaluations.
-  /// At max_iterations, `transform` is the fit made after the last one.
+  /// NN MSE in the plane of the winning restart. A converged descent
+  /// reports the least MSE among its evaluations; one that reaches
+  /// max_iterations evaluates its final fit and reports that fit's MSE.
   double mean_squared_error = 0.0;
   std::size_t iterations = 0;        ///< iterations of the winning restart
 };

@@ -481,7 +481,7 @@ TEST(Icp, WarmStartedDescentMatchesColdOracleUnderTies) {
 // its last evaluated MSE, so the pair (transform, MSE) is one fit apart.
 // Pinned at max_iterations = 1 with the identity start: the MSE is that of
 // the unmoved source, the transform the first fit to its correspondences.
-TEST(Icp, IterationCapReturnsTheFitAfterTheLastEvaluatedMse) {
+TEST(Icp, IterationCapReturnsTheFinalFitWithItsOwnMse) {
   const Cloud target = make_cloud(40, 3, 5);
   const std::vector<Vec2> source =
       RigidTransform2{0.3, {0.4, -0.2}}.apply(target.points);
@@ -491,32 +491,36 @@ TEST(Icp, IterationCapReturnsTheFitAfterTheLastEvaluatedMse) {
   options.rotation_restarts = 1;  // initial angle 0: moved == source
   const IcpResult result = align_icp(source, target.types, reference, options);
 
+  // The one iteration: match the unmoved source, fit.
   std::vector<Vec2> matched(source.size());
-  double mse = 0.0;
+  double first_mse = 0.0;
   for (std::size_t i = 0; i < source.size(); ++i) {
     matched[i] = reference.nearest(source[i], target.types[i]).point;
-    mse += sops::geom::dist_sq(source[i], matched[i]);
+    first_mse += sops::geom::dist_sq(source[i], matched[i]);
   }
-  mse /= static_cast<double>(source.size());
+  first_mse /= static_cast<double>(source.size());
   const RigidTransform2 fit = sops::geom::fit_rigid(source, matched);
+  // That fit's own MSE, evaluated as the descent does.
+  double fit_mse = 0.0;
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const Vec2 moved = fit.apply(source[i]);
+    fit_mse += sops::geom::dist_sq(
+        moved, reference.nearest(moved, target.types[i]).point);
+  }
+  fit_mse /= static_cast<double>(source.size());
 
   EXPECT_EQ(result.iterations, 1u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.mean_squared_error),
-            std::bit_cast<std::uint64_t>(mse));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(result.transform.angle),
             std::bit_cast<std::uint64_t>(fit.angle));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(result.transform.translation.x),
             std::bit_cast<std::uint64_t>(fit.translation.x));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(result.transform.translation.y),
             std::bit_cast<std::uint64_t>(fit.translation.y));
-  // The returned transform moves the source closer than the reported MSE.
-  double fitted_mse = 0.0;
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    const Vec2 moved = fit.apply(source[i]);
-    fitted_mse += sops::geom::dist_sq(
-        moved, reference.nearest(moved, target.types[i]).point);
-  }
-  EXPECT_LT(fitted_mse / static_cast<double>(source.size()), mse);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.mean_squared_error),
+            std::bit_cast<std::uint64_t>(fit_mse));
+  // The fit improved on the unmoved source, so the two MSEs differ: the
+  // result really reports the final fit's, not the last pre-fit evaluation.
+  EXPECT_LT(fit_mse, first_mse);
 }
 
 // Square and sheared-triangular lattices on dyadic coordinates: lattice
