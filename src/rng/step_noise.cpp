@@ -17,9 +17,8 @@ namespace {
 // on four; each op is the same IEEE (or exact integer) operation either
 // way, which is the whole bitwise contract. Force-inlined so the vector
 // instantiations code-generate under the AVX2 wrappers' target ISA.
-#define SOPS_LANE [[gnu::always_inline]] inline
 
-[[gnu::always_inline]] inline double lane_sqrt(double x) {
+__attribute__((always_inline)) inline double lane_sqrt(double x) {
   return std::sqrt(x);
 }
 
@@ -28,7 +27,7 @@ using support::kSimdWidth;
 using support::v4d;
 typedef std::uint64_t v4w __attribute__((vector_size(32)));
 
-[[gnu::always_inline]] inline v4d lane_sqrt(v4d x) {
+__attribute__((always_inline)) inline v4d lane_sqrt(v4d x) {
   for (std::size_t l = 0; l < kSimdWidth; ++l) x[l] = std::sqrt(x[l]);
   return x;
 }
@@ -39,7 +38,7 @@ typedef std::uint64_t v4w __attribute__((vector_size(32)));
 // 32-bit halves each become an exact double through a magic exponent, and
 // their sum is exact because it is an integer below 2⁵³.
 template <typename D, typename W>
-SOPS_LANE D exact_double_below_2p53(W m) {
+__attribute__((always_inline)) inline D exact_double_below_2p53(W m) {
   const D hi = std::bit_cast<D>((m >> 32) | 0x4530000000000000ull) - 0x1p84;
   const D lo =
       std::bit_cast<D>((m & 0xFFFFFFFFull) | 0x4330000000000000ull) - 0x1p52;
@@ -48,7 +47,7 @@ SOPS_LANE D exact_double_below_2p53(W m) {
 
 // uniform01_of on lanes: the top 53 bits of a word, as a multiple of 2⁻⁵³.
 template <typename D, typename W>
-SOPS_LANE D uniform53(W word) {
+__attribute__((always_inline)) inline D uniform53(W word) {
   return exact_double_below_2p53<D>(word >> 11) * 0x1p-53;
 }
 
@@ -58,7 +57,7 @@ SOPS_LANE D uniform53(W word) {
 // error below 1 ulp. k converts through the 1.5·2⁵² magic (exact for
 // |k| < 2⁵¹), again because AVX2 lacks a 64-bit integer conversion.
 template <typename D, typename W>
-SOPS_LANE D lane_log(D x) {
+__attribute__((always_inline)) inline D lane_log(D x) {
   constexpr double kLn2Hi = 0x1.62e42feep-1;
   constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
   constexpr double kLg1 = 0x1.5555555555593p-1;
@@ -94,7 +93,8 @@ SOPS_LANE D lane_log(D x) {
 // fdlibm's sin/cos kernels (musl's __sin/__cos, below 1 ulp on this range)
 // take both. The quadrant swaps and negates the pair by bit operations.
 template <typename D, typename W>
-SOPS_LANE void lane_sincos_2pi(D v, D& sin_out, D& cos_out) {
+__attribute__((always_inline)) inline void lane_sincos_2pi(D v, D& sin_out,
+                                                          D& cos_out) {
   constexpr double kTwoPi = 0x1.921fb54442d18p+2;
   constexpr double kTwoPiTail = 0x1.1a62633145c07p-52;  // 2π − kTwoPi
   constexpr double kSplit = 0x1.0000002p+27;            // 2²⁷ + 1
@@ -152,7 +152,8 @@ SOPS_LANE void lane_sincos_2pi(D v, D& sin_out, D& cos_out) {
 // ξ of one particle (one lane per particle) whose first uniform's SplitMix64
 // state word is `state` (key + (2i+1)·γ; the second is one γ further).
 template <typename D, typename W>
-SOPS_LANE void lane_normal_pair(W state, D& x, D& y) {
+__attribute__((always_inline)) inline void lane_normal_pair(W state, D& x,
+                                                           D& y) {
   const D u = 1.0 - uniform53<D>(splitmix64_mix(state));
   const D v = uniform53<D>(splitmix64_mix(state + kSplitMixGamma));
   D sin_2pi_v;
@@ -198,13 +199,14 @@ void sincos_2pi_scalar(const double* v, double* sin_out, double* cos_out,
 // lanes (a lane depends on nothing but its own input) and stores only the
 // live ones.
 
-SOPS_LANE void store_lanes(v4d value, double* out, std::size_t lanes) {
+__attribute__((always_inline)) inline void store_lanes(v4d value, double* out,
+                                                      std::size_t lanes) {
   std::memcpy(out, &value, lanes * sizeof(double));
 }
 
-SOPS_LANE void normal_pairs_vector_body(std::uint64_t key, std::size_t first,
-                                        std::size_t count, double* x,
-                                        double* y) {
+__attribute__((always_inline)) inline void normal_pairs_vector_body(
+    std::uint64_t key, std::size_t first, std::size_t count, double* x,
+    double* y) {
   constexpr std::uint64_t g = kSplitMixGamma;
   v4w state = first_state(key, first) + v4w{0, 2 * g, 4 * g, 6 * g};
   for (std::size_t j = 0; j < count; j += kSimdWidth) {
@@ -218,8 +220,9 @@ SOPS_LANE void normal_pairs_vector_body(std::uint64_t key, std::size_t first,
   }
 }
 
-SOPS_LANE void log_vector_body(const double* in, double* out,
-                               std::size_t count) {
+__attribute__((always_inline)) inline void log_vector_body(const double* in,
+                                                          double* out,
+                                                          std::size_t count) {
   for (std::size_t j = 0; j < count; j += kSimdWidth) {
     const std::size_t lanes = std::min(kSimdWidth, count - j);
     v4d xv = {1.0, 1.0, 1.0, 1.0};
@@ -228,8 +231,8 @@ SOPS_LANE void log_vector_body(const double* in, double* out,
   }
 }
 
-SOPS_LANE void sincos_2pi_vector_body(const double* v, double* sin_out,
-                                      double* cos_out, std::size_t count) {
+__attribute__((always_inline)) inline void sincos_2pi_vector_body(
+    const double* v, double* sin_out, double* cos_out, std::size_t count) {
   for (std::size_t j = 0; j < count; j += kSimdWidth) {
     const std::size_t lanes = std::min(kSimdWidth, count - j);
     v4d vv = {0.0, 0.0, 0.0, 0.0};
@@ -280,8 +283,6 @@ __attribute__((target("avx2"))) void sincos_2pi_avx2(const double* v,
 #endif  // SOPS_KERNEL_AVX2
 
 #endif  // SOPS_HAVE_VECTOR_EXT
-
-#undef SOPS_LANE
 
 }  // namespace
 

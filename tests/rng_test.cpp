@@ -206,8 +206,8 @@ using sops::rng::StepNoiseKernels;
 TEST(SplitMix64, RandomAccessMatchesSequence) {
   SplitMix64 sequence(0xC0FFEEull);
   for (std::uint64_t k = 1; k <= 100; ++k) {
-    EXPECT_EQ(sequence.next(), sops::rng::splitmix64_mix(
-                                   0xC0FFEEull + k * sops::rng::kSplitMixGamma));
+    const std::uint64_t state = 0xC0FFEEull + k * sops::rng::kSplitMixGamma;
+    EXPECT_EQ(sequence.next(), sops::rng::splitmix64_mix(state));
   }
 }
 
@@ -242,9 +242,10 @@ Pairs step_noise(const StepNoiseKernels& kernels, std::uint64_t key,
 // the CPU has it, else the generic vector build (the only vector tier of a
 // -DSOPS_SIMD_DISPATCH=OFF build).
 const StepNoiseKernels& simd_step_noise_kernels() {
+  const sops::support::SimdPolicy previous = sops::support::simd_policy();
   sops::support::set_simd_policy(sops::support::SimdPolicy::kSimd);
   const StepNoiseKernels& kernels = select_step_noise_kernels();
-  sops::support::set_simd_policy(sops::support::SimdPolicy::kAuto);
+  sops::support::set_simd_policy(previous);
   return kernels;
 }
 
@@ -311,9 +312,16 @@ TEST(StepNoise, BitwiseAcrossKernelsAndPartitions) {
 TEST(StepNoise, LaneLogWithinTwoUlpOfStdLog) {
   // The transform's u: 10⁶ draws of 1 − U ∈ (0, 1], the edges u = 1 and
   // u = 2⁻⁵³, and positive normals across the exponent range.
-  std::vector<double> in{1.0, 0x1p-53, 0.5, 2.0, std::nextafter(1.0, 0.0),
-                         std::nextafter(1.0, 2.0), 0x1.6a09e667f3bcdp-1,
-                         0x1.6a09e667f3bccp-1, 0x1p-1022, 0x1.fffffffffffffp+1023};
+  std::vector<double> in{1.0,
+                         0x1p-53,
+                         0.5,
+                         2.0,
+                         std::nextafter(1.0, 0.0),
+                         std::nextafter(1.0, 2.0),
+                         0x1.6a09e667f3bcdp-1,
+                         0x1.6a09e667f3bccp-1,
+                         0x1p-1022,
+                         0x1.fffffffffffffp+1023};
   Xoshiro256 engine(43);
   for (int i = 0; i < 1000000; ++i) {
     in.push_back(1.0 - sops::rng::uniform01(engine));
@@ -329,7 +337,8 @@ TEST(StepNoise, LaneLogWithinTwoUlpOfStdLog) {
   simd_step_noise_kernels().log(in.data(), simd_out.data(), in.size());
   EXPECT_TRUE(same_bits(scalar_out[0], 0.0));  // ln 1 = +0 exactly
   for (std::size_t i = 0; i < in.size(); ++i) {
-    ASSERT_TRUE(same_bits(scalar_out[i], simd_out[i])) << std::hexfloat << in[i];
+    ASSERT_TRUE(same_bits(scalar_out[i], simd_out[i]))
+        << std::hexfloat << in[i];
     ASSERT_LE(ulp_distance(scalar_out[i], std::log(in[i])), 2u)
         << std::hexfloat << in[i];
   }

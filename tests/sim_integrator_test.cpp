@@ -196,6 +196,22 @@ TEST(Integrator, NoiseDrawsAreSequencedPerParticle) {
   }
 }
 
+// Pins the runtime SIMD policy for a scope and restores the previous value
+// on exit, so a forced policy cannot leak into later tests.
+class SimdPolicyGuard {
+ public:
+  explicit SimdPolicyGuard(sops::support::SimdPolicy policy)
+      : saved_(sops::support::simd_policy()) {
+    sops::support::set_simd_policy(policy);
+  }
+  ~SimdPolicyGuard() { sops::support::set_simd_policy(saved_); }
+  SimdPolicyGuard(const SimdPolicyGuard&) = delete;
+  SimdPolicyGuard& operator=(const SimdPolicyGuard&) = delete;
+
+ private:
+  sops::support::SimdPolicy saved_;
+};
+
 // The update at executor widths 1–5, under the scalar and the SIMD noise
 // kernels, against the 4-argument serial form: every position bit and the
 // engine's next draw must agree.
@@ -217,16 +233,18 @@ TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
   noisy.noise_variance = 0.05;
   noisy.max_step = 0.5;
   for (const IntegratorParams& params : {noisy, no_noise()}) {
-    sops::support::set_simd_policy(sops::support::SimdPolicy::kScalar);
     ParticleSystem serial(positions, types);
     sops::rng::Xoshiro256 serial_engine(77);
-    for (int step = 0; step < 3; ++step) {
-      sops::sim::apply_euler_maruyama_update(serial, drift, params,
-                                             serial_engine);
+    {
+      const SimdPolicyGuard scalar(sops::support::SimdPolicy::kScalar);
+      for (int step = 0; step < 3; ++step) {
+        sops::sim::apply_euler_maruyama_update(serial, drift, params,
+                                               serial_engine);
+      }
     }
     for (const auto policy : {sops::support::SimdPolicy::kScalar,
                               sops::support::SimdPolicy::kSimd}) {
-      sops::support::set_simd_policy(policy);
+      const SimdPolicyGuard guard(policy);
       for (std::size_t width = 1; width <= 5; ++width) {
         sops::support::TaskPool pool(width);
         ParticleSystem sharded(positions, types);
@@ -244,7 +262,6 @@ TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
       }
     }
   }
-  sops::support::set_simd_policy(sops::support::SimdPolicy::kAuto);
 }
 
 TEST(Integrator, EngineAdvancesOneWordPerNoisyStepAndNonePerQuiet) {
