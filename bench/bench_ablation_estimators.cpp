@@ -47,6 +47,12 @@ int main(int argc, char** argv) {
       args);
 
   const std::size_t m = args.samples(400, 1000);
+  // One pool of every hardware thread serves the multithreaded calls.
+  support::TaskPool pool(0);
+  info::KsgOptions ksg_pooled;
+  ksg_pooled.executor = &pool.executor();
+  info::KdeOptions kde_pooled;
+  kde_pooled.executor = &pool.executor();
 
   // --- Accuracy & speed on a 2-block Gaussian with known MI. -------------
   const double rho = 0.7;
@@ -58,9 +64,11 @@ int main(int argc, char** argv) {
   double kde_value = 0.0;
   double bin_value = 0.0;
   const double ksg_ms = time_ms(
-      [&] { return info::multi_information_ksg(pair, blocks2); }, ksg_value);
+      [&] { return info::multi_information_ksg(pair, blocks2, ksg_pooled); },
+      ksg_value);
   const double kde_ms = time_ms(
-      [&] { return info::multi_information_kde(pair, blocks2); }, kde_value);
+      [&] { return info::multi_information_kde(pair, blocks2, kde_pooled); },
+      kde_value);
   const double bin_ms = time_ms(
       [&] {
         return info::multi_information_binned(pair, blocks2,
@@ -87,9 +95,9 @@ int main(int argc, char** argv) {
   // Single-threaded estimators for the timing comparison: wall-clock of the
   // multithreaded paths on a contended machine is too noisy to compare.
   info::KsgOptions ksg_serial;
-  ksg_serial.threads = 1;
+  ksg_serial.executor = &support::serial_executor();
   info::KdeOptions kde_serial;
-  kde_serial.threads = 1;
+  kde_serial.executor = &support::serial_executor();
   std::vector<double> ksg_values;
   std::vector<double> kde_values;
   std::vector<double> bin_values;
@@ -149,8 +157,10 @@ int main(int argc, char** argv) {
   std::cout << "informational: shrinkage binning on the sparse joint support "
                "collapses to "
             << shrunk_indep << " bits (uniform-target domination)\n";
-  const double ksg_indep = info::multi_information_ksg(independent, blocks_high);
-  const double ksg_org = info::multi_information_ksg(organized, blocks_high);
+  const double ksg_indep =
+      info::multi_information_ksg(independent, blocks_high, ksg_pooled);
+  const double ksg_org =
+      info::multi_information_ksg(organized, blocks_high, ksg_pooled);
   std::cout << "independent vs organized (true Delta large):\n"
             << "  binning: " << bin_indep << " -> " << bin_org
             << "  (relative change "
@@ -162,8 +172,10 @@ int main(int argc, char** argv) {
                   "highdim_sd", "sparse_independent", "sparse_organized"};
   table.add_row({0, ksg_value, ksg_ms, stddev(ksg_values), ksg_indep, ksg_org});
   table.add_row({1, kde_value, kde_ms, stddev(kde_values),
-                 info::multi_information_kde(independent, blocks_high),
-                 info::multi_information_kde(organized, blocks_high)});
+                 info::multi_information_kde(independent, blocks_high,
+                                             kde_pooled),
+                 info::multi_information_kde(organized, blocks_high,
+                                             kde_pooled)});
   table.add_row({2, bin_value, bin_ms, stddev(bin_values), bin_indep, bin_org});
   bench::dump_csv("ablation_estimators.csv", table);
 

@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
       "pairs exchange more information than distant pairs",
       args);
 
+  // One pool of every hardware thread serves every estimator call.
+  support::TaskPool pool(0);
+  info::TransferEntropyOptions te_options;
+  te_options.executor = &pool.executor();
+
   // --- (1) Validation: leader/follower with known direction. -------------
   rng::Xoshiro256 engine(0x7E57);
   std::vector<std::vector<geom::Vec2>> chase_frames;
@@ -33,8 +38,10 @@ int main(int argc, char** argv) {
     follower += (leader - follower) * 0.25 + rng::normal_vec2(engine, 0.05);
     leader += rng::normal_vec2(engine, 0.3);
   }
-  const double te_forward = info::particle_transfer_entropy(chase_frames, 0, 1);
-  const double te_backward = info::particle_transfer_entropy(chase_frames, 1, 0);
+  const double te_forward =
+      info::particle_transfer_entropy(chase_frames, 0, 1, te_options);
+  const double te_backward =
+      info::particle_transfer_entropy(chase_frames, 1, 0, te_options);
   std::cout << "leader -> follower TE: " << te_forward << " bits\n"
             << "follower -> leader TE: " << te_backward << " bits\n\n";
 
@@ -57,7 +64,6 @@ int main(int argc, char** argv) {
     return total / static_cast<double>(trajectory.frames.size() - half);
   };
 
-  info::TransferEntropyOptions te_options;
   std::vector<double> near_te;
   std::vector<double> far_te;
   // Sample a deterministic subset of pairs to keep the run short.

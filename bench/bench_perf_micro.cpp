@@ -949,7 +949,10 @@ align::AlignedEnsemble align_rows(geom::FrameView configs,
     }
   };
   write_row(0, reference);
-  support::parallel_for(1, m, [&](std::size_t s) {
+  // Transient fork/join workers of every hardware thread, per call: the
+  // baseline's own dispatch.
+  support::SpawnExecutor spawn;
+  support::parallel_for(spawn, 1, m, [&](std::size_t s) {
     std::vector<geom::Vec2> moved = geom::centered(configs[s]);
     const align::IcpResult icp =
         prestream::align_icp(moved, types, reference, types,

@@ -50,6 +50,12 @@ int main(int argc, char** argv) {
   const std::size_t dim = smoke ? 4 : sops::examples::arg_or(argc, argv, 2, 6);
 
   const auto blocks = info::uniform_blocks(dim, 1);
+  // One pool of every hardware thread serves all the estimator calls.
+  support::TaskPool pool(0);
+  info::KsgOptions ksg_options;
+  ksg_options.executor = &pool.executor();
+  info::KdeOptions kde_options;
+  kde_options.executor = &pool.executor();
   std::cout << "m = " << m << " samples, " << dim
             << " scalar observers\n\n"
             << std::setw(22) << "ensemble" << std::setw(10) << "truth"
@@ -62,9 +68,12 @@ int main(int argc, char** argv) {
            {"strongly coupled", 0.85}}) {
     const info::SampleMatrix samples = make_ensemble(m, dim, coupling, 42);
     const double truth = equicorrelated_multi_information(dim, coupling);
-    const double ksg = info::multi_information_ksg(samples, blocks);
-    const double kl = info::multi_information_kl(samples, blocks);
-    const double kde = info::multi_information_kde(samples, blocks);
+    const double ksg =
+        info::multi_information_ksg(samples, blocks, ksg_options);
+    const double kl =
+        info::multi_information_kl(samples, blocks, 4, pool.executor());
+    const double kde =
+        info::multi_information_kde(samples, blocks, kde_options);
     info::BinningOptions ml;
     ml.james_stein_shrinkage = false;
     const double binned = info::multi_information_binned(samples, blocks, ml);

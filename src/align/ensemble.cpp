@@ -67,11 +67,10 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
     }
     write_row(s, moved);
   };
-  if (options.executor != nullptr) {
-    support::parallel_for(*options.executor, 1, m, align_sample);
-  } else {
-    support::parallel_for(1, m, align_sample, options.threads);
-  }
+  support::SpawnExecutor spawned(options.threads);
+  support::Executor& executor =
+      options.executor != nullptr ? *options.executor : spawned;
+  support::parallel_for(executor, 1, m, align_sample);
 
   return out;
 }

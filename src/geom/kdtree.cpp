@@ -287,37 +287,6 @@ std::vector<Neighbor> KdTree::k_nearest(std::span<const double> query,
   return result;
 }
 
-std::size_t KdTree::count_within(std::span<const double> query, double radius,
-                                 std::size_t skip_index) const {
-  support::expect(query.size() == dim_, "KdTree::count_within: wrong query dim");
-  if (count_ == 0 || radius <= 0.0) return 0;
-  const double radius_sq = radius * radius;
-  std::size_t count = 0;
-
-  std::vector<int> stack;
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    const int node_id = stack.back();
-    stack.pop_back();
-    if (node_id < 0) continue;
-    const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-    if (node.is_leaf()) {
-      for (std::size_t i = node.begin; i < node.end; ++i) {
-        const std::size_t idx = order_[i];
-        if (idx == skip_index) continue;
-        if (dist_sq_to(idx, query) < radius_sq) ++count;
-      }
-      continue;
-    }
-    const double delta = query[node.axis] - node.split;
-    const int near_child = delta < 0.0 ? node.left : node.right;
-    const int far_child = delta < 0.0 ? node.right : node.left;
-    if (delta * delta < radius_sq) stack.push_back(far_child);
-    stack.push_back(near_child);
-  }
-  return count;
-}
-
 double KdTree::kth_block_dist_sq(std::span<const double> query, std::size_t k,
                                  std::span<const DimBlock> blocks,
                                  std::size_t skip_index) const {
@@ -515,27 +484,6 @@ std::vector<Neighbor> BruteForceSearcher::k_nearest(
                     });
   all.resize(take);
   return all;
-}
-
-std::size_t BruteForceSearcher::count_within(std::span<const double> query,
-                                             double radius,
-                                             std::size_t skip_index) const {
-  support::expect(query.size() == dim_,
-                  "BruteForceSearcher::count_within: wrong query dim");
-  if (radius <= 0.0) return 0;
-  const double radius_sq = radius * radius;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    if (i == skip_index) continue;
-    const double* p = points_.data() + i * dim_;
-    double d2 = 0.0;
-    for (std::size_t d = 0; d < dim_; ++d) {
-      const double diff = p[d] - query[d];
-      d2 += diff * diff;
-    }
-    if (d2 < radius_sq) ++count;
-  }
-  return count;
 }
 
 double BruteForceSearcher::kth_block_dist_sq(std::span<const double> query,

@@ -1,10 +1,10 @@
 // Generic-dimension k-d tree over points stored as a flat row-major array.
 //
 // Used by the ICP aligner (per-type 2-D correspondence trees), the
-// Kozachenko–Leonenko entropy estimator, and the marginal neighbor counts of
-// the KSG multi-information estimator (2-D per-particle marginals). The tree
-// stores indices into the caller's point array; the array must outlive the
-// tree.
+// Kozachenko–Leonenko entropy estimator (k-th-neighbor distances), and the
+// conditional mutual information behind transfer entropy (k-th joint
+// distances and block-max marginal counts). The tree stores indices into the
+// caller's point array; the array must outlive the tree.
 #pragma once
 
 #include <cstddef>
@@ -72,12 +72,6 @@ class KdTree {
   /// leave-one-out queries where the query is itself an indexed point.
   [[nodiscard]] std::vector<Neighbor> k_nearest(
       std::span<const double> query, std::size_t k,
-      std::size_t skip_index = static_cast<std::size_t>(-1)) const;
-
-  /// Number of indexed points with distance to `query` strictly less than
-  /// `radius` (Euclidean). `skip_index` as in k_nearest.
-  [[nodiscard]] std::size_t count_within(
-      std::span<const double> query, double radius,
       std::size_t skip_index = static_cast<std::size_t>(-1)) const;
 
   /// Squared block-max distance (see DimBlock) of the k-th nearest indexed
@@ -178,9 +172,6 @@ class BruteForceSearcher {
   [[nodiscard]] Neighbor nearest(std::span<const double> query) const;
   [[nodiscard]] std::vector<Neighbor> k_nearest(
       std::span<const double> query, std::size_t k,
-      std::size_t skip_index = static_cast<std::size_t>(-1)) const;
-  [[nodiscard]] std::size_t count_within(
-      std::span<const double> query, double radius,
       std::size_t skip_index = static_cast<std::size_t>(-1)) const;
   [[nodiscard]] double kth_block_dist_sq(
       std::span<const double> query, std::size_t k,

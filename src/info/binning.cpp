@@ -125,6 +125,8 @@ double binned_entropy(const SampleMatrix& samples, const Block& block,
                       const BinningOptions& options) {
   support::expect(options.bins_per_dim >= 1, "binned_entropy: need >= 1 bin");
   support::expect(samples.count() > 0, "binned_entropy: no samples");
+  validate_block(block, samples.dim());
+  validate_finite(samples, block);
   const auto binners = make_binners(samples, options.bins_per_dim);
   const auto counts = block_histogram(samples, block, binners);
   return shrinkage_entropy_bits(counts, block_support(block, options),
@@ -135,6 +137,7 @@ double multi_information_binned(const SampleMatrix& samples,
                                 std::span<const Block> blocks,
                                 const BinningOptions& options) {
   validate_blocks(blocks, samples.dim());
+  validate_finite(samples, Block{0, samples.dim()});
   const auto binners = make_binners(samples, options.bins_per_dim);
 
   double marginal_sum = 0.0;

@@ -21,6 +21,8 @@ struct BinningOptions {
 };
 
 /// Discrete entropy (bits) of the binned block variable. Exposed for tests.
+/// Like every estimator, the binned ones throw PreconditionError on an empty
+/// or out-of-range block and on a NaN or ±inf coordinate they would bin.
 [[nodiscard]] double binned_entropy(const SampleMatrix& samples,
                                     const Block& block,
                                     const BinningOptions& options);

@@ -31,17 +31,23 @@ double kth_block_distance(const SampleMatrix& samples, const Block& block,
   return std::sqrt(scratch[k - 1]);
 }
 
-// The one implementation behind both dispatch forms: `executor` when the
-// caller lends one, a transient fork/join of `threads` workers otherwise.
-double entropy_kl_block_impl(const SampleMatrix& samples, const Block& block,
-                             std::size_t k, support::Executor* executor,
-                             std::size_t threads,
-                             FrameNeighborCache* cache = nullptr) {
+}  // namespace
+
+double log2_unit_ball_volume(std::size_t dim) {
+  // V_D = π^{D/2} / Γ(D/2 + 1).
+  const double d = static_cast<double>(dim);
+  return (d / 2.0) * std::log2(std::numbers::pi) -
+         kLog2E * std::lgamma(d / 2.0 + 1.0);
+}
+
+double entropy_kl_block(const SampleMatrix& samples, const Block& block,
+                        std::size_t k, support::Executor& executor,
+                        FrameNeighborCache* cache) {
   const std::size_t m = samples.count();
   support::expect(k >= 1 && m >= k + 1,
                   "entropy_kl_block: need at least k+1 samples");
-  support::expect(block.offset + block.dim <= samples.dim(),
-                  "entropy_kl_block: block out of range");
+  validate_block(block, samples.dim());
+  validate_finite(samples, block);
 
   // Cached-tree path: resolve the subspace tree serially (single-writer
   // contract) before the parallel query phase below reads it. The k-th of
@@ -69,11 +75,7 @@ double entropy_kl_block_impl(const SampleMatrix& samples, const Block& block,
       log_eps[s] = eps > 0.0 ? std::log2(eps) : -52.0;
     }
   };
-  if (executor != nullptr) {
-    support::parallel_for_chunked(*executor, 0, m, chunk);
-  } else {
-    support::parallel_for_chunked(0, m, chunk, threads);
-  }
+  support::parallel_for_chunked(executor, 0, m, chunk);
 
   double sum_log_eps = 0.0;
   for (const double v : log_eps) sum_log_eps += v;
@@ -84,74 +86,20 @@ double entropy_kl_block_impl(const SampleMatrix& samples, const Block& block,
          d / static_cast<double>(m) * sum_log_eps;
 }
 
-}  // namespace
-
-double log2_unit_ball_volume(std::size_t dim) {
-  // V_D = π^{D/2} / Γ(D/2 + 1).
-  const double d = static_cast<double>(dim);
-  return (d / 2.0) * std::log2(std::numbers::pi) -
-         kLog2E * std::lgamma(d / 2.0 + 1.0);
-}
-
-double entropy_kl_block(const SampleMatrix& samples, const Block& block,
-                        std::size_t k, std::size_t threads) {
-  return entropy_kl_block_impl(samples, block, k, nullptr, threads);
-}
-
-double entropy_kl_block(const SampleMatrix& samples, const Block& block,
-                        std::size_t k, support::Executor& executor) {
-  return entropy_kl_block_impl(samples, block, k, &executor, 1);
-}
-
-double entropy_kl(const SampleMatrix& samples, std::size_t k,
-                  std::size_t threads) {
-  return entropy_kl_block(samples, Block{0, samples.dim()}, k, threads);
-}
-
-double entropy_kl(const SampleMatrix& samples, std::size_t k,
-                  support::Executor& executor) {
-  return entropy_kl_block(samples, Block{0, samples.dim()}, k, executor);
-}
-
-double entropy_kl_block(const SampleMatrix& samples, const Block& block,
-                        std::size_t k, support::Executor& executor,
-                        FrameNeighborCache* cache) {
-  return entropy_kl_block_impl(samples, block, k, &executor, 1, cache);
-}
-
 double entropy_kl(const SampleMatrix& samples, std::size_t k,
                   support::Executor& executor, FrameNeighborCache* cache) {
   return entropy_kl_block(samples, Block{0, samples.dim()}, k, executor, cache);
 }
 
-namespace {
-
-double multi_information_kl_impl(const SampleMatrix& samples,
-                                 std::span<const Block> blocks, std::size_t k,
-                                 support::Executor* executor,
-                                 std::size_t threads) {
-  validate_blocks(blocks, samples.dim());
-  double marginal_sum = 0.0;
-  for (const Block& block : blocks) {
-    marginal_sum += entropy_kl_block_impl(samples, block, k, executor, threads);
-  }
-  return marginal_sum -
-         entropy_kl_block_impl(samples, Block{0, samples.dim()}, k, executor,
-                               threads);
-}
-
-}  // namespace
-
-double multi_information_kl(const SampleMatrix& samples,
-                            std::span<const Block> blocks, std::size_t k,
-                            std::size_t threads) {
-  return multi_information_kl_impl(samples, blocks, k, nullptr, threads);
-}
-
 double multi_information_kl(const SampleMatrix& samples,
                             std::span<const Block> blocks, std::size_t k,
                             support::Executor& executor) {
-  return multi_information_kl_impl(samples, blocks, k, &executor, 1);
+  validate_blocks(blocks, samples.dim());
+  double marginal_sum = 0.0;
+  for (const Block& block : blocks) {
+    marginal_sum += entropy_kl_block(samples, block, k, executor);
+  }
+  return marginal_sum - entropy_kl(samples, k, executor);
 }
 
 double gaussian_entropy_bits(std::size_t dim, double sigma) {

@@ -17,6 +17,8 @@ class Executor;
 
 namespace sops::info {
 
+class FrameNeighborCache;
+
 /// Kozachenko–Leonenko estimate of the differential entropy h(X) in bits,
 /// where X is the D-dimensional row variable of `samples` (Euclidean metric):
 ///
@@ -24,52 +26,37 @@ namespace sops::info {
 ///
 /// with ε_s the distance from sample s to its k-th neighbor and V_D the
 /// volume of the D-dimensional unit L2 ball.
-[[nodiscard]] double entropy_kl(const SampleMatrix& samples, std::size_t k = 4,
-                                std::size_t threads = 0);
+///
+/// The per-sample query loop dispatches on `executor` (a persistent pool the
+/// batch analysis reuses across frames, or serial_executor()); per-sample
+/// terms are reduced in a fixed order, so the estimate is identical for any
+/// width. When `cache` (a FrameNeighborCache bound to `samples`) is
+/// non-null, the k-th-neighbor distances come from the cached subspace
+/// kd-tree — shared with the other entropy calls on the same frame —
+/// instead of an exhaustive scan per sample. The k-th distance is an order
+/// statistic, so the estimate is bitwise-identical either way.
+///
+/// Requirements: k >= 1, at least k+1 samples, every coordinate finite (a
+/// NaN or ±inf throws PreconditionError).
+[[nodiscard]] double entropy_kl(const SampleMatrix& samples, std::size_t k,
+                                support::Executor& executor,
+                                FrameNeighborCache* cache = nullptr);
 
-/// Entropy of the coordinates restricted to one block.
+/// Entropy of the coordinates restricted to one block, which must be
+/// non-empty and in range; only that block's coordinates must be finite.
+/// Dispatch, cache and requirements as in entropy_kl.
 [[nodiscard]] double entropy_kl_block(const SampleMatrix& samples,
-                                      const Block& block, std::size_t k = 4,
-                                      std::size_t threads = 0);
+                                      const Block& block, std::size_t k,
+                                      support::Executor& executor,
+                                      FrameNeighborCache* cache = nullptr);
 
 /// Multi-information as entropy difference Σ_i h(W_i) − h(W): noisier than
 /// the KSG estimator (the length scales of the marginal and joint estimates
-/// do not cancel) but a useful cross-check.
-[[nodiscard]] double multi_information_kl(const SampleMatrix& samples,
-                                          std::span<const Block> blocks,
-                                          std::size_t k = 4,
-                                          std::size_t threads = 0);
-
-/// Executor-aware forms (mirroring KsgOptions::executor): the per-sample
-/// query loop dispatches on a caller-lent executor — a persistent pool the
-/// batch analysis reuses across frames — instead of forking transient
-/// workers per call. Estimates are identical to the `threads` forms for
-/// any width (per-sample terms are reduced in a fixed order).
-[[nodiscard]] double entropy_kl(const SampleMatrix& samples, std::size_t k,
-                                support::Executor& executor);
-[[nodiscard]] double entropy_kl_block(const SampleMatrix& samples,
-                                      const Block& block, std::size_t k,
-                                      support::Executor& executor);
+/// do not cancel) but a useful cross-check. Dispatch as in entropy_kl.
 [[nodiscard]] double multi_information_kl(const SampleMatrix& samples,
                                           std::span<const Block> blocks,
                                           std::size_t k,
                                           support::Executor& executor);
-
-class FrameNeighborCache;
-
-/// Cache-aware forms: when `cache` (a FrameNeighborCache bound to `samples`)
-/// is non-null, the k-th-neighbor distances come from the cached subspace
-/// kd-tree — shared with the other entropy calls on the same frame —
-/// instead of an exhaustive scan per sample. The k-th distance is an order statistic, so
-/// the estimate is bitwise-identical either way; null `cache` is exactly the
-/// executor form above.
-[[nodiscard]] double entropy_kl(const SampleMatrix& samples, std::size_t k,
-                                support::Executor& executor,
-                                FrameNeighborCache* cache);
-[[nodiscard]] double entropy_kl_block(const SampleMatrix& samples,
-                                      const Block& block, std::size_t k,
-                                      support::Executor& executor,
-                                      FrameNeighborCache* cache);
 
 /// log₂ of the volume of the D-dimensional unit L2 ball.
 [[nodiscard]] double log2_unit_ball_volume(std::size_t dim);

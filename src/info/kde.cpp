@@ -36,6 +36,8 @@ std::vector<double> kde_log2_density(const SampleMatrix& samples,
   support::expect(m >= 2, "kde_log2_density: need at least two samples");
   support::expect(options.bandwidth_scale > 0.0,
                   "kde_log2_density: bandwidth must be positive");
+  validate_block(block, samples.dim());
+  validate_finite(samples, block);
 
   const double d = static_cast<double>(block.dim);
   const double sigma = block_scale(samples, block);
@@ -62,13 +64,10 @@ std::vector<double> kde_log2_density(const SampleMatrix& samples,
       log_density[s] = std::log2(std::max(sum, 1e-300)) + log2_norm;
     }
   };
-  if (options.executor != nullptr) {
-    // Pooled path: the caller's persistent executor serves every density
-    // evaluation of the batch — no per-call thread creation.
-    support::parallel_for_chunked(*options.executor, 0, m, chunk);
-  } else {
-    support::parallel_for_chunked(0, m, chunk, options.threads);
-  }
+  support::SpawnExecutor spawned(options.threads);
+  support::Executor& executor =
+      options.executor != nullptr ? *options.executor : spawned;
+  support::parallel_for_chunked(executor, 0, m, chunk);
   return log_density;
 }
 

@@ -29,13 +29,15 @@ struct KdeOptions {
   std::size_t threads = 0;
   /// When set, density evaluations dispatch their sample chunks on this
   /// executor (a persistent pool the caller reuses across calls) and
-  /// `threads` is ignored — mirroring KsgOptions::executor. Never affects
+  /// `threads` is ignored; when null, a transient fork/join of `threads`
+  /// workers runs per call — mirroring KsgOptions::executor. Never affects
   /// the estimate.
   support::Executor* executor = nullptr;
 };
 
 /// Leave-one-out log₂ density estimate of block coordinates at each sample;
-/// exposed for tests.
+/// exposed for tests. The block must be non-empty, in range and finite in
+/// every sample (PreconditionError otherwise).
 [[nodiscard]] std::vector<double> kde_log2_density(const SampleMatrix& samples,
                                                    const Block& block,
                                                    const KdeOptions& options = {});

@@ -66,10 +66,7 @@ double multi_information_ksg(const SampleMatrix& samples,
                   "multi_information_ksg: need at least k+1 samples");
   support::expect(n >= 2, "multi_information_ksg: need at least two blocks");
   validate_blocks(blocks, samples.dim());
-  const std::span<const double> flat = samples.flat();
-  support::expect(std::all_of(flat.begin(), flat.end(),
-                              [](double v) { return std::isfinite(v); }),
-                  "multi_information_ksg: non-finite sample coordinate");
+  validate_finite(samples, Block{0, samples.dim()});
 
   support::SpawnExecutor spawned(options.threads);
   support::Executor& executor =
@@ -78,7 +75,7 @@ double multi_information_ksg(const SampleMatrix& samples,
       pair_bands(m, std::min(executor.width(), m));
   const std::size_t bands = bounds.size() - 1;
   const std::size_t dim = samples.dim();
-  const double* rows = flat.data();
+  const double* rows = samples.flat().data();
 
   // Pass 1: each unordered pair's joint squared distance (max over blocks
   // of block_dist_sq) enters both rows' top-k. A pair stops early once its

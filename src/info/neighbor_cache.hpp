@@ -1,11 +1,12 @@
 // Per-frame kd-tree reuse across the information estimators.
 //
-// One analyzer frame runs many estimator calls against the same SampleMatrix
-// — the KSG multi-information, its decomposition terms, and the per-block
-// entropies all query the same marginal subspaces. Without a cache each call
-// rebuilds its kd-trees from scratch; a FrameNeighborCache bound to the
+// An analyzer frame with entropy curves runs one Kozachenko–Leonenko call
+// per observer block plus the joint against the same SampleMatrix. Without a
+// cache each call scans every sample pair; a FrameNeighborCache bound to the
 // frame's matrix builds each subspace tree once, on first use, and hands the
-// same tree to every subsequent query on that subspace.
+// same tree to every subsequent query on that subspace. The conditional
+// mutual information builds a local cache per call for its four subspaces.
+// The KSG multi-information and its decomposition build no trees.
 //
 // Thread-safety contract: tree_for() mutates the cache and must be called
 // from one thread at a time. The estimators honor this by resolving every

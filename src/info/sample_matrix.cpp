@@ -13,13 +13,18 @@ std::vector<Block> uniform_blocks(std::size_t n, std::size_t block_dim) {
   return blocks;
 }
 
+void validate_block(const Block& block, std::size_t dim) {
+  support::expect(block.dim > 0, "validate_block: empty block");
+  support::expect(block.dim <= dim && block.offset <= dim - block.dim,
+                  "validate_block: block out of range");
+}
+
 void validate_blocks(std::span<const Block> blocks, std::size_t dim) {
   support::expect(!blocks.empty(), "validate_blocks: no blocks");
   std::vector<char> covered(dim, 0);
   std::size_t total = 0;
   for (const Block& b : blocks) {
-    support::expect(b.dim > 0, "validate_blocks: empty block");
-    support::expect(b.offset + b.dim <= dim, "validate_blocks: block out of range");
+    validate_block(b, dim);
     for (std::size_t d = b.offset; d < b.offset + b.dim; ++d) {
       support::expect(!covered[d], "validate_blocks: overlapping blocks");
       covered[d] = 1;
@@ -27,6 +32,17 @@ void validate_blocks(std::span<const Block> blocks, std::size_t dim) {
     total += b.dim;
   }
   support::expect(total == dim, "validate_blocks: blocks do not cover all dims");
+}
+
+void validate_finite(const SampleMatrix& samples, const Block& block) {
+  bool finite = true;
+  for (std::size_t s = 0; s < samples.count(); ++s) {
+    const std::span<const double> row = samples.row(s);
+    for (std::size_t d = block.offset; d < block.offset + block.dim; ++d) {
+      finite = finite && std::isfinite(row[d]);
+    }
+  }
+  support::expect(finite, "validate_finite: non-finite sample coordinate");
 }
 
 double block_dist_sq(const SampleMatrix& samples, std::size_t a, std::size_t b,

@@ -67,9 +67,19 @@ class SampleMatrix {
 [[nodiscard]] std::vector<Block> uniform_blocks(std::size_t n,
                                                 std::size_t block_dim);
 
+/// Verifies one block is non-empty and lies within `dim` coordinates.
+/// Throws PreconditionError on violation.
+void validate_block(const Block& block, std::size_t dim);
+
 /// Verifies blocks are non-overlapping, in-range, and jointly cover `dim`
 /// coordinates (they need not be ordered). Throws on violation.
 void validate_blocks(std::span<const Block> blocks, std::size_t dim);
+
+/// Verifies every sample's `block` coordinates are finite (pass
+/// Block{0, samples.dim()} for the whole matrix). A NaN or ±inf throws
+/// PreconditionError: the estimators' distance comparisons are meaningless
+/// on it, and their search paths would disagree on the garbage.
+void validate_finite(const SampleMatrix& samples, const Block& block);
 
 /// Squared Euclidean norm of the block coordinates of (row a − row b).
 [[nodiscard]] double block_dist_sq(const SampleMatrix& samples, std::size_t a,

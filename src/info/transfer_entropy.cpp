@@ -24,36 +24,31 @@ double joint_dist(const SampleMatrix& samples, std::size_t s, std::size_t j,
   return std::sqrt(d_sq);
 }
 
-// One implementation behind the dispatch forms of the conditional MI:
-// the caller's lent executor when present, a transient fork/join otherwise;
-// subspace kd-trees (kBlockedTree) or exhaustive scans (kBruteForce) for the
+}  // namespace
+
+// Subspace kd-trees (kBlockedTree) or exhaustive scans (kBruteForce) for the
 // neighbor work — both produce identical bits (same distances, same strict-<
 // comparisons; the joint ε is the same order statistic either way).
-double conditional_mi_impl(const SampleMatrix& samples, const Block& a,
-                           const Block& b, const Block& c, std::size_t k,
-                           support::Executor* executor, std::size_t threads,
-                           NeighborSearch search, FrameNeighborCache* cache) {
+double conditional_mutual_information_ksg(
+    const SampleMatrix& samples, const Block& a, const Block& b,
+    const Block& c, const TransferEntropyOptions& options) {
   const std::size_t m = samples.count();
+  const std::size_t k = options.k;
   support::expect(k >= 1, "conditional MI: k must be >= 1");
   support::expect(m >= k + 1, "conditional MI: need at least k+1 samples");
   validate_blocks(std::vector<Block>{a, b, c}, samples.dim());
+  validate_finite(samples, Block{0, samples.dim()});
 
-  // Tree path: resolve the four subspace searchers serially up front (the
-  // cache is single-writer; the parallel chunks only read).
-  const bool use_trees = search == NeighborSearch::kBlockedTree;
-  std::optional<FrameNeighborCache> local_cache;
+  // Tree path: build the four subspace searchers serially up front in a
+  // cache local to this call (the parallel chunks only read).
+  const bool use_trees = options.search == NeighborSearch::kBlockedTree;
+  std::optional<FrameNeighborCache> cache;
   const FrameNeighborCache::SubspaceTree* joint_tree = nullptr;
   const FrameNeighborCache::SubspaceTree* ac_tree = nullptr;
   const FrameNeighborCache::SubspaceTree* bc_tree = nullptr;
   const FrameNeighborCache::SubspaceTree* c_tree = nullptr;
   if (use_trees) {
-    if (cache != nullptr) {
-      support::expect(&cache->samples() == &samples,
-                      "conditional MI: cache bound to another matrix");
-    } else {
-      local_cache.emplace(samples);
-      cache = &*local_cache;
-    }
+    cache.emplace(samples);
     const std::array<Block, 3> abc = {a, b, c};
     const std::array<Block, 2> ac = {a, c};
     const std::array<Block, 2> bc = {b, c};
@@ -139,42 +134,16 @@ double conditional_mi_impl(const SampleMatrix& samples, const Block& a,
                       digamma_int(n_c + 1);
     }
   };
-  if (executor != nullptr) {
-    support::parallel_for_chunked(*executor, 0, m, chunk);
-  } else {
-    support::parallel_for_chunked(0, m, chunk, threads);
-  }
+  support::SpawnExecutor spawned(options.threads);
+  support::Executor& executor =
+      options.executor != nullptr ? *options.executor : spawned;
+  support::parallel_for_chunked(executor, 0, m, chunk);
 
   double mean_psi = 0.0;
   for (const double v : per_sample) mean_psi += v;
   mean_psi /= static_cast<double>(m);
 
   return (digamma_int(k) - mean_psi) * std::numbers::log2e;
-}
-
-}  // namespace
-
-double conditional_mutual_information_ksg(const SampleMatrix& samples,
-                                          const Block& a, const Block& b,
-                                          const Block& c, std::size_t k,
-                                          std::size_t threads) {
-  return conditional_mi_impl(samples, a, b, c, k, nullptr, threads,
-                             NeighborSearch::kBlockedTree, nullptr);
-}
-
-double conditional_mutual_information_ksg(const SampleMatrix& samples,
-                                          const Block& a, const Block& b,
-                                          const Block& c, std::size_t k,
-                                          support::Executor& executor) {
-  return conditional_mi_impl(samples, a, b, c, k, &executor, 1,
-                             NeighborSearch::kBlockedTree, nullptr);
-}
-
-double conditional_mutual_information_ksg(
-    const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, const TransferEntropyOptions& options) {
-  return conditional_mi_impl(samples, a, b, c, options.k, options.executor,
-                             options.threads, options.search, options.cache);
 }
 
 double transfer_entropy(std::span<const double> source,
@@ -204,11 +173,8 @@ double transfer_entropy(std::span<const double> source,
   const Block future{0, dim};
   const Block src{dim, dim};
   const Block present{2 * dim, dim};
-  // The embedding matrix is local to this call, so any caller-provided
-  // cache (bound to *their* matrix) must not be used here.
-  return conditional_mi_impl(samples, future, src, present, options.k,
-                             options.executor, options.threads, options.search,
-                             nullptr);
+  return conditional_mutual_information_ksg(samples, future, src, present,
+                                            options);
 }
 
 namespace {
@@ -255,19 +221,16 @@ std::vector<std::vector<double>> transfer_entropy_matrix(
   // The pair fan-out is the parallel axis; each estimator call stays
   // serial so the lent (or transient) workers are never oversubscribed.
   TransferEntropyOptions inner = options;
-  inner.threads = 1;
-  inner.executor = nullptr;
-  const auto cell_body = [&](std::size_t cell) {
+  inner.executor = &support::serial_executor();
+  support::SpawnExecutor spawned(options.threads);
+  support::Executor& executor =
+      options.executor != nullptr ? *options.executor : spawned;
+  support::parallel_for(executor, 0, n * n, [&](std::size_t cell) {
     const std::size_t a = cell / n;
     const std::size_t b = cell % n;
     if (a == b) return;
     matrix[a][b] = transfer_entropy(series[a], series[b], 2, inner);
-  };
-  if (options.executor != nullptr) {
-    support::parallel_for(*options.executor, 0, n * n, cell_body);
-  } else {
-    support::parallel_for(0, n * n, cell_body, options.threads);
-  }
+  });
   return matrix;
 }
 
@@ -296,7 +259,6 @@ double active_information_storage(std::span<const double> series,
   ksg.k = options.k;
   ksg.threads = options.threads;
   ksg.executor = options.executor;
-  ksg.search = options.search;
   return multi_information_ksg(samples, dim, ksg);
 }
 

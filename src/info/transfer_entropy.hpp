@@ -46,37 +46,23 @@ struct TransferEntropyOptions {
   /// persistent pool instead of forking workers per call. Never affects
   /// the estimate.
   support::Executor* executor = nullptr;
-  /// Neighbor-search implementation (shared with KsgOptions); never affects
-  /// the estimate.
+  /// Neighbor-search implementation of conditional_mutual_information_ksg
+  /// and the transfer entropies built on it: per-call subspace kd-trees
+  /// (the default) or the exhaustive reference scan. Never affects the
+  /// estimate.
   NeighborSearch search = NeighborSearch::kBlockedTree;
-  /// Optional per-frame tree cache for conditional_mutual_information_ksg
-  /// (kBlockedTree only); must be bound to the matrix passed to that call.
-  /// Ignored by the estimators that build their own embedding matrices
-  /// (transfer_entropy and friends), whose subspaces exist only per call.
-  FrameNeighborCache* cache = nullptr;
 };
 
 /// KSG/Frenzel–Pompe conditional mutual information I(A ; B | C) in bits.
-/// `samples` rows are joint draws; the three blocks partition the columns.
-/// The metric is the max over the three block L2 norms (consistent with the
-/// unconditional estimator).
+/// `samples` rows are joint draws; the three blocks partition the columns,
+/// and every coordinate must be finite (PreconditionError otherwise). The
+/// metric is the max over the three block L2 norms (consistent with the
+/// unconditional estimator). Reads `k`, `threads`, `executor` and `search`
+/// from the options; `lag` is unused. Identical estimate for any executor
+/// width.
 [[nodiscard]] double conditional_mutual_information_ksg(
     const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, std::size_t k = 4, std::size_t threads = 0);
-
-/// Executor-aware form: per-sample queries dispatch on the caller's lent
-/// executor instead of forking `threads` transient workers. Identical
-/// estimate for any width.
-[[nodiscard]] double conditional_mutual_information_ksg(
-    const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, std::size_t k, support::Executor& executor);
-
-/// Options form: takes k, threading, the neighbor-search knob, and an
-/// optional FrameNeighborCache bound to `samples` (subspace trees are then
-/// shared with other estimator calls on the same matrix). `lag` is unused.
-[[nodiscard]] double conditional_mutual_information_ksg(
-    const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, const TransferEntropyOptions& options);
+    const Block& c, const TransferEntropyOptions& options = {});
 
 /// Transfer entropy (bits) between two scalar-block time series.
 ///

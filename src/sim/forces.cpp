@@ -33,8 +33,9 @@ template <typename DriftOf>
 void accumulate_sharded(std::span<const std::uint32_t> bounds,
                         support::Executor& executor, const DriftOf& drift_of,
                         std::vector<geom::Vec2>& out) {
-  support::parallel_for_chunked(
-      executor, bounds, [&](std::size_t chunk_begin, std::size_t chunk_end) {
+  support::parallel_for_shards(
+      executor, bounds,
+      [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
           out[i] = drift_of(i);
         }

@@ -11,7 +11,7 @@
 //  - SpawnExecutor: transient helpers, created per dispatch and joined
 //    before it returns — the pre-pool fork/join behavior, kept as the
 //    baseline the pool's dispatch cost is benchmarked against and as the
-//    fallback for one-shot call sites that have no pool to reuse.
+//    `threads` fallback of an options struct whose `executor` is null.
 //  - TaskPool + PoolExecutor: persistent parked workers woken per dispatch.
 //    One pool is sized per experiment from the resolved ThreadBudget; its
 //    workers can be *lent* as disjoint sub-executors, so an outer dispatch

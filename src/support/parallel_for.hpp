@@ -8,14 +8,14 @@
 // output range, so results are identical for any width, including 1).
 //
 // The wrappers compute the chunk partition; the executor only decides which
-// runner executes which chunk. Every overload exists in two forms: one
-// taking an Executor& (the engine's pooled paths pass a lent PoolExecutor)
-// and a legacy form taking a thread count, which dispatches on a transient
-// SpawnExecutor — the historical fork/join behavior. The partition is
-// identical in both forms, so switching a call site between them never
-// changes results.
+// runner executes which chunk. Each loop has one form, taking the Executor&
+// to dispatch on: a lent PoolExecutor on the engine's pooled paths,
+// serial_executor() for serial callers, or a SpawnExecutor where an options
+// struct's `threads` fallback asks for transient fork/join workers. The
+// partition depends only on the range and the executor's width, so two
+// executors of equal width never change results.
 //
-// Both loops are templated on the body type: the body is invoked directly
+// Every loop is templated on the body type: the body is invoked directly
 // (inlined into the chunk loop), with type erasure only at the chunk level.
 #pragma once
 
@@ -55,63 +55,22 @@ void parallel_for_chunked(Executor& executor, std::size_t begin,
   executor.run(chunks, chunk_task);
 }
 
-/// Legacy form: same partition and semantics, dispatched on a transient
-/// SpawnExecutor of the given width (0 selects default_thread_count()).
-/// Pooled call sites should prefer the Executor& overload.
-template <typename ChunkBody>
-void parallel_for_chunked(std::size_t begin, std::size_t end,
-                          ChunkBody&& chunk_body, std::size_t threads = 0) {
-  SpawnExecutor executor(threads);
-  parallel_for_chunked(executor, begin, end,
-                       std::forward<ChunkBody>(chunk_body));
-}
-
-/// Explicit-partition overload: runs `chunk_body(bounds[k], bounds[k+1])`
-/// for every k with caller-supplied chunk boundaries instead of an equal
-/// division. `bounds` must be ascending (empty chunks are skipped); a
-/// partition with at most one non-empty chunk, or a width-1 executor, runs
-/// inline in index order. Live workers are capped at the executor's width
-/// no matter how many chunks the partition holds — chunks queue and drain
-/// as runners free up.
+/// Explicit-partition loop: runs `chunk_body(k, bounds[k], bounds[k+1])`
+/// for every k with a non-empty range, with caller-supplied chunk
+/// boundaries instead of an equal division. `bounds` must be ascending
+/// (empty chunks are skipped); a partition with at most one non-empty
+/// chunk, or a width-1 executor, runs inline in index order. Live workers
+/// are capped at the executor's width no matter how many chunks the
+/// partition holds — chunks queue and drain as runners free up.
 ///
-/// The partition is the caller's contract with determinism: boundaries that
-/// do not depend on the machine (e.g. a neighbor structure's cell-aligned
-/// shards) give bitwise-stable results at any width. Exception semantics
-/// match the equal-division overload.
-template <typename ChunkBody, typename Index>
-void parallel_for_chunked(Executor& executor, std::span<const Index> bounds,
-                          ChunkBody&& chunk_body) {
-  if (bounds.size() < 2) return;
-  std::size_t non_empty = 0;
-  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-    if (bounds[k] < bounds[k + 1]) ++non_empty;
-  }
-  if (non_empty == 0) return;
-  if (non_empty == 1 || executor.width() <= 1) {
-    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-      if (bounds[k] < bounds[k + 1]) {
-        chunk_body(static_cast<std::size_t>(bounds[k]),
-                   static_cast<std::size_t>(bounds[k + 1]));
-      }
-    }
-    return;
-  }
-  auto chunk_task = [&](std::size_t k) {
-    if (bounds[k] < bounds[k + 1]) {
-      chunk_body(static_cast<std::size_t>(bounds[k]),
-                 static_cast<std::size_t>(bounds[k + 1]));
-    }
-  };
-  executor.run(bounds.size() - 1, chunk_task);
-}
-
-/// Explicit-partition overload that also hands the body its chunk index:
-/// `chunk_body(k, bounds[k], bounds[k+1])` for every k with a non-empty
-/// range. The index is the chunk's position in `bounds` — stable across
+/// The index k is the chunk's position in `bounds` — stable across
 /// executor widths — so callers can bind per-shard scratch buffers to k
 /// without racing (buffer k is touched only by chunk k, whichever worker
-/// runs it). Partition, skip, inline-fallback, and exception semantics
-/// match the index-free overload above.
+/// runs it); callers with no per-shard state ignore it. The partition is
+/// the caller's contract with determinism: boundaries that do not depend
+/// on the machine (e.g. a neighbor structure's cell-aligned shards) give
+/// bitwise-stable results at any width. Exception semantics match
+/// `parallel_for_chunked`.
 template <typename ChunkBody, typename Index>
 void parallel_for_shards(Executor& executor, std::span<const Index> bounds,
                          ChunkBody&& chunk_body) {
@@ -139,17 +98,6 @@ void parallel_for_shards(Executor& executor, std::span<const Index> bounds,
   executor.run(bounds.size() - 1, chunk_task);
 }
 
-/// Legacy explicit-partition form: dispatches on a transient SpawnExecutor
-/// of default_thread_count() width. (Historically this overload spawned one
-/// thread per non-empty chunk with no cap; the executor's width now bounds
-/// live workers.)
-template <typename ChunkBody, typename Index>
-void parallel_for_chunked(std::span<const Index> bounds,
-                          ChunkBody&& chunk_body) {
-  SpawnExecutor executor;
-  parallel_for_chunked(executor, bounds, std::forward<ChunkBody>(chunk_body));
-}
-
 /// Runs `body(i)` for every i in [begin, end) across the executor's
 /// runners. Indices are partitioned into contiguous blocks, one per chunk,
 /// so neighboring iterations share cache lines of the same output region.
@@ -162,14 +110,6 @@ void parallel_for(Executor& executor, std::size_t begin, std::size_t end,
       [&body](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) body(i);
       });
-}
-
-/// Legacy form of `parallel_for` on a transient SpawnExecutor.
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, Body&& body,
-                  std::size_t threads = 0) {
-  SpawnExecutor executor(threads);
-  parallel_for(executor, begin, end, std::forward<Body>(body));
 }
 
 }  // namespace sops::support

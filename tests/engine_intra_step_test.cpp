@@ -184,8 +184,9 @@ TEST(IntraStepInvariance, WorkerStarvedPoolMatchesSerialOnManyShards) {
   const double cutoff_sq = 3.0 * 3.0;
   sops::support::TaskPool pool(2);
   std::vector<Vec2> pooled(system.size());
-  sops::support::parallel_for_chunked(
-      pool.executor(), bounds, [&](std::size_t begin, std::size_t end) {
+  sops::support::parallel_for_shards(
+      pool.executor(), bounds,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         sops::geom::GatherScratch s;
         std::size_t c = static_cast<std::size_t>(
                             std::upper_bound(starts.begin(), starts.end(),

@@ -70,18 +70,23 @@ TEST_P(KdTreeVsBruteForce, KNearestMatchesOracle) {
   }
 }
 
-TEST_P(KdTreeVsBruteForce, CountWithinMatchesOracle) {
+// One block spanning every axis: the block-max metric is then the plain
+// Euclidean one.
+std::vector<sops::geom::DimBlock> whole(std::size_t dim) { return {{0, dim}}; }
+
+TEST_P(KdTreeVsBruteForce, CountWithinSingleBlockMatchesOracle) {
   const auto [count, dim] = GetParam();
   const auto data = random_points(count, dim, 29);
   const KdTree tree(data, dim);
   const BruteForceSearcher oracle(data, dim);
+  const auto blocks = whole(dim);
 
   const auto queries = random_points(20, dim, 30);
   for (const double radius : {0.5, 2.0, 8.0, 40.0}) {
     for (std::size_t q = 0; q < 20; ++q) {
       const std::span<const double> query{queries.data() + q * dim, dim};
-      EXPECT_EQ(tree.count_within(query, radius),
-                oracle.count_within(query, radius))
+      EXPECT_EQ(tree.count_within_blocks(query, radius, blocks),
+                oracle.count_within_blocks(query, radius, blocks))
           << "radius=" << radius;
     }
   }
@@ -144,7 +149,7 @@ TEST(KdTree, DuplicatePointsAllFound) {
   const KdTree tree(data, 2);
   const double query[2] = {3.25, 3.25};
   EXPECT_EQ(tree.k_nearest({query, 2}, 50).size(), 50u);
-  EXPECT_EQ(tree.count_within({query, 2}, 0.001), 50u);
+  EXPECT_EQ(tree.count_within_blocks({query, 2}, 0.001, whole(2)), 50u);
 }
 
 TEST(KdTree, CountWithinIsStrict) {
@@ -152,15 +157,15 @@ TEST(KdTree, CountWithinIsStrict) {
   const KdTree tree(data, 2);
   const double query[2] = {0.0, 0.0};
   // Point at distance exactly 1.0 must not be counted for radius 1.0.
-  EXPECT_EQ(tree.count_within({query, 2}, 1.0), 1u);
-  EXPECT_EQ(tree.count_within({query, 2}, 1.0 + 1e-9), 2u);
+  EXPECT_EQ(tree.count_within_blocks({query, 2}, 1.0, whole(2)), 1u);
+  EXPECT_EQ(tree.count_within_blocks({query, 2}, 1.0 + 1e-9, whole(2)), 2u);
 }
 
 TEST(KdTree, ZeroRadiusCountsNothing) {
   const auto data = random_points(20, 2, 47);
   const KdTree tree(data, 2);
   const double query[2] = {0.0, 0.0};
-  EXPECT_EQ(tree.count_within({query, 2}, 0.0), 0u);
+  EXPECT_EQ(tree.count_within_blocks({query, 2}, 0.0, whole(2)), 0u);
 }
 
 TEST(KdTree, EmptyTree) {
@@ -169,7 +174,7 @@ TEST(KdTree, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   const double query[2] = {0.0, 0.0};
   EXPECT_TRUE(tree.k_nearest({query, 2}, 3).empty());
-  EXPECT_EQ(tree.count_within({query, 2}, 1.0), 0u);
+  EXPECT_EQ(tree.count_within_blocks({query, 2}, 1.0, whole(2)), 0u);
   EXPECT_THROW((void)tree.nearest({query, 2}), sops::PreconditionError);
 }
 

@@ -21,6 +21,7 @@ using sops::info::log2_unit_ball_volume;
 using sops::info::multi_information_kl;
 using sops::info::SampleMatrix;
 using sops::rng::Xoshiro256;
+using sops::support::serial_executor;
 
 SampleMatrix gaussian_samples(std::size_t m, std::size_t dim, double sigma,
                               std::uint64_t seed) {
@@ -55,7 +56,7 @@ class KlEntropyGaussian
 TEST_P(KlEntropyGaussian, MatchesClosedForm) {
   const auto [dim, sigma] = GetParam();
   const SampleMatrix samples = gaussian_samples(2000, dim, sigma, dim * 7 + 1);
-  const double estimated = entropy_kl(samples, 4);
+  const double estimated = entropy_kl(samples, 4, serial_executor());
   const double expected = gaussian_entropy_bits(dim, sigma);
   EXPECT_NEAR(estimated, expected, 0.12 * dim) << "dim=" << dim;
 }
@@ -72,7 +73,8 @@ TEST(KlEntropy, UniformMatchesLogVolume) {
   for (std::size_t s = 0; s < 3000; ++s) {
     samples(s, 0) = sops::rng::uniform(engine, 0.0, length);
   }
-  EXPECT_NEAR(entropy_kl(samples, 4), std::log2(length), 0.1);
+  EXPECT_NEAR(entropy_kl(samples, 4, serial_executor()), std::log2(length),
+              0.1);
 }
 
 TEST(KlEntropy, ScalingShiftsByLogFactor) {
@@ -83,27 +85,31 @@ TEST(KlEntropy, ScalingShiftsByLogFactor) {
     scaled(s, 0) = 4.0 * base(s, 0);
     scaled(s, 1) = 4.0 * base(s, 1);
   }
-  EXPECT_NEAR(entropy_kl(scaled, 4), entropy_kl(base, 4) + 2.0 * 2.0, 0.05);
+  EXPECT_NEAR(entropy_kl(scaled, 4, serial_executor()),
+              entropy_kl(base, 4, serial_executor()) + 2.0 * 2.0, 0.05);
 }
 
 TEST(KlEntropy, BlockRestriction) {
   // Entropy of a block equals entropy of those coordinates alone.
   const SampleMatrix samples = gaussian_samples(800, 3, 1.0, 23);
-  const double block_h = entropy_kl_block(samples, Block{1, 1}, 4);
+  const double block_h =
+      entropy_kl_block(samples, Block{1, 1}, 4, serial_executor());
   EXPECT_NEAR(block_h, gaussian_entropy_bits(1, 1.0), 0.15);
 }
 
 TEST(KlEntropy, DegenerateCoincidentSamplesStayFinite) {
   SampleMatrix samples(10, 1);
   for (std::size_t s = 0; s < 10; ++s) samples(s, 0) = 1.0;
-  EXPECT_TRUE(std::isfinite(entropy_kl(samples, 2)));
+  EXPECT_TRUE(std::isfinite(entropy_kl(samples, 2, serial_executor())));
 }
 
 TEST(KlEntropy, PreconditionsEnforced) {
   const SampleMatrix samples = gaussian_samples(5, 1, 1.0, 29);
-  EXPECT_THROW((void)entropy_kl(samples, 5), sops::PreconditionError);
-  EXPECT_THROW((void)entropy_kl_block(samples, Block{1, 1}, 2),
+  EXPECT_THROW((void)entropy_kl(samples, 5, serial_executor()),
                sops::PreconditionError);
+  EXPECT_THROW(
+      (void)entropy_kl_block(samples, Block{1, 1}, 2, serial_executor()),
+      sops::PreconditionError);
 }
 
 TEST(KlMultiInformation, AgreesWithGaussianOracle) {
@@ -117,30 +123,36 @@ TEST(KlMultiInformation, AgreesWithGaussianOracle) {
                                   sops::rng::standard_normal(engine);
   }
   const std::vector<Block> blocks{{0, 1}, {1, 1}};
-  EXPECT_NEAR(multi_information_kl(samples, blocks, 4), gaussian_mi_bits(rho),
-              0.2);
+  EXPECT_NEAR(multi_information_kl(samples, blocks, 4, serial_executor()),
+              gaussian_mi_bits(rho), 0.2);
 }
 
 TEST(KlMultiInformation, IndependentNearZero) {
   const SampleMatrix samples = gaussian_samples(1500, 2, 1.0, 37);
   const std::vector<Block> blocks{{0, 1}, {1, 1}};
-  EXPECT_NEAR(multi_information_kl(samples, blocks, 4), 0.0, 0.15);
+  EXPECT_NEAR(multi_information_kl(samples, blocks, 4, serial_executor()), 0.0,
+              0.15);
 }
 
-TEST(KlEntropy, LentExecutorMatchesThreadsForm) {
-  // The executor overloads (batch analyses lend a persistent pool) must be
-  // bit-identical to the transient fork/join forms: per-sample terms are
-  // reduced in a fixed order regardless of who computes them.
+TEST(KlEntropy, BitwiseEqualAcrossExecutorWidths) {
+  // Batch analyses lend a persistent pool; per-sample terms are reduced in
+  // a fixed order regardless of who computes them, so every width gives
+  // the serial bits.
   const SampleMatrix samples = gaussian_samples(600, 4, 1.0, 11);
-  sops::support::TaskPool pool(3);
-  EXPECT_DOUBLE_EQ(entropy_kl(samples, 4, std::size_t{2}),
-                   entropy_kl(samples, 4, pool.executor()));
   const Block block{1, 2};
-  EXPECT_DOUBLE_EQ(entropy_kl_block(samples, block, 4, std::size_t{2}),
-                   entropy_kl_block(samples, block, 4, pool.executor()));
   const std::vector<Block> blocks{{0, 2}, {2, 2}};
-  EXPECT_DOUBLE_EQ(multi_information_kl(samples, blocks, 4, std::size_t{2}),
-                   multi_information_kl(samples, blocks, 4, pool.executor()));
+  const double joint = entropy_kl(samples, 4, serial_executor());
+  const double marginal =
+      entropy_kl_block(samples, block, 4, serial_executor());
+  const double mi = multi_information_kl(samples, blocks, 4, serial_executor());
+  for (const std::size_t width : {2u, 3u, 5u}) {
+    sops::support::TaskPool pool(width);
+    EXPECT_EQ(entropy_kl(samples, 4, pool.executor()), joint) << width;
+    EXPECT_EQ(entropy_kl_block(samples, block, 4, pool.executor()), marginal)
+        << width;
+    EXPECT_EQ(multi_information_kl(samples, blocks, 4, pool.executor()), mi)
+        << width;
+  }
 }
 
 }  // namespace

@@ -131,18 +131,26 @@ TEST(KdeMi, PreconditionsEnforced) {
                sops::PreconditionError);
 }
 
-TEST(KdeMultiInformation, LentExecutorMatchesThreadsForm) {
+TEST(KdeMultiInformation, BitwiseEqualAcrossExecutorWidths) {
   // KdeOptions::executor mirrors KsgOptions::executor: a lent persistent
-  // pool replaces per-call forks and never changes the estimate.
+  // pool of any width, or the `threads` fork/join fallback, never changes
+  // the estimate.
   const SampleMatrix samples = correlated_pair(400, 0.8, 21);
   const std::vector<Block> blocks{{0, 1}, {1, 1}};
-  KdeOptions threaded;
-  threaded.threads = 2;
-  sops::support::TaskPool pool(3);
-  KdeOptions pooled;
-  pooled.executor = &pool.executor();
-  EXPECT_DOUBLE_EQ(multi_information_kde(samples, blocks, threaded),
-                   multi_information_kde(samples, blocks, pooled));
+  KdeOptions serial;
+  serial.executor = &sops::support::serial_executor();
+  const double reference = multi_information_kde(samples, blocks, serial);
+  for (const std::size_t width : {2u, 3u, 5u}) {
+    sops::support::TaskPool pool(width);
+    KdeOptions pooled;
+    pooled.executor = &pool.executor();
+    EXPECT_EQ(multi_information_kde(samples, blocks, pooled), reference)
+        << width;
+    KdeOptions spawned;
+    spawned.threads = width;
+    EXPECT_EQ(multi_information_kde(samples, blocks, spawned), reference)
+        << width;
+  }
 }
 
 }  // namespace

@@ -249,20 +249,29 @@ TEST(ActiveInformationStorage, ParticleHelperRuns) {
   EXPECT_GT(sops::info::particle_active_information_storage(frames, 0), 0.3);
 }
 
-TEST(TransferEntropy, LentExecutorMatchesThreadsForm) {
+TEST(TransferEntropy, BitwiseEqualAcrossExecutorWidths) {
   // TransferEntropyOptions::executor mirrors KsgOptions::executor; the
-  // estimate never depends on who runs the per-sample queries.
+  // estimate never depends on who runs the per-sample queries: a lent pool
+  // of any width, or the `threads` fork/join fallback.
   const CoupledSeries series = coupled_ar(400, 0.8, 9);
-  TransferEntropyOptions threaded;
-  threaded.threads = 2;
-  sops::support::TaskPool pool(3);
-  TransferEntropyOptions pooled;
-  pooled.executor = &pool.executor();
-  EXPECT_DOUBLE_EQ(transfer_entropy(series.x, series.y, 1, threaded),
-                   transfer_entropy(series.x, series.y, 1, pooled));
-  EXPECT_DOUBLE_EQ(
-      sops::info::active_information_storage(series.y, 1, threaded),
-      sops::info::active_information_storage(series.y, 1, pooled));
+  TransferEntropyOptions serial;
+  serial.executor = &sops::support::serial_executor();
+  const double te = transfer_entropy(series.x, series.y, 1, serial);
+  const double ais =
+      sops::info::active_information_storage(series.y, 1, serial);
+  for (const std::size_t width : {2u, 3u, 5u}) {
+    sops::support::TaskPool pool(width);
+    TransferEntropyOptions pooled;
+    pooled.executor = &pool.executor();
+    TransferEntropyOptions spawned;
+    spawned.threads = width;
+    for (const TransferEntropyOptions& options : {pooled, spawned}) {
+      EXPECT_EQ(transfer_entropy(series.x, series.y, 1, options), te) << width;
+      EXPECT_EQ(sops::info::active_information_storage(series.y, 1, options),
+                ais)
+          << width;
+    }
+  }
 }
 
 }  // namespace

@@ -319,9 +319,9 @@ TEST(ParallelForExecutor, ExplicitPartitionCapsWorkersAtExecutorWidth) {
   std::vector<std::atomic<int>> visits(n);
   std::mutex ids_mutex;
   std::set<std::thread::id> ids;
-  sops::support::parallel_for_chunked(
+  sops::support::parallel_for_shards(
       pool.executor(), std::span<const std::uint32_t>(bounds),
-      [&](std::size_t begin, std::size_t end) {
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
         const std::lock_guard<std::mutex> lock(ids_mutex);
         ids.insert(std::this_thread::get_id());
@@ -465,9 +465,10 @@ TEST(CancelTokenTest, RequestFromAnotherThreadIsSeenByPollers) {
   EXPECT_TRUE(token.requested());
 }
 
-TEST(ParallelForExecutor, PoolAndLegacyChunkingAgree) {
-  // The Executor& and thread-count forms must produce the identical
-  // contiguous partition: record chunk boundaries through both.
+TEST(ParallelForExecutor, PoolAndSpawnChunkingAgree) {
+  // A pool and a SpawnExecutor of equal width (the `threads` fallback's
+  // fork/join path) must produce the identical contiguous partition:
+  // record chunk boundaries through both.
   const std::size_t count = 103;
   const std::size_t width = 4;
   auto partition_of = [&](auto dispatch) {
@@ -484,10 +485,11 @@ TEST(ParallelForExecutor, PoolAndLegacyChunkingAgree) {
   const auto pooled = partition_of([&](auto body) {
     sops::support::parallel_for_chunked(pool.executor(), 10, 10 + count, body);
   });
-  const auto legacy = partition_of([&](auto body) {
-    sops::support::parallel_for_chunked(10, 10 + count, body, width);
+  SpawnExecutor spawn(width);
+  const auto spawned = partition_of([&](auto body) {
+    sops::support::parallel_for_chunked(spawn, 10, 10 + count, body);
   });
-  EXPECT_EQ(pooled, legacy);
+  EXPECT_EQ(pooled, spawned);
   ASSERT_EQ(pooled.size(), width);
   EXPECT_EQ(pooled.front().first, 10u);
   EXPECT_EQ(pooled.back().second, 10u + count);

@@ -1,15 +1,18 @@
 // Tests for sops::support — the parallel_for primitive and error handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <numeric>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/executor.hpp"
 #include "support/parallel_for.hpp"
 
 namespace {
@@ -17,6 +20,8 @@ namespace {
 using sops::support::expect;
 using sops::support::parallel_for;
 using sops::support::parallel_for_chunked;
+using sops::support::parallel_for_shards;
+using sops::support::SpawnExecutor;
 
 TEST(Expect, PassesOnTrue) { EXPECT_NO_THROW(expect(true, "never")); }
 
@@ -39,44 +44,48 @@ TEST(ErrorHierarchy, AllDeriveFromError) {
   EXPECT_THROW(throw sops::Error("x"), std::runtime_error);
 }
 
+// The loops over a SpawnExecutor of each width (0 = every hardware
+// thread): the fork/join path an options struct's `threads` fallback takes.
 class ParallelForThreads : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelForThreads, VisitsEveryIndexExactlyOnce) {
   const std::size_t count = 1000;
   std::vector<std::atomic<int>> visits(count);
-  parallel_for(
-      0, count, [&](std::size_t i) { visits[i].fetch_add(1); }, GetParam());
+  SpawnExecutor executor(GetParam());
+  parallel_for(executor, 0, count,
+               [&](std::size_t i) { visits[i].fetch_add(1); });
   for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
 }
 
 TEST_P(ParallelForThreads, ChunksPartitionTheRange) {
   const std::size_t count = 777;
   std::vector<std::atomic<int>> visits(count);
-  parallel_for_chunked(
-      0, count,
-      [&](std::size_t begin, std::size_t end) {
-        EXPECT_LE(begin, end);
-        for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
-      },
-      GetParam());
+  SpawnExecutor executor(GetParam());
+  parallel_for_chunked(executor, 0, count,
+                       [&](std::size_t begin, std::size_t end) {
+                         EXPECT_LE(begin, end);
+                         for (std::size_t i = begin; i < end; ++i) {
+                           visits[i].fetch_add(1);
+                         }
+                       });
   for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
 }
 
 TEST_P(ParallelForThreads, NonZeroBegin) {
   std::atomic<int> sum{0};
-  parallel_for(
-      10, 20, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); },
-      GetParam());
+  SpawnExecutor executor(GetParam());
+  parallel_for(executor, 10, 20,
+               [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 145);  // 10 + 11 + … + 19
 }
 
 TEST_P(ParallelForThreads, ResultsMatchSerialReference) {
   const std::size_t count = 257;
   std::vector<double> out(count, 0.0);
-  parallel_for(
-      0, count,
-      [&](std::size_t i) { out[i] = static_cast<double>(i) * 1.5 + 1.0; },
-      GetParam());
+  SpawnExecutor executor(GetParam());
+  parallel_for(executor, 0, count, [&](std::size_t i) {
+    out[i] = static_cast<double>(i) * 1.5 + 1.0;
+  });
   for (std::size_t i = 0; i < count; ++i) {
     EXPECT_DOUBLE_EQ(out[i], static_cast<double>(i) * 1.5 + 1.0);
   }
@@ -87,30 +96,33 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelForThreads,
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   bool called = false;
-  parallel_for(5, 5, [&](std::size_t) { called = true; });
+  SpawnExecutor executor;
+  parallel_for(executor, 5, 5, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, ReversedRangeIsNoop) {
   bool called = false;
-  parallel_for(7, 3, [&](std::size_t) { called = true; });
+  SpawnExecutor executor;
+  parallel_for(executor, 7, 3, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, SingleElementRunsInline) {
   std::thread::id body_thread;
-  parallel_for(0, 1, [&](std::size_t) { body_thread = std::this_thread::get_id(); },
-               4);
+  SpawnExecutor executor(4);
+  parallel_for(executor, 0, 1, [&](std::size_t) {
+    body_thread = std::this_thread::get_id();
+  });
   EXPECT_TRUE(body_thread == std::this_thread::get_id());
 }
 
 TEST(ParallelFor, ExceptionsPropagateToCaller) {
-  EXPECT_THROW(parallel_for(
-                   0, 100,
-                   [](std::size_t i) {
-                     if (i == 42) throw std::runtime_error("boom");
-                   },
-                   4),
+  SpawnExecutor executor(4);
+  EXPECT_THROW(parallel_for(executor, 0, 100,
+                            [](std::size_t i) {
+                              if (i == 42) throw std::runtime_error("boom");
+                            }),
                std::runtime_error);
 }
 
@@ -120,14 +132,12 @@ TEST(ParallelFor, ExceptionAbandonsOnlyTheThrowingChunk) {
   // contiguous partition is [0, 50) and [50, 100); a throw at index 0 must
   // leave the second chunk fully processed.
   std::vector<std::atomic<int>> visits(100);
+  SpawnExecutor executor(2);
   try {
-    parallel_for(
-        0, 100,
-        [&](std::size_t i) {
-          visits[i].fetch_add(1);
-          if (i == 0) throw std::runtime_error("boom");
-        },
-        2);
+    parallel_for(executor, 0, 100, [&](std::size_t i) {
+      visits[i].fetch_add(1);
+      if (i == 0) throw std::runtime_error("boom");
+    });
     FAIL() << "expected throw";
   } catch (const std::runtime_error&) {
   }
@@ -137,8 +147,8 @@ TEST(ParallelFor, ExceptionAbandonsOnlyTheThrowingChunk) {
 
 TEST(ParallelFor, MoreThreadsThanWorkIsSafe) {
   std::atomic<int> count{0};
-  parallel_for(
-      0, 3, [&](std::size_t) { count.fetch_add(1); }, 64);
+  SpawnExecutor executor(64);
+  parallel_for(executor, 0, 3, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 3);
 }
 
@@ -146,52 +156,66 @@ TEST(ExplicitPartition, ChunksFollowCallerBoundaries) {
   const std::vector<std::uint32_t> bounds{0, 3, 3, 10, 40};
   std::vector<std::atomic<int>> visits(40);
   std::mutex chunks_mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  parallel_for_chunked(std::span<const std::uint32_t>(bounds),
-                       [&](std::size_t begin, std::size_t end) {
-                         {
-                           const std::lock_guard<std::mutex> lock(chunks_mutex);
-                           chunks.emplace_back(begin, end);
-                         }
-                         for (std::size_t i = begin; i < end; ++i) {
-                           visits[i].fetch_add(1);
-                         }
-                       });
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> chunks;
+  SpawnExecutor executor(4);
+  parallel_for_shards(executor, std::span<const std::uint32_t>(bounds),
+                      [&](std::size_t k, std::size_t begin, std::size_t end) {
+                        {
+                          const std::lock_guard<std::mutex> lock(chunks_mutex);
+                          chunks.emplace_back(k, begin, end);
+                        }
+                        for (std::size_t i = begin; i < end; ++i) {
+                          visits[i].fetch_add(1);
+                        }
+                      });
   for (std::size_t i = 0; i < visits.size(); ++i) {
     EXPECT_EQ(visits[i].load(), 1) << i;
   }
-  // The empty chunk [3, 3) is skipped; the three non-empty ones run as given.
-  EXPECT_EQ(chunks.size(), 3u);
+  // The empty chunk [3, 3) is skipped; the three non-empty ones run as
+  // given, each with its position in `bounds` as its index.
+  std::sort(chunks.begin(), chunks.end());
+  const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>
+      expected = {{0, 0, 3}, {2, 3, 10}, {3, 10, 40}};
+  EXPECT_EQ(chunks, expected);
 }
 
 TEST(ExplicitPartition, SingleChunkRunsInline) {
   const std::vector<std::uint32_t> bounds{0, 0, 5, 5};
   std::thread::id body_thread;
-  parallel_for_chunked(std::span<const std::uint32_t>(bounds),
-                       [&](std::size_t, std::size_t) {
-                         body_thread = std::this_thread::get_id();
-                       });
+  std::size_t index = 0;
+  SpawnExecutor executor(4);
+  parallel_for_shards(executor, std::span<const std::uint32_t>(bounds),
+                      [&](std::size_t k, std::size_t, std::size_t) {
+                        body_thread = std::this_thread::get_id();
+                        index = k;
+                      });
   EXPECT_TRUE(body_thread == std::this_thread::get_id());
+  EXPECT_EQ(index, 1u);
 }
 
 TEST(ExplicitPartition, DegenerateBoundsAreNoops) {
   bool called = false;
-  const auto body = [&](std::size_t, std::size_t) { called = true; };
-  parallel_for_chunked(std::span<const std::uint32_t>(), body);
+  const auto body = [&](std::size_t, std::size_t, std::size_t) {
+    called = true;
+  };
+  SpawnExecutor executor(4);
+  parallel_for_shards(executor, std::span<const std::uint32_t>(), body);
   const std::vector<std::uint32_t> single{7};
-  parallel_for_chunked(std::span<const std::uint32_t>(single), body);
+  parallel_for_shards(executor, std::span<const std::uint32_t>(single), body);
   const std::vector<std::uint32_t> all_empty{4, 4, 4};
-  parallel_for_chunked(std::span<const std::uint32_t>(all_empty), body);
+  parallel_for_shards(executor, std::span<const std::uint32_t>(all_empty),
+                      body);
   EXPECT_FALSE(called);
 }
 
 TEST(ExplicitPartition, ExceptionsPropagateToCaller) {
   const std::vector<std::uint32_t> bounds{0, 10, 20, 30};
+  SpawnExecutor executor(4);
   EXPECT_THROW(
-      parallel_for_chunked(std::span<const std::uint32_t>(bounds),
-                           [](std::size_t begin, std::size_t) {
-                             if (begin == 10) throw std::runtime_error("boom");
-                           }),
+      parallel_for_shards(executor, std::span<const std::uint32_t>(bounds),
+                          [](std::size_t, std::size_t begin, std::size_t) {
+                            if (begin == 10) throw std::runtime_error("boom");
+                          }),
       std::runtime_error);
 }
 
