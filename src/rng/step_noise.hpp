@@ -15,10 +15,10 @@
 // Random access is what lets a sharded step compute each shard's noise on
 // its own runner: the serial and sharded integrator steps are one function.
 //
-// ln and sincos(2π·) are implemented here (an fdlibm-style log, and the
-// fdlibm sin/cos kernels after an exact reduction in v) instead of being
-// taken from libm, for two reasons. They evaluate on support::v4d lanes,
-// four particles per op. And, like the drift kernels (sim/drift_kernel.hpp),
+// ln and sincos(2π·) come from support/lane_math.hpp (an fdlibm-style log,
+// and the fdlibm sin/cos kernels after an exact reduction in v) instead of
+// from libm, for two reasons. They evaluate on support::v4d lanes, four
+// particles per op. And, like the drift kernels (sim/drift_kernel.hpp),
 // the scalar reference, the generic vector build and the AVX2 variant run
 // one IEEE op sequence, so all three give the same bits (the build never
 // contracts to FMA), and no libm version can move a trajectory.
@@ -37,13 +37,6 @@ struct StepNoiseKernels {
   /// (x[j], y[j]) = ξ_{first + j}.
   void (*normal_pairs)(std::uint64_t key, std::size_t first,
                        std::size_t count, double* x, double* y);
-  /// out[j] = ln in[j], for positive, finite, normal inputs — the lane log
-  /// the transform uses, exposed for the accuracy tests.
-  void (*log)(const double* in, double* out, std::size_t count);
-  /// (sin_out[j], cos_out[j]) = (sin 2πv[j], cos 2πv[j]) for v[j] ∈ [0, 1]
-  /// — the lane sincos the transform uses, exposed likewise.
-  void (*sincos_2pi)(const double* v, double* sin_out, double* cos_out,
-                     std::size_t count);
 };
 
 /// Kernels for the current support::simd_policy(): the scalar reference

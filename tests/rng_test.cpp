@@ -1,13 +1,13 @@
 // RNG tests: determinism, stream independence, sampler statistics, and the
 // integrator's counter-based step noise (definition, bitwise parity of its
-// kernels, lane log/sincos accuracy, and N(0, I₂) statistics).
+// kernels and N(0, I₂) statistics). The lane log/sincos it uses are tested
+// in support_lane_math_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -211,17 +211,6 @@ TEST(SplitMix64, RandomAccessMatchesSequence) {
   }
 }
 
-// Distance in units in the last place between two finite doubles (+0 and
-// −0 are the same point).
-std::uint64_t ulp_distance(double a, double b) {
-  const auto ordered = [](double x) {
-    const auto bits = std::bit_cast<std::int64_t>(x);
-    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
-  };
-  const std::int64_t d = ordered(a) - ordered(b);
-  return static_cast<std::uint64_t>(d < 0 ? -d : d);
-}
-
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -307,89 +296,6 @@ TEST(StepNoise, BitwiseAcrossKernelsAndPartitions) {
       EXPECT_TRUE(std::isfinite(a.x[j]) && std::isfinite(a.y[j]));
     }
   }
-}
-
-TEST(StepNoise, LaneLogWithinTwoUlpOfStdLog) {
-  // The transform's u: 10⁶ draws of 1 − U ∈ (0, 1], the edges u = 1 and
-  // u = 2⁻⁵³, and positive normals across the exponent range.
-  std::vector<double> in{1.0,
-                         0x1p-53,
-                         0.5,
-                         2.0,
-                         std::nextafter(1.0, 0.0),
-                         std::nextafter(1.0, 2.0),
-                         0x1.6a09e667f3bcdp-1,
-                         0x1.6a09e667f3bccp-1,
-                         0x1p-1022,
-                         0x1.fffffffffffffp+1023};
-  Xoshiro256 engine(43);
-  for (int i = 0; i < 1000000; ++i) {
-    in.push_back(1.0 - sops::rng::uniform01(engine));
-  }
-  for (int i = 0; i < 100000; ++i) {
-    const int exponent =
-        static_cast<int>(sops::rng::uniform_index(engine, 2045)) - 1022;
-    in.push_back(std::ldexp(1.0 + sops::rng::uniform01(engine), exponent));
-  }
-  std::vector<double> scalar_out(in.size());
-  std::vector<double> simd_out(in.size());
-  scalar_step_noise_kernels().log(in.data(), scalar_out.data(), in.size());
-  simd_step_noise_kernels().log(in.data(), simd_out.data(), in.size());
-  EXPECT_TRUE(same_bits(scalar_out[0], 0.0));  // ln 1 = +0 exactly
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    ASSERT_TRUE(same_bits(scalar_out[i], simd_out[i]))
-        << std::hexfloat << in[i];
-    ASSERT_LE(ulp_distance(scalar_out[i], std::log(in[i])), 2u)
-        << std::hexfloat << in[i];
-  }
-}
-
-TEST(StepNoise, LaneSincosWithinTwoUlpOfStdSinCos) {
-  // The transform's v: 10⁶ draws of U ∈ [0, 1), every octant boundary k/8,
-  // and 1 − 2⁻⁵³. The reference evaluates std::sin/std::cos in long double
-  // on the exactly reduced argument: sin 2πv = sin(2πw + qπ/2) with
-  // q = rint(4v), w = v − q/4 — without the reduction, rounding 2πv itself
-  // swamps the value near v = 1/2 and v = 1.
-  std::vector<double> in;
-  for (int k = 0; k <= 8; ++k) in.push_back(k / 8.0);
-  in.push_back(1.0 - 0x1p-53);
-  in.push_back(0x1p-53);
-  in.push_back(0.5 - 0x1p-54);
-  Xoshiro256 engine(47);
-  for (int i = 0; i < 1000000; ++i) in.push_back(sops::rng::uniform01(engine));
-  const std::size_t n = in.size();
-  std::vector<double> sin_scalar(n), cos_scalar(n), sin_simd(n), cos_simd(n);
-  scalar_step_noise_kernels().sincos_2pi(in.data(), sin_scalar.data(),
-                                         cos_scalar.data(), n);
-  simd_step_noise_kernels().sincos_2pi(in.data(), sin_simd.data(),
-                                       cos_simd.data(), n);
-  constexpr long double kTwoPi = 2.0L * std::numbers::pi_v<long double>;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = in[i];
-    ASSERT_TRUE(same_bits(sin_scalar[i], sin_simd[i])) << std::hexfloat << v;
-    ASSERT_TRUE(same_bits(cos_scalar[i], cos_simd[i])) << std::hexfloat << v;
-    const double q = std::nearbyint(4.0 * v);
-    const long double theta = kTwoPi * static_cast<long double>(v - q / 4.0);
-    const long double s = std::sin(theta);
-    const long double c = std::cos(theta);
-    long double sin_ref = s;
-    long double cos_ref = c;
-    switch (static_cast<int>(q) % 4) {
-      case 1: sin_ref = c; cos_ref = -s; break;
-      case 2: sin_ref = -s; cos_ref = -c; break;
-      case 3: sin_ref = -c; cos_ref = s; break;
-      default: break;
-    }
-    ASSERT_LE(ulp_distance(sin_scalar[i], static_cast<double>(sin_ref)), 2u)
-        << std::hexfloat << v;
-    ASSERT_LE(ulp_distance(cos_scalar[i], static_cast<double>(cos_ref)), 2u)
-        << std::hexfloat << v;
-  }
-  // Quadrant points are exact.
-  EXPECT_EQ(sin_scalar[2], 1.0);   // v = 1/4
-  EXPECT_EQ(cos_scalar[4], -1.0);  // v = 1/2
-  EXPECT_EQ(sin_scalar[6], -1.0);  // v = 3/4
-  EXPECT_EQ(cos_scalar[8], 1.0);   // v = 1
 }
 
 // One step key per step from an engine, n particles per step.
