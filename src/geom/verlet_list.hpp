@@ -22,10 +22,10 @@
 // cache-resident global lanes; the kernel's live mask zeroes out-of-cutoff
 // and coincident candidates in place, which on short over-approximated rows
 // beats compressing survivors first for the cheap spring law. The
-// double-Gaussian's per-candidate exp flips that: its rows go through the
-// filter/packed kernel pair (sim::FilterRow → sim::PackedRow, staged
-// through ensure_filter_shards / filter_scratch), which compacts survivors
-// before the dense kernel.
+// double-Gaussian's per-candidate exp flips that: each of its rows is
+// compacted to its in-cutoff survivors first (sim::FilterRow, staged
+// through ensure_filter_shards / filter_scratch), and the packed survivor
+// lanes then run through the dense kernel (sim::DenseRow).
 //
 // The build is a single pass + stitch: per shard, each grid cell's 3×3
 // candidate block is gathered once into contiguous lanes (indices + both

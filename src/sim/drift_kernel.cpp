@@ -85,14 +85,6 @@ inline void scalar_block(ForceLawKind kind, double xi, double yi,
   }
 }
 
-// A PackedRow is a DenseRow whose lanes happen to be a Verlet backend's
-// row-contiguous candidate slices; the kernels are shared by converting the
-// view, so the op sequence is the dense one by construction.
-__attribute__((always_inline)) inline DenseRow as_dense(const PackedRow& row) {
-  return DenseRow{row.xi,     row.yi,        row.type_i, row.cand_x,
-                  row.cand_y, row.cand_type, row.count,  row.cutoff_sq};
-}
-
 Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
   const double* tk = table.k_data();
@@ -248,10 +240,6 @@ double drift_norm_scalar(const Vec2* drift, std::size_t n) {
     total += std::sqrt(drift[i].x * drift[i].x + drift[i].y * drift[i].y);
   }
   return total;
-}
-
-Vec2 packed_scalar(const PairScalingTable& table, const PackedRow& row) {
-  return dense_scalar(table, as_dense(row));
 }
 
 // The reference compress: branchless — every candidate writes its survivor
@@ -511,11 +499,6 @@ Vec2 dense_vector_generic(const PairScalingTable& table, const DenseRow& row) {
   return dense_vector_body(table, row);
 }
 
-Vec2 packed_vector_generic(const PairScalingTable& table,
-                           const PackedRow& row) {
-  return dense_vector_body(table, as_dense(row));
-}
-
 Vec2 indexed_vector_generic(const PairScalingTable& table,
                             const IndexedRow& row) {
   return indexed_vector_body(table, row);
@@ -561,11 +544,6 @@ double drift_norm_generic(const Vec2* drift, std::size_t n) {
 __attribute__((target("avx2"))) Vec2 dense_vector_avx2(
     const PairScalingTable& table, const DenseRow& row) {
   return dense_vector_body(table, row);
-}
-
-__attribute__((target("avx2"))) Vec2 packed_vector_avx2(
-    const PairScalingTable& table, const PackedRow& row) {
-  return dense_vector_body(table, as_dense(row));
 }
 
 __attribute__((target("avx2"))) Vec2 indexed_vector_avx2(
@@ -702,9 +680,8 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
 
 const DriftKernels& scalar_drift_kernels() noexcept {
   static const DriftKernels kScalar{
-      dense_scalar,       packed_scalar,        filter_scalar,
-      indexed_scalar,     dense_chunk_scalar,   indexed_chunk_scalar,
-      drift_norm_scalar};
+      dense_scalar,       filter_scalar,        indexed_scalar,
+      dense_chunk_scalar, indexed_chunk_scalar, drift_norm_scalar};
   return kScalar;
 }
 
@@ -714,15 +691,13 @@ const DriftKernels& select_drift_kernels() noexcept {
   // vector form, and the selection being exact arithmetic means there is no
   // bitwise contract to re-prove — only the AVX2 tier swaps in intrinsics.
   static const DriftKernels kGeneric{
-      dense_vector_generic,   packed_vector_generic, filter_scalar,
-      indexed_vector_generic, dense_chunk_generic,   indexed_chunk_generic,
-      drift_norm_generic};
+      dense_vector_generic, filter_scalar,         indexed_vector_generic,
+      dense_chunk_generic,  indexed_chunk_generic, drift_norm_generic};
   if (!support::simd_enabled()) return scalar_drift_kernels();
 #if SOPS_KERNEL_AVX2
   static const DriftKernels kAvx2{
-      dense_vector_avx2,   packed_vector_avx2, filter_avx2,
-      indexed_vector_avx2, dense_chunk_avx2,   indexed_chunk_avx2,
-      drift_norm_avx2};
+      dense_vector_avx2, filter_avx2,        indexed_vector_avx2,
+      dense_chunk_avx2,  indexed_chunk_avx2, drift_norm_avx2};
   if (support::cpu_dispatch_avx2()) return kAvx2;
 #endif
   return kGeneric;

@@ -46,27 +46,10 @@ struct GatherScratch;
 namespace sops::sim {
 
 /// A particle against candidates whose coordinates/types are already
-/// gathered into contiguous lanes. `cand_*` must stay valid for the call.
+/// gathered into contiguous lanes: a cell's 3×3 block, the whole particle
+/// set, or the survivor lanes FilterRow packs from a Verlet row. `cand_*`
+/// must stay valid for the call.
 struct DenseRow {
-  double xi;
-  double yi;
-  TypeId type_i;
-  const double* cand_x;
-  const double* cand_y;
-  const TypeId* cand_type;
-  std::size_t count;
-  double cutoff_sq;  ///< may be +inf (unbounded r_c)
-};
-
-/// A particle against a packed candidate row: the Verlet accumulate path
-/// filters each candidate row down to its in-cutoff survivors (FilterRow
-/// below) into per-shard scratch lanes, then streams those lanes through
-/// this shape. Same fields and — by construction — the exact op sequence of
-/// DenseRow; it is a distinct shape so the Verlet dispatch (and its
-/// packed-vs-indexed parity coverage) is explicit. Bitwise-identical to
-/// IndexedRow whenever the packed lanes hold every candidate's gathered
-/// values, which the parity fuzzer asserts.
-struct PackedRow {
   double xi;
   double yi;
   TypeId type_i;
@@ -165,7 +148,6 @@ struct IndexedChunk {
 /// type ever crosses this ABI boundary.
 struct DriftKernels {
   geom::Vec2 (*dense)(const PairScalingTable& table, const DenseRow& row);
-  geom::Vec2 (*packed)(const PairScalingTable& table, const PackedRow& row);
   std::size_t (*filter)(const FilterRow& row);
   geom::Vec2 (*indexed)(const PairScalingTable& table, const IndexedRow& row);
   void (*dense_chunk)(const PairScalingTable& table, const DenseChunk& chunk);

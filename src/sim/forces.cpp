@@ -217,9 +217,10 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     const std::span<const std::uint32_t> indices = verlet->csr_indices();
     // Eval-path selection by force law: the double-Gaussian's per-candidate
     // exp dominates its row cost, so compacting survivors first (filter →
-    // packed lanes) pays for itself several times over — roughly half the
-    // cached candidates sit outside the cut-off on quiet steps, and the
-    // masked indexed kernel would spend full exp lanes on them. The spring
+    // packed lanes → dense kernel) pays for itself several times over —
+    // roughly half the cached candidates sit outside the cut-off on quiet
+    // steps, and the masked indexed kernel would spend full exp lanes on
+    // them. The spring
     // law is the opposite: its row math is a handful of cheap ops, the
     // compaction pass costs more than the dead lanes it removes, and the
     // chunked masked kernel wins. Both paths are width-invariant (every
@@ -266,10 +267,10 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
                                  s.y.data(),
                                  s.tag.data()};
             const std::size_t kept = kernels.filter(frow);
-            const PackedRow row{system.x[i], system.y[i], system.types[i],
-                                s.x.data(),  s.y.data(),  s.tag.data(),
-                                kept,        cutoff_sq};
-            out[i] = kernels.packed(table, row);
+            const DenseRow row{system.x[i], system.y[i], system.types[i],
+                               s.x.data(),  s.y.data(),  s.tag.data(),
+                               kept,        cutoff_sq};
+            out[i] = kernels.dense(table, row);
           }
         });
     return;

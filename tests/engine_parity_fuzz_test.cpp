@@ -356,8 +356,8 @@ TEST(SimdParity, SpringNearZeroSeparationBitwise) {
 }
 
 TEST(SimdParity, PackedVsIndexedRowKernels) {
-  // The packed (compact-first) and indexed (masked) kernels are two
-  // summation orders of the same row. Two claims, per SIMD policy:
+  // The dense kernel on filtered (compact-first) lanes and the indexed
+  // (masked) kernel are two summation orders of the same row. Two claims, per SIMD policy:
   //  - all-kept rows (cut-off beyond every candidate, no coincidences) have
   //    identical lane grouping, so the results are bitwise-equal;
   //  - filtered rows only regroup survivors into earlier lanes, so the
@@ -401,10 +401,10 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
               row_idx.size(),     cutoff_sq,           fx.data(),
               fy.data(),          ft.data()};
           const std::size_t kept = kernels.filter(fr);
-          const sops::sim::PackedRow pr{system.x[i], system.y[i],
-                                        system.types[i], fx.data(), fy.data(),
-                                        ft.data(),       kept,      cutoff_sq};
-          const Vec2 via_packed = kernels.packed(table, pr);
+          const sops::sim::DenseRow pr{system.x[i], system.y[i],
+                                       system.types[i], fx.data(), fy.data(),
+                                       ft.data(),       kept,      cutoff_sq};
+          const Vec2 via_packed = kernels.dense(table, pr);
           if (cutoff_sq == 1e12) {
             ASSERT_EQ(kept, row_idx.size()) << "case " << c << " i " << i;
             ASSERT_EQ(via_packed, via_indexed)
