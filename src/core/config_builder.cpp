@@ -102,6 +102,26 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
     throw Error("config: 'init_radius' must be positive and finite, got '" +
                 config.get_string("init_radius", "") + "'");
   }
+  // The integrator keys likewise: a non-finite step or noise turns the
+  // first position update into inf/NaN, and a negative cap lets any step
+  // through, so a bad value would simulate the whole job and only then fail
+  // in the analysis, with an error that names no key.
+  const sim::IntegratorParams& integrator = simulation.integrator;
+  if (!(integrator.dt > 0.0) || !std::isfinite(integrator.dt)) {
+    throw Error("config: 'dt' must be positive and finite, got '" +
+                config.get_string("dt", "") + "'");
+  }
+  if (!(integrator.noise_variance >= 0.0) ||
+      !std::isfinite(integrator.noise_variance)) {
+    throw Error("config: 'noise' must be finite and >= 0, got '" +
+                config.get_string("noise", "") + "'");
+  }
+  if (!(integrator.max_step >= 0.0) || !std::isfinite(integrator.max_step)) {
+    throw Error(
+        "config: 'max_step' must be finite and >= 0 (0 disables the cap), "
+        "got '" +
+        config.get_string("max_step", "") + "'");
+  }
 
   const std::string neighbor = config.get_string("neighbor", "auto");
   if (neighbor == "auto") {

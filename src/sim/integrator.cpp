@@ -1,6 +1,7 @@
 #include "sim/integrator.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "rng/step_noise.hpp"
 #include "support/parallel_for.hpp"
@@ -27,10 +28,11 @@ void apply_euler_maruyama_update(ParticleSystem& system,
                                  const IntegratorParams& params,
                                  rng::Xoshiro256& engine,
                                  support::Executor& executor) {
-  support::expect(params.dt > 0.0,
-                  "apply_euler_maruyama_update: dt must be positive");
-  support::expect(params.noise_variance >= 0.0,
-                  "apply_euler_maruyama_update: negative noise variance");
+  support::expect(params.dt > 0.0 && std::isfinite(params.dt),
+                  "apply_euler_maruyama_update: dt must be positive and finite");
+  support::expect(
+      params.noise_variance >= 0.0 && std::isfinite(params.noise_variance),
+      "apply_euler_maruyama_update: noise variance must be finite and >= 0");
   support::expect(drift.size() == system.size(),
                   "apply_euler_maruyama_update: drift size mismatch");
 

@@ -281,6 +281,29 @@ TEST(ConfigBuilder, InvalidInputsThrow) {
                  sops::Error)
         << radius;
   }
+  // Integrator keys: each bad value fails at build time, before any sample
+  // is simulated, with an error naming the key.
+  const std::pair<const char*, const char*> bad_integrator[] = {
+      {"dt", "0"},          {"dt", "-0.1"},       {"dt", "inf"},
+      {"dt", "nan"},        {"noise", "-1"},      {"noise", "inf"},
+      {"noise", "nan"},     {"max_step", "-1"},   {"max_step", "inf"},
+      {"max_step", "nan"},
+  };
+  for (const auto& [key, value] : bad_integrator) {
+    const std::string text = std::string("preset = fig4\n") + key + " = " +
+                             value + "\n";
+    try {
+      (void)build_experiment(Config::parse(text));
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const sops::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // 0 is a valid noise (deterministic drift) and a valid cap (disabled).
+  EXPECT_NO_THROW((void)build_experiment(
+      Config::parse("preset = fig4\nnoise = 0\nmax_step = 0\n")));
 }
 
 TEST(ConfigBuilder, BuiltExperimentActuallyRuns) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geom/rigid_transform.hpp"
@@ -166,6 +167,16 @@ TEST(Integrator, InvalidParamsThrow) {
   bad_noise.noise_variance = -0.1;
   EXPECT_THROW(
       euler_maruyama_step(system, model, 1.0, bad_noise, engine, scratch),
+      sops::PreconditionError);
+  const double inf = std::numeric_limits<double>::infinity();
+  IntegratorParams inf_dt;
+  inf_dt.dt = inf;
+  EXPECT_THROW(euler_maruyama_step(system, model, 1.0, inf_dt, engine, scratch),
+               sops::PreconditionError);
+  IntegratorParams inf_noise;
+  inf_noise.noise_variance = inf;
+  EXPECT_THROW(
+      euler_maruyama_step(system, model, 1.0, inf_noise, engine, scratch),
       sops::PreconditionError);
 }
 
