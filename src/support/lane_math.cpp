@@ -7,6 +7,12 @@
 namespace sops::support {
 namespace {
 
+void exp_scalar(const double* in, double* out, std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
+    out[j] = lane_exp<double, std::uint64_t>(in[j]);
+  }
+}
+
 void log_scalar(const double* in, double* out, std::size_t count) {
   for (std::size_t j = 0; j < count; ++j) {
     out[j] = lane_log<double, std::uint64_t>(in[j]);
@@ -36,6 +42,16 @@ __attribute__((always_inline)) inline void store_lanes(v4d value, double* out,
   std::memcpy(out, &value, lanes * sizeof(double));
 }
 
+__attribute__((always_inline)) inline void exp_vector_body(const double* in,
+                                                          double* out,
+                                                          std::size_t count) {
+  for (std::size_t j = 0; j < count; j += kSimdWidth) {
+    const std::size_t lanes = std::min(kSimdWidth, count - j);
+    store_lanes(lane_exp<v4d, v4w>(load_lanes(in + j, lanes, 0.0)), out + j,
+                lanes);
+  }
+}
+
 __attribute__((always_inline)) inline void log_vector_body(const double* in,
                                                           double* out,
                                                           std::size_t count) {
@@ -58,6 +74,10 @@ __attribute__((always_inline)) inline void sincos_2pi_vector_body(
   }
 }
 
+void exp_generic(const double* in, double* out, std::size_t count) {
+  exp_vector_body(in, out, count);
+}
+
 void log_generic(const double* in, double* out, std::size_t count) {
   log_vector_body(in, out, count);
 }
@@ -68,6 +88,11 @@ void sincos_2pi_generic(const double* v, double* sin_out, double* cos_out,
 }
 
 #if SOPS_KERNEL_AVX2
+
+__attribute__((target("avx2"))) void exp_avx2(const double* in, double* out,
+                                              std::size_t count) {
+  exp_vector_body(in, out, count);
+}
 
 __attribute__((target("avx2"))) void log_avx2(const double* in, double* out,
                                               std::size_t count) {
@@ -92,12 +117,15 @@ struct Tiers {
 
 Tiers available_tiers() noexcept {
   Tiers tiers;
-  tiers.kernels[tiers.count++] = {"scalar", log_scalar, sincos_2pi_scalar};
+  tiers.kernels[tiers.count++] = {"scalar", exp_scalar, log_scalar,
+                                   sincos_2pi_scalar};
 #if defined(SOPS_HAVE_VECTOR_EXT)
-  tiers.kernels[tiers.count++] = {"generic", log_generic, sincos_2pi_generic};
+  tiers.kernels[tiers.count++] = {"generic", exp_generic, log_generic,
+                                     sincos_2pi_generic};
 #if SOPS_KERNEL_AVX2
   if (cpu_dispatch_avx2()) {
-    tiers.kernels[tiers.count++] = {"avx2", log_avx2, sincos_2pi_avx2};
+    tiers.kernels[tiers.count++] = {"avx2", exp_avx2, log_avx2,
+                                      sincos_2pi_avx2};
   }
 #endif
 #endif

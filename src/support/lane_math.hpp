@@ -1,6 +1,6 @@
 // Elementary functions on lanes: one IEEE op sequence per function, shared
-// by the integrator's step noise (rng/step_noise.cpp) and the pair-drift
-// kernels (sim/drift_kernel.cpp).
+// by the integrator's step noise (log, sincos 2π·; rng/step_noise.cpp) and
+// the double-Gaussian force law (exp; sim/force_law.hpp).
 //
 // Every function is one template over the lane types: D is double or
 // support::v4d, W the matching 64-bit word type (std::uint64_t or v4w). A
@@ -91,6 +91,63 @@ __attribute__((always_inline)) inline D lane_log(D x) {
   return s * (hfsq + r) + dk * kLn2Lo - hfsq + f + dk * kLn2Hi;
 }
 
+// eˣ for x ≤ 709 (above, 2^k overflows its exponent field); NaN stays NaN.
+// Exact reduction x = k·ln2 + r: k = rint(x/ln2) through the 1.5·2⁵² magic
+// (k's bits then sit in the low word), and r = (x − k·ln2hi) − k·ln2lo with
+// fdlibm's split ln2, whose head has 21 trailing zero bits so k·ln2hi is
+// exact. e^r on |r| ≤ ln2/2 is 1 + (r + r²·Q(r)), Q the degree-11 Taylor
+// remainder Σ rⁱ/(i+2)! in Estrin form — division-free, truncation below
+// 0.02 ulp. 2^k is applied as two halves 2^⌊k/2⌋·2^(k−⌊k/2⌋) built from
+// exponent bits: the first product is exact, so a subnormal result rounds
+// once. x < −746 is clamped to −746 (then e^x < 2⁻¹⁰⁷⁵ rounds to +0), which
+// also maps −inf to +0. Within 1 ulp of a correctly rounded exp.
+template <typename D, typename W>
+__attribute__((always_inline)) inline D lane_exp(D x) {
+  constexpr double kInvLn2 = 0x1.71547652b82fep0;
+  constexpr double kLn2Hi = 0x1.62e42feep-1;
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  constexpr double kLowest = -746.0;
+  constexpr double kMagic = 0x1.8p52;
+  // Q's coefficients, 1/(i+2)!.
+  constexpr double kQ0 = 1.0 / 2.0;
+  constexpr double kQ1 = 1.0 / 6.0;
+  constexpr double kQ2 = 1.0 / 24.0;
+  constexpr double kQ3 = 1.0 / 120.0;
+  constexpr double kQ4 = 1.0 / 720.0;
+  constexpr double kQ5 = 1.0 / 5040.0;
+  constexpr double kQ6 = 1.0 / 40320.0;
+  constexpr double kQ7 = 1.0 / 362880.0;
+  constexpr double kQ8 = 1.0 / 3628800.0;
+  constexpr double kQ9 = 1.0 / 39916800.0;
+  constexpr double kQ10 = 1.0 / 479001600.0;
+  constexpr double kQ11 = 1.0 / 6227020800.0;
+  x = x < kLowest ? D{} + kLowest : x;
+  const D shifted = x * kInvLn2 + kMagic;
+  // k + 2048 as a positive word: the magic's bits are 0x4338…0 + k.
+  const W k_biased =
+      std::bit_cast<W>(shifted) - (0x4338000000000000ull - 2048u);
+  const D k = shifted - kMagic;
+  const D r = (x - k * kLn2Hi) - k * kLn2Lo;
+  const D r2 = r * r;
+  const D r4 = r2 * r2;
+  const D r8 = r4 * r4;
+  const D q01 = kQ0 + kQ1 * r;
+  const D q23 = kQ2 + kQ3 * r;
+  const D q45 = kQ4 + kQ5 * r;
+  const D q67 = kQ6 + kQ7 * r;
+  const D q89 = kQ8 + kQ9 * r;
+  const D q1011 = kQ10 + kQ11 * r;
+  const D q = ((q01 + r2 * q23) + r4 * (q45 + r2 * q67)) +
+              r8 * (q89 + r2 * q1011);
+  const D p = 1.0 + (r + r2 * q);
+  // half = ⌊k/2⌋ + 1024; the halves' exponent fields are half − 1 and
+  // k_biased − half − 1, both in [485, 1535] for k ∈ [−1076, 1024].
+  const W half = k_biased >> 1;
+  const D scale_lo = std::bit_cast<D>((half - 1u) << 52);
+  const D scale_hi = std::bit_cast<D>((k_biased - half - 1u) << 52);
+  return (p * scale_lo) * scale_hi;
+}
+
 // sin and cos of 2πv for v ∈ [0, 1]. The reduction is exact and happens in
 // v: q = rint(4v) (through the 1.5·2⁵² magic, so q's low bits are the
 // quadrant) and w = v − q/4 ∈ [−1/8, 1/8], exact because v is a multiple of
@@ -162,6 +219,8 @@ __attribute__((always_inline)) inline void lane_sincos_2pi(D v, D& sin_out,
 /// lanes and stores only the live ones.
 struct LaneMathKernels {
   const char* isa;  ///< "scalar", "generic" or "avx2"
+  /// e^in[j], for in[j] ≤ 709.
+  void (*exp)(const double* in, double* out, std::size_t count);
   /// ln in[j], for positive, finite, normal inputs.
   void (*log)(const double* in, double* out, std::size_t count);
   /// (sin 2πv[j], cos 2πv[j]) for v[j] ∈ [0, 1].

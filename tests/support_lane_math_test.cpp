@@ -43,6 +43,69 @@ TEST(LaneMath, TiersStartWithScalarAndIncludeGeneric) {
   EXPECT_STREQ(tiers[1].isa, "generic");
 }
 
+// Runs every tier's exp on `in`, asserts the tiers agree bit for bit, and
+// returns the scalar reference's output.
+std::vector<double> exp_all_tiers(const std::vector<double>& in) {
+  const std::span<const LaneMathKernels> tiers = lane_math_kernel_tiers();
+  std::vector<double> reference(in.size());
+  tiers[0].exp(in.data(), reference.data(), in.size());
+  for (const LaneMathKernels& tier : tiers.subspan(1)) {
+    std::vector<double> out(in.size());
+    tier.exp(in.data(), out.data(), in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      EXPECT_TRUE(same_bits(reference[i], out[i]))
+          << tier.isa << " " << std::hexfloat << in[i];
+    }
+  }
+  return reference;
+}
+
+TEST(LaneMath, ExpWithinOneUlpOfStdExp) {
+  // The double-Gaussian's arguments a·d² ≤ 0: 10⁶ uniform draws over
+  // [−746, 0], an exponent sweep ±(1 + u)·2ᵉ from the smallest subnormal
+  // magnitude up to the clamp, and 2·10⁵ draws over the band whose results
+  // are subnormal.
+  std::vector<double> in;
+  Xoshiro256 engine(53);
+  for (int i = 0; i < 1000000; ++i) {
+    in.push_back(sops::rng::uniform(engine, -746.0, 0.0));
+  }
+  for (int e = -1074; e <= 9; ++e) {
+    for (int i = 0; i < 64; ++i) {
+      const double x = std::ldexp(1.0 + sops::rng::uniform01(engine), e);
+      if (x <= 745.0) {
+        in.push_back(-x);
+        in.push_back(x);
+      }
+    }
+  }
+  for (int i = 0; i < 200000; ++i) {
+    in.push_back(sops::rng::uniform(engine, -745.13, -708.4));
+  }
+  const std::vector<double> out = exp_all_tiers(in);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_LE(ulp_distance(out[i], std::exp(in[i])), 1u)
+        << std::hexfloat << in[i];
+  }
+}
+
+TEST(LaneMath, ExpEdgeValuesAreExact) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> in{0.0,     -0.0,      -kInf,   -745.14,
+                               -745.2,  -746.0,    -1e300,  -0x1.74910d52d3052p+9,
+                               -0x1.74910d52d3051p+9};
+  const std::vector<double> out = exp_all_tiers(in);
+  EXPECT_TRUE(same_bits(out[0], 1.0));
+  EXPECT_TRUE(same_bits(out[1], 1.0));
+  for (std::size_t i = 2; i < 8; ++i) {
+    EXPECT_TRUE(same_bits(out[i], 0.0)) << std::hexfloat << in[i];
+  }
+  // The last double whose e^x rounds up to the smallest subnormal.
+  EXPECT_EQ(out[8], 0x1p-1074);
+  EXPECT_EQ(out[8], std::exp(in[8]));
+  EXPECT_TRUE(std::isnan(exp_all_tiers({std::nan("")})[0]));
+}
+
 TEST(LaneMath, LogWithinTwoUlpOfStdLog) {
   // The step noise's u: 10⁶ draws of 1 − U ∈ (0, 1], the edges u = 1 and
   // u = 2⁻⁵³, and positive normals across the exponent range.
