@@ -33,109 +33,114 @@ namespace {
 using geom::Vec2;
 using support::kSimdWidth;
 
-// F of one candidate block, evaluated on live lanes only: a dead lane is 0
-// without touching the law (every caller discards dead lanes anyway), so
-// the double-Gaussian's two exp calls are paid only inside the cut-off.
-// Live lanes evaluate force_scaling_of, the law's one definition.
-inline void scaling_block(ForceLawKind kind, const double* k, const double* r,
-                          const double* sigma, const double* tau,
-                          const double* x, const bool* live, double* out) {
-  for (std::size_t l = 0; l < kSimdWidth; ++l) {
-    out[l] = 0.0;
-    if (live[l]) {
-      out[l] = force_scaling_of(kind, k[l], r[l], sigma[l], tau[l], x[l]);
-    }
-  }
-}
-
 // ----------------------------------------------------------------- scalar
 // The reference op sequence on plain arrays; every vector path below must
 // mirror it lane-for-lane (the header's bitwise contract).
 
-// One block: candidate coordinates and pair parameters already in lanes,
-// the tail beyond `m` padded by the caller and masked dead here.
-inline void scalar_block(ForceLawKind kind, double xi, double yi,
+// One block: candidate coordinates and pair-table entry indices already in
+// lanes, the tail beyond `m` padded by the caller and masked dead here.
+inline void scalar_block(const PairScalingTable& table, double xi, double yi,
                          double cutoff_sq, std::size_t m, const double* cx,
-                         const double* cy, const double* kp, const double* rp,
-                         const double* sp, const double* tp, double* accx,
-                         double* accy) {
-  double dx[kSimdWidth];
-  double dy[kSimdWidth];
-  double d2[kSimdWidth];
-  double dist[kSimdWidth];
-  double s[kSimdWidth];
-  bool live[kSimdWidth];
+                         const double* cy, const std::size_t* entry,
+                         double* accx, double* accy) {
   for (std::size_t l = 0; l < kSimdWidth; ++l) {
-    dx[l] = xi - cx[l];
-    dy[l] = yi - cy[l];
-    d2[l] = dx[l] * dx[l] + dy[l] * dy[l];
+    const double dx = xi - cx[l];
+    const double dy = yi - cy[l];
+    const double d2 = dx * dx + dy * dy;
     // Δz = 0 (self in dense blocks, coincident pairs) contributes zero —
     // the undefined-direction rule of accumulate_drift's header.
-    live[l] = l < m && d2[l] < cutoff_sq && d2[l] != 0.0;
-    // Dead lanes take distance 1: the blend keeps sqrt off 0 without
-    // branching, and scaling_block skips the law for them.
-    dist[l] = live[l] ? d2[l] : 1.0;
-  }
-  for (std::size_t l = 0; l < kSimdWidth; ++l) dist[l] = std::sqrt(dist[l]);
-  scaling_block(kind, kp, rp, sp, tp, dist, live, s);
-  for (std::size_t l = 0; l < kSimdWidth; ++l) {
-    const double w = live[l] ? -s[l] : 0.0;
-    accx[l] += dx[l] * w;
-    accy[l] += dy[l] * w;
+    const bool live = l < m && d2 < cutoff_sq && d2 != 0.0;
+    // Dead lanes evaluate the law at d² = 1 (keeping F¹'s sqrt off 0) and
+    // are discarded by the weight.
+    const std::size_t e = entry[l];
+    const double s = force_scaling_of<double, std::uint64_t>(
+        table.kind(), table.k_data()[e], table.r_data()[e],
+        table.c_data()[e], table.a_data()[e], table.b_data()[e],
+        live ? d2 : 1.0);
+    const double w = live ? -s : 0.0;
+    accx[l] += dx * w;
+    accy[l] += dy * w;
   }
 }
 
 Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
-  const double* tk = table.k_data();
-  const double* tr = table.r_data();
-  const double* tsg = table.sigma_data();
-  const double* ttu = table.tau_data();
   double accx[kSimdWidth] = {};
   double accy[kSimdWidth] = {};
   for (std::size_t b = 0; b < row.count; b += kSimdWidth) {
     const std::size_t m = std::min(kSimdWidth, row.count - b);
     double cx[kSimdWidth];
     double cy[kSimdWidth];
-    double kp[kSimdWidth];
-    double rp[kSimdWidth];
-    double sp[kSimdWidth];
-    double tp[kSimdWidth];
+    std::size_t entry[kSimdWidth];
     for (std::size_t l = 0; l < kSimdWidth; ++l) {
       const std::size_t c = b + (l < m ? l : m - 1);  // pad with last valid
       cx[l] = row.cand_x[c];
       cy[l] = row.cand_y[c];
-      const std::size_t e = base + row.cand_type[c];
-      kp[l] = tk[e];
-      rp[l] = tr[e];
-      sp[l] = tsg[e];
-      tp[l] = ttu[e];
+      entry[l] = base + row.cand_type[c];
     }
-    scalar_block(table.kind(), row.xi, row.yi, row.cutoff_sq, m, cx, cy, kp,
-                 rp, sp, tp, accx, accy);
+    scalar_block(table, row.xi, row.yi, row.cutoff_sq, m, cx, cy, entry, accx,
+                 accy);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
 }
 
+// One candidate of a FilterRow: writes its coordinates/type to survivor
+// slot `kept` and returns the advanced cursor. Branchless — every candidate
+// writes the slot, the cursor only advances past live ones. The predicate is
+// scalar_block's live mask verbatim (minus the tail test, which the row
+// count supplies), and comparison arithmetic is exact, so every ISA keeps
+// the identical survivor sequence.
+__attribute__((always_inline)) inline std::size_t filter_one(
+    const FilterRow& row, std::size_t j, std::size_t kept) {
+  const double cx = row.xs[j];
+  const double cy = row.ys[j];
+  const double dx = row.xi - cx;
+  const double dy = row.yi - cy;
+  const double d2 = dx * dx + dy * dy;
+  row.out_x[kept] = cx;
+  row.out_y[kept] = cy;
+  row.out_type[kept] = row.types[j];
+  return kept + ((d2 < row.cutoff_sq && d2 != 0.0) ? 1 : 0);
+}
+
+// The reference compress, unswitched on the row shape.
+template <bool kIndexed>
+__attribute__((always_inline)) inline std::size_t filter_scalar_body(
+    const FilterRow& row) {
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < row.count; ++c) {
+    kept = filter_one(row, kIndexed ? row.candidates[c] : c, kept);
+  }
+  return kept;
+}
+
+std::size_t filter_scalar(const FilterRow& row) {
+  return row.candidates != nullptr ? filter_scalar_body<true>(row)
+                                   : filter_scalar_body<false>(row);
+}
+
 // Copies the 3×3 block of `cell` from the chunk's bucket-ordered lanes
-// into the scratch candidate lanes and returns the candidate count. The
+// into the scratch candidate lanes and returns the candidate count m. The
 // block is at most 3 contiguous CSR ranges, so this is bulk range copies —
 // identical contents (and hence identical kernel arithmetic) to the
-// per-index gather it replaces. Scratch only ever grows; the kernels read
-// exactly `m` lanes.
+// per-index gather it replaces. With `compact`, the lanes also keep room
+// past the block for one row's survivors (m + kSimdWidth: FilterRow's
+// compress slack). Scratch only ever grows; the kernels read exactly the
+// lanes they were handed.
 inline std::size_t gather_cell_block(const DenseChunk& chunk, std::size_t cell,
-                                     geom::GatherScratch& s) {
+                                     bool compact, geom::GatherScratch& s) {
   std::array<std::pair<std::uint32_t, std::uint32_t>, 3> spans;
   const std::size_t nspans = chunk.grid->block_spans(cell, spans);
   std::size_t m = 0;
   for (std::size_t i = 0; i < nspans; ++i) {
     m += spans[i].second - spans[i].first;
   }
-  if (s.x.size() < m) {
-    s.x.resize(m);
-    s.y.resize(m);
-    s.tag.resize(m);
+  const std::size_t room = compact ? 2 * m + kSimdWidth : m;
+  if (s.x.size() < room) {
+    s.x.resize(room);
+    s.y.resize(room);
+    s.tag.resize(room);
   }
   std::size_t off = 0;
   for (std::size_t i = 0; i < nspans; ++i) {
@@ -151,20 +156,37 @@ inline std::size_t gather_cell_block(const DenseChunk& chunk, std::size_t cell,
 
 // The chunk loop shared by every dense_chunk variant: gather each cell's
 // block once, then run the row kernel for each of the cell's particles.
-// `RowKernel` is a functor type whose operator() is force-inlined, so the
-// whole loop (row math included) code-generates inside the ISA wrapper it
-// is instantiated in.
+// Double-Gaussian rows are first compacted by `filter` to their live
+// survivors, written just past the block, so the law's two exps run on
+// packed lanes; spring rows take the masked block directly (their cheap law
+// loses more to the compaction than to dead lanes). `RowKernel` is a functor
+// type whose operator() is force-inlined, so the whole loop (row math
+// included) code-generates inside the ISA wrapper it is instantiated in;
+// `filter` is a constant per wrapper, so its call is direct.
 template <typename RowKernel>
 __attribute__((always_inline)) inline void dense_chunk_loop(
     const PairScalingTable& table, const DenseChunk& chunk,
-    const RowKernel& row_kernel) {
+    const RowKernel& row_kernel, std::size_t (*filter)(const FilterRow&)) {
   geom::GatherScratch& s = *chunk.scratch;
+  const bool compact = table.kind() == ForceLawKind::kDoubleGaussian;
   for (std::size_t c = chunk.cell_begin; c < chunk.cell_end; ++c) {
-    const std::size_t m = gather_cell_block(chunk, c, s);
+    const std::size_t m = gather_cell_block(chunk, c, compact, s);
     for (std::uint32_t k = chunk.starts[c]; k < chunk.starts[c + 1]; ++k) {
-      const DenseRow row{chunk.sx[k], chunk.sy[k],  chunk.stype[k],
-                         s.x.data(),  s.y.data(),   s.tag.data(),
-                         m,           chunk.cutoff_sq};
+      DenseRow row{chunk.sx[k], chunk.sy[k],  chunk.stype[k],
+                   s.x.data(),  s.y.data(),   s.tag.data(),
+                   m,           chunk.cutoff_sq};
+      if (compact) {
+        const FilterRow survivors{row.xi,          row.yi,
+                                  s.x.data(),      s.y.data(),
+                                  s.tag.data(),    nullptr,
+                                  m,               chunk.cutoff_sq,
+                                  s.x.data() + m,  s.y.data() + m,
+                                  s.tag.data() + m};
+        row.count = filter(survivors);
+        row.cand_x = survivors.out_x;
+        row.cand_y = survivors.out_y;
+        row.cand_type = survivors.out_type;
+      }
       chunk.out[chunk.order[k]] = row_kernel(table, row);
     }
   }
@@ -178,7 +200,7 @@ struct DenseScalarRow {
 
 void dense_chunk_scalar(const PairScalingTable& table,
                         const DenseChunk& chunk) {
-  dense_chunk_loop(table, chunk, DenseScalarRow{});
+  dense_chunk_loop(table, chunk, DenseScalarRow{}, filter_scalar);
 }
 
 // The chunk loop shared by every indexed_chunk variant: one kernel call per
@@ -242,57 +264,24 @@ double drift_norm_scalar(const Vec2* drift, std::size_t n) {
   return total;
 }
 
-// The reference compress: branchless — every candidate writes its survivor
-// slot, the write cursor only advances past live ones. The predicate is
-// scalar_block's live mask verbatim (minus the tail test, which the row
-// count supplies), and comparison arithmetic is exact, so every ISA keeps
-// the identical survivor sequence.
-std::size_t filter_scalar(const FilterRow& row) {
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < row.count; ++c) {
-    const std::size_t j = row.candidates[c];
-    const double cx = row.xs[j];
-    const double cy = row.ys[j];
-    const double dx = row.xi - cx;
-    const double dy = row.yi - cy;
-    const double d2 = dx * dx + dy * dy;
-    row.out_x[kept] = cx;
-    row.out_y[kept] = cy;
-    row.out_type[kept] = row.types[j];
-    kept += (d2 < row.cutoff_sq && d2 != 0.0) ? 1 : 0;
-  }
-  return kept;
-}
-
 Vec2 indexed_scalar(const PairScalingTable& table, const IndexedRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
-  const double* tk = table.k_data();
-  const double* tr = table.r_data();
-  const double* tsg = table.sigma_data();
-  const double* ttu = table.tau_data();
   double accx[kSimdWidth] = {};
   double accy[kSimdWidth] = {};
   for (std::size_t b = 0; b < row.count; b += kSimdWidth) {
     const std::size_t m = std::min(kSimdWidth, row.count - b);
     double cx[kSimdWidth];
     double cy[kSimdWidth];
-    double kp[kSimdWidth];
-    double rp[kSimdWidth];
-    double sp[kSimdWidth];
-    double tp[kSimdWidth];
+    std::size_t entry[kSimdWidth];
     for (std::size_t l = 0; l < kSimdWidth; ++l) {
       const std::size_t c = b + (l < m ? l : m - 1);  // pad with last valid
       const std::size_t j = row.candidates[c];
       cx[l] = row.xs[j];
       cy[l] = row.ys[j];
-      const std::size_t e = base + row.types[j];
-      kp[l] = tk[e];
-      rp[l] = tr[e];
-      sp[l] = tsg[e];
-      tp[l] = ttu[e];
+      entry[l] = base + row.types[j];
     }
-    scalar_block(table.kind(), row.xi, row.yi, row.cutoff_sq, m, cx, cy, kp,
-                 rp, sp, tp, accx, accy);
+    scalar_block(table, row.xi, row.yi, row.cutoff_sq, m, cx, cy, entry, accx,
+                 accy);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
@@ -327,9 +316,19 @@ __attribute__((always_inline)) inline v4d v4_select(v4m mask, v4d a, v4d b) {
                             (std::bit_cast<v4m>(b) & ~mask));
 }
 
+// Table lane t of the four entries, built in registers.
+__attribute__((always_inline)) inline v4d gather_lanes(
+    const double* t, const std::size_t* entry) {
+  return v4d{t[entry[0]], t[entry[1]], t[entry[2]], t[entry[3]]};
+}
+
+// scalar_block on lanes: the law runs fully in lanes (force_scaling_of on
+// v4d, lane_exp for F²), dead lanes at d² = 1 and discarded by the weight.
+// Each law gathers only the coefficient lanes it reads; the others are
+// passed k, never read.
 __attribute__((always_inline)) inline void vector_block(
-    ForceLawKind kind, v4d xiv, v4d yiv, v4d cutv, v4m tail, v4d cxv, v4d cyv,
-    v4d kpv, v4d rpv, v4d spv, v4d tpv, v4d& accx, v4d& accy) {
+    const PairScalingTable& table, v4d xiv, v4d yiv, v4d cutv, v4m tail,
+    v4d cxv, v4d cyv, const std::size_t* entry, v4d& accx, v4d& accy) {
   const v4d ones = {1.0, 1.0, 1.0, 1.0};
   const v4d zeros = {0.0, 0.0, 0.0, 0.0};
   const v4d dxv = xiv - cxv;
@@ -337,34 +336,18 @@ __attribute__((always_inline)) inline void vector_block(
   const v4d d2v = dxv * dxv + dyv * dyv;
   const v4m live =
       std::bit_cast<v4m>(d2v < cutv) & std::bit_cast<v4m>(d2v != zeros) & tail;
-  v4d distv = v4_select(live, d2v, ones);
-  for (std::size_t l = 0; l < kSimdWidth; ++l) distv[l] = std::sqrt(distv[l]);
+  const v4d d2m = v4_select(live, d2v, ones);
+  const ForceLawKind kind = table.kind();
+  const v4d k = gather_lanes(table.k_data(), entry);
   v4d sv;
   if (kind == ForceLawKind::kSpring) {
-    // F¹ stays fully in lanes: element-wise IEEE div/sub/mul are the exact
-    // expressions of force_scaling_of; dead lanes are discarded below.
-    sv = kpv * (ones - rpv / distv);
+    sv = force_scaling_of<v4d, support::v4w>(
+        kind, k, gather_lanes(table.r_data(), entry), k, k, k, d2m);
   } else {
-    // F² needs exp, which has no vector form here; round-trip through the
-    // same live-lane helper the scalar kernel uses — bitwise-identical by
-    // construction.
-    double xa[kSimdWidth];
-    double ka[kSimdWidth];
-    double ra[kSimdWidth];
-    double sga[kSimdWidth];
-    double ta[kSimdWidth];
-    double oa[kSimdWidth];
-    bool la[kSimdWidth];
-    for (std::size_t l = 0; l < kSimdWidth; ++l) {
-      xa[l] = distv[l];
-      ka[l] = kpv[l];
-      ra[l] = rpv[l];
-      sga[l] = spv[l];
-      ta[l] = tpv[l];
-      la[l] = live[l] != 0;
-    }
-    scaling_block(kind, ka, ra, sga, ta, xa, la, oa);
-    for (std::size_t l = 0; l < kSimdWidth; ++l) sv[l] = oa[l];
+    sv = force_scaling_of<v4d, support::v4w>(
+        kind, k, k, gather_lanes(table.c_data(), entry),
+        gather_lanes(table.a_data(), entry),
+        gather_lanes(table.b_data(), entry), d2m);
   }
   const v4d wv = v4_select(live, -sv, zeros);
   accx += dxv * wv;
@@ -374,62 +357,37 @@ __attribute__((always_inline)) inline void vector_block(
 __attribute__((always_inline)) inline Vec2 dense_vector_body(
     const PairScalingTable& table, const DenseRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
-  const double* tk = table.k_data();
-  const double* tr = table.r_data();
-  const double* tsg = table.sigma_data();
-  const double* ttu = table.tau_data();
-  const ForceLawKind kind = table.kind();
-  const bool gauss = kind == ForceLawKind::kDoubleGaussian;
   const v4d xiv = {row.xi, row.xi, row.xi, row.xi};
   const v4d yiv = {row.yi, row.yi, row.yi, row.yi};
   const v4d cutv = {row.cutoff_sq, row.cutoff_sq, row.cutoff_sq,
                     row.cutoff_sq};
   v4d accx = {0.0, 0.0, 0.0, 0.0};
   v4d accy = {0.0, 0.0, 0.0, 0.0};
-  // σ/τ lanes are dead under F¹ (the law never reads them), so their
-  // gather is skipped; any value yields the same bits.
-  v4d spv = {1.0, 1.0, 1.0, 1.0};
-  v4d tpv = {1.0, 1.0, 1.0, 1.0};
+  std::size_t entry[kSimdWidth];
   std::size_t b = 0;
   for (; b + kSimdWidth <= row.count; b += kSimdWidth) {
     const v4d cxv = {row.cand_x[b], row.cand_x[b + 1], row.cand_x[b + 2],
                      row.cand_x[b + 3]};
     const v4d cyv = {row.cand_y[b], row.cand_y[b + 1], row.cand_y[b + 2],
                      row.cand_y[b + 3]};
-    v4d kpv;
-    v4d rpv;
     for (std::size_t l = 0; l < kSimdWidth; ++l) {
-      const std::size_t e = base + row.cand_type[b + l];
-      kpv[l] = tk[e];
-      rpv[l] = tr[e];
-      if (gauss) {
-        spv[l] = tsg[e];
-        tpv[l] = ttu[e];
-      }
+      entry[l] = base + row.cand_type[b + l];
     }
-    vector_block(kind, xiv, yiv, cutv, kLaneMask[kSimdWidth], cxv, cyv, kpv,
-                 rpv, spv, tpv, accx, accy);
+    vector_block(table, xiv, yiv, cutv, kLaneMask[kSimdWidth], cxv, cyv,
+                 entry, accx, accy);
   }
   if (b < row.count) {
     const std::size_t m = row.count - b;
     v4d cxv;
     v4d cyv;
-    v4d kpv;
-    v4d rpv;
     for (std::size_t l = 0; l < kSimdWidth; ++l) {
       const std::size_t c = b + (l < m ? l : m - 1);  // pad with last valid
       cxv[l] = row.cand_x[c];
       cyv[l] = row.cand_y[c];
-      const std::size_t e = base + row.cand_type[c];
-      kpv[l] = tk[e];
-      rpv[l] = tr[e];
-      if (gauss) {
-        spv[l] = tsg[e];
-        tpv[l] = ttu[e];
-      }
+      entry[l] = base + row.cand_type[c];
     }
-    vector_block(kind, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, kpv, rpv, spv,
-                 tpv, accx, accy);
+    vector_block(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry, accx,
+                 accy);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
@@ -438,41 +396,26 @@ __attribute__((always_inline)) inline Vec2 dense_vector_body(
 __attribute__((always_inline)) inline Vec2 indexed_vector_body(
     const PairScalingTable& table, const IndexedRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
-  const double* tk = table.k_data();
-  const double* tr = table.r_data();
-  const double* tsg = table.sigma_data();
-  const double* ttu = table.tau_data();
-  const ForceLawKind kind = table.kind();
-  const bool gauss = kind == ForceLawKind::kDoubleGaussian;
   const v4d xiv = {row.xi, row.xi, row.xi, row.xi};
   const v4d yiv = {row.yi, row.yi, row.yi, row.yi};
   const v4d cutv = {row.cutoff_sq, row.cutoff_sq, row.cutoff_sq,
                     row.cutoff_sq};
   v4d accx = {0.0, 0.0, 0.0, 0.0};
   v4d accy = {0.0, 0.0, 0.0, 0.0};
-  v4d spv = {1.0, 1.0, 1.0, 1.0};
-  v4d tpv = {1.0, 1.0, 1.0, 1.0};
+  std::size_t entry[kSimdWidth];
   for (std::size_t b = 0; b < row.count; b += kSimdWidth) {
     const std::size_t m = std::min(kSimdWidth, row.count - b);
     v4d cxv;
     v4d cyv;
-    v4d kpv;
-    v4d rpv;
     for (std::size_t l = 0; l < kSimdWidth; ++l) {
       const std::size_t c = b + (l < m ? l : m - 1);  // pad with last valid
       const std::size_t j = row.candidates[c];
       cxv[l] = row.xs[j];
       cyv[l] = row.ys[j];
-      const std::size_t e = base + row.types[j];
-      kpv[l] = tk[e];
-      rpv[l] = tr[e];
-      if (gauss) {
-        spv[l] = tsg[e];
-        tpv[l] = ttu[e];
-      }
+      entry[l] = base + row.types[j];
     }
-    vector_block(kind, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, kpv, rpv, spv,
-                 tpv, accx, accy);
+    vector_block(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry, accx,
+                 accy);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
@@ -504,9 +447,12 @@ Vec2 indexed_vector_generic(const PairScalingTable& table,
   return indexed_vector_body(table, row);
 }
 
+// The generic tier keeps the scalar filter: compress has no portable
+// vector form, and the selection being exact arithmetic means there is no
+// bitwise contract to re-prove — only the AVX2 tier swaps in intrinsics.
 void dense_chunk_generic(const PairScalingTable& table,
                          const DenseChunk& chunk) {
-  dense_chunk_loop(table, chunk, DenseVectorRow{});
+  dense_chunk_loop(table, chunk, DenseVectorRow{}, filter_scalar);
 }
 
 void indexed_chunk_generic(const PairScalingTable& table,
@@ -552,11 +498,6 @@ __attribute__((target("avx2"))) Vec2 indexed_vector_avx2(
   // measured ~35% slower on this path's short rows (the gather micro-op
   // sequence loses to four scalar loads the OoO core overlaps freely).
   return indexed_vector_body(table, row);
-}
-
-__attribute__((target("avx2"))) void dense_chunk_avx2(
-    const PairScalingTable& table, const DenseChunk& chunk) {
-  dense_chunk_loop(table, chunk, DenseVectorRow{});
 }
 
 __attribute__((target("avx2"))) void indexed_chunk_avx2(
@@ -615,8 +556,11 @@ alignas(16) constexpr std::uint8_t kCompressB[16][16] = {
 // _CMP_LT_OQ and _CMP_NEQ_UQ reproduce C++ `<` / `!=` NaN semantics
 // exactly, and sub/mul/add never contract (no -mfma anywhere in the
 // build), so the movemask equals the scalar predicate bit-for-bit and the
-// compressed stores emit filter_scalar's survivor sequence.
-__attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
+// compressed stores emit filter_scalar's survivor sequence. Index rows
+// gather per block; contiguous rows (null index row) load straight.
+template <bool kIndexed>
+__attribute__((target("avx2"), always_inline)) inline std::size_t
+filter_avx2_body(const FilterRow& row) {
   const __m256d xiv = _mm256_set1_pd(row.xi);
   const __m256d yiv = _mm256_set1_pd(row.yi);
   const __m256d cutv = _mm256_set1_pd(row.cutoff_sq);
@@ -627,12 +571,22 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
   std::size_t kept = 0;
   std::size_t c = 0;
   for (; c + kSimdWidth <= row.count; c += kSimdWidth) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row.candidates + c));
-    const __m256d cxv =
-        _mm256_mask_i32gather_pd(zero, row.xs, idx, gather_all, 8);
-    const __m256d cyv =
-        _mm256_mask_i32gather_pd(zero, row.ys, idx, gather_all, 8);
+    __m256d cxv;
+    __m256d cyv;
+    __m128i tags;
+    if constexpr (kIndexed) {
+      const __m128i idx = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(row.candidates + c));
+      cxv = _mm256_mask_i32gather_pd(zero, row.xs, idx, gather_all, 8);
+      cyv = _mm256_mask_i32gather_pd(zero, row.ys, idx, gather_all, 8);
+      tags = _mm_mask_i32gather_epi32(_mm_setzero_si128(),
+                                      reinterpret_cast<const int*>(row.types),
+                                      idx, _mm_set1_epi32(-1), 4);
+    } else {
+      cxv = _mm256_loadu_pd(row.xs + c);
+      cyv = _mm256_loadu_pd(row.ys + c);
+      tags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row.types + c));
+    }
     const __m256d dxv = _mm256_sub_pd(xiv, cxv);
     const __m256d dyv = _mm256_sub_pd(yiv, cyv);
     const __m256d d2v =
@@ -648,9 +602,6 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
     _mm256_storeu_pd(row.out_y + kept,
                      _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
                          _mm256_castpd_si256(cyv), perm)));
-    const __m128i tags = _mm_mask_i32gather_epi32(
-        _mm_setzero_si128(), reinterpret_cast<const int*>(row.types), idx,
-        _mm_set1_epi32(-1), 4);
     const __m128i ctrl =
         _mm_load_si128(reinterpret_cast<const __m128i*>(kCompressB[m]));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(row.out_type + kept),
@@ -658,18 +609,19 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
     kept += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
   }
   for (; c < row.count; ++c) {
-    const std::size_t j = row.candidates[c];
-    const double cx = row.xs[j];
-    const double cy = row.ys[j];
-    const double dx = row.xi - cx;
-    const double dy = row.yi - cy;
-    const double d2 = dx * dx + dy * dy;
-    row.out_x[kept] = cx;
-    row.out_y[kept] = cy;
-    row.out_type[kept] = row.types[j];
-    kept += (d2 < row.cutoff_sq && d2 != 0.0) ? 1 : 0;
+    kept = filter_one(row, kIndexed ? row.candidates[c] : c, kept);
   }
   return kept;
+}
+
+__attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
+  return row.candidates != nullptr ? filter_avx2_body<true>(row)
+                                   : filter_avx2_body<false>(row);
+}
+
+__attribute__((target("avx2"))) void dense_chunk_avx2(
+    const PairScalingTable& table, const DenseChunk& chunk) {
+  dense_chunk_loop(table, chunk, DenseVectorRow{}, filter_avx2);
 }
 
 #endif  // SOPS_KERNEL_AVX2
@@ -687,9 +639,6 @@ const DriftKernels& scalar_drift_kernels() noexcept {
 
 const DriftKernels& select_drift_kernels() noexcept {
 #if defined(SOPS_HAVE_VECTOR_EXT)
-  // The generic tier keeps the scalar filter: compress has no portable
-  // vector form, and the selection being exact arithmetic means there is no
-  // bitwise contract to re-prove — only the AVX2 tier swaps in intrinsics.
   static const DriftKernels kGeneric{
       dense_vector_generic, filter_scalar,         indexed_vector_generic,
       dense_chunk_generic,  indexed_chunk_generic, drift_norm_generic};
@@ -698,7 +647,7 @@ const DriftKernels& select_drift_kernels() noexcept {
   static const DriftKernels kAvx2{
       dense_vector_avx2, filter_avx2,        indexed_vector_avx2,
       dense_chunk_avx2,  indexed_chunk_avx2, drift_norm_avx2};
-  if (support::cpu_dispatch_avx2()) return kAvx2;
+  if (support::avx2_selected()) return kAvx2;
 #endif
   return kGeneric;
 #else

@@ -17,7 +17,10 @@
 // masking out candidates with Δz = 0 (self in dense blocks, coincident
 // pairs — the old path's zero contribution) and those at or beyond the
 // cut-off. The candidate mask is idempotent: rows already pruned by the
-// cut-off (Delaunay, generic neighbor spans) pass through unchanged.
+// cut-off (Delaunay, generic neighbor spans) pass through unchanged. The
+// law itself is force_scaling_of on the lanes' squared distances: F¹'s
+// k·(1 − r/√d²) and F²'s c·exp(a·d²) − k·exp(b·d²) both run entirely in
+// lanes (support::lane_exp for F²), with no per-lane libm call.
 //
 // Bitwise contract (the reason this is a hand-written op sequence and not
 // "whatever auto-vectorization does"): candidates are processed in index
@@ -30,6 +33,14 @@
 // parity fuzzer asserts across every backend. Lane width never varies with
 // the ISA (support::kSimdWidth is pinned); AVX2 dispatch only changes the
 // instruction encoding of the identical 4-lane sequence.
+//
+// Double-Gaussian rows on the cell grid (DenseChunk) and on Verlet lists
+// are first compacted to their live survivors (FilterRow), and the lanes
+// above run over those survivors: lane l of block b then holds the
+// (4b+l)-th survivor in candidate order. Selection is exact comparison
+// arithmetic, so every tier compacts identically and the contract holds
+// per shape; a compacted row is a different lane grouping, hence a
+// different (pinned) summation order, than the masked row would be.
 #pragma once
 
 #include <cstddef>
@@ -60,10 +71,11 @@ struct DenseRow {
   double cutoff_sq;  ///< may be +inf (unbounded r_c)
 };
 
-/// A candidate index row to be compressed to its live survivors: gather
-/// each candidate's current coordinates from the global lanes, keep those
-/// with 0 < ‖Δz‖² < cutoff_sq, and write their coordinates/types
-/// contiguously into `out_*`. The survivor predicate is exactly the dense
+/// A candidate row to be compressed to its live survivors: read each
+/// candidate's coordinates from `xs`/`ys`/`types` — through the index row
+/// `candidates`, or, when it is null, candidate c at lane c (a gathered
+/// cell block) — keep those with 0 < ‖Δz‖² < cutoff_sq, and write their
+/// coordinates/types contiguously into `out_*`. The survivor predicate is exactly the dense
 /// kernels' live-lane mask, so dropped candidates are ones that would have
 /// contributed +0.0 — filtering changes which pairs reach the accumulator,
 /// never the force arithmetic. Selection is exact comparison arithmetic, so
@@ -77,7 +89,7 @@ struct FilterRow {
   const double* xs;
   const double* ys;
   const TypeId* types;
-  const std::uint32_t* candidates;
+  const std::uint32_t* candidates;  ///< null: contiguous candidate lanes
   std::size_t count;
   double cutoff_sq;  ///< may be +inf (unbounded r_c)
   double* out_x;
@@ -105,6 +117,8 @@ struct IndexedRow {
 /// chunk, each cell's 3×3 block is bulk-copied from the contiguous spans
 /// of geom::CellGrid::block_spans(), and the per-row arithmetic is exactly
 /// DenseRow's — the chunk entry changes scheduling, never the sequence.
+/// Spring rows run on the masked block; double-Gaussian rows are first
+/// compacted by the filter kernel into `scratch`, past the block.
 struct DenseChunk {
   const double* sx;             ///< bucket-ordered x: sx[k] = x[order[k]]
   const double* sy;             ///< bucket-ordered y
@@ -160,8 +174,9 @@ struct DriftKernels {
 };
 
 /// Kernels for the current support::simd_policy(): the scalar reference
-/// pair under kScalar, otherwise the vector pair for the best ISA this
-/// build carries and the CPU supports. Cheap; call per accumulation.
+/// under kScalar, the generic vector kernels under kGeneric, otherwise the
+/// vector kernels for the best ISA this build carries and the CPU supports.
+/// Cheap; call per accumulation.
 [[nodiscard]] const DriftKernels& select_drift_kernels() noexcept;
 
 /// The scalar reference kernels, unconditionally — the anchor the parity

@@ -4,9 +4,15 @@
 
 namespace sops::sim {
 
+PairCoefficients pair_coefficients(const PairParams& p) noexcept {
+  return {p.k, p.r, p.k / (p.sigma * p.sigma), -0.5 / p.sigma, -0.5 / p.tau};
+}
+
 double force_scaling(ForceLawKind kind, const PairParams& p, double x) {
   support::expect(x > 0.0, "force_scaling: distance must be positive");
-  return force_scaling_of(kind, p.k, p.r, p.sigma, p.tau, x);
+  const PairCoefficients co = pair_coefficients(p);
+  return force_scaling_of<double, std::uint64_t>(kind, co.k, co.r, co.c, co.a,
+                                                 co.b, x * x);
 }
 
 double force_scaling_derivative(ForceLawKind kind, const PairParams& p,

@@ -9,11 +9,11 @@
 // attractive tail whose zero crossing acts as the preferred distance.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <optional>
 
 #include "sim/symmetric_matrix.hpp"
+#include "support/lane_math.hpp"
 
 namespace sops::sim {
 
@@ -31,25 +31,42 @@ struct PairParams {
   double tau = 1.0;    ///< τ_αβ (used by F² only)
 };
 
-/// F_αβ(x) for one pair's parameters — the one definition of both laws'
-/// expressions, shared by force_scaling(), PairScalingTable and the pair
-/// kernels, so every path evaluates the identical op sequence. Requires
-/// x > 0 and a kind InteractionModel accepts.
+/// One pair's parameters in the form the laws evaluate: F¹ reads k and r;
+/// F² reads c = k/σ², a = −1/(2σ), k and b = −1/(2τ), so that
+/// F²(x) = c·e^{a·x²} − k·e^{b·x²} needs no division per pair.
+struct PairCoefficients {
+  double k;  ///< k_αβ
+  double r;  ///< r_αβ
+  double c;  ///< k_αβ / σ_αβ²
+  double a;  ///< −1 / (2σ_αβ)
+  double b;  ///< −1 / (2τ_αβ)
+};
+
+/// The coefficients of `p` — the one place they are derived, shared by
+/// force_scaling() and PairScalingTable.
+[[nodiscard]] PairCoefficients pair_coefficients(const PairParams& p) noexcept;
+
+/// F_αβ at squared distance d2 — the one definition of both laws'
+/// expressions, shared by force_scaling(), the scalar reference kernels
+/// (D = double, W = std::uint64_t) and the vector kernels (D = support::v4d,
+/// W = support::v4w), so every path evaluates the identical op sequence:
+///
+///   F¹: k·(1 − r/√d2)
+///   F²: c·exp(a·d2) − k·exp(b·d2), exp being support::lane_exp.
+///
+/// Requires d2 > 0 and a kind InteractionModel accepts.
 ///
 /// Deliberately `static` (internal linkage): the kernels inline it into
 /// ISA-targeted functions, and a shared inline definition could be merged
 /// by the linker into whichever encoding it saw first.
-[[maybe_unused]] static double force_scaling_of(ForceLawKind kind, double k,
-                                                double r, double sigma,
-                                                double tau, double x) noexcept {
-  switch (kind) {
-    case ForceLawKind::kSpring:
-      return k * (1.0 - r / x);
-    case ForceLawKind::kDoubleGaussian:
-      return k * (std::exp(-x * x / (2.0 * sigma)) / (sigma * sigma) -
-                  std::exp(-x * x / (2.0 * tau)));
+template <typename D, typename W>
+__attribute__((always_inline)) static inline D force_scaling_of(
+    ForceLawKind kind, D k, D r, D c, D a, D b, D d2) {
+  if (kind == ForceLawKind::kSpring) {
+    return k * (1.0 - r / support::lane_sqrt(d2));
   }
-  return 0.0;  // unreachable: InteractionModel rejects other kinds
+  return c * support::lane_exp<D, W>(a * d2) -
+         k * support::lane_exp<D, W>(b * d2);
 }
 
 /// Evaluates the force scaling F_αβ(x) for inter-particle distance x > 0.

@@ -47,7 +47,7 @@ void accumulate_sharded(std::span<const std::uint32_t> bounds,
 // accumulation), then hand each shard's cell range to the chunked kernel,
 // which bulk-copies every cell's 3×3 block from the grid's contiguous
 // column spans and runs the dense row kernel for each particle of the
-// cell. Every particle's block depends only on its own cell, so the result
+// cell (double-Gaussian rows on the block compacted to their survivors). Every particle's block depends only on its own cell, so the result
 // is independent of the partition (width-invariant), and the kernel's lane
 // order makes it scalar/SIMD bitwise-stable.
 void accumulate_cell_kernel(const ParticleSystem& system,
@@ -215,15 +215,15 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
         verlet->shard_bounds(executor.width());
     const std::span<const std::size_t> offsets = verlet->csr_offsets();
     const std::span<const std::uint32_t> indices = verlet->csr_indices();
-    // Eval-path selection by force law: the double-Gaussian's per-candidate
-    // exp dominates its row cost, so compacting survivors first (filter →
-    // packed lanes → dense kernel) pays for itself several times over —
-    // roughly half the cached candidates sit outside the cut-off on quiet
-    // steps, and the masked indexed kernel would spend full exp lanes on
-    // them. The spring
+    // Eval-path selection by force law: the double-Gaussian's two lane exps
+    // dominate its row cost, so compacting survivors first (filter →
+    // packed lanes → dense kernel) pays for itself — roughly half the
+    // cached candidates sit outside the cut-off on quiet steps, and the
+    // masked indexed kernel would spend full exp lanes on them. The spring
     // law is the opposite: its row math is a handful of cheap ops, the
     // compaction pass costs more than the dead lanes it removes, and the
-    // chunked masked kernel wins. Both paths are width-invariant (every
+    // chunked masked kernel wins. (The cell-grid chunk kernel makes the
+    // same per-law choice inside the kernel.) Both paths are width-invariant (every
     // out[i] depends on row i alone) and each is bitwise-stable across
     // rebuilds and ISAs; they differ in lane grouping, so they are two
     // *summation orders* of the same row — parity between them is exercised

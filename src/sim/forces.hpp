@@ -50,16 +50,15 @@ enum class NeighborMode {
 /// The value used for an unbounded interaction radius (r_c = ∞).
 inline constexpr double kUnboundedRadius = std::numeric_limits<double>::infinity();
 
-/// Dense per-type-pair parameter table, hoisted out of the pair loop. The
+/// Dense per-type-pair coefficient table, hoisted out of the pair loop. The
 /// matrix accessors re-derive triangle indices and bounds-check on every
-/// call, which dominates the per-pair cost for cheap force laws; the table
-/// evaluates the identical formulas on the identical parameters, so drifts
-/// are bitwise-unchanged. Build once per run (SimulationWorkspace caches
-/// one) and reuse across steps.
+/// call, which dominates the per-pair cost for cheap force laws. Build once
+/// per run (SimulationWorkspace caches one) and reuse across steps.
 ///
-/// Storage is one lane per parameter (k/r/σ/τ), dense over (a, b) at
-/// a·types + b — the layout the batched kernels gather candidate parameters
-/// from by type id (see pair_base / the *_data accessors).
+/// Storage is one lane per coefficient of PairCoefficients (k, r, c, a, b),
+/// dense over (a, b) at a·types + b — the layout the batched kernels gather
+/// candidate coefficients from by type id (see pair_base / the *_data
+/// accessors). The kernels evaluate force_scaling_of on these lanes.
 class PairScalingTable {
  public:
   explicit PairScalingTable(const InteractionModel& model)
@@ -67,15 +66,18 @@ class PairScalingTable {
         types_(model.types()),
         k_(types_ * types_),
         r_(types_ * types_),
-        sigma_(types_ * types_),
-        tau_(types_ * types_) {
+        c_(types_ * types_),
+        a_(types_ * types_),
+        b_(types_ * types_) {
     for (std::size_t a = 0; a < types_; ++a) {
       for (std::size_t b = 0; b < types_; ++b) {
-        const PairParams p = model.pair(a, b);
-        k_[a * types_ + b] = p.k;
-        r_[a * types_ + b] = p.r;
-        sigma_[a * types_ + b] = p.sigma;
-        tau_[a * types_ + b] = p.tau;
+        const PairCoefficients co = pair_coefficients(model.pair(a, b));
+        const std::size_t e = a * types_ + b;
+        k_[e] = co.k;
+        r_[e] = co.r;
+        c_[e] = co.c;
+        a_[e] = co.a;
+        b_[e] = co.b;
       }
     }
   }
@@ -86,14 +88,8 @@ class PairScalingTable {
   /// The force-law family every entry evaluates.
   [[nodiscard]] ForceLawKind kind() const noexcept { return kind_; }
 
-  /// F_αβ(x); same expressions as force_scaling(). x must be positive.
-  [[nodiscard]] double operator()(TypeId a, TypeId b, double x) const {
-    const std::size_t e = a * types_ + b;
-    return force_scaling_of(kind_, k_[e], r_[e], sigma_[e], tau_[e], x);
-  }
-
   /// Base entry index of row type a: entry(a, b) = pair_base(a) + b. The
-  /// kernels hoist this per particle and gather per-candidate parameters
+  /// kernels hoist this per particle and gather per-candidate coefficients
   /// from the lane pointers below.
   [[nodiscard]] std::size_t pair_base(TypeId a) const noexcept {
     return static_cast<std::size_t>(a) * types_;
@@ -101,18 +97,18 @@ class PairScalingTable {
 
   [[nodiscard]] const double* k_data() const noexcept { return k_.data(); }
   [[nodiscard]] const double* r_data() const noexcept { return r_.data(); }
-  [[nodiscard]] const double* sigma_data() const noexcept {
-    return sigma_.data();
-  }
-  [[nodiscard]] const double* tau_data() const noexcept { return tau_.data(); }
+  [[nodiscard]] const double* c_data() const noexcept { return c_.data(); }
+  [[nodiscard]] const double* a_data() const noexcept { return a_.data(); }
+  [[nodiscard]] const double* b_data() const noexcept { return b_.data(); }
 
  private:
   ForceLawKind kind_;
   std::size_t types_;
-  std::vector<double> k_;      // parameter lanes, dense over a·types + b
+  std::vector<double> k_;  // coefficient lanes, dense over a·types + b
   std::vector<double> r_;
-  std::vector<double> sigma_;
-  std::vector<double> tau_;
+  std::vector<double> c_;
+  std::vector<double> a_;
+  std::vector<double> b_;
 };
 
 /// Resolves kAuto to the concrete strategy for a collective of `n`

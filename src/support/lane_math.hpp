@@ -24,6 +24,14 @@
 
 #include "support/simd.hpp"
 
+// Lane values never cross a non-inlined function boundary, so GCC's note
+// that 32-byte vector returns change the ABI in baseline code is noise here
+// (and would otherwise reach every file that includes the force law).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
+
 namespace sops::support {
 
 #if defined(SOPS_HAVE_VECTOR_EXT)
@@ -38,10 +46,24 @@ __attribute__((always_inline)) inline double lane_sqrt(double x) {
   return std::sqrt(x);
 }
 
+// x with the lanes below `bound` replaced by `bound` (NaN lanes kept).
+__attribute__((always_inline)) inline double lane_clamp_below(double x,
+                                                             double bound) {
+  return x < bound ? bound : x;
+}
+
 #if defined(SOPS_HAVE_VECTOR_EXT)
 __attribute__((always_inline)) inline v4d lane_sqrt(v4d x) {
   for (std::size_t l = 0; l < kSimdWidth; ++l) x[l] = std::sqrt(x[l]);
   return x;
+}
+
+__attribute__((always_inline)) inline v4d lane_clamp_below(v4d x,
+                                                          double bound) {
+  const v4d lo = {bound, bound, bound, bound};
+  const v4w below = std::bit_cast<v4w>(x < lo);
+  return std::bit_cast<v4d>((std::bit_cast<v4w>(lo) & below) |
+                            (std::bit_cast<v4w>(x) & ~below));
 }
 #endif
 
@@ -121,7 +143,7 @@ __attribute__((always_inline)) inline D lane_exp(D x) {
   constexpr double kQ9 = 1.0 / 39916800.0;
   constexpr double kQ10 = 1.0 / 479001600.0;
   constexpr double kQ11 = 1.0 / 6227020800.0;
-  x = x < kLowest ? D{} + kLowest : x;
+  x = lane_clamp_below(x, kLowest);
   const D shifted = x * kInvLn2 + kMagic;
   // k + 2048 as a positive word: the magic's bits are 0x4338…0 + k.
   const W k_biased =
@@ -234,3 +256,7 @@ struct LaneMathKernels {
 [[nodiscard]] std::span<const LaneMathKernels> lane_math_kernel_tiers() noexcept;
 
 }  // namespace sops::support
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

@@ -139,8 +139,8 @@ TEST(ParityFuzz, DelaunayBackendMatchesPrunedTessellationWithin1e12) {
         const Vec2 delta = fuzz.system.position(i) - fuzz.system.position(j);
         const double d_sq = sops::geom::norm_sq(delta);
         if (d_sq >= cutoff_sq || d_sq == 0.0) continue;
-        const double scaling =
-            table(fuzz.system.types[i], fuzz.system.types[j], std::sqrt(d_sq));
+        const double scaling = fuzz.model.scaling(
+            fuzz.system.types[i], fuzz.system.types[j], std::sqrt(d_sq));
         drift += delta * (-scaling);
       }
       reference[i] = drift;
@@ -415,6 +415,97 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
             ASSERT_NEAR(via_packed.y, via_indexed.y, 1e-12)
                 << "case " << c << " i " << i;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
+  // Double-Gaussian rows are compacted to their in-cutoff survivors before
+  // the law, on the cell grid (inside the chunk kernel) and on Verlet rows.
+  // One cluster per survivor count s = 0…9, far apart: a center with s
+  // neighbours inside r_c and a ring of candidates just outside it, so the
+  // centers' rows are all dead (s = 0), exactly one lane block (s = 4) and
+  // ragged tails, among the other particles' counts. Every tier (scalar,
+  // generic, AVX2 where the CPU has it) must give the same bits, at every
+  // executor width, and the sum must be the pair sum of the law.
+  constexpr double kCutoff = 2.0;
+  std::vector<Vec2> positions;
+  std::vector<sops::sim::TypeId> type_ids;
+  std::vector<std::size_t> centers;
+  for (std::size_t s = 0; s <= 9; ++s) {
+    const Vec2 origin{40.0 * static_cast<double>(s), 0.0};
+    centers.push_back(positions.size());
+    positions.push_back(origin);
+    type_ids.push_back(static_cast<sops::sim::TypeId>(s % 3));
+    for (std::size_t j = 0; j < s; ++j) {
+      const double angle = 0.3 + 6.283185307179586 * static_cast<double>(j) /
+                                     static_cast<double>(s);
+      const double radius = 0.5 + 0.12 * static_cast<double>(j);
+      positions.push_back(origin +
+                          Vec2{radius * std::cos(angle), radius * std::sin(angle)});
+      type_ids.push_back(static_cast<sops::sim::TypeId>((s + j) % 3));
+    }
+    for (std::size_t j = 0; j < 5; ++j) {
+      const double angle = 6.283185307179586 * static_cast<double>(j) / 5.0;
+      positions.push_back(origin + Vec2{2.3 * std::cos(angle), 2.3 * std::sin(angle)});
+      type_ids.push_back(static_cast<sops::sim::TypeId>(j % 3));
+    }
+  }
+  const ParticleSystem system(positions, type_ids);
+  const std::size_t n = system.size();
+  InteractionModel model(ForceLawKind::kDoubleGaussian, 3,
+                         PairParams{1.3, 1.0, 0.8, 2.5});
+  model.set_k(0, 2, 0.7).set_sigma(1, 1, 1.6).set_tau(1, 2, 1.2);
+  const PairScalingTable table(model);
+
+  // Brute-force survivor counts and the pair-sum reference.
+  std::vector<std::size_t> survivors(n, 0);
+  std::vector<Vec2> reference(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const Vec2 delta = system.position(i) - system.position(j);
+      const double d_sq = sops::geom::norm_sq(delta);
+      if (d_sq == 0.0 || d_sq >= kCutoff * kCutoff) continue;
+      ++survivors[i];
+      reference[i] += delta * (-model.scaling(system.types[i], system.types[j],
+                                              std::sqrt(d_sq)));
+    }
+  }
+  for (std::size_t s = 0; s <= 9; ++s) {
+    ASSERT_EQ(survivors[centers[s]], s);
+  }
+
+  const sops::support::SimdPolicy policies[] = {
+      sops::support::SimdPolicy::kScalar, sops::support::SimdPolicy::kGeneric,
+      sops::support::SimdPolicy::kSimd};
+  for (const auto kind : {sops::geom::NeighborBackendKind::kCellGrid,
+                          sops::geom::NeighborBackendKind::kVerletSkin}) {
+    const std::vector<Vec2> anchor = drift_under_policy(
+        sops::support::SimdPolicy::kScalar, system, table, kCutoff, kind);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_NEAR(anchor[i].x, reference[i].x, 1e-12) << "i " << i;
+      ASSERT_NEAR(anchor[i].y, reference[i].y, 1e-12) << "i " << i;
+    }
+    for (const auto policy : policies) {
+      const SimdPolicyGuard guard(policy);
+      for (std::size_t width = 1; width <= 4; ++width) {
+        sops::geom::NeighborBackend backend(kind);
+        sops::support::SpawnExecutor executor(width);
+        std::vector<Vec2> out;
+        accumulate_drift(system, table, kCutoff, out, backend, executor);
+        if (kind == sops::geom::NeighborBackendKind::kVerletSkin) {
+          // The all-dead center row really holds candidates.
+          const auto& verlet =
+              std::get<sops::geom::VerletListBackend>(backend.get());
+          EXPECT_EQ(verlet.candidate_row(centers[0]).size(), 5u);
+        }
+        ASSERT_EQ(out.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], anchor[i])
+              << "kind " << static_cast<int>(kind) << " policy "
+              << static_cast<int>(policy) << " width " << width << " i " << i;
         }
       }
     }
