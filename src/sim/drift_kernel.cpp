@@ -619,7 +619,10 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
                                    : filter_avx2_body<false>(row);
 }
 
-__attribute__((target("avx2"))) void dense_chunk_avx2(
+// Flattened so the per-row filter call inlines: filter_avx2 shares this
+// wrapper's target, which an always_inline chain through the untargeted
+// chunk loop cannot express.
+__attribute__((target("avx2"), flatten)) void dense_chunk_avx2(
     const PairScalingTable& table, const DenseChunk& chunk) {
   dense_chunk_loop(table, chunk, DenseVectorRow{}, filter_avx2);
 }
