@@ -325,7 +325,10 @@ __attribute__((always_inline)) inline v4d gather_lanes(
 // scalar_block on lanes: the law runs fully in lanes (force_scaling_of on
 // v4d, lane_exp for F²), dead lanes at d² = 1 and discarded by the weight.
 // Each law gathers only the coefficient lanes it reads; the others are
-// passed k, never read.
+// passed k, never read. The law is a template parameter so each row loop
+// is compiled for one law: the double-Gaussian's exp constants would
+// otherwise crowd the spring loop's accumulators out of registers.
+template <ForceLawKind kKind>
 __attribute__((always_inline)) inline void vector_block(
     const PairScalingTable& table, v4d xiv, v4d yiv, v4d cutv, v4m tail,
     v4d cxv, v4d cyv, const std::size_t* entry, v4d& accx, v4d& accy) {
@@ -337,15 +340,14 @@ __attribute__((always_inline)) inline void vector_block(
   const v4m live =
       std::bit_cast<v4m>(d2v < cutv) & std::bit_cast<v4m>(d2v != zeros) & tail;
   const v4d d2m = v4_select(live, d2v, ones);
-  const ForceLawKind kind = table.kind();
   const v4d k = gather_lanes(table.k_data(), entry);
   v4d sv;
-  if (kind == ForceLawKind::kSpring) {
+  if constexpr (kKind == ForceLawKind::kSpring) {
     sv = force_scaling_of<v4d, support::v4w>(
-        kind, k, gather_lanes(table.r_data(), entry), k, k, k, d2m);
+        kKind, k, gather_lanes(table.r_data(), entry), k, k, k, d2m);
   } else {
     sv = force_scaling_of<v4d, support::v4w>(
-        kind, k, k, gather_lanes(table.c_data(), entry),
+        kKind, k, k, gather_lanes(table.c_data(), entry),
         gather_lanes(table.a_data(), entry),
         gather_lanes(table.b_data(), entry), d2m);
   }
@@ -354,7 +356,8 @@ __attribute__((always_inline)) inline void vector_block(
   accy += dyv * wv;
 }
 
-__attribute__((always_inline)) inline Vec2 dense_vector_body(
+template <ForceLawKind kKind>
+__attribute__((always_inline)) inline Vec2 dense_vector_law(
     const PairScalingTable& table, const DenseRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
   const v4d xiv = {row.xi, row.xi, row.xi, row.xi};
@@ -373,8 +376,8 @@ __attribute__((always_inline)) inline Vec2 dense_vector_body(
     for (std::size_t l = 0; l < kSimdWidth; ++l) {
       entry[l] = base + row.cand_type[b + l];
     }
-    vector_block(table, xiv, yiv, cutv, kLaneMask[kSimdWidth], cxv, cyv,
-                 entry, accx, accy);
+    vector_block<kKind>(table, xiv, yiv, cutv, kLaneMask[kSimdWidth], cxv,
+                        cyv, entry, accx, accy);
   }
   if (b < row.count) {
     const std::size_t m = row.count - b;
@@ -386,14 +389,15 @@ __attribute__((always_inline)) inline Vec2 dense_vector_body(
       cyv[l] = row.cand_y[c];
       entry[l] = base + row.cand_type[c];
     }
-    vector_block(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry, accx,
-                 accy);
+    vector_block<kKind>(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry,
+                        accx, accy);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
 }
 
-__attribute__((always_inline)) inline Vec2 indexed_vector_body(
+template <ForceLawKind kKind>
+__attribute__((always_inline)) inline Vec2 indexed_vector_law(
     const PairScalingTable& table, const IndexedRow& row) {
   const std::size_t base = table.pair_base(row.type_i);
   const v4d xiv = {row.xi, row.xi, row.xi, row.xi};
@@ -414,11 +418,25 @@ __attribute__((always_inline)) inline Vec2 indexed_vector_body(
       cyv[l] = row.ys[j];
       entry[l] = base + row.types[j];
     }
-    vector_block(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry, accx,
-                 accy);
+    vector_block<kKind>(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry,
+                        accx, accy);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
+}
+
+__attribute__((always_inline)) inline Vec2 dense_vector_body(
+    const PairScalingTable& table, const DenseRow& row) {
+  return table.kind() == ForceLawKind::kSpring
+             ? dense_vector_law<ForceLawKind::kSpring>(table, row)
+             : dense_vector_law<ForceLawKind::kDoubleGaussian>(table, row);
+}
+
+__attribute__((always_inline)) inline Vec2 indexed_vector_body(
+    const PairScalingTable& table, const IndexedRow& row) {
+  return table.kind() == ForceLawKind::kSpring
+             ? indexed_vector_law<ForceLawKind::kSpring>(table, row)
+             : indexed_vector_law<ForceLawKind::kDoubleGaussian>(table, row);
 }
 
 // The force-inlined row functors for the chunk loops: inlining operator()
