@@ -50,14 +50,14 @@ inline void scalar_block(const PairScalingTable& table, double xi, double yi,
     // Δz = 0 (self in dense blocks, coincident pairs) contributes zero —
     // the undefined-direction rule of accumulate_drift's header.
     const bool live = l < m && d2 < cutoff_sq && d2 != 0.0;
-    // Dead lanes evaluate the law at d² = 1 (keeping F¹'s sqrt off 0) and
-    // are discarded by the weight.
+    // Dead lanes skip the law: their weight is 0 whatever it returns (the
+    // vector kernels evaluate them at d² = 1 and discard them the same way).
     const std::size_t e = entry[l];
-    const double s = force_scaling_of<double, std::uint64_t>(
-        table.kind(), table.k_data()[e], table.r_data()[e],
-        table.c_data()[e], table.a_data()[e], table.b_data()[e],
-        live ? d2 : 1.0);
-    const double w = live ? -s : 0.0;
+    const double w =
+        live ? -force_scaling_of<double, std::uint64_t>(
+                   table.kind(), table.k_data()[e], table.r_data()[e],
+                   table.c_data()[e], table.a_data()[e], table.b_data()[e], d2)
+             : 0.0;
     accx[l] += dx * w;
     accy[l] += dy * w;
   }
