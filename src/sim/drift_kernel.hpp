@@ -75,10 +75,10 @@ struct DenseRow {
 /// candidate's coordinates from `xs`/`ys`/`types` — through the index row
 /// `candidates`, or, when it is null, candidate c at lane c (a gathered
 /// cell block) — keep those with 0 < ‖Δz‖² < cutoff_sq, and write their
-/// coordinates/types contiguously into `out_*`. The survivor predicate is exactly the dense
-/// kernels' live-lane mask, so dropped candidates are ones that would have
-/// contributed +0.0 — filtering changes which pairs reach the accumulator,
-/// never the force arithmetic. Selection is exact comparison arithmetic, so
+/// coordinates/types contiguously into `out_*`. The survivor predicate is
+/// exactly the dense kernels' live-lane mask, so dropped candidates are ones
+/// that would have contributed +0.0 — filtering changes which pairs reach
+/// the accumulator, never the force arithmetic. Selection is exact comparison arithmetic, so
 /// every ISA produces the same survivor sequence. Returns the survivor
 /// count. `out_*` must have room for count + support::kSimdWidth entries:
 /// the vector variants store whole compressed blocks, so up to one block of

@@ -47,8 +47,9 @@ void accumulate_sharded(std::span<const std::uint32_t> bounds,
 // accumulation), then hand each shard's cell range to the chunked kernel,
 // which bulk-copies every cell's 3×3 block from the grid's contiguous
 // column spans and runs the dense row kernel for each particle of the
-// cell (double-Gaussian rows on the block compacted to their survivors). Every particle's block depends only on its own cell, so the result
-// is independent of the partition (width-invariant), and the kernel's lane
+// cell (double-Gaussian rows on the block compacted to their survivors).
+// Every particle's block depends only on its own cell, so the result is
+// independent of the partition (width-invariant), and the kernel's lane
 // order makes it scalar/SIMD bitwise-stable.
 void accumulate_cell_kernel(const ParticleSystem& system,
                             const PairScalingTable& table, double cutoff_radius,
@@ -223,8 +224,8 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     // law is the opposite: its row math is a handful of cheap ops, the
     // compaction pass costs more than the dead lanes it removes, and the
     // chunked masked kernel wins. (The cell-grid chunk kernel makes the
-    // same per-law choice inside the kernel.) Both paths are width-invariant (every
-    // out[i] depends on row i alone) and each is bitwise-stable across
+    // same per-law choice inside the kernel.) Both paths are width-invariant
+    // (every out[i] depends on row i alone) and each is bitwise-stable across
     // rebuilds and ISAs; they differ in lane grouping, so they are two
     // *summation orders* of the same row — parity between them is exercised
     // (to tolerance) by the engine parity fuzz, and each law always takes

@@ -28,8 +28,9 @@ void apply_euler_maruyama_update(ParticleSystem& system,
                                  const IntegratorParams& params,
                                  rng::Xoshiro256& engine,
                                  support::Executor& executor) {
-  support::expect(params.dt > 0.0 && std::isfinite(params.dt),
-                  "apply_euler_maruyama_update: dt must be positive and finite");
+  support::expect(
+      params.dt > 0.0 && std::isfinite(params.dt),
+      "apply_euler_maruyama_update: dt must be positive and finite");
   support::expect(
       params.noise_variance >= 0.0 && std::isfinite(params.noise_variance),
       "apply_euler_maruyama_update: noise variance must be finite and >= 0");

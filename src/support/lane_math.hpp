@@ -253,7 +253,8 @@ struct LaneMathKernels {
 /// Every tier this build carries and the CPU runs, in order: the scalar
 /// reference, the generic vector build, then AVX2. Independent of the SIMD
 /// policy, so one process can compare all tiers bit for bit.
-[[nodiscard]] std::span<const LaneMathKernels> lane_math_kernel_tiers() noexcept;
+[[nodiscard]] std::span<const LaneMathKernels>
+lane_math_kernel_tiers() noexcept;
 
 }  // namespace sops::support
 

@@ -69,8 +69,9 @@ void set_simd_policy(SimdPolicy policy) noexcept;
 [[nodiscard]] bool avx2_selected() noexcept;
 
 /// ISA label of the vector kernels the policy would select right now:
-/// "avx2" or "generic" (kScalar reports the vector tier it suppresses). Recorded in BENCH_engine.json so the trend gate can
-/// refuse cross-ISA comparisons.
+/// "avx2" or "generic" (kScalar reports the vector tier it suppresses).
+/// Recorded in BENCH_engine.json so the trend gate can refuse cross-ISA
+/// comparisons.
 [[nodiscard]] const char* simd_isa() noexcept;
 
 }  // namespace sops::support

@@ -322,9 +322,9 @@ TEST(GoldenTrajectory, DelaunayBitwiseStable) {
 TEST(GoldenTrajectory, VerletSkinBitwiseStable) {
   // One case per Verlet eval path: the spring law takes the chunked
   // indexed kernel, the double-Gaussian filter → dense on packed survivors
-  // (its values from the lane-exp law on d², identical on every tier). Each run must both
-  // skip rebuilds (quiet steps on the cached list) and rebuild after its
-  // first build, so both kinds of step are pinned.
+  // (its values from the lane-exp law on d², identical on every tier).
+  // Each run must both skip rebuilds (quiet steps on the cached list) and
+  // rebuild after its first build, so both kinds of step are pinned.
   const auto check = [](const SimulationConfig& config,
                         const std::vector<double>& residuals,
                         const std::vector<std::pair<std::size_t, Vec2>>& probes) {

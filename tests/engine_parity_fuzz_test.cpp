@@ -357,7 +357,8 @@ TEST(SimdParity, SpringNearZeroSeparationBitwise) {
 
 TEST(SimdParity, PackedVsIndexedRowKernels) {
   // The dense kernel on filtered (compact-first) lanes and the indexed
-  // (masked) kernel are two summation orders of the same row. Two claims, per SIMD policy:
+  // (masked) kernel are two summation orders of the same row. Two claims,
+  // per SIMD policy:
   //  - all-kept rows (cut-off beyond every candidate, no coincidences) have
   //    identical lane grouping, so the results are bitwise-equal;
   //  - filtered rows only regroup survivors into earlier lanes, so the
@@ -443,13 +444,14 @@ TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
       const double angle = 0.3 + 6.283185307179586 * static_cast<double>(j) /
                                      static_cast<double>(s);
       const double radius = 0.5 + 0.12 * static_cast<double>(j);
-      positions.push_back(origin +
-                          Vec2{radius * std::cos(angle), radius * std::sin(angle)});
+      positions.push_back(
+          origin + Vec2{radius * std::cos(angle), radius * std::sin(angle)});
       type_ids.push_back(static_cast<sops::sim::TypeId>((s + j) % 3));
     }
     for (std::size_t j = 0; j < 5; ++j) {
       const double angle = 6.283185307179586 * static_cast<double>(j) / 5.0;
-      positions.push_back(origin + Vec2{2.3 * std::cos(angle), 2.3 * std::sin(angle)});
+      positions.push_back(origin +
+                          Vec2{2.3 * std::cos(angle), 2.3 * std::sin(angle)});
       type_ids.push_back(static_cast<sops::sim::TypeId>(j % 3));
     }
   }

@@ -91,8 +91,11 @@ TEST(LaneMath, ExpWithinOneUlpOfStdExp) {
 
 TEST(LaneMath, ExpEdgeValuesAreExact) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<double> in{0.0,     -0.0,      -kInf,   -745.14,
-                               -745.2,  -746.0,    -1e300,  -0x1.74910d52d3052p+9,
+  // The last two straddle ln 2⁻¹⁰⁷⁵: below it e^x rounds to +0, at or above
+  // it up to the smallest subnormal.
+  const std::vector<double> in{0.0,     -0.0,    -kInf,
+                               -745.14, -745.2,  -746.0,
+                               -1e300,  -0x1.74910d52d3052p+9,
                                -0x1.74910d52d3051p+9};
   const std::vector<double> out = exp_all_tiers(in);
   EXPECT_TRUE(same_bits(out[0], 1.0));
@@ -100,7 +103,7 @@ TEST(LaneMath, ExpEdgeValuesAreExact) {
   for (std::size_t i = 2; i < 8; ++i) {
     EXPECT_TRUE(same_bits(out[i], 0.0)) << std::hexfloat << in[i];
   }
-  // The last double whose e^x rounds up to the smallest subnormal.
+  EXPECT_EQ(std::exp(in[7]), 0.0);
   EXPECT_EQ(out[8], 0x1p-1074);
   EXPECT_EQ(out[8], std::exp(in[8]));
   EXPECT_TRUE(std::isnan(exp_all_tiers({std::nan("")})[0]));
