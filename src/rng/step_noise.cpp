@@ -111,7 +111,7 @@ const StepNoiseKernels& select_step_noise_kernels() noexcept {
   if (!support::simd_enabled()) return scalar_step_noise_kernels();
 #if SOPS_KERNEL_AVX2
   static const StepNoiseKernels kAvx2{normal_pairs_avx2};
-  if (support::avx2_selected()) return kAvx2;
+  if (support::cpu_dispatch_avx2()) return kAvx2;
 #endif
   static const StepNoiseKernels kGeneric{normal_pairs_generic};
   return kGeneric;

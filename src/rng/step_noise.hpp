@@ -40,9 +40,8 @@ struct StepNoiseKernels {
 };
 
 /// Kernels for the current support::simd_policy(): the scalar reference
-/// under kScalar, the generic vector kernels under kGeneric, otherwise the
-/// vector kernels for the best ISA this build carries and the CPU
-/// supports. Cheap; call per step.
+/// under kScalar, otherwise the vector kernels for the best ISA this build
+/// carries and the CPU supports. Cheap; call per step.
 [[nodiscard]] const StepNoiseKernels& select_step_noise_kernels() noexcept;
 
 /// The scalar reference kernels, unconditionally.

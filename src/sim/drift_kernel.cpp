@@ -668,7 +668,7 @@ const DriftKernels& select_drift_kernels() noexcept {
   static const DriftKernels kAvx2{
       dense_vector_avx2, filter_avx2,        indexed_vector_avx2,
       dense_chunk_avx2,  indexed_chunk_avx2, drift_norm_avx2};
-  if (support::avx2_selected()) return kAvx2;
+  if (support::cpu_dispatch_avx2()) return kAvx2;
 #endif
   return kGeneric;
 #else

@@ -174,9 +174,8 @@ struct DriftKernels {
 };
 
 /// Kernels for the current support::simd_policy(): the scalar reference
-/// under kScalar, the generic vector kernels under kGeneric, otherwise the
-/// vector kernels for the best ISA this build carries and the CPU supports.
-/// Cheap; call per accumulation.
+/// under kScalar, otherwise the vector kernels for the best ISA this build
+/// carries and the CPU supports. Cheap; call per accumulation.
 [[nodiscard]] const DriftKernels& select_drift_kernels() noexcept;
 
 /// The scalar reference kernels, unconditionally — the anchor the parity

@@ -12,7 +12,6 @@ SimdPolicy initial_policy() noexcept {
   if (env != nullptr) {
     if (std::strcmp(env, "scalar") == 0) return SimdPolicy::kScalar;
     if (std::strcmp(env, "simd") == 0) return SimdPolicy::kSimd;
-    if (std::strcmp(env, "generic") == 0) return SimdPolicy::kGeneric;
   }
   return SimdPolicy::kAuto;
 }
@@ -46,16 +45,8 @@ bool cpu_dispatch_avx2() noexcept {
 #endif
 }
 
-bool avx2_selected() noexcept {
-  const SimdPolicy policy = simd_policy();
-  return policy != SimdPolicy::kScalar && policy != SimdPolicy::kGeneric &&
-         cpu_dispatch_avx2();
-}
-
 const char* simd_isa() noexcept {
-  return cpu_dispatch_avx2() && simd_policy() != SimdPolicy::kGeneric
-             ? "avx2"
-             : "generic";
+  return cpu_dispatch_avx2() ? "avx2" : "generic";
 }
 
 }  // namespace sops::support

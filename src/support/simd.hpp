@@ -46,13 +46,10 @@ enum class SimdPolicy {
   kAuto,    ///< vector kernels (best compiled ISA); the default
   kScalar,  ///< the scalar reference kernels — the parity fuzzer's anchor
   kSimd,    ///< force the vector kernels (same selection as kAuto)
-  /// the generic vector kernels even where the AVX2 ones would run, so one
-  /// process can compare all three tiers (parity tests)
-  kGeneric,
 };
 
 /// Current process-wide policy. Initialized from the SOPS_SIMD environment
-/// variable ("scalar", "simd" or "generic"; anything else leaves kAuto).
+/// variable ("scalar" or "simd"; anything else leaves kAuto).
 [[nodiscard]] SimdPolicy simd_policy() noexcept;
 
 /// Overrides the policy (tests flip this to cross-check paths).
@@ -64,14 +61,9 @@ void set_simd_policy(SimdPolicy policy) noexcept;
 /// True when this build carries the AVX2 kernel TU *and* the CPU has AVX2.
 [[nodiscard]] bool cpu_dispatch_avx2() noexcept;
 
-/// True when the current policy selects the AVX2 kernels: a vector policy
-/// other than kGeneric, on a build and CPU with AVX2.
-[[nodiscard]] bool avx2_selected() noexcept;
-
 /// ISA label of the vector kernels the policy would select right now:
-/// "avx2" or "generic" (kScalar reports the vector tier it suppresses).
-/// Recorded in BENCH_engine.json so the trend gate can refuse cross-ISA
-/// comparisons.
+/// "avx2" or "generic". Recorded in BENCH_engine.json so the trend gate can
+/// refuse cross-ISA comparisons.
 [[nodiscard]] const char* simd_isa() noexcept;
 
 }  // namespace sops::support

@@ -428,9 +428,10 @@ TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
   // One cluster per survivor count s = 0…9, far apart: a center with s
   // neighbours inside r_c and a ring of candidates just outside it, so the
   // centers' rows are all dead (s = 0), exactly one lane block (s = 4) and
-  // ragged tails, among the other particles' counts. Every tier (scalar,
-  // generic, AVX2 where the CPU has it) must give the same bits, at every
-  // executor width, and the sum must be the pair sum of the law.
+  // ragged tails, among the other particles' counts. The scalar reference
+  // and the vector kernels the build selects (AVX2 where the CPU has it,
+  // the generic ones in a dispatch-off build) must give the same bits, at
+  // every executor width, and the sum must be the pair sum of the law.
   constexpr double kCutoff = 2.0;
   std::vector<Vec2> positions;
   std::vector<sops::sim::TypeId> type_ids;
@@ -480,8 +481,7 @@ TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
   }
 
   const sops::support::SimdPolicy policies[] = {
-      sops::support::SimdPolicy::kScalar, sops::support::SimdPolicy::kGeneric,
-      sops::support::SimdPolicy::kSimd};
+      sops::support::SimdPolicy::kScalar, sops::support::SimdPolicy::kSimd};
   for (const auto kind : {sops::geom::NeighborBackendKind::kCellGrid,
                           sops::geom::NeighborBackendKind::kVerletSkin}) {
     const std::vector<Vec2> anchor = drift_under_policy(
