@@ -1,6 +1,7 @@
 #include "core/job_manager.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <span>
@@ -83,6 +84,24 @@ void append_json_string(std::string& out, const std::string& value) {
   out += '"';
 }
 
+// The `%zu` / `%.17g` text of a value: std::to_chars with a precision is
+// specified as printf's conversion, byte for byte, without the format
+// parsing and locale lookup. Fields go through a stack buffer and are
+// appended, rather than written in place through the returned end pointer.
+void append_chars(std::string& out, std::size_t value) {
+  char buffer[20];  // SIZE_MAX has 20 digits
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, result.ptr);
+}
+
+void append_chars(std::string& out, double value) {
+  char buffer[32];  // "-d.<16 digits>e-308" is 24
+  const std::to_chars_result result = std::to_chars(
+      buffer, buffer + sizeof buffer, value, std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
+}
+
 }  // namespace
 
 const char* to_string(JobState state) noexcept {
@@ -105,16 +124,21 @@ struct JobManager::Job {
   Job(std::uint64_t id_, ConfiguredExperiment configured_, JobOptions options_,
       const support::CancelToken* root)
       : id(id_),
+        analysis(options_.analysis),
+        token(root),
         configured(std::move(configured_)),
-        options(std::move(options_)),
-        token(root) {}
+        events(std::make_shared<const JobEvents>(std::move(options_.events))) {}
 
   const std::uint64_t id;
-  ConfiguredExperiment configured;
-  JobOptions options;
+  const JobAnalysis analysis;
   support::CancelToken token;  // chained to the manager's shutdown root
 
-  // Guarded by JobManager::mutex_.
+  // Guarded by JobManager::mutex_. The config and the hooks (with whatever
+  // they capture) are released once the job is terminal (set_state). Hooks
+  // are called through a copied pointer, outside the lock.
+  std::optional<ConfiguredExperiment> configured;
+  std::shared_ptr<const JobEvents> events;
+  bool settled = false;  // terminal, its terminal event delivered, released
   JobState state = JobState::kQueued;
   std::size_t samples_done = 0;
   std::size_t samples_total = 0;
@@ -195,6 +219,7 @@ std::uint64_t JobManager::submit(ConfiguredExperiment configured,
 
   Job* job = nullptr;
   JobStatus snapshot;
+  std::shared_ptr<const JobEvents> events;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) {
@@ -203,18 +228,17 @@ std::uint64_t JobManager::submit(ConfiguredExperiment configured,
     auto owned = std::make_unique<Job>(next_id_++, std::move(configured),
                                        std::move(options), &shutdown_);
     job = owned.get();
-    job->samples_total = local_samples(job->configured.experiment);
+    job->samples_total = local_samples(job->configured->experiment);
     job->payload_bytes = payload;
     job->resident_bytes = resident;
     queue_.push_back(job->id);
     jobs_.push_back(std::move(owned));
     snapshot = snapshot_locked(*job);
+    events = job->events;
   }
   cv_.notify_all();
-  if (job->options.events.on_state_change) {
-    job->options.events.on_state_change(snapshot);
-  }
-  return job->id;
+  if (events->on_state_change) events->on_state_change(snapshot);
+  return snapshot.id;
 }
 
 bool JobManager::cancel(std::uint64_t id) {
@@ -224,9 +248,11 @@ bool JobManager::cancel(std::uint64_t id) {
     const std::lock_guard<std::mutex> lock(mutex_);
     job = find_locked(id);
     if (job == nullptr || is_terminal(job->state)) return false;
-    if (job->state == JobState::kQueued) {
-      queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
-                   queue_.end());
+    // Only the call that takes the job off the queue settles it: a second
+    // cancel racing the first must not record a second terminal state.
+    const auto queued = std::find(queue_.begin(), queue_.end(), id);
+    if (queued != queue_.end()) {
+      queue_.erase(queued);
       job->error = "job cancelled while queued";
       was_queued = true;
     }
@@ -261,7 +287,7 @@ JobOutcome JobManager::wait(std::uint64_t id) {
   if (job == nullptr) {
     throw Error("JobManager::wait: unknown job id " + std::to_string(id));
   }
-  cv_.wait(lock, [&] { return is_terminal(job->state); });
+  cv_.wait(lock, [&] { return job->settled; });
   if (job->state == JobState::kCancelled) {
     throw CancelledError(job->error.empty() ? "job cancelled" : job->error);
   }
@@ -334,13 +360,13 @@ void JobManager::drive(std::size_t slot) {
     cv_.notify_all();
     {
       JobStatus snapshot;
+      std::shared_ptr<const JobEvents> events;
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         snapshot = snapshot_locked(*job);
+        events = job->events;
       }
-      if (job->options.events.on_state_change) {
-        job->options.events.on_state_change(snapshot);
-      }
+      if (events->on_state_change) events->on_state_change(snapshot);
     }
     run_job(*job, slot);
   }
@@ -354,8 +380,11 @@ void JobManager::run_job(Job& job, std::size_t slot) {
   // reads views into that store — is destroyed first on every exit path.
   JobOutcome outcome;
   std::optional<StreamingAnalyzer> analyzer;
-  if (job.options.analysis == JobAnalysis::kStreamed) {
-    analyzer.emplace(job.configured.analysis, &job.token);
+  // Only this thread reads the config, unlocked, until the terminal
+  // set_state below releases it.
+  const ConfiguredExperiment& configured = *job.configured;
+  if (job.analysis == JobAnalysis::kStreamed) {
+    analyzer.emplace(configured.analysis, &job.token);
   }
 
   JobRunObserver observer(
@@ -371,7 +400,7 @@ void JobManager::run_job(Job& job, std::size_t slot) {
         note_sample(job, local_sample, series);
       });
 
-  ExperimentConfig config = job.configured.experiment;
+  ExperimentConfig config = configured.experiment;
   config.observer = &observer;
   config.cancel = &job.token;
   config.pool = &slices_[slot];
@@ -386,16 +415,16 @@ void JobManager::run_job(Job& job, std::size_t slot) {
       throw Error("job " + std::to_string(job.id) +
                   ": recording flush failed: " + flush_error);
     }
-    if (job.options.analysis == JobAnalysis::kStreamed) {
+    if (job.analysis == JobAnalysis::kStreamed) {
       set_state(job, JobState::kStreaming);
       outcome.analysis = analyzer->finish();
-    } else if (job.options.analysis == JobAnalysis::kPostHoc) {
+    } else if (job.analysis == JobAnalysis::kPostHoc) {
       set_state(job, JobState::kStreaming);
       support::CancelToken::check(&job.token,
                                   "job cancelled before analysis");
       // The analysis pool gets the slot's share, like the simulation: left
       // at 0, every job would spawn a pool as wide as the machine.
-      AnalysisOptions analysis = job.configured.analysis;
+      AnalysisOptions analysis = configured.analysis;
       analysis.threads = slices_[slot].width();
       outcome.analysis = analyze_self_organization(outcome.series, analysis);
     }
@@ -426,25 +455,46 @@ void JobManager::run_job(Job& job, std::size_t slot) {
 }
 
 void JobManager::set_state(Job& job, JobState state) {
+  const bool terminal = is_terminal(state);
   JobStatus snapshot;
+  std::shared_ptr<const JobEvents> events;
+  std::optional<ConfiguredExperiment> configured;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job.state = state;
-    if (is_terminal(state) && job.resident_charged) {
+    if (terminal && job.resident_charged) {
       resident_bytes_ -= job.resident_bytes;
       job.resident_charged = false;
     }
     snapshot = snapshot_locked(job);
+    if (terminal) {
+      // This is the job's last event: take its hooks and config away, so a
+      // finished job keeps only its status fields.
+      events.swap(job.events);
+      configured.swap(job.configured);
+    } else {
+      events = job.events;
+    }
   }
   cv_.notify_all();
-  if (job.options.events.on_state_change) {
-    job.options.events.on_state_change(snapshot);
+  if (events->on_state_change) events->on_state_change(snapshot);
+  if (!terminal) return;
+
+  // Destroy them here, outside the lock (the hooks' captures run their
+  // destructors), before wait() may return.
+  events.reset();
+  configured.reset();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    job.settled = true;
   }
+  cv_.notify_all();
 }
 
 void JobManager::note_sample(Job& job, std::size_t local_sample,
                              const EnsembleSeries& series) {
   JobSampleEvent event;
+  std::shared_ptr<const JobEvents> events;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++job.samples_done;
@@ -456,10 +506,9 @@ void JobManager::note_sample(Job& job, std::size_t local_sample,
     event.samples_total = job.samples_total;
     event.equilibrium_step = series.equilibrium_steps[local_sample];
     event.series = &series;
+    events = job.events;
   }
-  if (job.options.events.on_sample_done) {
-    job.options.events.on_sample_done(event);
-  }
+  if (events->on_sample_done) events->on_sample_done(event);
 }
 
 JobStatus JobManager::snapshot_locked(const Job& job) const {
@@ -494,14 +543,23 @@ std::string sample_recording_csv(const EnsembleSeries& series,
   support::expect(local_sample < series.sample_count(),
                   "sample_recording_csv: sample out of range");
   std::string out = "frame,step,particle,x,y\n";
-  char row[128];
+  // A typical row is ~50 bytes; the bound is 3 × 20 + 2 × 24 + 5.
+  out.reserve(out.size() +
+              series.frame_count() * series.particle_count() * 64);
   for (std::size_t f = 0; f < series.frame_count(); ++f) {
     const std::span<const geom::Vec2> positions =
         series.frames.sample(f, local_sample);
     for (std::size_t p = 0; p < positions.size(); ++p) {
-      std::snprintf(row, sizeof row, "%zu,%zu,%zu,%.17g,%.17g\n", f,
-                    series.frame_steps[f], p, positions[p].x, positions[p].y);
-      out += row;
+      append_chars(out, f);
+      out += ',';
+      append_chars(out, series.frame_steps[f]);
+      out += ',';
+      append_chars(out, p);
+      out += ',';
+      append_chars(out, positions[p].x);
+      out += ',';
+      append_chars(out, positions[p].y);
+      out += '\n';
     }
   }
   return out;

@@ -88,9 +88,8 @@ struct JobLimits {
   /// running jobs.
   std::size_t job_slots = 2;
   /// Admission budget for *resident* recording footprints (heap-backed
-  /// jobs; mapped/shard recordings project to ~zero). Default: unlimited —
-  /// the in-process batch configuration. The daemon sets a real budget
-  /// (its default mirrors the 256 MiB auto-spill threshold).
+  /// jobs; mapped/shard recordings project to ~zero). Default: unlimited.
+  /// `sopsd` keeps the default unless started with `--mem-mb`.
   std::size_t memory_budget_bytes = static_cast<std::size_t>(-1);
 };
 
@@ -129,7 +128,9 @@ struct JobSampleEvent {
 
 /// Optional per-job event hooks. Called outside the manager's lock, from
 /// scheduler or sample-worker threads — handlers must be thread-safe and
-/// must not call back into the manager's blocking APIs (wait).
+/// must not call back into the manager's blocking APIs (wait). The manager
+/// destroys a job's hooks right after its terminal on_state_change, so
+/// whatever they capture lives no longer than the job.
 struct JobEvents {
   std::function<void(const JobStatus&)> on_state_change;
   std::function<void(const JobSampleEvent&)> on_sample_done;
@@ -176,10 +177,10 @@ class JobManager {
   [[nodiscard]] JobStatus status(std::uint64_t id) const;
   [[nodiscard]] std::vector<JobStatus> statuses() const;
 
-  /// Blocks until the job is terminal, then returns its outcome (kDone) or
-  /// throws — the job's named Error (kFailed) or sops::CancelledError
-  /// (kCancelled). The outcome is handed out once; a second wait() on the
-  /// same done job throws.
+  /// Blocks until the job is terminal and its terminal event delivered,
+  /// then returns its outcome (kDone) or throws — the job's named Error
+  /// (kFailed) or sops::CancelledError (kCancelled). The outcome is handed
+  /// out once; a second wait() on the same done job throws.
   JobOutcome wait(std::uint64_t id);
 
   /// The manager-wide cancellation root every job token chains to.

@@ -12,10 +12,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,6 +334,42 @@ TEST(CoreJobManager, CancelQueuedJobTerminatesImmediately) {
   EXPECT_FALSE(manager.cancel(999));     // unknown id
 }
 
+// A finished job keeps its status, not what it was handed: the hooks (and
+// their captures) and the config go once it settles, done or cancelled.
+TEST(CoreJobManager, SettledJobsReleaseTheirHooks) {
+  // Long enough that the second job is still queued when it is cancelled.
+  const ConfiguredExperiment config = small_job(5, 4, 4000);
+  JobLimits limits;
+  limits.machine_threads = 1;
+  limits.job_slots = 1;
+  limits.memory_budget_bytes =
+      JobManager::projected_resident_bytes(config.experiment);
+  JobManager manager(limits);
+
+  const auto capture = std::make_shared<std::atomic<std::size_t>>(0);
+  JobOptions options;
+  options.analysis = JobAnalysis::kNone;
+  options.events.on_state_change = [capture](const JobStatus&) {};
+  options.events.on_sample_done =
+      [capture](const sops::core::JobSampleEvent&) { ++*capture; };
+  const std::uint64_t done = manager.submit(config, options);
+  const std::uint64_t cancelled = manager.submit(small_job(6, 4), options);
+  options = JobOptions{};
+  EXPECT_GT(capture.use_count(), 1);
+
+  EXPECT_TRUE(manager.cancel(cancelled));
+  EXPECT_THROW((void)manager.wait(cancelled), CancelledError);
+  (void)manager.wait(done);
+  EXPECT_EQ(capture.use_count(), 1);
+  EXPECT_EQ(capture->load(), 4u) << "every sample event still fired";
+
+  const JobStatus status = manager.status(done);
+  EXPECT_EQ(status.state, JobState::kDone);
+  EXPECT_EQ(status.samples_done, 4u);
+  EXPECT_EQ(status.samples_total, 4u);
+  EXPECT_EQ(manager.status(cancelled).state, JobState::kCancelled);
+}
+
 TEST(CoreJobManager, CancellationFuzzReclaimsEverything) {
   // Cancel at staggered points across storage modes × thread counts. At
   // every cut point: the spill directory ends empty (scratch files
@@ -449,6 +491,94 @@ TEST(CoreJobSerialization, SampleCsvIsTheExactRecordedGrid) {
                 std::size_t{0}, series.frame_steps[0], std::size_t{0},
                 positions[0].x, positions[0].y);
   EXPECT_NE(csv.find(expected), std::string::npos);
+}
+
+// sample_recording_csv formats with std::to_chars; the wire bytes must stay
+// exactly printf's "%zu" / "%.17g" text for every finite double and every
+// size_t, so the formatter is fuzzed against snprintf through the public
+// function on a hand-built recording.
+TEST(CoreJobSerialization, SampleCsvMatchesPrintfByteForByte) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values{0.0,
+                             -0.0,
+                             1.0,
+                             -1.0,
+                             0.1,
+                             1e16,
+                             12345678901234567.0,
+                             9007199254740993.0,
+                             1e300,
+                             -1e300,
+                             1e-300,
+                             -1e-300,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             DBL_MIN,
+                             -DBL_MIN,
+                             DBL_TRUE_MIN,
+                             -DBL_TRUE_MIN,
+                             DBL_MIN / 3.0,
+                             std::nextafter(DBL_MIN, 0.0),
+                             DBL_EPSILON,
+                             1e-5,
+                             1e-4,
+                             123456.0,
+                             1e17,
+                             std::nextafter(1.0, kInf),
+                             std::nextafter(1.0, 0.0)};
+  for (int i = -20; i <= 20; ++i) {
+    values.push_back(static_cast<double>(i));
+    values.push_back(std::ldexp(1.0, 50 * i));
+  }
+  std::mt19937_64 bits(20240501);
+  while (values.size() < 100000 + 128) {
+    const std::uint64_t pattern = bits();
+    double value = 0.0;
+    std::memcpy(&value, &pattern, sizeof value);
+    if (std::isfinite(value)) values.push_back(value);
+  }
+
+  // The step column carries the size_t extremes, one frame each.
+  const std::vector<std::size_t> steps{
+      0, 1, 9, 10, 99, 4294967295u, 4294967296u, 9007199254740993u,
+      std::numeric_limits<std::size_t>::max() - 1,
+      std::numeric_limits<std::size_t>::max()};
+  const std::size_t particles = (values.size() + 2 * steps.size() - 1) /
+                                (2 * steps.size());
+  EnsembleSeries series;
+  series.types.assign(particles, 0);
+  series.frame_steps = steps;
+  series.frames = sops::core::FrameStore(steps.size(), 1, particles);
+  std::size_t next = 0;
+  for (std::size_t f = 0; f < steps.size(); ++f) {
+    for (sops::geom::Vec2& position : series.frames.sample_slot(f, 0)) {
+      position.x = values[next++ % values.size()];
+      position.y = values[next++ % values.size()];
+    }
+  }
+
+  std::string expected = "frame,step,particle,x,y\n";
+  char row[160];
+  for (std::size_t f = 0; f < steps.size(); ++f) {
+    const auto positions = series.frames.sample(f, 0);
+    for (std::size_t p = 0; p < positions.size(); ++p) {
+      std::snprintf(row, sizeof row, "%zu,%zu,%zu,%.17g,%.17g\n", f, steps[f],
+                    p, positions[p].x, positions[p].y);
+      expected += row;
+    }
+  }
+  const std::string csv = sops::core::sample_recording_csv(series, 0);
+  if (csv != expected) {
+    // Name the first differing row rather than dumping megabytes.
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(csv.begin(), csv.end(), expected.begin(), expected.end())
+            .first -
+        csv.begin());
+    const std::size_t begin = expected.rfind('\n', at) + 1;
+    FAIL() << "first difference in row: "
+           << expected.substr(begin, expected.find('\n', at) - begin)
+           << "\ngot: " << csv.substr(begin, csv.find('\n', at) - begin);
+  }
 }
 
 TEST(CoreJobSerialization, StatusJsonEscapesAndRoundsTrip) {

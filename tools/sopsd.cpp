@@ -14,9 +14,12 @@
 // batch run of the same config, because both go through
 // core::sample_recording_csv / core::analysis_csv_table.
 //
-// Watchers attaching mid-run miss nothing: the daemon keeps each job's
-// emitted frames and replays them to a late subscriber before switching to
-// live delivery.
+// Watchers attaching mid-run miss nothing: a running job's frames are kept
+// and replayed to a late subscriber before it switches to live delivery.
+// Nothing outlives its delivery (core::JobBroadcast): a job's frames are
+// freed once every watcher live at its end has them, and a job that ends
+// unwatched is replayed once, to the first watch; any later watch of it
+// gets its terminal job_done status alone.
 //
 // SIGINT/SIGTERM raise the manager's shutdown token (async-signal-safe) and
 // poke a self-pipe to wake the accept loop; every job drains at its next
@@ -28,17 +31,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-
 #include <atomic>
-#include <condition_variable>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
-#include <deque>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -46,6 +47,7 @@
 
 #include "core/config_builder.hpp"
 #include "core/job_manager.hpp"
+#include "core/job_stream.hpp"
 #include "core/sops.hpp"
 #include "io/frame_protocol.hpp"
 
@@ -77,72 +79,6 @@ void install_signal_handlers() {
   sigaction(SIGTERM, &action, nullptr);
   signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the daemon
 }
-
-/// One watcher's delivery queue: event callbacks push, the watcher's
-/// connection thread pops and writes. Decouples the simulation workers
-/// from client socket speed.
-struct SubscriberQueue {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<io::Frame> frames;
-  bool done = false;  // terminal frame enqueued; drain and close
-};
-
-/// Per-job frame fan-out with replay: everything ever pushed for a job is
-/// kept and handed to late subscribers first, so a watcher attached after
-/// submission still sees every sample frame exactly once, in order.
-class Broadcast {
- public:
-  void push(std::uint64_t job, io::FrameType type, std::string payload,
-            bool terminal = false) {
-    io::Frame frame{type, std::move(payload)};
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Channel& channel = channels_[job];
-    channel.history.push_back(frame);
-    channel.finished = channel.finished || terminal;
-    for (const std::shared_ptr<SubscriberQueue>& sub : channel.subscribers) {
-      {
-        const std::lock_guard<std::mutex> sub_lock(sub->mutex);
-        sub->frames.push_back(frame);
-        sub->done = sub->done || terminal;
-      }
-      sub->cv.notify_all();
-    }
-  }
-
-  /// Registers a subscriber and seeds it with the job's full history —
-  /// atomically, so no frame is lost or duplicated around the handoff.
-  std::shared_ptr<SubscriberQueue> subscribe(std::uint64_t job) {
-    auto sub = std::make_shared<SubscriberQueue>();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Channel& channel = channels_[job];
-    {
-      const std::lock_guard<std::mutex> sub_lock(sub->mutex);
-      sub->frames.assign(channel.history.begin(), channel.history.end());
-      sub->done = channel.finished;
-    }
-    if (!channel.finished) channel.subscribers.push_back(sub);
-    return sub;
-  }
-
-  void unsubscribe(std::uint64_t job,
-                   const std::shared_ptr<SubscriberQueue>& sub) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = channels_.find(job);
-    if (it == channels_.end()) return;
-    auto& subs = it->second.subscribers;
-    subs.erase(std::remove(subs.begin(), subs.end(), sub), subs.end());
-  }
-
- private:
-  struct Channel {
-    std::vector<io::Frame> history;
-    std::vector<std::shared_ptr<SubscriberQueue>> subscribers;
-    bool finished = false;
-  };
-  std::mutex mutex_;
-  std::map<std::uint64_t, Channel> channels_;
-};
 
 struct DaemonOptions {
   std::string socket_path = kDefaultSocket;
@@ -311,21 +247,17 @@ class Daemon {
 
   void watch(int client, std::uint64_t id) {
     (void)manager_.status(id);  // throws on unknown id, before subscribing
-    const std::shared_ptr<SubscriberQueue> sub = broadcast_.subscribe(id);
+    const std::shared_ptr<core::FrameQueue> sub = broadcast_.subscribe(
+        id, [&] { return core::is_terminal(manager_.status(id).state); });
+    if (sub == nullptr) {
+      // The stream was handed out already; only the outcome is left.
+      io::write_frame(client, io::FrameType::kJobDone,
+                      core::job_status_json(manager_.status(id)));
+      return;
+    }
     try {
-      for (;;) {
-        io::Frame frame;
-        bool last = false;
-        {
-          std::unique_lock<std::mutex> lock(sub->mutex);
-          sub->cv.wait(lock, [&] { return !sub->frames.empty() || sub->done; });
-          if (sub->frames.empty()) break;  // done, queue already drained
-          frame = std::move(sub->frames.front());
-          sub->frames.pop_front();
-          last = sub->done && sub->frames.empty();
-        }
-        io::write_frame(client, frame.type, frame.payload);
-        if (last) break;
+      while (const core::SharedFrame frame = sub->pop()) {
+        io::write_frame(client, frame->type, frame->payload);
       }
     } catch (...) {
       broadcast_.unsubscribe(id, sub);  // client hung up mid-stream
@@ -354,10 +286,33 @@ class Daemon {
 
   DaemonOptions options_;
   core::JobManager manager_;
-  Broadcast broadcast_;
+  core::JobBroadcast broadcast_;
   std::mutex waiters_mutex_;
   std::vector<std::thread> waiters_;
 };
+
+constexpr std::size_t kMaxCount = static_cast<std::size_t>(-1);
+
+/// A flag's value as a decimal count in [0, max], or nullopt after naming
+/// the flag and the bad text on stderr: a sign, trailing junk or a value
+/// past `max` (for --mem-mb, the largest that survives `<< 20`).
+std::optional<std::size_t> parse_count(const std::string& flag,
+                                       const std::string& text,
+                                       std::size_t max) {
+  std::size_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc{} && ptr == end && value <= max) return value;
+  std::cerr << "sopsd: " << flag << " expects an integer in [0, " << max
+            << "], got '" << text << "'\n";
+  return std::nullopt;
+}
+
+int usage() {
+  std::cerr << "usage: sopsd [--socket <path>] [--slots N] [--threads N] "
+               "[--mem-mb N] [--spill-dir <dir>]\n";
+  return 2;
+}
 
 }  // namespace
 
@@ -369,17 +324,21 @@ int main(int argc, char** argv) {
     if (arg == "--socket" && has_value) {
       options.socket_path = argv[++i];
     } else if (arg == "--slots" && has_value) {
-      options.limits.job_slots = std::stoul(argv[++i]);
+      const auto value = parse_count(arg, argv[++i], kMaxCount);
+      if (!value) return usage();
+      options.limits.job_slots = *value;
     } else if (arg == "--threads" && has_value) {
-      options.limits.machine_threads = std::stoul(argv[++i]);
+      const auto value = parse_count(arg, argv[++i], kMaxCount);
+      if (!value) return usage();
+      options.limits.machine_threads = *value;
     } else if (arg == "--mem-mb" && has_value) {
-      options.limits.memory_budget_bytes = std::stoul(argv[++i]) << 20;
+      const auto value = parse_count(arg, argv[++i], kMaxCount >> 20);
+      if (!value) return usage();
+      options.limits.memory_budget_bytes = *value << 20;
     } else if (arg == "--spill-dir" && has_value) {
       options.spill_dir = argv[++i];
     } else {
-      std::cerr << "usage: sopsd [--socket <path>] [--slots N] [--threads N] "
-                   "[--mem-mb N] [--spill-dir <dir>]\n";
-      return 2;
+      return usage();
     }
   }
 
