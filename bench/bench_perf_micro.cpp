@@ -7,9 +7,7 @@
 // BENCH_engine.json: steps/sec of cell-grid stepping for n ∈ {64, 256,
 // 1024} (batched engine vs seed baseline), the intra-step sharding series
 // (pooled vs fork-per-step dispatch), the executor layer's per-dispatch
-// overhead, the Verlet/skin opt-in vs the cell grid on post-alignment
-// collectives (speedup, rebuild skip rate, per-backend re-index cost),
-// the SoA/SIMD kernel speedup (scalar reference vs vector kernels, with
+// overhead, the SoA/SIMD kernel speedup (scalar reference vs vector kernels, with
 // the dispatched ISA and compiler identity for cross-machine hygiene),
 // analyzer (KSG) frames/sec — including the paper-shaped streaming row
 // (n = 1024, m = 100) against the frozen pre-streaming post-hoc baseline
@@ -176,26 +174,6 @@ void BM_DriftCellGridPersistent(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_DriftCellGridPersistent)->Range(32, 2048)->Complexity(benchmark::oN);
-
-void BM_DriftVerletPersistent(benchmark::State& state) {
-  // The Verlet quiet-step cost: the positions never move, so after the
-  // first iteration every call skips the rebuild and pays only the cached
-  // CSR row walk + one distance check per candidate.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto system = random_system(n, std::sqrt(static_cast<double>(n)) * 1.5,
-                                    3, 42);
-  const auto model = default_model(3);
-  const sim::PairScalingTable table(model);
-  std::vector<geom::Vec2> drift;
-  geom::NeighborBackend backend(geom::NeighborBackendKind::kVerletSkin);
-  for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, drift, backend,
-                          support::serial_executor());
-    benchmark::DoNotOptimize(drift.data());
-  }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_DriftVerletPersistent)->Range(32, 2048)->Complexity(benchmark::oN);
 
 void BM_StepSeedBaseline(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -374,8 +352,8 @@ BENCHMARK(BM_KMeans)->Range(64, 4096);
 // --------------------------------------------------- BENCH_engine.json
 
 // Repetition policy for the JSON series: every timed window is measured
-// `kBenchReps` times and the *best* value is reported — max for
-// throughputs, min for costs. On a shared 1-core container, interference
+// `kBenchReps` times and the *best* (highest) throughput is reported. On
+// a shared 1-core container, interference
 // only ever slows a run, so the extremum is the least-biased estimate of
 // the code's own speed (the same reasoning as google-benchmark's
 // min-of-repetitions aggregation); means would gate CI on neighbors'
@@ -386,13 +364,6 @@ template <typename Measure>
 double best_throughput(const Measure& measure) {
   double best = 0.0;
   for (int r = 0; r < kBenchReps; ++r) best = std::max(best, measure());
-  return best;
-}
-
-template <typename Measure>
-double best_cost(const Measure& measure) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < kBenchReps; ++r) best = std::min(best, measure());
   return best;
 }
 
@@ -490,117 +461,6 @@ double measure_dispatch_us(std::size_t width, bool pooled) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return seconds * 1e6 / static_cast<double>(rounds);
-}
-
-// Verlet/skin vs cell-grid stepping on a post-alignment collective, under
-// the paper's double-Gaussian pair force (the production force law, and the
-// regime the skin list targets: its per-candidate exp makes compaction-first
-// evaluation pay, where the spring law's near-free row math leaves every
-// backend memory-bound and the grid's streaming dense path unbeatable). The
-// system is first settled with the cell grid until the local candidate
-// density is stationary — `kVerletSettleSteps` is sized from measurement,
-// NOT a token warm-up: with a shorter settle the collective is still
-// condensing, each leg then measures a different workload than the one
-// before it, and the comparison is meaningless. Clones of the settled state
-// are stepped through each backend with identical RNG streams. Also
-// measures each backend's full re-index cost in isolation
-// (`*_rebuild_us`): the cell grid pays it every step, the Verlet list only
-// on displacement triggers — the skip rate is what turns the more
-// expensive Verlet build into a net win.
-struct VerletBenchRow {
-  double grid_steps_per_sec = 0.0;
-  double verlet_steps_per_sec = 0.0;
-  double skip_rate = 0.0;
-  double grid_rebuild_us = 0.0;
-  double verlet_rebuild_us = 0.0;
-};
-
-constexpr double kVerletBenchSkin = 1.5;
-constexpr int kVerletSettleSteps = 500;
-
-VerletBenchRow measure_verlet_row(std::size_t n) {
-  auto system = random_system(n, std::sqrt(static_cast<double>(n)) * 1.5, 3, 7);
-  const sim::InteractionModel model(sim::ForceLawKind::kDoubleGaussian, 3,
-                                    sim::PairParams{1.0, 2.0, 1.0, 1.0});
-  const sim::PairScalingTable table(model);
-  sim::IntegratorParams params;
-  std::vector<geom::Vec2> drift;
-  geom::NeighborBackend grid(geom::NeighborBackendKind::kCellGrid);
-  {
-    rng::Xoshiro256 engine(1);
-    for (int i = 0; i < kVerletSettleSteps; ++i) {
-      sim::accumulate_drift(system, table, 3.0, drift, grid,
-                            support::serial_executor());
-      sim::apply_euler_maruyama_update(system, drift, params, engine);
-    }
-  }
-
-  VerletBenchRow row;
-  const int steps = n >= 16384 ? 120 : 400;
-  // Each rep replays the identical settled trajectory (same clone, same
-  // RNG stream), so the skip rate is deterministic and only the wall
-  // clock varies.
-  row.grid_steps_per_sec = best_throughput([&] {
-    auto grid_system = system;
-    rng::Xoshiro256 engine(2);
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(grid_system, table, 3.0, drift, grid,
-                            support::serial_executor());
-      sim::apply_euler_maruyama_update(grid_system, drift, params, engine);
-    }
-    return steps / std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  });
-  row.verlet_steps_per_sec = best_throughput([&] {
-    auto verlet_system = system;
-    rng::Xoshiro256 engine(2);
-    geom::NeighborBackend backend(geom::NeighborBackendKind::kVerletSkin);
-    auto& verlet = std::get<geom::VerletListBackend>(backend.get());
-    verlet.set_skin(kVerletBenchSkin);
-    sim::accumulate_drift(verlet_system, table, 3.0, drift, backend,
-                          support::serial_executor());  // warm
-    verlet.reset_stats();
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(verlet_system, table, 3.0, drift, backend,
-                            support::serial_executor());
-      sim::apply_euler_maruyama_update(verlet_system, drift, params, engine);
-    }
-    const double rate =
-        steps / std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    row.skip_rate = verlet.stats().skip_rate();
-    return rate;
-  });
-  // Isolated full re-index cost at the settled positions.
-  const int rebuilds = 50;
-  row.grid_rebuild_us = best_cost([&] {
-    geom::CellGridBackend fresh;
-    fresh.rebuild(system.lanes(), 3.0);  // warm capacity
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < rebuilds; ++i) fresh.rebuild(system.lanes(), 3.0);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-               .count() *
-           1e6 / rebuilds;
-  });
-  row.verlet_rebuild_us = best_cost([&] {
-    geom::VerletListBackend fresh(kVerletBenchSkin);
-    fresh.rebuild(system.lanes(), 3.0);  // warm capacity
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < rebuilds; ++i) {
-      fresh.invalidate();
-      fresh.rebuild(system.lanes(), 3.0);
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-               .count() *
-           1e6 / rebuilds;
-  });
-  return row;
 }
 
 // Analyzer throughput on a fixed mid-sized config: KSG frames/sec through
@@ -1259,36 +1119,6 @@ void emit_engine_json() {
                "\"current\": %zu},\n",
                sim::kIntraStepMinParticles);
 
-  // Verlet/skin opt-in on post-alignment collectives, plus per-backend full
-  // re-index cost — all gated by tools/bench_trend.py (throughput and skip
-  // rate on drops, rebuild_us on growth).
-  const std::size_t verlet_sizes[] = {4096, 16384};
-  std::fprintf(out, "  \"verlet\": [\n");
-  for (std::size_t k = 0; k < 2; ++k) {
-    const std::size_t n = verlet_sizes[k];
-    const VerletBenchRow row = measure_verlet_row(n);
-    const double speedup = row.grid_steps_per_sec > 0.0
-                               ? row.verlet_steps_per_sec / row.grid_steps_per_sec
-                               : 0.0;
-    std::fprintf(out,
-                 "    {\"n\": %zu, \"skin\": %.2f, \"settle_steps\": %d, "
-                 "\"cell_grid_steps_per_sec\": %.1f, "
-                 "\"verlet_steps_per_sec\": %.1f, \"speedup\": %.3f, "
-                 "\"rebuild_skip_rate\": %.3f, "
-                 "\"cell_grid_rebuild_us\": %.1f, "
-                 "\"verlet_rebuild_us\": %.1f}%s\n",
-                 n, kVerletBenchSkin, kVerletSettleSteps,
-                 row.grid_steps_per_sec, row.verlet_steps_per_sec, speedup,
-                 row.skip_rate, row.grid_rebuild_us, row.verlet_rebuild_us,
-                 k + 1 < 2 ? "," : "");
-    std::printf("verlet n=%zu skin=%.1f: grid %.0f steps/s, verlet %.0f "
-                "steps/s (%.2fx), skip rate %.2f, rebuild %.0f vs %.0f us\n",
-                n, kVerletBenchSkin, row.grid_steps_per_sec,
-                row.verlet_steps_per_sec, speedup, row.skip_rate,
-                row.grid_rebuild_us, row.verlet_rebuild_us);
-  }
-  std::fprintf(out, "  ],\n");
-
   // SoA/SIMD kernel speedup: the single-threaded cell-grid step with the
   // scalar reference kernels vs the vector kernels, same workload as the
   // intra_step series. The ISA label and compiler identity ride along so
@@ -1544,35 +1374,9 @@ int run_smoke() {
     sim::apply_euler_maruyama_update(scalar_system, scalar_drift, params,
                                      scalar_engine);
   }
-  // Verlet leg: serial and pooled follow one trajectory; the sharded quiet
-  // steps and displacement-triggered rebuilds must stay bitwise-equal.
-  auto verlet_serial_system = random_system(n, 34.0, 3, 7);
-  auto verlet_pooled_system = verlet_serial_system;
-  rng::Xoshiro256 verlet_serial_engine(1);
-  rng::Xoshiro256 verlet_pooled_engine(1);
-  geom::NeighborBackend verlet_serial(geom::NeighborBackendKind::kVerletSkin);
-  geom::NeighborBackend verlet_pooled(geom::NeighborBackendKind::kVerletSkin);
-  for (int step = 0; step < 25; ++step) {
-    sim::accumulate_drift(verlet_serial_system, table, 3.0, serial_drift,
-                          verlet_serial, support::serial_executor());
-    sim::accumulate_drift(verlet_pooled_system, table, 3.0, pooled_drift,
-                          verlet_pooled, pool.executor());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(serial_drift[i] == pooled_drift[i])) {
-        std::fprintf(stderr,
-                     "smoke: verlet drift diverged at step %d particle %zu\n",
-                     step, i);
-        return 1;
-      }
-    }
-    sim::apply_euler_maruyama_update(verlet_serial_system, serial_drift,
-                                     params, verlet_serial_engine);
-    sim::apply_euler_maruyama_update(verlet_pooled_system, pooled_drift,
-                                     params, verlet_pooled_engine);
-  }
   std::printf(
       "smoke: 25 steps, serial == 4-thread sharded == pooled == scalar "
-      "bitwise (cell grid + verlet; simd policy %s)\n",
+      "bitwise (cell grid; simd policy %s)\n",
       support::simd_isa());
   return 0;
 }

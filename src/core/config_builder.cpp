@@ -132,28 +132,8 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
     simulation.neighbor_mode = sim::NeighborMode::kCellGrid;
   } else if (neighbor == "delaunay") {
     simulation.neighbor_mode = sim::NeighborMode::kDelaunay;
-  } else if (neighbor == "verlet") {
-    simulation.neighbor_mode = sim::NeighborMode::kVerletSkin;
   } else {
     throw Error("config: unknown neighbor mode '" + neighbor + "'");
-  }
-  simulation.verlet_skin =
-      config.get_double("verlet_skin", simulation.verlet_skin);
-  // Validate the opt-in here, where the error can name the key: a zero or
-  // negative skin reaches the backend as a list that never skips a rebuild
-  // (or, below zero, misses pairs), and the Verlet grid build needs a
-  // finite positive cut-off.
-  if (!(simulation.verlet_skin > 0.0) ||
-      !std::isfinite(simulation.verlet_skin)) {
-    throw Error("config: 'verlet_skin' must be positive and finite, got '" +
-                config.get_string("verlet_skin", "") + "'");
-  }
-  if (simulation.neighbor_mode == sim::NeighborMode::kVerletSkin &&
-      !(simulation.cutoff_radius > 0.0 &&
-        std::isfinite(simulation.cutoff_radius))) {
-    throw Error(
-        "config: 'neighbor = verlet' needs a finite positive cut-off "
-        "radius 'rc'");
   }
   ConfiguredExperiment configured{ExperimentConfig(std::move(simulation)), {}};
   configured.experiment.samples = config.get_size("samples", 200);
@@ -198,7 +178,7 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
 const std::vector<std::string>& known_config_keys() {
   static const std::vector<std::string> keys{
       "preset", "force", "types", "particles", "k", "r", "sigma", "tau",
-      "rc", "neighbor", "verlet_skin", "steps", "stride", "samples", "seed",
+      "rc", "neighbor", "steps", "stride", "samples", "seed",
       "frame_storage", "spill_dir", "spill_threshold_mb",
       "dt", "noise",
       "init_radius", "max_step", "equilibrium_threshold", "equilibrium_hold",

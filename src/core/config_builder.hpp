@@ -12,9 +12,7 @@
 //   k, r, sigma, tau   either a single number (all pairs) or an l×l
 //                 matrix with rows separated by ';'
 //   rc            cut-off radius (number or 'inf')
-//   neighbor      auto | all_pairs | cell_grid | delaunay | verlet
-//   verlet_skin   extra candidate shell of neighbor = verlet (> 0, finite;
-//                 fixed for the whole run)
+//   neighbor      auto | all_pairs | cell_grid | delaunay
 //   frame_storage heap | mapped | auto — backing of the recorded FrameStore
 //                 (auto spills to a memory-mapped file once the projected
 //                 recording crosses spill_threshold_mb)

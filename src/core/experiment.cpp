@@ -4,7 +4,6 @@
 #include <filesystem>
 
 #include "core/shard.hpp"
-#include "geom/verlet_list.hpp"
 #include "io/shard_manifest.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
@@ -204,10 +203,6 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
     // per sample chunk, reused across the chunk's whole run of samples:
     // the neighbor backend and drift buffer warm up on the first sample
     // and every later sample steps allocation-free.
-    // Per-chunk rebuild accounting, merged after the fan-out: every worker
-    // owns its slot, so no synchronization is needed.
-    std::vector<NeighborRebuildStats> chunk_stats(sample_workers);
-
     std::optional<support::TaskPool> own_pool;
     if (config.pool == nullptr) {
       own_pool.emplace(sample_workers * step_share);
@@ -291,25 +286,7 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
               config.observer->on_sample_recorded(local);
             }
           }
-          // The workspace is chunk-local, so the Verlet backend's lifetime
-          // stats are exactly this chunk's totals. Every other backend
-          // re-indexes each of the chunk's (steps + 1) drift evaluations.
-          if (const geom::VerletListBackend* verlet =
-                  workspace.verlet_backend()) {
-            chunk_stats[k].rebuilds = verlet->stats().builds;
-            chunk_stats[k].steps = verlet->stats().steps;
-          } else {
-            const std::size_t evals =
-                (chunk.end - chunk.begin) * (config.simulation.steps + 1);
-            chunk_stats[k].rebuilds = evals;
-            chunk_stats[k].steps = evals;
-          }
         });
-
-    for (const NeighborRebuildStats& stats : chunk_stats) {
-      series.rebuild_stats.rebuilds += stats.rebuilds;
-      series.rebuild_stats.steps += stats.steps;
-    }
   }
   // Recording finished: whoever consumes the series next (the analyzer's
   // frame-by-frame pass) reads the spilled pages back front to back.

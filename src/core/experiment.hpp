@@ -129,23 +129,6 @@ struct ExperimentConfig {
   const support::PoolSlice* pool = nullptr;
 };
 
-/// Aggregated neighbor-list rebuild accounting of one experiment: `steps`
-/// counts every per-step backend refresh across all samples, `rebuilds` the
-/// ones that actually re-indexed. Only NeighborMode::kVerletSkin skips
-/// refreshes (quiet steps on its fixed-skin lists), so for every other mode
-/// rebuilds == steps (and the skip rate is 0) — benches and tests assert
-/// the Verlet opt-in's skip rate here, and `sops_run` prints it.
-struct NeighborRebuildStats {
-  std::size_t rebuilds = 0;
-  std::size_t steps = 0;
-
-  [[nodiscard]] double skip_rate() const noexcept {
-    return steps > 0
-               ? 1.0 - static_cast<double>(rebuilds) / static_cast<double>(steps)
-               : 0.0;
-  }
-};
-
 /// The recorded ensemble: frames[f][s] is sample s at step frame_steps[f],
 /// stored as one flat [frame][sample][particle] block (see FrameStore).
 struct EnsembleSeries {
@@ -154,10 +137,6 @@ struct EnsembleSeries {
   FrameStore frames;
   /// Per-sample equilibrium step (if the criterion held during the run).
   std::vector<std::optional<std::size_t>> equilibrium_steps;
-  /// Rebuild accounting summed over all samples (see NeighborRebuildStats).
-  /// Only covers samples simulated *this* run — resumed samples were
-  /// accounted by the run that computed them.
-  NeighborRebuildStats rebuild_stats;
   /// First global sample slot of this series: 0 for whole-ensemble runs,
   /// the shard's slot_begin for sharded ones (frames/equilibrium_steps are
   /// then indexed by `global slot − slot_begin`).

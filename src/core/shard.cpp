@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "io/mapped_buffer.hpp"
+#include "sim/forces.hpp"
 #include "support/error.hpp"
 
 namespace sops::core {
@@ -64,6 +65,9 @@ std::uint64_t experiment_config_hash(const ExperimentConfig& config) {
   hash.u64(simulation.types.size());
   for (const sim::TypeId type : simulation.types) hash.u64(type);
   hash.f64(simulation.cutoff_radius);
+  hash.u64(static_cast<std::uint64_t>(sim::resolve_neighbor_mode(
+      simulation.neighbor_mode, simulation.types.size(),
+      simulation.cutoff_radius)));
   hash.f64(simulation.init_disc_radius);
   hash.f64(simulation.integrator.dt);
   hash.f64(simulation.integrator.noise_variance);

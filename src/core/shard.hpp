@@ -17,14 +17,18 @@ namespace sops::core {
 
 /// Hash of everything that determines the recorded trajectories: the
 /// interaction model (force-law kind + all pair matrices), the per-particle
-/// type assignment, cut-off and initialization radii, integrator
-/// parameters, step/stride grid, equilibrium-detector parameters, master
-/// seed, and the ensemble size m. Deliberately *excludes* pure scheduling
-/// and storage choices (threads, parallel policy, neighbor backend, Verlet
-/// skin, spill settings): those are bitwise-neutral by the engine's
-/// reproducibility contract, so two shards may legitimately run with
-/// different ones and still merge. FNV-1a over the native byte encoding —
-/// stable within a machine, which is the scope shard files already have.
+/// type assignment, cut-off and initialization radii, the neighbor backend
+/// the run resolves to, integrator parameters, step/stride grid,
+/// equilibrium-detector parameters, master seed, and the ensemble size m.
+/// The backend is hashed because it is not bitwise-neutral: all-pairs and
+/// the cell grid sum the same pairs in different orders, and Delaunay is a
+/// different neighbor model. It is hashed *resolved*, so kAuto and the mode
+/// it picks for this n and r_c hash equal. Deliberately *excludes* pure
+/// scheduling and storage choices (threads, parallel policy, spill
+/// settings): those are bitwise-neutral by the engine's reproducibility
+/// contract, so two shards may legitimately run with different ones and
+/// still merge. FNV-1a over the native byte encoding — stable within a
+/// machine, which is the scope shard files already have.
 [[nodiscard]] std::uint64_t experiment_config_hash(
     const ExperimentConfig& config);
 

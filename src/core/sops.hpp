@@ -32,7 +32,6 @@
 #include "geom/neighbor_backend.hpp"
 #include "geom/rigid_transform.hpp"
 #include "geom/vec2.hpp"
-#include "geom/verlet_list.hpp"
 #include "info/binning.hpp"
 #include "info/decomposition.hpp"
 #include "info/entropy.hpp"

@@ -104,8 +104,6 @@ NeighborBackend::Variant make_variant(NeighborBackendKind kind) {
       return CellGridBackend{};
     case NeighborBackendKind::kDelaunay:
       return DelaunayBackend{};
-    case NeighborBackendKind::kVerletSkin:
-      return VerletListBackend{};
   }
   throw PreconditionError("NeighborBackend: unknown NeighborBackendKind");
 }

@@ -9,16 +9,13 @@
 //
 //  - all-pairs:  ascending particle index,
 //  - cell grid:  3×3 cell block in (dx, dy) order, point order within cells,
-//  - Delaunay:   sorted tessellation adjacency, pruned by the cut-off,
-//  - Verlet/skin: cached candidate rows in the order of the build-time grid
-//    walk, frozen between rebuilds (rebuild *timing* is trajectory-
-//    dependent; see geom/verlet_list.hpp for the relaxed contract).
+//  - Delaunay:   sorted tessellation adjacency, pruned by the cut-off.
 //
 // Rebuilds take SoA coordinate lanes (geom::PositionLanes) — the particle
 // system's native layout and what the vectorized kernels stream.
 //
 // The set of backends is closed: `NeighborBackend` holds exactly one of the
-// four concrete backends in a std::variant, and the drift path picks each
+// three concrete backends in a std::variant, and the drift path picks each
 // backend's fused kernel with std::get_if; there is no base class.
 #pragma once
 
@@ -30,7 +27,6 @@
 #include "geom/cell_grid.hpp"
 #include "geom/position_lanes.hpp"
 #include "geom/vec2.hpp"
-#include "geom/verlet_list.hpp"
 #include "support/executor.hpp"
 
 namespace sops::geom {
@@ -38,10 +34,9 @@ namespace sops::geom {
 /// The concrete neighbor-search strategy a backend implements. The order
 /// matches NeighborBackend's variant alternatives.
 enum class NeighborBackendKind {
-  kAllPairs,    ///< O(n²) reference; the only choice for r_c = ∞
-  kCellGrid,    ///< uniform cell grid, O(n) per step at bounded density
-  kDelaunay,    ///< direct tessellation neighbors, pruned by r_c
-  kVerletSkin,  ///< cached skin-radius pair lists, displacement-gated rebuilds
+  kAllPairs,  ///< O(n²) reference; the only choice for r_c = ∞
+  kCellGrid,  ///< uniform cell grid, O(n) per step at bounded density
+  kDelaunay,  ///< direct tessellation neighbors, pruned by r_c
 };
 
 /// Equal contiguous split of [0, n) into at most `max_shards` ranges
@@ -161,21 +156,20 @@ class DelaunayBackend {
 };
 
 /// Persistent fixed-radius neighbor index of the kind chosen by the run
-/// setup: one of the four concrete backends. `rebuild` once per step, then
+/// setup: one of the three concrete backends. `rebuild` once per step, then
 /// query `neighbors(i)` per particle; the drift path reaches the concrete
 /// backend through `get()`.
 class NeighborBackend {
  public:
-  using Variant = std::variant<AllPairsBackend, CellGridBackend,
-                               DelaunayBackend, VerletListBackend>;
+  using Variant =
+      std::variant<AllPairsBackend, CellGridBackend, DelaunayBackend>;
 
   /// Throws PreconditionError on a kind outside the enum.
   explicit NeighborBackend(NeighborBackendKind kind);
 
-  /// Re-indexes the lanes for queries with the given radius. Backends
-  /// whose rebuild shards (the cell grid's counting sort, the Verlet
-  /// list's candidate enumeration) dispatch it on `executor`; results never
-  /// depend on its width.
+  /// Re-indexes the lanes for queries with the given radius. A backend
+  /// whose rebuild shards (the cell grid's counting sort) dispatches it on
+  /// `executor`; results never depend on its width.
   void rebuild(PositionLanes points, double radius,
                support::Executor& executor = support::serial_executor()) {
     std::visit([&](auto& b) { b.rebuild(points, radius, executor); },

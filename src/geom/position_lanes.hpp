@@ -49,18 +49,17 @@ inline void interleave(PositionLanes lanes, std::vector<Vec2>& out) {
 }
 
 /// Reusable per-shard buffers for block-of-candidates work: candidate
-/// indices plus their positions (and a caller-defined tag lane, e.g.
-/// particle types) gathered once per cell into contiguous lanes, so the
-/// dense pair kernel reads sequential memory instead of scattered points.
-/// `out` is an append buffer for passes that additionally filter the
-/// candidates (the Verlet build). One scratch per shard — never shared
-/// across workers.
+/// positions (and a caller-defined tag lane, e.g. particle types) gathered
+/// once per cell into contiguous lanes, so the dense pair kernel reads
+/// sequential memory instead of scattered points; the cell-grid drift path
+/// also compacts each double-Gaussian row's survivors into the lanes just
+/// past the block. `idx` holds candidate indices for callers that gather by
+/// index. One scratch per shard — never shared across workers.
 struct GatherScratch {
   std::vector<std::uint32_t> idx;
   std::vector<double> x;
   std::vector<double> y;
   std::vector<std::uint32_t> tag;
-  std::vector<std::uint32_t> out;
 };
 
 }  // namespace sops::geom

@@ -85,7 +85,7 @@ Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
 }
 
-// One candidate of a FilterRow: writes its coordinates/type to survivor
+// Candidate j of a FilterRow: writes its coordinates/type to survivor
 // slot `kept` and returns the advanced cursor. Branchless — every candidate
 // writes the slot, the cursor only advances past live ones. The predicate is
 // scalar_block's live mask verbatim (minus the tail test, which the row
@@ -104,20 +104,11 @@ __attribute__((always_inline)) inline std::size_t filter_one(
   return kept + ((d2 < row.cutoff_sq && d2 != 0.0) ? 1 : 0);
 }
 
-// The reference compress, unswitched on the row shape.
-template <bool kIndexed>
-__attribute__((always_inline)) inline std::size_t filter_scalar_body(
-    const FilterRow& row) {
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < row.count; ++c) {
-    kept = filter_one(row, kIndexed ? row.candidates[c] : c, kept);
-  }
-  return kept;
-}
-
+// The reference compress.
 std::size_t filter_scalar(const FilterRow& row) {
-  return row.candidates != nullptr ? filter_scalar_body<true>(row)
-                                   : filter_scalar_body<false>(row);
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < row.count; ++c) kept = filter_one(row, c, kept);
+  return kept;
 }
 
 // Copies the 3×3 block of `cell` from the chunk's bucket-ordered lanes
@@ -178,10 +169,9 @@ __attribute__((always_inline)) inline void dense_chunk_loop(
       if (compact) {
         const FilterRow survivors{row.xi,          row.yi,
                                   s.x.data(),      s.y.data(),
-                                  s.tag.data(),    nullptr,
-                                  m,               chunk.cutoff_sq,
-                                  s.x.data() + m,  s.y.data() + m,
-                                  s.tag.data() + m};
+                                  s.tag.data(),    m,
+                                  chunk.cutoff_sq, s.x.data() + m,
+                                  s.y.data() + m,  s.tag.data() + m};
         row.count = filter(survivors);
         row.cand_x = survivors.out_x;
         row.cand_y = survivors.out_y;
@@ -201,59 +191,6 @@ struct DenseScalarRow {
 void dense_chunk_scalar(const PairScalingTable& table,
                         const DenseChunk& chunk) {
   dense_chunk_loop(table, chunk, DenseScalarRow{}, filter_scalar);
-}
-
-// The chunk loop shared by every indexed_chunk variant: one kernel call per
-// shard walks the chunk's slice of the frozen ordering and runs the
-// force-inlined indexed row body for each particle — per-row arithmetic is
-// untouched, only the dispatch overhead is amortized.
-template <typename RowKernel>
-__attribute__((always_inline)) inline void indexed_chunk_loop(
-    const PairScalingTable& table, const IndexedChunk& chunk,
-    const RowKernel& row_kernel) {
-  // Two plain loops, no helper lambda: the row body must stay on the
-  // always_inline chain into the ISA-targeted wrappers (a lambda here is
-  // not `target`-compatible, so GCC outlines it — and the outlined copy
-  // codegens without the wrapper's ISA).
-  if (chunk.order == nullptr) {
-    // Identity walk: position k is particle k, so the CSR arrays stream
-    // sequentially — the fast path for backends whose rows sit in id order.
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      const IndexedRow row{chunk.xs[i],
-                           chunk.ys[i],
-                           chunk.types[i],
-                           chunk.xs,
-                           chunk.ys,
-                           chunk.types,
-                           chunk.indices + chunk.offsets[i],
-                           chunk.offsets[i + 1] - chunk.offsets[i],
-                           chunk.cutoff_sq};
-      chunk.out[i] = row_kernel(table, row);
-    }
-  } else {
-    for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
-      const std::size_t i = chunk.order[k];
-      const IndexedRow row{chunk.xs[i],
-                           chunk.ys[i],
-                           chunk.types[i],
-                           chunk.xs,
-                           chunk.ys,
-                           chunk.types,
-                           chunk.indices + chunk.offsets[i],
-                           chunk.offsets[i + 1] - chunk.offsets[i],
-                           chunk.cutoff_sq};
-      chunk.out[i] = row_kernel(table, row);
-    }
-  }
-}
-
-struct IndexedScalarRow {
-  Vec2 operator()(const PairScalingTable& table, const IndexedRow& row) const;
-};
-
-void indexed_chunk_scalar(const PairScalingTable& table,
-                          const IndexedChunk& chunk) {
-  indexed_chunk_loop(table, chunk, IndexedScalarRow{});
 }
 
 double drift_norm_scalar(const Vec2* drift, std::size_t n) {
@@ -285,11 +222,6 @@ Vec2 indexed_scalar(const PairScalingTable& table, const IndexedRow& row) {
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
-}
-
-Vec2 IndexedScalarRow::operator()(const PairScalingTable& table,
-                                  const IndexedRow& row) const {
-  return indexed_scalar(table, row);
 }
 
 #if defined(SOPS_HAVE_VECTOR_EXT)
@@ -449,13 +381,6 @@ struct DenseVectorRow {
   }
 };
 
-struct IndexedVectorRow {
-  __attribute__((always_inline)) Vec2 operator()(const PairScalingTable& table,
-                                                 const IndexedRow& row) const {
-    return indexed_vector_body(table, row);
-  }
-};
-
 Vec2 dense_vector_generic(const PairScalingTable& table, const DenseRow& row) {
   return dense_vector_body(table, row);
 }
@@ -471,11 +396,6 @@ Vec2 indexed_vector_generic(const PairScalingTable& table,
 void dense_chunk_generic(const PairScalingTable& table,
                          const DenseChunk& chunk) {
   dense_chunk_loop(table, chunk, DenseVectorRow{}, filter_scalar);
-}
-
-void indexed_chunk_generic(const PairScalingTable& table,
-                           const IndexedChunk& chunk) {
-  indexed_chunk_loop(table, chunk, IndexedVectorRow{});
 }
 
 // Per-element norms in 4-lane batches, summed strictly in index order —
@@ -516,11 +436,6 @@ __attribute__((target("avx2"))) Vec2 indexed_vector_avx2(
   // measured ~35% slower on this path's short rows (the gather micro-op
   // sequence loses to four scalar loads the OoO core overlaps freely).
   return indexed_vector_body(table, row);
-}
-
-__attribute__((target("avx2"))) void indexed_chunk_avx2(
-    const PairScalingTable& table, const IndexedChunk& chunk) {
-  indexed_chunk_loop(table, chunk, IndexedVectorRow{});
 }
 
 __attribute__((target("avx2"))) double drift_norm_avx2(const Vec2* drift,
@@ -574,37 +489,19 @@ alignas(16) constexpr std::uint8_t kCompressB[16][16] = {
 // _CMP_LT_OQ and _CMP_NEQ_UQ reproduce C++ `<` / `!=` NaN semantics
 // exactly, and sub/mul/add never contract (no -mfma anywhere in the
 // build), so the movemask equals the scalar predicate bit-for-bit and the
-// compressed stores emit filter_scalar's survivor sequence. Index rows
-// gather per block; contiguous rows (null index row) load straight.
-template <bool kIndexed>
-__attribute__((target("avx2"), always_inline)) inline std::size_t
-filter_avx2_body(const FilterRow& row) {
+// compressed stores emit filter_scalar's survivor sequence.
+__attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
   const __m256d xiv = _mm256_set1_pd(row.xi);
   const __m256d yiv = _mm256_set1_pd(row.yi);
   const __m256d cutv = _mm256_set1_pd(row.cutoff_sq);
   const __m256d zero = _mm256_setzero_pd();
-  // All-lanes-on masked gathers: the unmasked intrinsics route through
-  // _mm256_undefined_pd(), which GCC flags under -Wmaybe-uninitialized.
-  const __m256d gather_all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   std::size_t kept = 0;
   std::size_t c = 0;
   for (; c + kSimdWidth <= row.count; c += kSimdWidth) {
-    __m256d cxv;
-    __m256d cyv;
-    __m128i tags;
-    if constexpr (kIndexed) {
-      const __m128i idx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(row.candidates + c));
-      cxv = _mm256_mask_i32gather_pd(zero, row.xs, idx, gather_all, 8);
-      cyv = _mm256_mask_i32gather_pd(zero, row.ys, idx, gather_all, 8);
-      tags = _mm_mask_i32gather_epi32(_mm_setzero_si128(),
-                                      reinterpret_cast<const int*>(row.types),
-                                      idx, _mm_set1_epi32(-1), 4);
-    } else {
-      cxv = _mm256_loadu_pd(row.xs + c);
-      cyv = _mm256_loadu_pd(row.ys + c);
-      tags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row.types + c));
-    }
+    const __m256d cxv = _mm256_loadu_pd(row.xs + c);
+    const __m256d cyv = _mm256_loadu_pd(row.ys + c);
+    const __m128i tags =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row.types + c));
     const __m256d dxv = _mm256_sub_pd(xiv, cxv);
     const __m256d dyv = _mm256_sub_pd(yiv, cyv);
     const __m256d d2v =
@@ -626,15 +523,8 @@ filter_avx2_body(const FilterRow& row) {
                      _mm_shuffle_epi8(tags, ctrl));
     kept += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
   }
-  for (; c < row.count; ++c) {
-    kept = filter_one(row, kIndexed ? row.candidates[c] : c, kept);
-  }
+  for (; c < row.count; ++c) kept = filter_one(row, c, kept);
   return kept;
-}
-
-__attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
-  return row.candidates != nullptr ? filter_avx2_body<true>(row)
-                                   : filter_avx2_body<false>(row);
 }
 
 // Flattened so the per-row filter call inlines: filter_avx2 shares this
@@ -652,22 +542,22 @@ __attribute__((target("avx2"), flatten)) void dense_chunk_avx2(
 }  // namespace
 
 const DriftKernels& scalar_drift_kernels() noexcept {
-  static const DriftKernels kScalar{
-      dense_scalar,       filter_scalar,        indexed_scalar,
-      dense_chunk_scalar, indexed_chunk_scalar, drift_norm_scalar};
+  static const DriftKernels kScalar{dense_scalar, filter_scalar,
+                                    indexed_scalar, dense_chunk_scalar,
+                                    drift_norm_scalar};
   return kScalar;
 }
 
 const DriftKernels& select_drift_kernels() noexcept {
 #if defined(SOPS_HAVE_VECTOR_EXT)
-  static const DriftKernels kGeneric{
-      dense_vector_generic, filter_scalar,         indexed_vector_generic,
-      dense_chunk_generic,  indexed_chunk_generic, drift_norm_generic};
+  static const DriftKernels kGeneric{dense_vector_generic, filter_scalar,
+                                     indexed_vector_generic,
+                                     dense_chunk_generic, drift_norm_generic};
   if (!support::simd_enabled()) return scalar_drift_kernels();
 #if SOPS_KERNEL_AVX2
-  static const DriftKernels kAvx2{
-      dense_vector_avx2, filter_avx2,        indexed_vector_avx2,
-      dense_chunk_avx2,  indexed_chunk_avx2, drift_norm_avx2};
+  static const DriftKernels kAvx2{dense_vector_avx2, filter_avx2,
+                                  indexed_vector_avx2, dense_chunk_avx2,
+                                  drift_norm_avx2};
   if (support::cpu_dispatch_avx2()) return kAvx2;
 #endif
   return kGeneric;

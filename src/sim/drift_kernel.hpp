@@ -6,9 +6,9 @@
 //  - DenseRow: the candidates' coordinates and types already sit in
 //    contiguous lanes (a cell's 3×3 block gathered once per cell, or the
 //    whole particle set for all-pairs). The kernel streams them directly.
-//  - IndexedRow: the candidates are an index row (Verlet candidate rows,
-//    Delaunay adjacency rows, generic neighbor spans) into the global
-//    coordinate/type lanes; the kernel gathers per block.
+//  - IndexedRow: the candidates are an index row (Delaunay adjacency rows,
+//    generic neighbor spans) into the global coordinate/type lanes; the
+//    kernel gathers per block.
 //
 // Both kernels compute, for row particle i,
 //
@@ -34,13 +34,13 @@
 // the ISA (support::kSimdWidth is pinned); AVX2 dispatch only changes the
 // instruction encoding of the identical 4-lane sequence.
 //
-// Double-Gaussian rows on the cell grid (DenseChunk) and on Verlet lists
-// are first compacted to their live survivors (FilterRow), and the lanes
-// above run over those survivors: lane l of block b then holds the
-// (4b+l)-th survivor in candidate order. Selection is exact comparison
-// arithmetic, so every tier compacts identically and the contract holds
-// per shape; a compacted row is a different lane grouping, hence a
-// different (pinned) summation order, than the masked row would be.
+// Double-Gaussian rows on the cell grid (DenseChunk) are first compacted
+// to their live survivors (FilterRow), and the lanes above run over those
+// survivors: lane l of block b then holds the (4b+l)-th survivor in
+// candidate order. Selection is exact comparison arithmetic, so every tier
+// compacts identically and the contract holds per shape; a compacted row
+// is a different lane grouping, hence a different (pinned) summation order,
+// than the masked row would be.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +58,8 @@ namespace sops::sim {
 
 /// A particle against candidates whose coordinates/types are already
 /// gathered into contiguous lanes: a cell's 3×3 block, the whole particle
-/// set, or the survivor lanes FilterRow packs from a Verlet row. `cand_*`
-/// must stay valid for the call.
+/// set, or the survivor lanes FilterRow packs from a block. `cand_*` must
+/// stay valid for the call.
 struct DenseRow {
   double xi;
   double yi;
@@ -71,10 +71,9 @@ struct DenseRow {
   double cutoff_sq;  ///< may be +inf (unbounded r_c)
 };
 
-/// A candidate row to be compressed to its live survivors: read each
-/// candidate's coordinates from `xs`/`ys`/`types` — through the index row
-/// `candidates`, or, when it is null, candidate c at lane c (a gathered
-/// cell block) — keep those with 0 < ‖Δz‖² < cutoff_sq, and write their
+/// A candidate row to be compressed to its live survivors: read candidate
+/// c's coordinates/type from lane c of `xs`/`ys`/`types` (a gathered cell
+/// block), keep those with 0 < ‖Δz‖² < cutoff_sq, and write their
 /// coordinates/types contiguously into `out_*`. The survivor predicate is
 /// exactly the dense kernels' live-lane mask, so dropped candidates are ones
 /// that would have contributed +0.0 — filtering changes which pairs reach
@@ -89,7 +88,6 @@ struct FilterRow {
   const double* xs;
   const double* ys;
   const TypeId* types;
-  const std::uint32_t* candidates;  ///< null: contiguous candidate lanes
   std::size_t count;
   double cutoff_sq;  ///< may be +inf (unbounded r_c)
   double* out_x;
@@ -133,30 +131,6 @@ struct DenseChunk {
   double cutoff_sq;
 };
 
-/// A contiguous run of particle positions over a CSR candidate list — one
-/// shard chunk of the Verlet drift path — processed in a single kernel
-/// call. Verlet rows are short (a dozen candidates at typical densities),
-/// so the per-row dispatch overhead (indirect call, scaling-table pointer
-/// setup, accumulator spill) rivals the row math itself; the chunk entry
-/// pays it once per shard. Per-row arithmetic is exactly IndexedRow's — the
-/// chunk entry changes scheduling, never the sequence — so chunked and
-/// per-row accumulation are bitwise-identical, and since every out[i] is an
-/// independent per-particle gather, so is any walk order.
-struct IndexedChunk {
-  const double* xs;             ///< global coordinate lanes
-  const double* ys;
-  const TypeId* types;
-  const std::uint32_t* order;   ///< position k → particle; null = identity
-                                ///< (the id-order walk streams the CSR
-                                ///< arrays sequentially — prefer it)
-  const std::size_t* offsets;   ///< per-particle CSR row offsets
-  const std::uint32_t* indices; ///< CSR candidates, row-contiguous
-  std::size_t begin;            ///< first walk position of the chunk
-  std::size_t end;              ///< one past the last position
-  geom::Vec2* out;              ///< drift output, indexed by particle id
-  double cutoff_sq;
-};
-
 /// The kernel set accumulate_drift dispatches through. Plain function
 /// pointers: the AVX2 variants live behind a CPUID check, and no vector
 /// type ever crosses this ABI boundary.
@@ -165,8 +139,6 @@ struct DriftKernels {
   std::size_t (*filter)(const FilterRow& row);
   geom::Vec2 (*indexed)(const PairScalingTable& table, const IndexedRow& row);
   void (*dense_chunk)(const PairScalingTable& table, const DenseChunk& chunk);
-  void (*indexed_chunk)(const PairScalingTable& table,
-                        const IndexedChunk& chunk);
   /// Σ‖drift_i‖ with the summation strictly in index order — only the
   /// independent per-element norms are batched, so every variant returns
   /// the scalar loop's exact bits.

@@ -4,10 +4,8 @@
 #include <cmath>
 
 #include "geom/cell_grid.hpp"
-#include "geom/verlet_list.hpp"
 #include "sim/drift_kernel.hpp"
 #include "support/parallel_for.hpp"
-#include "support/simd.hpp"
 
 namespace sops::sim {
 namespace {
@@ -107,8 +105,6 @@ NeighborMode resolve_neighbor_mode(NeighborMode mode, std::size_t n,
   // default branch into whatever backend happens to be listed first.
   switch (mode) {
     case NeighborMode::kAuto: {
-      // kAuto never picks kVerletSkin: the opt-in relaxes rebuild timing,
-      // which existing cross-mode golden pins must not inherit silently.
       const bool unbounded = !std::isfinite(cutoff_radius);
       return (unbounded || n < 64) ? NeighborMode::kAllPairs
                                    : NeighborMode::kCellGrid;
@@ -116,7 +112,6 @@ NeighborMode resolve_neighbor_mode(NeighborMode mode, std::size_t n,
     case NeighborMode::kAllPairs:
     case NeighborMode::kCellGrid:
     case NeighborMode::kDelaunay:
-    case NeighborMode::kVerletSkin:
       return mode;
   }
   support::expect(false, "resolve_neighbor_mode: unknown NeighborMode value");
@@ -131,8 +126,6 @@ geom::NeighborBackendKind neighbor_backend_kind(NeighborMode resolved_mode) {
       return geom::NeighborBackendKind::kCellGrid;
     case NeighborMode::kDelaunay:
       return geom::NeighborBackendKind::kDelaunay;
-    case NeighborMode::kVerletSkin:
-      return geom::NeighborBackendKind::kVerletSkin;
     case NeighborMode::kAuto:
       break;
   }
@@ -145,8 +138,7 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
                       NeighborMode mode) {
   mode = resolve_neighbor_mode(mode, system.size(), cutoff_radius);
   check_drift_preconditions(system, model.types(), cutoff_radius,
-                            mode == NeighborMode::kCellGrid ||
-                                mode == NeighborMode::kVerletSkin);
+                            mode == NeighborMode::kCellGrid);
   // One construction path for every mode: a fresh backend built and
   // consumed once — the per-call reference the persistent engine path is
   // (trivially) identical to.
@@ -161,11 +153,9 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
                       support::Executor& executor) {
   check_drift_preconditions(
       system, table.types(), cutoff_radius,
-      backend.kind() == geom::NeighborBackendKind::kCellGrid ||
-          backend.kind() == geom::NeighborBackendKind::kVerletSkin);
-  // Executor-aware: the cell grid's counting sort and the Verlet backend's
-  // (occasional) candidate enumeration shard on the same lent workers the
-  // drift sum uses; the other backends rebuild serially.
+      backend.kind() == geom::NeighborBackendKind::kCellGrid);
+  // Executor-aware: the cell grid's counting sort shards on the same lent
+  // workers the drift sum uses; the other backends rebuild serially.
   backend.rebuild(system.lanes(), cutoff_radius, executor);
 
   const std::size_t n = system.size();
@@ -200,80 +190,6 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     };
     accumulate_sharded(all_pairs->shard_bounds(executor.width()), executor,
                        drift_of, out);
-    return;
-  }
-  if (auto* verlet = std::get_if<geom::VerletListBackend>(&concrete)) {
-    // The cached pair-list path: each shard's slice of particle-id order
-    // goes to ONE chunked kernel call streaming the raw CSR arrays —
-    // Verlet rows are short, so amortizing the per-row dispatch across the
-    // shard is what makes quiet steps beat the grid. The chunk body inlines
-    // the indexed row kernel per particle (identical op sequence, bitwise),
-    // gathering candidates' *current* coordinates from the cache-resident
-    // global lanes; out-of-cutoff and coincident candidates zero out under
-    // the live-lane mask. Rows are per-particle gathers, so the sharded
-    // pass is width-invariant and, between rebuilds, bitwise-stable.
-    const std::span<const std::uint32_t> bounds =
-        verlet->shard_bounds(executor.width());
-    const std::span<const std::size_t> offsets = verlet->csr_offsets();
-    const std::span<const std::uint32_t> indices = verlet->csr_indices();
-    // Eval-path selection by force law: the double-Gaussian's two lane exps
-    // dominate its row cost, so compacting survivors first (filter →
-    // packed lanes → dense kernel) pays for itself — roughly half the
-    // cached candidates sit outside the cut-off on quiet steps, and the
-    // masked indexed kernel would spend full exp lanes on them. The spring
-    // law is the opposite: its row math is a handful of cheap ops, the
-    // compaction pass costs more than the dead lanes it removes, and the
-    // chunked masked kernel wins. (The cell-grid chunk kernel makes the
-    // same per-law choice inside the kernel.) Both paths are width-invariant
-    // (every out[i] depends on row i alone) and each is bitwise-stable across
-    // rebuilds and ISAs; they differ in lane grouping, so they are two
-    // *summation orders* of the same row — parity between them is exercised
-    // (to tolerance) by the engine parity fuzz, and each law always takes
-    // the same path, keeping per-law trajectories deterministic.
-    const bool compact_first = table.kind() == ForceLawKind::kDoubleGaussian;
-    const std::size_t lane_room = verlet->max_row_count() + support::kSimdWidth;
-    const std::size_t shard_count = bounds.empty() ? 0 : bounds.size() - 1;
-    verlet->ensure_filter_shards(shard_count);
-    for (std::size_t k = 0; k < shard_count; ++k) {
-      geom::GatherScratch& s = verlet->filter_scratch(k);
-      if (s.x.size() < lane_room) {
-        s.x.resize(lane_room);
-        s.y.resize(lane_room);
-        s.tag.resize(lane_room);
-      }
-    }
-    support::parallel_for_shards(
-        executor, bounds,
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          if (!compact_first) {
-            const IndexedChunk chunk{system.x.data(),     system.y.data(),
-                                     system.types.data(), nullptr,
-                                     offsets.data(),      indices.data(),
-                                     begin,               end,
-                                     out.data(),          cutoff_sq};
-            kernels.indexed_chunk(table, chunk);
-            return;
-          }
-          geom::GatherScratch& s = verlet->filter_scratch(shard);
-          for (std::size_t i = begin; i < end; ++i) {
-            const FilterRow frow{system.x[i],
-                                 system.y[i],
-                                 system.x.data(),
-                                 system.y.data(),
-                                 system.types.data(),
-                                 indices.data() + offsets[i],
-                                 offsets[i + 1] - offsets[i],
-                                 cutoff_sq,
-                                 s.x.data(),
-                                 s.y.data(),
-                                 s.tag.data()};
-            const std::size_t kept = kernels.filter(frow);
-            const DenseRow row{system.x[i], system.y[i], system.types[i],
-                               s.x.data(),  s.y.data(),  s.tag.data(),
-                               kept,        cutoff_sq};
-            out[i] = kernels.dense(table, row);
-          }
-        });
     return;
   }
   // Adjacency rows are already pruned by the cut-off at rebuild; the kernel

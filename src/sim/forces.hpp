@@ -5,13 +5,12 @@
 //
 // Interchangeable neighbor strategies are provided; all must produce
 // identical drifts for the same pair set (tested): all-pairs O(n²), a
-// uniform cell grid that is O(n) per step for bounded density, the
-// Delaunay-tessellation extension, and fixed-skin Verlet lists that reuse
-// cached candidate rows until a particle moves past skin/2. The enum-mode
-// entry point rebuilds its index from scratch on every call (the reference
-// / baseline path); the engine's hot loop instead reuses a persistent
-// geom::NeighborBackend, which enumerates the same pairs in the same order
-// without per-step construction.
+// uniform cell grid that is O(n) per step for bounded density, and the
+// Delaunay-tessellation extension. The enum-mode entry point rebuilds its
+// index from scratch on every call (the reference / baseline path); the
+// engine's hot loop instead reuses a persistent geom::NeighborBackend,
+// which enumerates the same pairs in the same order without per-step
+// construction.
 #pragma once
 
 #include <cmath>
@@ -36,15 +35,6 @@ enum class NeighborMode {
   /// [10] that §4.1 deliberately drops. A finite r_c additionally prunes
   /// tessellation edges longer than the cut-off.
   kDelaunay,
-  /// Verlet/skin cached pair lists (geom::VerletListBackend): candidates
-  /// within r_c + skin are cached and only rebuilt once a particle drifted
-  /// past skin/2 — quiet steps skip index construction entirely. Opt-in:
-  /// rebuild *timing* is trajectory-dependent, so cross-mode golden pins do
-  /// not transfer and kAuto never selects it (within-list enumeration order
-  /// stays frozen, so runs remain bitwise-reproducible per mode). Requires
-  /// finite r_c; the skin (SimulationConfig::verlet_skin) is fixed for the
-  /// whole run.
-  kVerletSkin,
 };
 
 /// The value used for an unbounded interaction radius (r_c = ∞).
@@ -112,10 +102,9 @@ class PairScalingTable {
 };
 
 /// Resolves kAuto to the concrete strategy for a collective of `n`
-/// particles and cut-off `cutoff_radius`; concrete modes pass through
-/// (kAuto never picks kVerletSkin — it is opt-in, see the enum). Never
-/// returns kAuto; throws PreconditionError on a mode value outside the
-/// enum instead of silently passing it through.
+/// particles and cut-off `cutoff_radius`; concrete modes pass through.
+/// Never returns kAuto; throws PreconditionError on a mode value outside
+/// the enum instead of silently passing it through.
 [[nodiscard]] NeighborMode resolve_neighbor_mode(NeighborMode mode,
                                                  std::size_t n,
                                                  double cutoff_radius);

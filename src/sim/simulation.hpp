@@ -43,10 +43,6 @@ struct SimulationConfig {
   double init_disc_radius = 5.0;            ///< uniform-disc initialization radius
   IntegratorParams integrator{};
   NeighborMode neighbor_mode = NeighborMode::kAuto;
-  /// Extra candidate shell of NeighborMode::kVerletSkin (position units):
-  /// pair lists cache everything within r_c + skin and rebuild only once a
-  /// particle drifted past skin/2. Ignored by every other mode.
-  double verlet_skin = geom::kDefaultVerletSkin;
 
   std::size_t steps = 250;        ///< t_max
   std::size_t record_stride = 1;  ///< record every k-th step (plus step 0)

@@ -10,16 +10,6 @@ void SimulationWorkspace::prepare(const SimulationConfig& config) {
       config.neighbor_mode, config.types.size(), config.cutoff_radius);
   const geom::NeighborBackendKind kind = neighbor_backend_kind(resolved);
   if (!backend_ || backend_->kind() != kind) backend_.emplace(kind);
-  if (auto* verlet = std::get_if<geom::VerletListBackend>(&backend_->get())) {
-    verlet->set_skin(config.verlet_skin);
-    // A run must not inherit the previous run's frozen enumeration order:
-    // if the new initial positions happened to sit within skin/2 of the
-    // stale reference build, the list would be reused and the trajectory
-    // would depend on workspace history (and thus on how an ensemble's
-    // samples were chunked over workers). One forced build per run keeps
-    // every run a pure function of its config; capacity stays warm.
-    verlet->invalidate();
-  }
   scaling_table_.emplace(config.model);
   drift_.reserve(config.types.size());
 
@@ -47,12 +37,6 @@ support::Executor& SimulationWorkspace::step_executor() noexcept {
     return owned_pool_->executor();
   }
   return support::serial_executor();
-}
-
-const geom::VerletListBackend* SimulationWorkspace::verlet_backend()
-    const noexcept {
-  return backend_ ? std::get_if<geom::VerletListBackend>(&backend_->get())
-                  : nullptr;
 }
 
 geom::NeighborBackend& SimulationWorkspace::backend() {

@@ -44,12 +44,6 @@ class SimulationWorkspace {
   /// The persistent backend for the prepared run.
   [[nodiscard]] geom::NeighborBackend& backend();
 
-  /// The backend as the Verlet-list backend when the prepared run resolved
-  /// to NeighborMode::kVerletSkin; nullptr for every other mode. Ensemble
-  /// drivers read rebuild/skip statistics through this (the list — and its
-  /// stats — persists across the runs that share this workspace).
-  [[nodiscard]] const geom::VerletListBackend* verlet_backend() const noexcept;
-
   /// The prepared run's dense pair-parameter table.
   [[nodiscard]] const PairScalingTable& scaling_table() const;
 

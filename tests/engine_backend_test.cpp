@@ -11,7 +11,6 @@
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
 #include "geom/neighbor_backend.hpp"
-#include "geom/verlet_list.hpp"
 #include "rng/samplers.hpp"
 #include "sim/simulation.hpp"
 #include "sim/workspace.hpp"
@@ -317,70 +316,6 @@ TEST(GoldenTrajectory, DelaunayBitwiseStable) {
             (Vec2{-0x1.05166d9a89a9ep+2, 0x1.83f4f8c560be4p+1}));
   EXPECT_EQ(trajectory.frames.back()[29],
             (Vec2{-0x1.ab5108f56b9c8p-2, 0x1.a3421a91e1b1p-1}));
-}
-
-TEST(GoldenTrajectory, VerletSkinBitwiseStable) {
-  // One case per Verlet eval path: the spring law takes the chunked
-  // indexed kernel, the double-Gaussian filter → dense on packed survivors
-  // (its values from the lane-exp law on d², identical on every tier).
-  // Each run must both skip rebuilds (quiet steps on the cached list) and
-  // rebuild after its first build, so both kinds of step are pinned.
-  const auto check = [](const SimulationConfig& config,
-                        const std::vector<double>& residuals,
-                        const std::vector<std::pair<std::size_t, Vec2>>& probes) {
-    SimulationWorkspace workspace;
-    const Trajectory trajectory = run_simulation(config, workspace);
-    const sops::geom::VerletListBackend* verlet = workspace.verlet_backend();
-    ASSERT_NE(verlet, nullptr);
-    EXPECT_LT(verlet->stats().builds, verlet->stats().steps);
-    EXPECT_GE(verlet->stats().builds, 2u);
-    ASSERT_EQ(trajectory.residual_norms.size(), residuals.size());
-    for (std::size_t f = 0; f < residuals.size(); ++f) {
-      EXPECT_EQ(trajectory.residual_norms[f], residuals[f]) << f;
-    }
-    ASSERT_EQ(trajectory.frames.back().size(), config.types.size());
-    for (const auto& [i, expected] : probes) {
-      EXPECT_EQ(trajectory.frames.back()[i], expected) << "particle " << i;
-    }
-  };
-
-  InteractionModel spring(ForceLawKind::kSpring, 3,
-                          PairParams{1.0, 2.5, 1.0, 1.0});
-  spring.set_r(0, 1, 3.5);
-  SimulationConfig spring_config(std::move(spring));
-  spring_config.types = sops::sim::evenly_distributed_types(40, 3);
-  spring_config.cutoff_radius = 4.0;
-  spring_config.init_disc_radius = 6.0;
-  spring_config.neighbor_mode = NeighborMode::kVerletSkin;
-  spring_config.steps = 60;
-  spring_config.record_stride = 20;
-  spring_config.seed = 23;
-  check(spring_config,
-        {0x1.50043370bfd84p+7, 0x1.91e630678bdc2p+5, 0x1.bcf8f96d01e79p+5,
-         0x1.cfd8220dec69cp+4},
-        {{0, Vec2{-0x1.e22fd2c197p-1, 0x1.7e014053aa7e9p+0}},
-         {13, Vec2{-0x1.647f267efa7f8p-1, 0x1.ee462d39d2d62p+0}},
-         {26, Vec2{-0x1.ba087eb42cce6p+1, -0x1.8241b58cef8b3p+0}},
-         {39, Vec2{-0x1.b8003a3cb162dp+0, 0x1.b30c864a511ffp-1}}});
-
-  InteractionModel gaussian(ForceLawKind::kDoubleGaussian, 2,
-                            PairParams{5.0, 1.0, 1.0, 4.0});
-  gaussian.set_k(0, 1, 3.0);
-  SimulationConfig gaussian_config(std::move(gaussian));
-  gaussian_config.types = sops::sim::evenly_distributed_types(60, 2);
-  gaussian_config.cutoff_radius = 5.0;
-  gaussian_config.init_disc_radius = 4.0;
-  gaussian_config.neighbor_mode = NeighborMode::kVerletSkin;
-  gaussian_config.steps = 40;
-  gaussian_config.record_stride = 10;
-  gaussian_config.seed = 11;
-  check(gaussian_config,
-        {0x1.d92a731943ab3p+11, 0x1.c206c4c8cf45cp+7, 0x1.c0f3e406a03a3p+6,
-         0x1.663e4f47c4686p+6, 0x1.2f0019566b824p+6},
-        {{0, Vec2{0x1.0ade8d81cc792p+3, 0x1.0f9e0ca7521ccp+3}},
-         {21, Vec2{-0x1.54e2b0166a341p+2, -0x1.939be992da2b4p+0}},
-         {38, Vec2{0x1.ea6d4673a2cb3p+1, -0x1.c9410ae742b5cp-1}},
-         {59, Vec2{-0x1.3683390fd2f95p+0, 0x1.79386a04bd855p+1}}});
 }
 
 TEST(GoldenEnsemble, StreamedExperimentBitwiseStable) {

@@ -23,11 +23,9 @@
 
 #include "geom/delaunay.hpp"
 #include "geom/neighbor_backend.hpp"
-#include "geom/verlet_list.hpp"
 #include "rng/samplers.hpp"
 #include "sim/drift_kernel.hpp"
 #include "sim/forces.hpp"
-#include "sim/integrator.hpp"
 #include "support/executor.hpp"
 #include "support/simd.hpp"
 
@@ -98,9 +96,6 @@ TEST(ParityFuzz, PersistentBackendsMatchEnumModesBitwise) {
       {NeighborMode::kAllPairs, sops::geom::NeighborBackendKind::kAllPairs},
       {NeighborMode::kCellGrid, sops::geom::NeighborBackendKind::kCellGrid},
       {NeighborMode::kDelaunay, sops::geom::NeighborBackendKind::kDelaunay},
-      // A fresh Verlet list (one call, one build at the default skin) must
-      // reproduce the enum-mode reference bitwise, like every backend.
-      {NeighborMode::kVerletSkin, sops::geom::NeighborBackendKind::kVerletSkin},
   };
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const FuzzCase fuzz = draw_case(c);
@@ -160,52 +155,6 @@ TEST(ParityFuzz, DelaunayBackendMatchesPrunedTessellationWithin1e12) {
   }
 }
 
-TEST(ParityFuzz, VerletSkinTracksCellGridAlongTrajectoriesWithin1e12) {
-  // Same seeded configurations as the other parity cases, but followed
-  // along a real trajectory so the Verlet backend's displacement gating
-  // (skips, stale-list filtering, triggered rebuilds) is exercised against
-  // the cell grid on the identical positions. Tolerance-based on purpose:
-  // the two modes enumerate the same pair set in different orders, and the
-  // Verlet rebuild cadence is trajectory-dependent, so bitwise pins do not
-  // transfer across modes.
-  std::size_t total_steps = 0;
-  std::size_t total_builds = 0;
-  for (std::uint64_t c = 0; c < kCases; c += 5) {
-    FuzzCase fuzz = draw_case(c);
-    const PairScalingTable table(fuzz.model);
-    sops::geom::NeighborBackend grid_backend(
-        sops::geom::NeighborBackendKind::kCellGrid);
-    sops::geom::NeighborBackend verlet_backend(
-        sops::geom::NeighborBackendKind::kVerletSkin);
-    sops::sim::IntegratorParams params;
-    sops::rng::Xoshiro256 engine(0xBEE5 + c);
-    std::vector<Vec2> grid_drift;
-    std::vector<Vec2> verlet_drift;
-    for (int step = 0; step < 25; ++step) {
-      accumulate_drift(fuzz.system, table, fuzz.cutoff, grid_drift,
-                       grid_backend, serial_executor());
-      accumulate_drift(fuzz.system, table, fuzz.cutoff, verlet_drift,
-                       verlet_backend, serial_executor());
-      for (std::size_t i = 0; i < fuzz.system.size(); ++i) {
-        ASSERT_NEAR(grid_drift[i].x, verlet_drift[i].x, 1e-12)
-            << "case " << c << " step " << step << " i " << i;
-        ASSERT_NEAR(grid_drift[i].y, verlet_drift[i].y, 1e-12)
-            << "case " << c << " step " << step << " i " << i;
-      }
-      // Advance on the grid drift: one shared trajectory for both backends.
-      sops::sim::apply_euler_maruyama_update(fuzz.system, grid_drift, params,
-                                             engine);
-    }
-    const auto& verlet =
-        std::get<sops::geom::VerletListBackend>(verlet_backend.get());
-    total_steps += verlet.stats().steps;
-    total_builds += verlet.stats().builds;
-  }
-  // The gating must actually have skipped rebuilds somewhere across the
-  // sweep — otherwise this test exercised nothing beyond a fresh build.
-  EXPECT_LT(total_builds, total_steps);
-}
-
 // ------------------------------------------------- scalar vs SIMD parity
 
 // Pins the runtime SIMD policy for a scope and restores the previous value
@@ -255,7 +204,6 @@ constexpr sops::geom::NeighborBackendKind kAllBackendKinds[] = {
     sops::geom::NeighborBackendKind::kAllPairs,
     sops::geom::NeighborBackendKind::kCellGrid,
     sops::geom::NeighborBackendKind::kDelaunay,
-    sops::geom::NeighborBackendKind::kVerletSkin,
 };
 
 TEST(SimdParity, ScalarVsSimdBitwiseAcrossBackendsAndLaws) {
@@ -291,11 +239,10 @@ TEST(SimdParity, LaneRemainderSizesBitwise) {
       const InteractionModel model(kind, 2, PairParams{1.2, 1.5, 0.8, 3.0});
       const PairScalingTable table(model);
       // Delaunay needs a non-degenerate tessellation; the small-n sweep
-      // sticks to the three radius-pruned backends.
+      // sticks to the two radius-pruned backends.
       for (const auto backend_kind :
            {sops::geom::NeighborBackendKind::kAllPairs,
-            sops::geom::NeighborBackendKind::kCellGrid,
-            sops::geom::NeighborBackendKind::kVerletSkin}) {
+            sops::geom::NeighborBackendKind::kCellGrid}) {
         expect_scalar_simd_bitwise(system, table, 2.5, backend_kind,
                                    "lane remainder");
       }
@@ -317,8 +264,7 @@ TEST(SimdParity, CoincidentParticlesBitwiseAndFinite) {
     const PairScalingTable table(model);
     for (const auto backend_kind :
          {sops::geom::NeighborBackendKind::kAllPairs,
-          sops::geom::NeighborBackendKind::kCellGrid,
-          sops::geom::NeighborBackendKind::kVerletSkin}) {
+          sops::geom::NeighborBackendKind::kCellGrid}) {
       expect_scalar_simd_bitwise(system, table, 3.0, backend_kind,
                                  "coincident");
       const std::vector<Vec2> drift =
@@ -344,8 +290,7 @@ TEST(SimdParity, SpringNearZeroSeparationBitwise) {
   const PairScalingTable table(model);
   for (const auto backend_kind :
        {sops::geom::NeighborBackendKind::kAllPairs,
-        sops::geom::NeighborBackendKind::kCellGrid,
-        sops::geom::NeighborBackendKind::kVerletSkin}) {
+        sops::geom::NeighborBackendKind::kCellGrid}) {
     expect_scalar_simd_bitwise(system, table, 2.0, backend_kind, "near zero");
     const std::vector<Vec2> drift = drift_under_policy(
         sops::support::SimdPolicy::kSimd, system, table, 2.0, backend_kind);
@@ -357,8 +302,9 @@ TEST(SimdParity, SpringNearZeroSeparationBitwise) {
 
 TEST(SimdParity, PackedVsIndexedRowKernels) {
   // The dense kernel on filtered (compact-first) lanes and the indexed
-  // (masked) kernel are two summation orders of the same row. Two claims,
-  // per SIMD policy:
+  // (masked) kernel are two summation orders of the same row. The row is
+  // gathered into contiguous lanes first, as the cell grid's block gather
+  // does, and the filter compacts those lanes. Two claims, per SIMD policy:
   //  - all-kept rows (cut-off beyond every candidate, no coincidences) have
   //    identical lane grouping, so the results are bitwise-equal;
   //  - filtered rows only regroup survivors into earlier lanes, so the
@@ -370,8 +316,9 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
     const PairScalingTable table(fuzz.model);
     const ParticleSystem& system = fuzz.system;
     const std::size_t n = system.size();
-    std::vector<std::uint32_t> all;
-    for (std::size_t j = 0; j < n; ++j) all.push_back(static_cast<std::uint32_t>(j));
+    std::vector<double> gx;
+    std::vector<double> gy;
+    std::vector<sops::sim::TypeId> gt;
     std::vector<double> fx(n + 8);
     std::vector<double> fy(n + 8);
     std::vector<sops::sim::TypeId> ft(n + 8);
@@ -389,6 +336,14 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
             row_idx.push_back(static_cast<std::uint32_t>(j));
           }
         }
+        gx.clear();
+        gy.clear();
+        gt.clear();
+        for (const std::uint32_t j : row_idx) {
+          gx.push_back(system.x[j]);
+          gy.push_back(system.y[j]);
+          gt.push_back(system.types[j]);
+        }
         for (const double cutoff_sq :
              {fuzz.cutoff * fuzz.cutoff, 1e12 /* all kept */}) {
           const sops::sim::IndexedRow ir{
@@ -397,10 +352,8 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
               row_idx.data(),     row_idx.size(),      cutoff_sq};
           const Vec2 via_indexed = kernels.indexed(table, ir);
           const sops::sim::FilterRow fr{
-              system.x[i],        system.y[i],         system.x.data(),
-              system.y.data(),    system.types.data(), row_idx.data(),
-              row_idx.size(),     cutoff_sq,           fx.data(),
-              fy.data(),          ft.data()};
+              system.x[i], system.y[i], gx.data(), gy.data(), gt.data(),
+              gx.size(),   cutoff_sq,   fx.data(), fy.data(), ft.data()};
           const std::size_t kept = kernels.filter(fr);
           const sops::sim::DenseRow pr{system.x[i], system.y[i],
                                        system.types[i], fx.data(), fy.data(),
@@ -424,7 +377,7 @@ TEST(SimdParity, PackedVsIndexedRowKernels) {
 
 TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
   // Double-Gaussian rows are compacted to their in-cutoff survivors before
-  // the law, on the cell grid (inside the chunk kernel) and on Verlet rows.
+  // the law, on the cell grid (inside the chunk kernel).
   // One cluster per survivor count s = 0…9, far apart: a center with s
   // neighbours inside r_c and a ring of candidates just outside it, so the
   // centers' rows are all dead (s = 0), exactly one lane block (s = 4) and
@@ -482,33 +435,25 @@ TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
 
   const sops::support::SimdPolicy policies[] = {
       sops::support::SimdPolicy::kScalar, sops::support::SimdPolicy::kSimd};
-  for (const auto kind : {sops::geom::NeighborBackendKind::kCellGrid,
-                          sops::geom::NeighborBackendKind::kVerletSkin}) {
-    const std::vector<Vec2> anchor = drift_under_policy(
-        sops::support::SimdPolicy::kScalar, system, table, kCutoff, kind);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(anchor[i].x, reference[i].x, 1e-12) << "i " << i;
-      ASSERT_NEAR(anchor[i].y, reference[i].y, 1e-12) << "i " << i;
-    }
-    for (const auto policy : policies) {
-      const SimdPolicyGuard guard(policy);
-      for (std::size_t width = 1; width <= 4; ++width) {
-        sops::geom::NeighborBackend backend(kind);
-        sops::support::SpawnExecutor executor(width);
-        std::vector<Vec2> out;
-        accumulate_drift(system, table, kCutoff, out, backend, executor);
-        if (kind == sops::geom::NeighborBackendKind::kVerletSkin) {
-          // The all-dead center row really holds candidates.
-          const auto& verlet =
-              std::get<sops::geom::VerletListBackend>(backend.get());
-          EXPECT_EQ(verlet.candidate_row(centers[0]).size(), 5u);
-        }
-        ASSERT_EQ(out.size(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(out[i], anchor[i])
-              << "kind " << static_cast<int>(kind) << " policy "
-              << static_cast<int>(policy) << " width " << width << " i " << i;
-        }
+  const auto kind = sops::geom::NeighborBackendKind::kCellGrid;
+  const std::vector<Vec2> anchor = drift_under_policy(
+      sops::support::SimdPolicy::kScalar, system, table, kCutoff, kind);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_NEAR(anchor[i].x, reference[i].x, 1e-12) << "i " << i;
+    ASSERT_NEAR(anchor[i].y, reference[i].y, 1e-12) << "i " << i;
+  }
+  for (const auto policy : policies) {
+    const SimdPolicyGuard guard(policy);
+    for (std::size_t width = 1; width <= 4; ++width) {
+      sops::geom::NeighborBackend backend(kind);
+      sops::support::SpawnExecutor executor(width);
+      std::vector<Vec2> out;
+      accumulate_drift(system, table, kCutoff, out, backend, executor);
+      ASSERT_EQ(out.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], anchor[i])
+            << "policy " << static_cast<int>(policy) << " width " << width
+            << " i " << i;
       }
     }
   }
@@ -521,8 +466,7 @@ TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
     for (const sops::geom::NeighborBackendKind kind :
          {sops::geom::NeighborBackendKind::kAllPairs,
           sops::geom::NeighborBackendKind::kCellGrid,
-          sops::geom::NeighborBackendKind::kDelaunay,
-          sops::geom::NeighborBackendKind::kVerletSkin}) {
+          sops::geom::NeighborBackendKind::kDelaunay}) {
       sops::geom::NeighborBackend serial_backend(kind);
       sops::geom::NeighborBackend sharded_backend(kind);
       sops::support::SpawnExecutor executor(3);

@@ -265,6 +265,70 @@ TEST(ShardStore, ResumeRejectsMismatchedExperiments) {
   std::filesystem::remove(path + ".manifest");
 }
 
+TEST(ShardStore, ConfigHashSeparatesNeighborBackends) {
+  using sops::core::experiment_config_hash;
+  using sops::sim::NeighborMode;
+  const auto hash_with = [](NeighborMode mode, std::size_t n) {
+    ExperimentConfig experiment = small_experiment();
+    experiment.simulation.types = sops::sim::evenly_distributed_types(n, 3);
+    experiment.simulation.neighbor_mode = mode;
+    return experiment_config_hash(experiment);
+  };
+  // The backends are not bitwise-interchangeable: all-pairs and the cell
+  // grid sum the same pairs in different orders, and Delaunay is another
+  // neighbor model. Each must hash apart.
+  for (const std::size_t n : {50u, 96u}) {
+    const std::uint64_t all_pairs = hash_with(NeighborMode::kAllPairs, n);
+    const std::uint64_t cell_grid = hash_with(NeighborMode::kCellGrid, n);
+    const std::uint64_t delaunay = hash_with(NeighborMode::kDelaunay, n);
+    EXPECT_NE(all_pairs, cell_grid) << n;
+    EXPECT_NE(all_pairs, delaunay) << n;
+    EXPECT_NE(cell_grid, delaunay) << n;
+  }
+  // kAuto hashes as the mode it resolves to: all-pairs below 64
+  // particles, the cell grid from 64 on at a finite r_c.
+  EXPECT_EQ(hash_with(NeighborMode::kAuto, 50),
+            hash_with(NeighborMode::kAllPairs, 50));
+  EXPECT_EQ(hash_with(NeighborMode::kAuto, 96),
+            hash_with(NeighborMode::kCellGrid, 96));
+
+  // Scheduling stays out of the hash: threads and parallel policy are
+  // bitwise-neutral, so shards may differ in them and still merge.
+  const std::uint64_t reference = experiment_config_hash(small_experiment());
+  for (const sops::sim::ParallelPolicy policy :
+       {sops::sim::ParallelPolicy::kAuto,
+        sops::sim::ParallelPolicy::kAcrossSamples,
+        sops::sim::ParallelPolicy::kWithinStep,
+        sops::sim::ParallelPolicy::kHybrid}) {
+    for (const std::size_t threads : {1u, 3u}) {
+      ExperimentConfig experiment = small_experiment();
+      experiment.parallel = policy;
+      experiment.threads = threads;
+      experiment.simulation.parallel_policy = policy;
+      experiment.simulation.threads = threads;
+      EXPECT_EQ(experiment_config_hash(experiment), reference)
+          << static_cast<int>(policy) << " " << threads;
+    }
+  }
+
+  // A shard recorded under one backend does not resume under another.
+  const std::string path = fresh_shard_path("resume_backend.shard");
+  ExperimentConfig recorded = shard_experiment(path);
+  recorded.simulation.neighbor_mode = NeighborMode::kDelaunay;
+  (void)run_experiment(recorded);
+  ExperimentConfig resumed = shard_experiment(path, 0, 1, /*resume=*/true);
+  resumed.simulation.neighbor_mode = NeighborMode::kCellGrid;
+  try {
+    (void)run_experiment(resumed);
+    ADD_FAILURE() << "resume under another neighbor backend was accepted";
+  } catch (const sops::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("has config hash"), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".manifest");
+}
+
 TEST(ShardStore, TwoShardMergeMatchesSingleRun) {
   const std::string shard0 = fresh_shard_path("merge_a0.shard");
   const std::string shard1 = fresh_shard_path("merge_a1.shard");

@@ -23,9 +23,9 @@ using sops::geom::NeighborBackend;
 using sops::geom::NeighborBackendKind;
 using sops::geom::Vec2;
 
-constexpr NeighborBackendKind kAllKinds[] = {
-    NeighborBackendKind::kAllPairs, NeighborBackendKind::kCellGrid,
-    NeighborBackendKind::kDelaunay, NeighborBackendKind::kVerletSkin};
+constexpr NeighborBackendKind kAllKinds[] = {NeighborBackendKind::kAllPairs,
+                                             NeighborBackendKind::kCellGrid,
+                                             NeighborBackendKind::kDelaunay};
 
 std::vector<Vec2> random_points(std::size_t n, double disc_radius,
                                 std::uint64_t seed) {

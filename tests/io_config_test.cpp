@@ -177,47 +177,26 @@ TEST(ConfigBuilder, NeighborModes) {
            {"auto", sops::sim::NeighborMode::kAuto},
            {"all_pairs", sops::sim::NeighborMode::kAllPairs},
            {"cell_grid", sops::sim::NeighborMode::kCellGrid},
-           {"delaunay", sops::sim::NeighborMode::kDelaunay},
-           {"verlet", sops::sim::NeighborMode::kVerletSkin}}) {
-    // rc given because neighbor = verlet requires a finite positive cut-off.
+           {"delaunay", sops::sim::NeighborMode::kDelaunay}}) {
     const Config config = Config::parse("neighbor = " + name + "\nrc = 3\n");
     EXPECT_EQ(build_experiment(config).experiment.simulation.neighbor_mode,
               mode)
         << name;
   }
-  const Config bad = Config::parse("neighbor = quantum\n");
-  EXPECT_THROW((void)build_experiment(bad), sops::Error);
-
-  const Config skinned =
-      Config::parse("neighbor = verlet\nrc = 3\nverlet_skin = 0.75\n");
-  EXPECT_DOUBLE_EQ(build_experiment(skinned).experiment.simulation.verlet_skin,
-                   0.75);
-}
-
-TEST(ConfigBuilder, RejectsInvalidVerletSetups) {
-  // Zero/negative skin builds a backend that never skips a rebuild (or
-  // misses pairs); catch it at config-build time with the key named.
-  for (const char* skin : {"0", "-0.5", "inf"}) {
-    const Config config = Config::parse(
-        std::string("neighbor = verlet\nrc = 3\nverlet_skin = ") + skin + "\n");
-    EXPECT_THROW((void)build_experiment(config), sops::Error) << skin;
+  // Unknown names — including the retired Verlet/skin opt-in — fail with
+  // the named error instead of falling back to some backend.
+  for (const std::string name : {"quantum", "verlet"}) {
+    try {
+      (void)build_experiment(
+          Config::parse("neighbor = " + name + "\nrc = 3\n"));
+      ADD_FAILURE() << "neighbor = " << name << " was accepted";
+    } catch (const sops::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown neighbor mode '" + name +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  // A bad skin is rejected even when another mode ignores it (typo guard).
-  EXPECT_THROW((void)build_experiment(Config::parse(
-                   "neighbor = cell_grid\nrc = 3\nverlet_skin = -1\n")),
-               sops::Error);
-  // verlet needs a finite positive rc: the candidate grid is built at
-  // rc + skin.
-  for (const char* rc : {"0", "-2", "inf"}) {
-    const Config config = Config::parse(
-        std::string("neighbor = verlet\nrc = ") + rc + "\n");
-    EXPECT_THROW((void)build_experiment(config), sops::Error) << rc;
-  }
-  // The same rc values stay legal for other modes (rc = inf is the
-  // documented unbounded all-pairs setup).
-  EXPECT_EQ(build_experiment(Config::parse("neighbor = all_pairs\nrc = inf\n"))
-                .experiment.simulation.neighbor_mode,
-            sops::sim::NeighborMode::kAllPairs);
 }
 
 TEST(ConfigBuilder, FrameStorageModes) {
@@ -329,9 +308,9 @@ TEST(ConfigBuilder, KnownKeysNonEmptyAndContainCore) {
   // sops_run's unknown-key warning instead of being silently honoured.
   // Spelled in pieces so a source search for the removed names turns up
   // live code only.
-  const std::string skin = "verlet_skin_";
+  const std::string skin = std::string("verlet_") + "skin";
   for (const std::string& absent :
-       {skin + "adapt", skin + "min", skin + "max",
+       {skin, skin + "_adapt", skin + "_min", skin + "_max",
         std::string("verlet_partial_") + "rebuild"}) {
     EXPECT_TRUE(std::find(keys.begin(), keys.end(), absent) == keys.end())
         << absent;

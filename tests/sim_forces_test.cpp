@@ -149,6 +149,32 @@ TEST(AccumulateDrift, AutoModeHandlesUnboundedRadius) {
   EXPECT_GT(drift[0].x, 0.0);  // long-range attraction reaches
 }
 
+TEST(ResolveNeighborMode, ExhaustiveWithAutoRules) {
+  using sops::sim::resolve_neighbor_mode;
+  // kAuto: cell grid for finite r_c at n ≥ 64, all-pairs below that or
+  // for an unbounded r_c; concrete modes pass through.
+  EXPECT_EQ(resolve_neighbor_mode(NeighborMode::kAuto, 1024, 3.0),
+            NeighborMode::kCellGrid);
+  EXPECT_EQ(resolve_neighbor_mode(NeighborMode::kAuto, 64, 3.0),
+            NeighborMode::kCellGrid);
+  EXPECT_EQ(resolve_neighbor_mode(NeighborMode::kAuto, 63, 3.0),
+            NeighborMode::kAllPairs);
+  EXPECT_EQ(resolve_neighbor_mode(NeighborMode::kAuto, 1024, kUnboundedRadius),
+            NeighborMode::kAllPairs);
+  for (const NeighborMode mode : {NeighborMode::kAllPairs,
+                                  NeighborMode::kCellGrid,
+                                  NeighborMode::kDelaunay}) {
+    EXPECT_EQ(resolve_neighbor_mode(mode, 1024, 3.0), mode);
+  }
+  // A value outside the enum fails loudly instead of riding a default
+  // branch into some backend.
+  EXPECT_THROW(
+      (void)resolve_neighbor_mode(static_cast<NeighborMode>(99), 64, 3.0),
+      sops::PreconditionError);
+  EXPECT_THROW((void)sops::sim::neighbor_backend_kind(NeighborMode::kAuto),
+               sops::PreconditionError);
+}
+
 TEST(AccumulateDrift, GridWithUnboundedRadiusThrows) {
   ParticleSystem system({{0.0, 0.0}}, {0});
   std::vector<Vec2> drift;

@@ -45,9 +45,6 @@ REGRESSION_TOLERANCE = 0.10
 
 # Metrics where growth, not shrinkage, is the regression.
 LOWER_IS_BETTER = {"peak_rss_kb", "frame_store_bytes_per_frame"}
-# Per-backend rebuild costs are emitted per collective size; any metric
-# under these prefixes gates on growth too.
-LOWER_IS_BETTER_PREFIXES = ("rebuild_us/",)
 
 
 def flatten_metrics(engine_json):
@@ -70,15 +67,6 @@ def flatten_metrics(engine_json):
         metrics[key] = row["steps_per_sec"]
         if hardware and row["threads"] > hardware:
             ungated.add(key)
-    for row in engine_json.get("verlet", []):
-        n = row["n"]
-        metrics[f"verlet/steps_per_sec/n={n}"] = row["verlet_steps_per_sec"]
-        # HIGHER_IS_BETTER (the default direction): the displacement gating
-        # must keep skipping rebuilds on slow-moving collectives.
-        metrics[f"verlet/rebuild_skip_rate/n={n}"] = row["rebuild_skip_rate"]
-        # LOWER_IS_BETTER via prefix: full re-index cost per backend.
-        metrics[f"rebuild_us/cell_grid/n={n}"] = row["cell_grid_rebuild_us"]
-        metrics[f"rebuild_us/verlet/n={n}"] = row["verlet_rebuild_us"]
     for row in engine_json.get("simd", {}).get("results", []):
         n = row["n"]
         # Both kernel families gate as throughputs; the speedup ratio is
@@ -145,7 +133,7 @@ def flatten_metrics(engine_json):
 
 
 def is_regression(name, change, tolerance=REGRESSION_TOLERANCE):
-    if name in LOWER_IS_BETTER or name.startswith(LOWER_IS_BETTER_PREFIXES):
+    if name in LOWER_IS_BETTER:
         return change > tolerance
     return change < -tolerance
 

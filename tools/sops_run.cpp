@@ -178,19 +178,6 @@ void report_spill(const sops::core::EnsembleSeries& series,
   }
 }
 
-// The Verlet opt-in's accounting, printed whenever `neighbor = verlet`:
-// how many steps reused the cached lists instead of rebuilding them.
-void report_verlet(const sops::core::EnsembleSeries& series,
-                   const sops::core::ExperimentConfig& experiment) {
-  if (experiment.simulation.neighbor_mode != sops::sim::NeighborMode::kVerletSkin) {
-    return;
-  }
-  const sops::core::NeighborRebuildStats& stats = series.rebuild_stats;
-  if (stats.steps == 0) return;  // fully resumed shard: nothing simulated
-  std::printf("verlet: skip rate %.3f (%zu full rebuilds / %zu steps)\n",
-              stats.skip_rate(), stats.rebuilds, stats.steps);
-}
-
 // ---------------------------------------------------------------------------
 // Daemon client subcommands.
 
@@ -491,7 +478,6 @@ int main(int argc, char** argv) {
     const core::EnsembleSeries& series = outcome.series;
 
     report_spill(series, experiment);
-    report_verlet(series, experiment);
     if (!experiment.shard.path.empty()) {
       const std::size_t ran = series.sample_count() - series.resumed_samples;
       std::cout << "shard " << experiment.shard.index << "/"
