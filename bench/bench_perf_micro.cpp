@@ -224,9 +224,9 @@ void BM_StepEngine(benchmark::State& state) {
 BENCHMARK(BM_StepEngine)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_StepEngineIntraStep(benchmark::State& state) {
-  // The cell-sharded intra-step path: one collective, the drift sum
-  // sharded over the grid's cell-major partition. range(0) = n,
-  // range(1) = step threads. Results are bitwise-equal to serial.
+  // The intra-step path: one collective, the cell-grid drift sum over the
+  // grid's fixed column stripes. range(0) = n, range(1) = step threads.
+  // Results are bitwise-equal to serial.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto step_threads = static_cast<std::size_t>(state.range(1));
   auto system = random_system(n, std::sqrt(static_cast<double>(n)) * 1.5, 3, 7);

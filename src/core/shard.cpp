@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "io/mapped_buffer.hpp"
+#include "sim/drift_kernel.hpp"
 #include "sim/forces.hpp"
 #include "support/error.hpp"
 
@@ -65,9 +66,14 @@ std::uint64_t experiment_config_hash(const ExperimentConfig& config) {
   hash.u64(simulation.types.size());
   for (const sim::TypeId type : simulation.types) hash.u64(type);
   hash.f64(simulation.cutoff_radius);
-  hash.u64(static_cast<std::uint64_t>(sim::resolve_neighbor_mode(
+  const sim::NeighborMode mode = sim::resolve_neighbor_mode(
       simulation.neighbor_mode, simulation.types.size(),
-      simulation.cutoff_radius)));
+      simulation.cutoff_radius);
+  hash.u64(static_cast<std::uint64_t>(mode));
+  // Only the cell grid's summation order has changed since shards were
+  // first hashed, so only its hash carries the order tag: all-pairs and
+  // Delaunay shards from before the tag still resume and merge.
+  if (mode == sim::NeighborMode::kCellGrid) hash.u64(sim::kCellGridDriftOrder);
   hash.f64(simulation.init_disc_radius);
   hash.f64(simulation.integrator.dt);
   hash.f64(simulation.integrator.noise_variance);

@@ -23,7 +23,10 @@ namespace sops::core {
 /// The backend is hashed because it is not bitwise-neutral: all-pairs and
 /// the cell grid sum the same pairs in different orders, and Delaunay is a
 /// different neighbor model. It is hashed *resolved*, so kAuto and the mode
-/// it picks for this n and r_c hash equal. Deliberately *excludes* pure
+/// it picks for this n and r_c hash equal. A cell-grid config also hashes
+/// the grid's drift summation order (sim::kCellGridDriftOrder), so a shard
+/// recorded under another order fails to resume or merge instead of mixing
+/// two orders in one ensemble. Deliberately *excludes* pure
 /// scheduling and storage choices (threads, parallel policy, spill
 /// settings): those are bitwise-neutral by the engine's reproducibility
 /// contract, so two shards may legitimately run with different ones and

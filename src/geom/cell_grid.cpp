@@ -60,7 +60,6 @@ void CellGrid::rebuild(PositionLanes points, double cell_size,
   const std::size_t n = points.size();
   cell_count_ = 0;
   box_valid_ = false;
-  shard_cost_valid_ = false;
   entries_.resize(n);
   bucket_x_.resize(n);
   bucket_y_.resize(n);
@@ -115,8 +114,8 @@ void CellGrid::rebuild(PositionLanes points, double cell_size,
     box.max_y = std::max(box.max_y, chunk_bounds_[k].max_y);
   }
 
-  // Spatial ids: column-major ranks of the occupied cells, so a 3×3
-  // block's dx columns are id-consecutive runs (block_spans) and the cell
+  // Spatial ids: column-major ranks of the occupied cells, so a cell
+  // block's column runs are id-consecutive (half_shell_spans) and the cell
   // walk sweeps the plane coherently. Points are counted into bins whose
   // order is that rank order. Fast path: when the bounding box is dense
   // enough, the bins are the box's column-major cell indices, and the
@@ -213,19 +212,13 @@ void CellGrid::rebuild(PositionLanes points, double cell_size,
   }
   cell_count_ = rank;
   starts_.resize(rank + 1);
-  const auto cell_of_bin = [&](std::uint32_t bin) -> std::size_t {
-    return box_valid_ ? box_rank_[bin] : bin;
-  };
 
   // Pass 3: stable scatter, by bin range. Every task walks all points in
   // ascending order and places those of its own bins, so every bucket ends
   // up sorted by point index (the enumeration order contract) and each
   // task writes only its own stretch of the CSR block. The coordinates are
   // scattered alongside the index, which saves the chunked kernel a
-  // separate scattered-read pass to build its bucket-ordered lanes. A
-  // sharded build also prices its cells for shard_bounds().
-  const bool price_cells = chunks > 1;
-  if (price_cells) shard_cost_.resize(cell_count_);
+  // separate scattered-read pass to build its bucket-ordered lanes.
   auto scatter_pass = [&](std::size_t t) {
     const std::uint32_t first = bin_split_[t];
     const std::uint32_t width = bin_split_[t + 1] - first;
@@ -238,12 +231,8 @@ void CellGrid::rebuild(PositionLanes points, double cell_size,
       bucket_x_[pos] = xs_[i];
       bucket_y_[pos] = ys_[i];
     }
-    if (price_cells) {
-      compute_shard_costs(cell_of_bin(first), cell_of_bin(first + width));
-    }
   };
   executor.run(chunks, scatter_pass);
-  shard_cost_valid_ = price_cells;
 }
 
 CellGrid::CellKey CellGrid::key_of(Vec2 p) const noexcept {
@@ -285,68 +274,50 @@ std::size_t CellGrid::block_spans_at(
   return nspans;
 }
 
-void CellGrid::append_block_candidates(std::size_t cell,
-                                       std::vector<std::uint32_t>& out) const {
-  std::array<Span, 3> spans;
-  const std::size_t nspans = block_spans(cell, spans);
-  for (std::size_t s = 0; s < nspans; ++s) {
-    out.insert(out.end(), entries_.begin() + spans[s].first,
-               entries_.begin() + spans[s].second);
-  }
+std::array<CellGrid::Span, 2> CellGrid::half_shell_spans(
+    std::size_t cell) const {
+  const CellKey key = cell_keys_[cell];
+  // The own column from this cell through the one above it, then the
+  // right-hand column's three rows.
+  const Span up = column_cells(key.x, key.y, key.y + 1);
+  const Span right = column_cells(key.x + 1, key.y - 1, key.y + 1);
+  return {Span{starts_[cell], starts_[up.second]},
+          Span{starts_[right.first], starts_[right.second]}};
 }
 
-std::size_t CellGrid::block_spans(std::size_t cell,
-                                  std::array<Span, 3>& spans) const {
-  return block_spans_at(cell_keys_[cell], spans);
+std::uint32_t CellGrid::first_cell_from_column(std::int64_t x) const noexcept {
+  if (box_valid_) {
+    const std::int64_t bx = std::clamp<std::int64_t>(
+        x - box_min_x_, 0, static_cast<std::int64_t>(box_w_));
+    return box_rank_[static_cast<std::size_t>(bx) * box_h_];
+  }
+  const CellKey* first = cell_keys_.data();
+  return static_cast<std::uint32_t>(
+      std::lower_bound(first, first + cell_count_,
+                       CellKey{x, std::numeric_limits<std::int64_t>::min()},
+                       key_before) -
+      first);
 }
 
-void CellGrid::compute_shard_costs(std::size_t cell_begin,
-                                   std::size_t cell_end) {
-  // Per-cell pair-count estimate: |cell| × occupancy of its 3×3 block,
-  // read off the block's contiguous entry spans.
-  std::array<Span, 3> spans;
-  for (std::size_t c = cell_begin; c < cell_end; ++c) {
-    double block = 0.0;
-    const std::size_t nspans = block_spans(c, spans);
-    for (std::size_t s = 0; s < nspans; ++s) {
-      block += static_cast<double>(spans[s].second - spans[s].first);
-    }
-    shard_cost_[c] = static_cast<double>(starts_[c + 1] - starts_[c]) * block;
+void CellGrid::stripes(std::size_t columns, std::vector<Stripe>& out) const {
+  support::expect(columns > 0, "CellGrid::stripes: columns must be positive");
+  out.clear();
+  if (cell_count_ == 0) return;
+  // Keys lie within ±2^62, so column offsets and stripe ends fit int64.
+  const std::int64_t x0 = cell_keys_[0].x;
+  const auto width = static_cast<std::int64_t>(columns);
+  const auto cells = static_cast<std::uint32_t>(cell_count_);
+  for (std::uint32_t c = 0; c < cells;) {
+    const std::int64_t x_end =
+        x0 + ((cell_keys_[c].x - x0) / width + 1) * width;
+    const std::uint32_t end = first_cell_from_column(x_end);
+    // The last column's half shells reach the next column only when both
+    // columns are occupied.
+    const bool halo = end < cells && cell_keys_[end].x == x_end &&
+                      cell_keys_[end - 1].x == x_end - 1;
+    out.push_back({c, end, halo ? first_cell_from_column(x_end + 1) : end});
+    c = end;
   }
-}
-
-std::span<const std::uint32_t> CellGrid::shard_bounds(std::size_t max_shards) {
-  const auto n = static_cast<std::uint32_t>(entries_.size());
-  shard_bounds_.clear();
-  shard_bounds_.push_back(0);
-  if (max_shards <= 1 || cell_count_ <= 1) {
-    shard_bounds_.push_back(n);
-    return shard_bounds_;
-  }
-  if (!shard_cost_valid_) {
-    shard_cost_.resize(cell_count_);
-    compute_shard_costs(0, cell_count_);
-    shard_cost_valid_ = true;
-  }
-  double total = 0.0;
-  for (std::size_t c = 0; c < cell_count_; ++c) total += shard_cost_[c];
-
-  // Greedy cut: walk cells in dense-id order and close a shard whenever the
-  // running cost passes the next of max_shards equal targets. Every cut is
-  // a CSR bucket boundary, so shards stay cell-aligned.
-  double cut_cost = 0.0;
-  std::size_t shard = 1;
-  for (std::size_t c = 0; c < cell_count_; ++c) {
-    cut_cost += shard_cost_[c];
-    if (shard < max_shards && starts_[c + 1] < n &&
-        cut_cost * static_cast<double>(max_shards) >=
-            total * static_cast<double>(shard)) {
-      shard_bounds_.push_back(starts_[c + 1]);
-      ++shard;
-    }
-  }
-  shard_bounds_.push_back(n);
-  return shard_bounds_;
 }
 
 std::vector<std::size_t> CellGrid::neighbors_of(std::size_t i,

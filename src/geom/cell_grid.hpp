@@ -14,14 +14,14 @@
 // allocation.
 //
 // Dense cell ids are column-major spatial: ids ascend by integer cell
-// coordinate (x, then y). That makes each dx-column of a 3×3 block a run of
-// consecutive ids, so its candidates form ONE contiguous range of the CSR
-// entry block (block_spans()), and walking cells in id order sweeps the
-// plane column by column — neighbor buckets stay cache-resident between
-// adjacent cells. When the occupied bounding box is dense enough, a rank
-// array over the box maps cell coordinates to ids by arithmetic; a sparse
-// box (far-flung clusters) falls back to a sorted key list and binary
-// search.
+// coordinate (x, then y). That makes each column run of a cell block a run
+// of consecutive ids, so its candidates form ONE contiguous range of the
+// CSR entry block (half_shell_spans()), and walking cells in id order
+// sweeps the plane column by column — neighbor buckets stay cache-resident
+// between adjacent cells. When the occupied bounding box is dense enough, a
+// rank array over the box maps cell coordinates to ids by arithmetic; a
+// sparse box (far-flung clusters) falls back to a sorted key list and
+// binary search.
 //
 // The rebuild runs on an executor in width() equal chunks of the point
 // range — per-chunk keys and bounds, then per-chunk bin histograms — and
@@ -33,10 +33,14 @@
 // the vectorized pair kernels stream — with interleaved-span overloads that
 // deinterleave into internal scratch for callers still holding Vec2 arrays.
 //
-// Enumeration order is part of the reproducibility contract: candidates are
-// visited cell block (dx, dy)-major, ascending point index within a cell —
-// exactly the order of the original per-cell-vector implementation, so drift
-// summation stays bitwise identical.
+// Enumeration order is part of the reproducibility contract. The neighbor
+// queries visit the 3×3 block column by column (dx, then dy), ascending
+// point index within a cell. The pair-drift kernel visits each unordered
+// pair once: every cell pairs with itself (j after i) and with its half
+// shell, the cell above and the three cells of the column to the right —
+// two contiguous entry spans (half_shell_spans()). The drift partitions the
+// cells into stripes of a fixed number of columns (stripes()), never into
+// width-dependent shards, so the pair sums do not depend on the executor.
 #pragma once
 
 #include <array>
@@ -116,16 +120,17 @@ class CellGrid {
   }
 
   /// CSR bucket boundaries: cell c owns entries [starts[c], starts[c+1]).
-  /// Together with append_block_candidates() this lets per-cell kernels walk
-  /// the grid without per-point cell lookups. Valid until the next rebuild.
+  /// Together with half_shell_spans() this lets per-cell kernels walk the
+  /// grid without per-point cell lookups. Valid until the next rebuild.
   [[nodiscard]] std::span<const std::uint32_t> bucket_starts() const noexcept {
     return {starts_.data(), cell_count_ + 1};
   }
 
   /// Bucket-ordered coordinate lanes: bucket_x()[k] is the x coordinate of
   /// bucket_entries()[k], scattered during the rebuild's counting sort.
-  /// Together with block_spans() this lets the chunked pair kernel stream
-  /// every candidate from contiguous memory. Valid until the next rebuild.
+  /// Together with half_shell_spans() this lets the chunked pair kernel
+  /// stream every candidate from contiguous memory. Valid until the next
+  /// rebuild.
   [[nodiscard]] std::span<const double> bucket_x() const noexcept {
     return {bucket_x_.data(), entries_.size()};
   }
@@ -133,41 +138,35 @@ class CellGrid {
     return {bucket_y_.data(), entries_.size()};
   }
 
-  /// Appends the 3×3-block candidate indices of dense cell `cell` to `out`
-  /// (without clearing it), in exactly the (dx, dy)-major, ascending-index
-  /// order of for_each_neighbor — every point of the cell sees this one
-  /// shared candidate sequence, which is what lets kernels gather a cell's
-  /// block once and reuse it for all of the cell's points.
-  void append_block_candidates(std::size_t cell,
-                               std::vector<std::uint32_t>& out) const;
+  using Span = std::pair<std::uint32_t, std::uint32_t>;
 
-  /// The 3×3 block of dense cell `cell` as at most 3 contiguous ranges
-  /// [first, second) of bucket_entries(), one per dx column, in the same
-  /// (dx, dy)-major enumeration order as append_block_candidates (dense ids
-  /// are column-major, so a column's occupied cells are id-consecutive).
-  /// Returns the number of ranges written. This is what lets the chunked
-  /// pair kernel bulk-copy a cell's candidates from bucket-ordered lanes
-  /// instead of gathering them point by point.
-  [[nodiscard]] std::size_t block_spans(
-      std::size_t cell,
-      std::array<std::pair<std::uint32_t, std::uint32_t>, 3>& spans) const;
+  /// The half shell of dense cell `cell` as two ranges [first, second) of
+  /// bucket_entries(): the cell itself followed by the cell above it (one
+  /// range, since ids are column-major), then the right-hand column's cells
+  /// below, beside and above it (possibly empty). Every unordered pair of
+  /// points in neighboring cells appears exactly once across the cells'
+  /// half shells when each point of a cell pairs only with the entries
+  /// after it.
+  [[nodiscard]] std::array<Span, 2> half_shell_spans(std::size_t cell) const;
 
-  /// Cell-major shard partition for intra-step parallelism: at most
-  /// `max_shards` contiguous, cell-aligned ranges of `bucket_entries()`,
-  /// approximately balanced by a per-cell pair-count estimate (bucket size ×
-  /// total 3×3-neighborhood occupancy). Returns ascending boundaries
-  /// (first 0, last size()); shard k owns entries [bounds[k], bounds[k+1]).
-  ///
-  /// Because shards are cell-aligned they hold disjoint particle sets, and
-  /// a particle's own neighbor enumeration never depends on which shard
-  /// visits it — so per-particle drift sums are bitwise-identical for any
-  /// shard count. The span aliases internal scratch; valid until the next
-  /// shard_bounds() call or rebuild.
-  [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards);
+  /// A run of cells covering a fixed number of integer cell columns.
+  /// Cells [cell_begin, cell_end) are the stripe's own; the half shells of
+  /// its last column reach into cells [cell_end, halo_end) — the next
+  /// stripe's first column when it is adjacent, otherwise none.
+  struct Stripe {
+    std::uint32_t cell_begin;
+    std::uint32_t cell_end;
+    std::uint32_t halo_end;
+  };
+
+  /// Partitions the occupied cells into stripes of `columns` integer cell
+  /// columns each, counted from the leftmost occupied column, written to
+  /// `out` (replacing its contents, keeping its capacity); stripes without
+  /// an occupied cell are omitted. The partition depends only on the build
+  /// and `columns`.
+  void stripes(std::size_t columns, std::vector<Stripe>& out) const;
 
  private:
-  using Span = std::pair<std::uint32_t, std::uint32_t>;
   struct CellKey {
     std::int64_t x;
     std::int64_t y;
@@ -193,12 +192,15 @@ class CellGrid {
   [[nodiscard]] Span column_cells(std::int64_t x, std::int64_t y0,
                                   std::int64_t y1) const noexcept;
 
-  /// block_spans() around an arbitrary (possibly unoccupied) cell key.
+  /// Id of the first occupied cell in column x or to its right
+  /// (cell_count_ if none).
+  [[nodiscard]] std::uint32_t first_cell_from_column(
+      std::int64_t x) const noexcept;
+
+  /// The 3×3 block around an arbitrary (possibly unoccupied) cell key as at
+  /// most 3 entry ranges, one per dx column; returns the number written.
   std::size_t block_spans_at(CellKey center,
                              std::array<Span, 3>& spans) const noexcept;
-
-  /// shard_cost_[c] for cells [cell_begin, cell_end).
-  void compute_shard_costs(std::size_t cell_begin, std::size_t cell_end);
 
   template <typename Fn>
   void for_each_candidate(Vec2 q, Fn&& fn) const {
@@ -249,12 +251,6 @@ class CellGrid {
   std::size_t box_w_ = 0;
   std::size_t box_h_ = 0;
   bool box_valid_ = false;
-  // Per-cell pair estimate behind shard_bounds(). A multi-chunk rebuild
-  // fills it in its scatter pass; otherwise shard_bounds() fills it on
-  // first use.
-  std::vector<double> shard_cost_;
-  bool shard_cost_valid_ = false;
-  std::vector<std::uint32_t> shard_bounds_; // last computed partition (scratch)
 };
 
 }  // namespace sops::geom

@@ -8,7 +8,9 @@
 // the engine's bitwise-reproducibility contract:
 //
 //  - all-pairs:  ascending particle index,
-//  - cell grid:  3×3 cell block in (dx, dy) order, point order within cells,
+//  - cell grid:  neighbors(i): 3×3 cell block in (dx, dy) order, point
+//                order within cells; the drift kernel visits each pair once
+//                over half shells in fixed column stripes,
 //  - Delaunay:   sorted tessellation adjacency, pruned by the cut-off.
 //
 // Rebuilds take SoA coordinate lanes (geom::PositionLanes) — the particle
@@ -51,13 +53,16 @@ enum class NeighborBackendKind {
 // capacity is retained), then `neighbors(i)` — the indices j ≠ i with
 // ‖p_j − p_i‖ < radius in the backend's enumeration order, valid until the
 // next neighbors() or rebuild() call (it may alias internal scratch) — and
-// `size()`, the point count of the current build. `shard_bounds(max_shards)`
-// is the intra-step partition: ascending boundaries (first 0, last size())
-// of at most `max_shards` contiguous ranges; shards are disjoint particle
-// sets and each particle's enumeration is independent of the partition, so
-// sharded drift sums equal the serial loop bitwise for any shard count
-// (the span aliases backend scratch, valid until the next shard_bounds() or
-// rebuild). Backends are not thread-safe; use one per worker.
+// `size()`, the point count of the current build. The all-pairs and
+// Delaunay backends add `shard_bounds(max_shards)`, their intra-step
+// partition: ascending boundaries (first 0, last size()) of at most
+// `max_shards` contiguous ranges; shards are disjoint particle sets and each
+// particle's enumeration is independent of the partition, so sharded drift
+// sums equal the serial loop bitwise for any shard count (the span aliases
+// backend scratch, valid until the next shard_bounds() or rebuild). The
+// cell grid's drift partitions by fixed column stripes instead
+// (CellGrid::stripes).
+// Backends are not thread-safe; use one per worker.
 
 /// O(n²) reference backend; supports an unbounded radius.
 class AllPairsBackend {
@@ -88,42 +93,28 @@ class CellGridBackend {
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
   [[nodiscard]] std::size_t size() const noexcept { return grid_.size(); }
 
-  /// Cell-aligned CSR bucket ranges balanced by the grid's pair estimate;
-  /// positions index the grid's cell-major `bucket_entries()`.
-  [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards) {
-    return grid_.shard_bounds(max_shards);
-  }
-
   /// The underlying grid (exposed for capacity-retention tests).
   [[nodiscard]] const CellGrid& grid() const noexcept { return grid_; }
 
-  /// Grows the per-shard gather pool to at least `shards` buffers. Call
-  /// serially (between parallel phases); the buffers themselves are then
-  /// handed out one per shard.
-  void ensure_gather_shards(std::size_t shards) {
-    if (gather_.size() < shards) gather_.resize(shards);
-  }
-
-  /// Gather buffer of shard k — touched only by the worker running shard k.
-  [[nodiscard]] GatherScratch& gather_scratch(std::size_t k) noexcept {
-    return gather_[k];
-  }
-
-  /// Backend-owned storage for the bucket-ordered tag lane (particle
-  /// types) the chunked kernel streams alongside the grid's own
-  /// bucket-ordered coordinates. The caller refills it after each rebuild
-  /// (the backend cannot: the tag semantics are the caller's).
-  [[nodiscard]] std::vector<std::uint32_t>& bucket_tags() noexcept {
-    return bucket_tags_;
-  }
+  /// Storage the cell-grid drift path keeps between steps, so steady-state
+  /// stepping does not allocate. The caller refills it after each rebuild
+  /// (the lane semantics are the caller's) and sizes `gather` serially,
+  /// before dispatching one task per buffer.
+  struct DriftScratch {
+    std::vector<CellGrid::Stripe> stripes;  ///< the drift's partition
+    std::vector<std::uint32_t> tags;        ///< types in bucket-entry order
+    std::vector<double> halo_x;             ///< stripes' halo columns, packed
+    std::vector<double> halo_y;
+    std::vector<std::uint32_t> halo_at;     ///< stripe s's halo offset
+    std::vector<GatherScratch> gather;      ///< one per concurrent task
+  };
+  [[nodiscard]] DriftScratch& drift_scratch() noexcept { return drift_; }
 
  private:
   CellGrid grid_;
   double radius_ = 0.0;
   std::vector<std::uint32_t> scratch_;
-  std::vector<GatherScratch> gather_;   // per-shard kernel gather buffers
-  std::vector<std::uint32_t> bucket_tags_;  // types in bucket-entry order
+  DriftScratch drift_;
 };
 
 /// Tessellation backend: rebuild triangulates and stores the radius-pruned

@@ -48,18 +48,23 @@ inline void interleave(PositionLanes lanes, std::vector<Vec2>& out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = lanes[i];
 }
 
-/// Reusable per-shard buffers for block-of-candidates work: candidate
-/// positions (and a caller-defined tag lane, e.g. particle types) gathered
-/// once per cell into contiguous lanes, so the dense pair kernel reads
-/// sequential memory instead of scattered points; the cell-grid drift path
-/// also compacts each double-Gaussian row's survivors into the lanes just
-/// past the block. `idx` holds candidate indices for callers that gather by
-/// index. One scratch per shard — never shared across workers.
+/// Reusable per-task buffers of the cell-grid pair kernel: one cell's
+/// half-shell candidates gathered into contiguous lanes — positions, a
+/// caller-defined tag lane (particle types) and the candidates' running
+/// drift sums — so the kernel reads and scatters sequential memory instead
+/// of scattered points. Double-Gaussian rows also compact their survivors
+/// into the lanes just past the block, with each survivor's position in the
+/// row in `slot`. `stripe_x`/`stripe_y` hold the running sums of the stripe
+/// the task runs. One scratch per task — never shared across workers.
 struct GatherScratch {
-  std::vector<std::uint32_t> idx;
   std::vector<double> x;
   std::vector<double> y;
   std::vector<std::uint32_t> tag;
+  std::vector<double> acc_x;
+  std::vector<double> acc_y;
+  std::vector<std::uint32_t> slot;
+  std::vector<double> stripe_x;
+  std::vector<double> stripe_y;
 };
 
 }  // namespace sops::geom

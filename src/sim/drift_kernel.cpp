@@ -33,22 +33,59 @@ namespace {
 using geom::Vec2;
 using support::kSimdWidth;
 
+// A row of the cell-grid chunk subtracts each lane term from its
+// candidate's running sum. kNone is a plain row (all-pairs, Delaunay);
+// kContiguous rows scatter candidate c into acc_*[c] (masked spring rows
+// over the block suffix); kSlots rows into acc_*[slot[c]] (compacted
+// double-Gaussian rows, slot = the survivor's position in the suffix).
+enum class Scatter { kNone, kContiguous, kSlots };
+
+struct RowScatter {
+  double* acc_x;
+  double* acc_y;
+  const std::uint32_t* slot;
+};
+
+// A candidate row to be compressed to its live survivors: keep the
+// candidates c of `xs`/`ys`/`types` with 0 < ‖Δz‖² < cutoff_sq and write
+// their coordinates, types and positions c contiguously into `out_*`. The
+// survivor predicate is exactly the masked kernels' live-lane mask, so
+// dropped candidates are ones that would have contributed ±0 — filtering
+// changes which pairs reach the accumulators, never the force arithmetic.
+// Selection is exact comparison arithmetic, so every ISA produces the same
+// survivor sequence. `out_*` must have room for count + kSimdWidth
+// entries: the vector variants store whole compressed blocks.
+struct FilterRow {
+  double xi;
+  double yi;
+  const double* xs;
+  const double* ys;
+  const TypeId* types;
+  std::size_t count;
+  double cutoff_sq;
+  double* out_x;
+  double* out_y;
+  TypeId* out_type;
+  std::uint32_t* out_slot;
+};
+
 // ----------------------------------------------------------------- scalar
 // The reference op sequence on plain arrays; every vector path below must
 // mirror it lane-for-lane (the header's bitwise contract).
 
 // One block: candidate coordinates and pair-table entry indices already in
-// lanes, the tail beyond `m` padded by the caller and masked dead here.
+// lanes, the tail beyond `m` padded by the caller and masked dead here. The
+// lane terms land in `tx`/`ty` and in the row's lane partials.
 inline void scalar_block(const PairScalingTable& table, double xi, double yi,
                          double cutoff_sq, std::size_t m, const double* cx,
                          const double* cy, const std::size_t* entry,
-                         double* accx, double* accy) {
+                         double* accx, double* accy, double* tx, double* ty) {
   for (std::size_t l = 0; l < kSimdWidth; ++l) {
     const double dx = xi - cx[l];
     const double dy = yi - cy[l];
     const double d2 = dx * dx + dy * dy;
-    // Δz = 0 (self in dense blocks, coincident pairs) contributes zero —
-    // the undefined-direction rule of accumulate_drift's header.
+    // Δz = 0 (self, coincident pairs) contributes zero — the
+    // undefined-direction rule of accumulate_drift's header.
     const bool live = l < m && d2 < cutoff_sq && d2 != 0.0;
     // Dead lanes skip the law: their weight is 0 whatever it returns (the
     // vector kernels evaluate them at d² = 1 and discard them the same way).
@@ -58,12 +95,31 @@ inline void scalar_block(const PairScalingTable& table, double xi, double yi,
                    table.kind(), table.k_data()[e], table.r_data()[e],
                    table.c_data()[e], table.a_data()[e], table.b_data()[e], d2)
              : 0.0;
-    accx[l] += dx * w;
-    accy[l] += dy * w;
+    tx[l] = dx * w;
+    ty[l] = dy * w;
+    accx[l] += tx[l];
+    accy[l] += ty[l];
   }
 }
 
-Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
+// Subtracts lane terms [0, m) of block `b` from their candidates' sums;
+// `Lanes` is a plain array or a vector type.
+template <Scatter kScatter, typename Lanes>
+__attribute__((always_inline)) inline void scatter_lanes(
+    const RowScatter& out, std::size_t b, std::size_t m, const Lanes& tx,
+    const Lanes& ty) {
+  if constexpr (kScatter == Scatter::kNone) return;
+  for (std::size_t l = 0; l < m; ++l) {
+    const std::size_t c =
+        kScatter == Scatter::kSlots ? out.slot[b + l] : b + l;
+    out.acc_x[c] -= tx[l];
+    out.acc_y[c] -= ty[l];
+  }
+}
+
+template <Scatter kScatter>
+Vec2 dense_scalar_row(const PairScalingTable& table, const DenseRow& row,
+                      const RowScatter& out) {
   const std::size_t base = table.pair_base(row.type_i);
   double accx[kSimdWidth] = {};
   double accy[kSimdWidth] = {};
@@ -78,19 +134,26 @@ Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
       cy[l] = row.cand_y[c];
       entry[l] = base + row.cand_type[c];
     }
+    double tx[kSimdWidth];
+    double ty[kSimdWidth];
     scalar_block(table, row.xi, row.yi, row.cutoff_sq, m, cx, cy, entry, accx,
-                 accy);
+                 accy, tx, ty);
+    scatter_lanes<kScatter>(out, b, m, tx, ty);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
 }
 
-// Candidate j of a FilterRow: writes its coordinates/type to survivor
-// slot `kept` and returns the advanced cursor. Branchless — every candidate
-// writes the slot, the cursor only advances past live ones. The predicate is
-// scalar_block's live mask verbatim (minus the tail test, which the row
-// count supplies), and comparison arithmetic is exact, so every ISA keeps
-// the identical survivor sequence.
+Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
+  return dense_scalar_row<Scatter::kNone>(table, row, {});
+}
+
+// Candidate j of a FilterRow: writes its coordinates/type/position to
+// survivor slot `kept` and returns the advanced cursor. Branchless — every
+// candidate writes the slot, the cursor only advances past live ones. The
+// predicate is scalar_block's live mask verbatim (minus the tail test,
+// which the row count supplies), and comparison arithmetic is exact, so
+// every ISA keeps the identical survivor sequence.
 __attribute__((always_inline)) inline std::size_t filter_one(
     const FilterRow& row, std::size_t j, std::size_t kept) {
   const double cx = row.xs[j];
@@ -101,6 +164,7 @@ __attribute__((always_inline)) inline std::size_t filter_one(
   row.out_x[kept] = cx;
   row.out_y[kept] = cy;
   row.out_type[kept] = row.types[j];
+  row.out_slot[kept] = static_cast<std::uint32_t>(j);
   return kept + ((d2 < row.cutoff_sq && d2 != 0.0) ? 1 : 0);
 }
 
@@ -111,86 +175,142 @@ std::size_t filter_scalar(const FilterRow& row) {
   return kept;
 }
 
-// Copies the 3×3 block of `cell` from the chunk's bucket-ordered lanes
-// into the scratch candidate lanes and returns the candidate count m. The
-// block is at most 3 contiguous CSR ranges, so this is bulk range copies —
-// identical contents (and hence identical kernel arithmetic) to the
-// per-index gather it replaces. With `compact`, the lanes also keep room
-// past the block for one row's survivors (m + kSimdWidth: FilterRow's
-// compress slack). Scratch only ever grows; the kernels read exactly the
-// lanes they were handed.
-inline std::size_t gather_cell_block(const DenseChunk& chunk, std::size_t cell,
-                                     bool compact, geom::GatherScratch& s) {
-  std::array<std::pair<std::uint32_t, std::uint32_t>, 3> spans;
-  const std::size_t nspans = chunk.grid->block_spans(cell, spans);
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < nspans; ++i) {
-    m += spans[i].second - spans[i].first;
-  }
+template <typename T>
+__attribute__((always_inline)) inline void copy_lanes(T* dst, const T* src,
+                                                      std::size_t len) {
+  std::memcpy(dst, src, len * sizeof(T));
+}
+
+// Copies the half shell `spans` from the chunk's bucket-ordered lanes into
+// the scratch candidate lanes, and the candidates' running sums (`sum_x`/
+// `sum_y`: the first span's, then the second's) into the scratch sum lanes.
+// Returns the candidate count m. The block is 2 contiguous CSR ranges, so
+// this is bulk range copies. The sum lanes keep kSimdWidth of slack past
+// the block for the masked rows' whole-block tail stores; with `compact`,
+// the candidate lanes also keep room past the block for one row's
+// survivors (m + kSimdWidth: FilterRow's compress slack). Scratch only
+// ever grows; the kernels read exactly the lanes they were handed.
+inline std::size_t gather_cell_block(
+    const DenseChunk& chunk, const std::array<geom::CellGrid::Span, 2>& spans,
+    const std::array<double*, 2>& sum_x, const std::array<double*, 2>& sum_y,
+    bool compact, geom::GatherScratch& s) {
+  const std::size_t own = spans[0].second - spans[0].first;
+  const std::size_t m = own + (spans[1].second - spans[1].first);
   const std::size_t room = compact ? 2 * m + kSimdWidth : m;
   if (s.x.size() < room) {
     s.x.resize(room);
     s.y.resize(room);
     s.tag.resize(room);
   }
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < nspans; ++i) {
-    const std::size_t b = spans[i].first;
-    const std::size_t len = spans[i].second - b;
-    std::memcpy(s.x.data() + off, chunk.sx + b, len * sizeof(double));
-    std::memcpy(s.y.data() + off, chunk.sy + b, len * sizeof(double));
-    std::memcpy(s.tag.data() + off, chunk.stype + b, len * sizeof(TypeId));
-    off += len;
+  if (s.acc_x.size() < m + kSimdWidth) {
+    s.acc_x.resize(m + kSimdWidth);
+    s.acc_y.resize(m + kSimdWidth);
+    s.slot.resize(m + kSimdWidth);
   }
+  std::size_t off = 0;
+  for (const auto& [b, e] : spans) {
+    copy_lanes(s.x.data() + off, chunk.sx + b, e - b);
+    copy_lanes(s.y.data() + off, chunk.sy + b, e - b);
+    copy_lanes(s.tag.data() + off, chunk.stype + b, e - b);
+    off += e - b;
+  }
+  copy_lanes(s.acc_x.data(), sum_x[0], own);
+  copy_lanes(s.acc_y.data(), sum_y[0], own);
+  copy_lanes(s.acc_x.data() + own, sum_x[1], m - own);
+  copy_lanes(s.acc_y.data() + own, sum_y[1], m - own);
   return m;
 }
 
 // The chunk loop shared by every dense_chunk variant: gather each cell's
-// block once, then run the row kernel for each of the cell's particles.
+// half shell and the candidates' running sums once, run each of the cell's
+// particles over the block suffix after it, and write the sums back.
 // Double-Gaussian rows are first compacted by `filter` to their live
 // survivors, written just past the block, so the law's two exps run on
-// packed lanes; spring rows take the masked block directly (their cheap law
-// loses more to the compaction than to dead lanes). `RowKernel` is a functor
-// type whose operator() is force-inlined, so the whole loop (row math
-// included) code-generates inside the ISA wrapper it is instantiated in;
-// `filter` is a constant per wrapper, so its call is direct.
-template <typename RowKernel>
+// packed lanes; spring rows take the masked suffix directly (their cheap
+// law loses more to the compaction than to dead lanes). `Rows` is a
+// functor type whose members are force-inlined, so the whole loop (row
+// math included) code-generates inside the ISA wrapper it is instantiated
+// in; `filter` is a constant per wrapper, so its call is direct.
+template <typename Rows>
 __attribute__((always_inline)) inline void dense_chunk_loop(
-    const PairScalingTable& table, const DenseChunk& chunk,
-    const RowKernel& row_kernel, std::size_t (*filter)(const FilterRow&)) {
+    const PairScalingTable& table, const DenseChunk& chunk, const Rows& rows,
+    std::size_t (*filter)(const FilterRow&)) {
   geom::GatherScratch& s = *chunk.scratch;
   const bool compact = table.kind() == ForceLawKind::kDoubleGaussian;
+  const std::uint32_t own_begin = chunk.starts[chunk.cell_begin];
+  const std::uint32_t own_end = chunk.starts[chunk.cell_end];
   for (std::size_t c = chunk.cell_begin; c < chunk.cell_end; ++c) {
-    const std::size_t m = gather_cell_block(chunk, c, compact, s);
-    for (std::uint32_t k = chunk.starts[c]; k < chunk.starts[c + 1]; ++k) {
-      DenseRow row{chunk.sx[k], chunk.sy[k],  chunk.stype[k],
-                   s.x.data(),  s.y.data(),   s.tag.data(),
-                   m,           chunk.cutoff_sq};
+    const std::array<geom::CellGrid::Span, 2> spans =
+        chunk.grid->half_shell_spans(c);
+    // The right-hand column's sums: the stripe's own, or, for the last
+    // column's right-hand neighbours (the next stripe's), the halo's. An
+    // empty span copies nothing.
+    const auto right_sums = [&](double* acc, double* halo) {
+      const std::uint32_t right = spans[1].first;
+      if (right == spans[1].second) return acc;
+      return right >= own_end ? halo + (right - own_end)
+                              : acc + (right - own_begin);
+    };
+    const std::uint32_t own_at = spans[0].first - own_begin;
+    const std::array<double*, 2> sum_x{chunk.acc_x + own_at,
+                                       right_sums(chunk.acc_x, chunk.halo_x)};
+    const std::array<double*, 2> sum_y{chunk.acc_y + own_at,
+                                       right_sums(chunk.acc_y, chunk.halo_y)};
+    const std::size_t m =
+        gather_cell_block(chunk, spans, sum_x, sum_y, compact, s);
+    const std::size_t rows_in_cell = chunk.starts[c + 1] - chunk.starts[c];
+    for (std::size_t q = 0; q < rows_in_cell; ++q) {
+      DenseRow row{s.x[q],
+                   s.y[q],
+                   s.tag[q],
+                   s.x.data() + q + 1,
+                   s.y.data() + q + 1,
+                   s.tag.data() + q + 1,
+                   m - q - 1,
+                   chunk.cutoff_sq};
+      RowScatter out{s.acc_x.data() + q + 1, s.acc_y.data() + q + 1, nullptr};
+      Vec2 sum;
       if (compact) {
         const FilterRow survivors{row.xi,          row.yi,
-                                  s.x.data(),      s.y.data(),
-                                  s.tag.data(),    m,
+                                  row.cand_x,      row.cand_y,
+                                  row.cand_type,   row.count,
                                   chunk.cutoff_sq, s.x.data() + m,
-                                  s.y.data() + m,  s.tag.data() + m};
+                                  s.y.data() + m,  s.tag.data() + m,
+                                  s.slot.data()};
         row.count = filter(survivors);
         row.cand_x = survivors.out_x;
         row.cand_y = survivors.out_y;
         row.cand_type = survivors.out_type;
+        out.slot = survivors.out_slot;
+        sum = rows.compacted(table, row, out);
+      } else {
+        sum = rows.masked(table, row, out);
       }
-      chunk.out[chunk.order[k]] = row_kernel(table, row);
+      s.acc_x[q] += sum.x;
+      s.acc_y[q] += sum.y;
     }
+    const std::size_t own_len = spans[0].second - spans[0].first;
+    copy_lanes(sum_x[0], s.acc_x.data(), own_len);
+    copy_lanes(sum_y[0], s.acc_y.data(), own_len);
+    copy_lanes(sum_x[1], s.acc_x.data() + own_len, m - own_len);
+    copy_lanes(sum_y[1], s.acc_y.data() + own_len, m - own_len);
   }
 }
 
-struct DenseScalarRow {
-  Vec2 operator()(const PairScalingTable& table, const DenseRow& row) const {
-    return dense_scalar(table, row);
+struct ScalarRows {
+  Vec2 masked(const PairScalingTable& table, const DenseRow& row,
+              const RowScatter& out) const {
+    return dense_scalar_row<Scatter::kContiguous>(table, row, out);
+  }
+  Vec2 compacted(const PairScalingTable& table, const DenseRow& row,
+                 const RowScatter& out) const {
+    return dense_scalar_row<Scatter::kSlots>(table, row, out);
   }
 };
 
 void dense_chunk_scalar(const PairScalingTable& table,
                         const DenseChunk& chunk) {
-  dense_chunk_loop(table, chunk, DenseScalarRow{}, filter_scalar);
+  dense_chunk_loop(table, chunk, ScalarRows{}, filter_scalar);
 }
 
 double drift_norm_scalar(const Vec2* drift, std::size_t n) {
@@ -217,8 +337,10 @@ Vec2 indexed_scalar(const PairScalingTable& table, const IndexedRow& row) {
       cy[l] = row.ys[j];
       entry[l] = base + row.types[j];
     }
+    double tx[kSimdWidth];
+    double ty[kSimdWidth];
     scalar_block(table, row.xi, row.yi, row.cutoff_sq, m, cx, cy, entry, accx,
-                 accy);
+                 accy, tx, ty);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
@@ -263,7 +385,8 @@ __attribute__((always_inline)) inline v4d gather_lanes(
 template <ForceLawKind kKind>
 __attribute__((always_inline)) inline void vector_block(
     const PairScalingTable& table, v4d xiv, v4d yiv, v4d cutv, v4m tail,
-    v4d cxv, v4d cyv, const std::size_t* entry, v4d& accx, v4d& accy) {
+    v4d cxv, v4d cyv, const std::size_t* entry, v4d& accx, v4d& accy,
+    v4d& tx, v4d& ty) {
   const v4d ones = {1.0, 1.0, 1.0, 1.0};
   const v4d zeros = {0.0, 0.0, 0.0, 0.0};
   const v4d dxv = xiv - cxv;
@@ -284,13 +407,34 @@ __attribute__((always_inline)) inline void vector_block(
         gather_lanes(table.b_data(), entry), d2m);
   }
   const v4d wv = v4_select(live, -sv, zeros);
-  accx += dxv * wv;
-  accy += dyv * wv;
+  tx = dxv * wv;
+  ty = dyv * wv;
+  accx += tx;
+  accy += ty;
 }
 
-template <ForceLawKind kKind>
+// scatter_lanes on lanes. Contiguous rows store the whole block: the lanes
+// past the row's tail subtract ±0 from the sum lanes' slack.
+template <Scatter kScatter>
+__attribute__((always_inline)) inline void vector_scatter(
+    const RowScatter& out, std::size_t b, std::size_t m, v4d tx, v4d ty) {
+  if constexpr (kScatter != Scatter::kContiguous) {
+    scatter_lanes<kScatter>(out, b, m, tx, ty);
+  } else {
+    v4d gx;
+    v4d gy;
+    std::memcpy(&gx, out.acc_x + b, sizeof(gx));
+    std::memcpy(&gy, out.acc_y + b, sizeof(gy));
+    gx -= tx;
+    gy -= ty;
+    std::memcpy(out.acc_x + b, &gx, sizeof(gx));
+    std::memcpy(out.acc_y + b, &gy, sizeof(gy));
+  }
+}
+
+template <ForceLawKind kKind, Scatter kScatter>
 __attribute__((always_inline)) inline Vec2 dense_vector_law(
-    const PairScalingTable& table, const DenseRow& row) {
+    const PairScalingTable& table, const DenseRow& row, const RowScatter& out) {
   const std::size_t base = table.pair_base(row.type_i);
   const v4d xiv = {row.xi, row.xi, row.xi, row.xi};
   const v4d yiv = {row.yi, row.yi, row.yi, row.yi};
@@ -298,6 +442,8 @@ __attribute__((always_inline)) inline Vec2 dense_vector_law(
                     row.cutoff_sq};
   v4d accx = {0.0, 0.0, 0.0, 0.0};
   v4d accy = {0.0, 0.0, 0.0, 0.0};
+  v4d tx;
+  v4d ty;
   std::size_t entry[kSimdWidth];
   std::size_t b = 0;
   for (; b + kSimdWidth <= row.count; b += kSimdWidth) {
@@ -309,7 +455,8 @@ __attribute__((always_inline)) inline Vec2 dense_vector_law(
       entry[l] = base + row.cand_type[b + l];
     }
     vector_block<kKind>(table, xiv, yiv, cutv, kLaneMask[kSimdWidth], cxv,
-                        cyv, entry, accx, accy);
+                        cyv, entry, accx, accy, tx, ty);
+    vector_scatter<kScatter>(out, b, kSimdWidth, tx, ty);
   }
   if (b < row.count) {
     const std::size_t m = row.count - b;
@@ -322,7 +469,8 @@ __attribute__((always_inline)) inline Vec2 dense_vector_law(
       entry[l] = base + row.cand_type[c];
     }
     vector_block<kKind>(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry,
-                        accx, accy);
+                        accx, accy, tx, ty);
+    vector_scatter<kScatter>(out, b, m, tx, ty);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
@@ -350,8 +498,10 @@ __attribute__((always_inline)) inline Vec2 indexed_vector_law(
       cyv[l] = row.ys[j];
       entry[l] = base + row.types[j];
     }
+    v4d tx;
+    v4d ty;
     vector_block<kKind>(table, xiv, yiv, cutv, kLaneMask[m], cxv, cyv, entry,
-                        accx, accy);
+                        accx, accy, tx, ty);
   }
   return {((accx[0] + accx[1]) + accx[2]) + accx[3],
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
@@ -360,8 +510,10 @@ __attribute__((always_inline)) inline Vec2 indexed_vector_law(
 __attribute__((always_inline)) inline Vec2 dense_vector_body(
     const PairScalingTable& table, const DenseRow& row) {
   return table.kind() == ForceLawKind::kSpring
-             ? dense_vector_law<ForceLawKind::kSpring>(table, row)
-             : dense_vector_law<ForceLawKind::kDoubleGaussian>(table, row);
+             ? dense_vector_law<ForceLawKind::kSpring, Scatter::kNone>(
+                   table, row, {})
+             : dense_vector_law<ForceLawKind::kDoubleGaussian, Scatter::kNone>(
+                   table, row, {});
 }
 
 __attribute__((always_inline)) inline Vec2 indexed_vector_body(
@@ -371,13 +523,22 @@ __attribute__((always_inline)) inline Vec2 indexed_vector_body(
              : indexed_vector_law<ForceLawKind::kDoubleGaussian>(table, row);
 }
 
-// The force-inlined row functors for the chunk loops: inlining operator()
+// The force-inlined row functors for the chunk loops: inlining the members
 // (rather than a lambda, whose operator() would not force-inline) is what
 // guarantees the row math code-generates under the wrapper's target ISA.
-struct DenseVectorRow {
-  __attribute__((always_inline)) Vec2 operator()(const PairScalingTable& table,
-                                                 const DenseRow& row) const {
-    return dense_vector_body(table, row);
+// Masked rows are spring rows, compacted rows double-Gaussian ones.
+struct VectorRows {
+  __attribute__((always_inline)) Vec2 masked(const PairScalingTable& table,
+                                             const DenseRow& row,
+                                             const RowScatter& out) const {
+    return dense_vector_law<ForceLawKind::kSpring, Scatter::kContiguous>(
+        table, row, out);
+  }
+  __attribute__((always_inline)) Vec2 compacted(const PairScalingTable& table,
+                                                const DenseRow& row,
+                                                const RowScatter& out) const {
+    return dense_vector_law<ForceLawKind::kDoubleGaussian, Scatter::kSlots>(
+        table, row, out);
   }
 };
 
@@ -395,7 +556,7 @@ Vec2 indexed_vector_generic(const PairScalingTable& table,
 // bitwise contract to re-prove — only the AVX2 tier swaps in intrinsics.
 void dense_chunk_generic(const PairScalingTable& table,
                          const DenseChunk& chunk) {
-  dense_chunk_loop(table, chunk, DenseVectorRow{}, filter_scalar);
+  dense_chunk_loop(table, chunk, VectorRows{}, filter_scalar);
 }
 
 // Per-element norms in 4-lane batches, summed strictly in index order —
@@ -446,7 +607,7 @@ __attribute__((target("avx2"))) double drift_norm_avx2(const Vec2* drift,
 // Left-pack tables indexed by a 4-bit survivor mask. kCompressD[m] is a
 // permutevar8x32 control moving the set lanes' double halves (32-bit lanes
 // 2l, 2l+1) to the front; kCompressB[m] does the same for the four 32-bit
-// type tags via a byte shuffle. Slack lanes past the survivors hold lane 0
+// type tags and positions via a byte shuffle. Slack lanes past the survivors hold lane 0
 // — the store clobbers them, which is why FilterRow demands
 // count + kSimdWidth of output room.
 alignas(32) constexpr std::uint32_t kCompressD[16][8] = {
@@ -502,6 +663,8 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
     const __m256d cyv = _mm256_loadu_pd(row.ys + c);
     const __m128i tags =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(row.types + c));
+    const __m128i slots = _mm_add_epi32(
+        _mm_set1_epi32(static_cast<int>(c)), _mm_setr_epi32(0, 1, 2, 3));
     const __m256d dxv = _mm256_sub_pd(xiv, cxv);
     const __m256d dyv = _mm256_sub_pd(yiv, cyv);
     const __m256d d2v =
@@ -521,6 +684,8 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
         _mm_load_si128(reinterpret_cast<const __m128i*>(kCompressB[m]));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(row.out_type + kept),
                      _mm_shuffle_epi8(tags, ctrl));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(row.out_slot + kept),
+                     _mm_shuffle_epi8(slots, ctrl));
     kept += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
   }
   for (; c < row.count; ++c) kept = filter_one(row, c, kept);
@@ -532,7 +697,7 @@ __attribute__((target("avx2"))) std::size_t filter_avx2(const FilterRow& row) {
 // chunk loop cannot express.
 __attribute__((target("avx2"), flatten)) void dense_chunk_avx2(
     const PairScalingTable& table, const DenseChunk& chunk) {
-  dense_chunk_loop(table, chunk, DenseVectorRow{}, filter_avx2);
+  dense_chunk_loop(table, chunk, VectorRows{}, filter_avx2);
 }
 
 #endif  // SOPS_KERNEL_AVX2
@@ -542,22 +707,20 @@ __attribute__((target("avx2"), flatten)) void dense_chunk_avx2(
 }  // namespace
 
 const DriftKernels& scalar_drift_kernels() noexcept {
-  static const DriftKernels kScalar{dense_scalar, filter_scalar,
-                                    indexed_scalar, dense_chunk_scalar,
-                                    drift_norm_scalar};
+  static const DriftKernels kScalar{dense_scalar, indexed_scalar,
+                                    dense_chunk_scalar, drift_norm_scalar};
   return kScalar;
 }
 
 const DriftKernels& select_drift_kernels() noexcept {
 #if defined(SOPS_HAVE_VECTOR_EXT)
-  static const DriftKernels kGeneric{dense_vector_generic, filter_scalar,
+  static const DriftKernels kGeneric{dense_vector_generic,
                                      indexed_vector_generic,
                                      dense_chunk_generic, drift_norm_generic};
   if (!support::simd_enabled()) return scalar_drift_kernels();
 #if SOPS_KERNEL_AVX2
-  static const DriftKernels kAvx2{dense_vector_avx2, filter_avx2,
-                                  indexed_vector_avx2, dense_chunk_avx2,
-                                  drift_norm_avx2};
+  static const DriftKernels kAvx2{dense_vector_avx2, indexed_vector_avx2,
+                                  dense_chunk_avx2, drift_norm_avx2};
   if (support::cpu_dispatch_avx2()) return kAvx2;
 #endif
   return kGeneric;

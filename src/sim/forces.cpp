@@ -1,6 +1,7 @@
 #include "sim/forces.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "geom/cell_grid.hpp"
@@ -40,60 +41,83 @@ void accumulate_sharded(std::span<const std::uint32_t> bounds,
       });
 }
 
-// The cell-grid drift path: copy the configuration into bucket-ordered
-// lanes once (one sequential pass — the only scattered reads of the whole
-// accumulation), then hand each shard's cell range to the chunked kernel,
-// which bulk-copies every cell's 3×3 block from the grid's contiguous
-// column spans and runs the dense row kernel for each particle of the
-// cell (double-Gaussian rows on the block compacted to their survivors).
-// Every particle's block depends only on its own cell, so the result is
-// independent of the partition (width-invariant), and the kernel's lane
-// order makes it scalar/SIMD bitwise-stable.
+// The cell-grid drift path: each unordered pair once, over half shells in
+// fixed column stripes (sim/drift_kernel.hpp has the order). The grid
+// scattered its bucket-ordered coordinate lanes during the rebuild, so only
+// the type lane is gathered here (its semantics are ours). Runners claim
+// stripes dynamically; each stripe accumulates into its own running sums
+// and its halo, then writes its particles' drifts. Once every stripe has
+// run, each halo is added to the column it covers, in stripe order. No sum
+// depends on which runner took which stripe, so every executor width gives
+// the serial bits.
 void accumulate_cell_kernel(const ParticleSystem& system,
                             const PairScalingTable& table, double cutoff_radius,
                             std::vector<geom::Vec2>& out,
                             geom::CellGridBackend& backend,
                             support::Executor& executor) {
   const geom::CellGrid& grid = backend.grid();
-  const std::span<const std::uint32_t> bounds =
-      backend.shard_bounds(executor.width());
   const std::span<const std::uint32_t> entries = grid.bucket_entries();
   const std::span<const std::uint32_t> starts = grid.bucket_starts();
-  const double cutoff_sq = cutoff_radius * cutoff_radius;
   const DriftKernels& kernels = select_drift_kernels();
+  geom::CellGridBackend::DriftScratch& s = backend.drift_scratch();
+  grid.stripes(kDriftStripeColumns, s.stripes);
+  const std::span<const geom::CellGrid::Stripe> stripes = s.stripes;
 
-  // The grid scattered its bucket-ordered coordinate lanes during the
-  // rebuild; only the type lane is gathered here (its semantics are ours).
   const std::size_t n = system.size();
-  std::vector<std::uint32_t>& tags = backend.bucket_tags();
-  tags.resize(n);
-  for (std::size_t k = 0; k < n; ++k) tags[k] = system.types[entries[k]];
+  s.tags.resize(n);
+  for (std::size_t k = 0; k < n; ++k) s.tags[k] = system.types[entries[k]];
+  // Stripe k's halo holds the next stripe's first column; halos are packed
+  // in stripe order.
+  s.halo_at.resize(stripes.size() + 1);
+  s.halo_at[0] = 0;
+  for (std::size_t k = 0; k < stripes.size(); ++k) {
+    s.halo_at[k + 1] = s.halo_at[k] + starts[stripes[k].halo_end] -
+                       starts[stripes[k].cell_end];
+  }
+  s.halo_x.assign(s.halo_at.back(), 0.0);
+  s.halo_y.assign(s.halo_at.back(), 0.0);
 
-  backend.ensure_gather_shards(bounds.size() - 1);  // serial: before dispatch
-  support::parallel_for_shards(
-      executor, bounds,
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        // Shard cuts are CSR bucket boundaries, so `begin` opens a cell and
-        // `end` closes one; bucket starts are strictly increasing (cells
-        // are non-empty).
-        const std::size_t cell_begin =
-            static_cast<std::size_t>(
-                std::upper_bound(starts.begin(), starts.end(),
-                                 static_cast<std::uint32_t>(begin)) -
-                starts.begin()) -
-            1;
-        const std::size_t cell_end = static_cast<std::size_t>(
-            std::lower_bound(starts.begin(), starts.end(),
-                             static_cast<std::uint32_t>(end)) -
-            starts.begin());
-        const DenseChunk chunk{grid.bucket_x().data(), grid.bucket_y().data(),
-                               tags.data(),   entries.data(),
-                               starts.data(), &grid,
-                               cell_begin,    cell_end,
-                               &backend.gather_scratch(shard), out.data(),
-                               cutoff_sq};
-        kernels.dense_chunk(table, chunk);
-      });
+  const std::size_t tasks = std::min(executor.width(), stripes.size());
+  if (s.gather.size() < tasks) s.gather.resize(tasks);  // serial: before run
+  std::atomic<std::size_t> next_stripe{0};
+  auto run_stripes = [&](std::size_t task) {
+    geom::GatherScratch& g = s.gather[task];
+    for (std::size_t k = next_stripe.fetch_add(1, std::memory_order_relaxed);
+         k < stripes.size();
+         k = next_stripe.fetch_add(1, std::memory_order_relaxed)) {
+      const geom::CellGrid::Stripe stripe = stripes[k];
+      const std::uint32_t first = starts[stripe.cell_begin];
+      const std::uint32_t last = starts[stripe.cell_end];
+      g.stripe_x.assign(last - first, 0.0);
+      g.stripe_y.assign(last - first, 0.0);
+      const DenseChunk chunk{grid.bucket_x().data(),
+                             grid.bucket_y().data(),
+                             s.tags.data(),
+                             starts.data(),
+                             &grid,
+                             stripe.cell_begin,
+                             stripe.cell_end,
+                             g.stripe_x.data(),
+                             g.stripe_y.data(),
+                             s.halo_x.data() + s.halo_at[k],
+                             s.halo_y.data() + s.halo_at[k],
+                             &g,
+                             cutoff_radius * cutoff_radius};
+      kernels.dense_chunk(table, chunk);
+      for (std::uint32_t e = first; e < last; ++e) {
+        out[entries[e]] = {g.stripe_x[e - first], g.stripe_y[e - first]};
+      }
+    }
+  };
+  executor.run(tasks, run_stripes);
+  for (std::size_t k = 0; k < stripes.size(); ++k) {
+    const std::uint32_t first = starts[stripes[k].cell_end];
+    for (std::uint32_t e = first; e < starts[stripes[k].halo_end]; ++e) {
+      const std::size_t h = s.halo_at[k] + (e - first);
+      geom::Vec2& drift = out[entries[e]];
+      drift = {drift.x + s.halo_x[h], drift.y + s.halo_y[h]};
+    }
+  }
 }
 
 }  // namespace
@@ -160,17 +184,16 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
 
   const std::size_t n = system.size();
   // resize, not assign: every path below writes every out[i] exactly once
-  // (each particle belongs to exactly one cell/shard), so pre-zeroing n
+  // (each particle belongs to exactly one stripe/shard), so pre-zeroing n
   // Vec2s per step would be pure memory traffic.
   out.resize(n);
   const double cutoff_sq = cutoff_radius * cutoff_radius;
 
   // One fused kernel path per backend: candidates flow through the
-  // lane-structured drift kernels (sim/drift_kernel.hpp) — dense rows where
-  // coordinates already sit contiguously, indexed rows elsewhere. Every
-  // out[i] is a pure gather in a fixed per-particle order, so the sharded
-  // dispatch is bitwise-identical to the serial loop for any width, and the
-  // scalar/SIMD kernel selection never changes the bits.
+  // lane-structured drift kernels (sim/drift_kernel.hpp) — half-shell
+  // stripes on the cell grid, dense rows for all-pairs, indexed rows for
+  // Delaunay. Every sum has a fixed order, so any width gives the serial
+  // bits, and the scalar/SIMD kernel selection never changes them.
   geom::NeighborBackend::Variant& concrete = backend.get();
   if (auto* cell_backend = std::get_if<geom::CellGridBackend>(&concrete)) {
     accumulate_cell_kernel(system, table, cutoff_radius, out, *cell_backend,

@@ -129,11 +129,14 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
 /// matching NeighborMode path, with no per-step index construction and,
 /// given a caller-cached scaling table, no allocation of any kind.
 ///
-/// The particle loop is sharded over the backend's partition
-/// (`shard_bounds(executor.width())`), dispatched on `executor`'s
-/// persistent runners. Shards own disjoint particle ranges and every
-/// particle keeps its serial neighbor-enumeration order, so the result is
-/// bitwise-identical for any executor width and any partition.
+/// All-pairs and Delaunay shard the particle loop over the backend's
+/// partition (`shard_bounds(executor.width())`): shards own disjoint
+/// particle ranges and every particle keeps its serial neighbor-enumeration
+/// order. The cell grid computes each unordered pair once and adds the
+/// negated term to the partner, over fixed column stripes whose count never
+/// depends on the width (sim/drift_kernel.hpp). Either way the work is
+/// dispatched on `executor`'s persistent runners, and the result is
+/// bitwise-identical for any executor width.
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,

@@ -1,29 +1,26 @@
 // Intra-step parallelism: thread-invariance matrix and golden pins.
 //
-// The cell-sharded drift path must be bitwise-identical for any thread
-// count and any ParallelPolicy — sharding only redistributes which worker
-// computes which particle; every particle keeps its serial neighbor
-// enumeration order. These tests pin that contract at three levels: raw
-// drift sums, full fixed-seed trajectories, and whole recorded ensembles,
-// plus hex-literal golden values for the sharded path at n = 1024.
+// The intra-step drift path must be bitwise-identical for any thread count
+// and any ParallelPolicy — the dispatch only redistributes which worker
+// computes which shard or stripe; every sum keeps its fixed order. These
+// tests pin that contract at three levels: raw drift sums, full fixed-seed
+// trajectories, and whole recorded ensembles, plus hex-literal golden
+// values for the intra-step path at n = 1024 and n = 8192.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "geom/cell_grid.hpp"
 #include "geom/neighbor_backend.hpp"
-#include "geom/position_lanes.hpp"
+#include "half_shell_reference.hpp"
 #include "rng/samplers.hpp"
 #include "sim/drift_kernel.hpp"
 #include "sim/parallel_policy.hpp"
 #include "sim/simulation.hpp"
 #include "support/executor.hpp"
-#include "support/parallel_for.hpp"
 
 namespace {
 
@@ -158,85 +155,68 @@ TEST(IntraStepInvariance, DriftAfterPartitionedThrowIsBitwiseUnaffected) {
   });
 }
 
-TEST(IntraStepInvariance, WorkerStarvedPoolMatchesSerialOnManyShards) {
-  // More shards than pool workers: chunks queue and drain through the cap;
-  // the partition (not the worker count) fixes the bits.
-  const auto system = random_system(900, 21.0, 2, 77);
+TEST(IntraStepInvariance, WorkerStarvedPoolMatchesReferenceOnManyStripes) {
+  // More stripes than pool workers: stripes queue and drain through the
+  // cap; the fixed stripe partition (not the worker count) fixes the bits.
+  // The reference walks the half-shell order in plain scalar code without
+  // the grid, and every width must reproduce it.
+  const auto system = random_system(900, 40.0, 2, 77);
   const auto model = spring_model(2);
   const PairScalingTable table(model);
-  std::vector<Vec2> reference;
-  sops::geom::NeighborBackend serial_backend(kCellGrid);
-  accumulate_drift(system, table, 3.0, reference, serial_backend,
-                   sops::support::serial_executor());
+  const std::vector<Vec2> reference =
+      sops::testing::half_shell_reference(system, table, 3.0, false);
 
   sops::geom::CellGridBackend backend;
   backend.rebuild(system.lanes(), 3.0);
-  const auto bounds = backend.shard_bounds(64);  // many more than 2 workers
-  ASSERT_GT(bounds.size(), 3u);
-  // Same gather and kernel as the engine's fused cell-grid path: one block
-  // candidate gather per cell, then the runtime-selected dense kernel per
-  // bucket particle — each worker carries its own scratch, so the starved
-  // pool reproduces the engine's bits shard by shard.
-  const auto& grid = backend.grid();
-  const auto starts = grid.bucket_starts();
-  const auto order = grid.bucket_entries();
-  const auto& kernels = sops::sim::select_drift_kernels();
-  const double cutoff_sq = 3.0 * 3.0;
-  sops::support::TaskPool pool(2);
-  std::vector<Vec2> pooled(system.size());
-  sops::support::parallel_for_shards(
-      pool.executor(), bounds,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        sops::geom::GatherScratch s;
-        std::size_t c = static_cast<std::size_t>(
-                            std::upper_bound(starts.begin(), starts.end(),
-                                             static_cast<std::uint32_t>(begin)) -
-                            starts.begin()) -
-                        1;
-        for (; c + 1 < starts.size() && starts[c] < end; ++c) {
-          s.idx.clear();
-          grid.append_block_candidates(c, s.idx);
-          const std::size_t m = s.idx.size();
-          s.x.resize(m);
-          s.y.resize(m);
-          s.tag.resize(m);
-          for (std::size_t t = 0; t < m; ++t) s.x[t] = system.x[s.idx[t]];
-          for (std::size_t t = 0; t < m; ++t) s.y[t] = system.y[s.idx[t]];
-          for (std::size_t t = 0; t < m; ++t) s.tag[t] = system.types[s.idx[t]];
-          for (std::uint32_t k = starts[c]; k < starts[c + 1]; ++k) {
-            const std::size_t i = order[k];
-            const sops::sim::DenseRow row{
-                system.x[i],  system.y[i],  system.types[i], s.x.data(),
-                s.y.data(),   s.tag.data(), m,               cutoff_sq};
-            pooled[i] = kernels.dense(table, row);
-          }
-        }
-      });
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    ASSERT_EQ(reference[i], pooled[i]) << i;
+  std::vector<sops::geom::CellGrid::Stripe> stripes;
+  backend.grid().stripes(sops::sim::kDriftStripeColumns, stripes);
+  ASSERT_GT(stripes.size(), 4u);
+  for (const std::size_t width : {1u, 2u}) {
+    sops::support::TaskPool pool(width);
+    sops::geom::NeighborBackend pooled_backend(kCellGrid);
+    std::vector<Vec2> pooled;
+    accumulate_drift(system, table, 3.0, pooled, pooled_backend,
+                     pool.executor());
+    ASSERT_EQ(pooled.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(reference[i], pooled[i]) << "width " << width << " i " << i;
+    }
   }
 }
 
-TEST(IntraStepInvariance, ShardPartitionCoversEveryParticleOnce) {
+TEST(IntraStepInvariance, StripePartitionCoversEveryCellOnce) {
+  // Stripes tile the cells in id order; a halo is exactly the next
+  // stripe's first column, present only when that column is adjacent.
   const auto system = random_system(300, 11.0, 2, 5);
   sops::geom::CellGridBackend backend;
   backend.rebuild(system.lanes(), 3.0);
-  for (const std::size_t max_shards : {1u, 2u, 3u, 8u, 64u}) {
-    const auto bounds = backend.shard_bounds(max_shards);
-    const auto order = backend.grid().bucket_entries();
-    ASSERT_GE(bounds.size(), 2u);
-    ASSERT_LE(bounds.size(), max_shards + 1);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), system.size());
-    std::vector<int> seen(system.size(), 0);
-    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-      ASSERT_LE(bounds[k], bounds[k + 1]);
-      for (std::uint32_t p = bounds[k]; p < bounds[k + 1]; ++p) {
-        ++seen[order[p]];
+  const auto& grid = backend.grid();
+  const auto starts = grid.bucket_starts();
+  const auto order = grid.bucket_entries();
+  const auto column = [&](std::size_t cell) {
+    return std::floor(system.x[order[starts[cell]]] / 3.0);
+  };
+  std::vector<sops::geom::CellGrid::Stripe> stripes;
+  for (const std::size_t columns : {1u, 2u, 3u, 4u, 64u}) {
+    grid.stripes(columns, stripes);
+    ASSERT_FALSE(stripes.empty());
+    EXPECT_EQ(stripes.front().cell_begin, 0u);
+    EXPECT_EQ(stripes.back().cell_end, grid.cell_count());
+    for (std::size_t k = 0; k < stripes.size(); ++k) {
+      const auto& s = stripes[k];
+      ASSERT_LT(s.cell_begin, s.cell_end);
+      if (k > 0) {
+        EXPECT_EQ(s.cell_begin, stripes[k - 1].cell_end);
       }
-    }
-    for (std::size_t i = 0; i < system.size(); ++i) {
-      EXPECT_EQ(seen[i], 1) << "max_shards " << max_shards << " i " << i;
+      EXPECT_LE(column(s.cell_end - 1) - column(s.cell_begin),
+                static_cast<double>(columns) - 1.0);
+      if (s.halo_end == s.cell_end) continue;
+      ASSERT_LT(k + 1, stripes.size());
+      EXPECT_LE(s.halo_end, stripes[k + 1].cell_end);
+      EXPECT_EQ(column(s.cell_end), column(s.cell_end - 1) + 1.0);
+      for (std::size_t c = s.cell_end; c < s.halo_end; ++c) {
+        EXPECT_EQ(column(c), column(s.cell_end)) << c;
+      }
     }
   }
 }
@@ -395,12 +375,13 @@ TEST(ParallelPolicyResolution, AutoPicksTheExpectedAxis) {
 
 // ------------------------------------------------------- golden (bitwise)
 
-// Golden values for the sharded path at n = 1024, captured from the serial
-// engine (threads = 1): the sharded run must reproduce them bit for bit at
-// every tested thread count. Any change to neighbor enumeration order,
-// shard layout leaking into summation order, or RNG draw order lands here.
+// Golden values for the intra-step path at n = 1024, captured from the
+// serial engine (threads = 1): the pooled run must reproduce them bit for
+// bit at every tested thread count. Any change to the pair summation order,
+// the dispatch leaking into it, or RNG draw order lands here.
 // Both sharded pins were re-captured with the counter-based step noise
-// (rng/step_noise.hpp); their frame-0 residuals did not move.
+// (rng/step_noise.hpp); their frame-0 residuals did not move. Both moved
+// again when the cell grid's drift began computing each pair once.
 
 SimulationConfig golden_sharded_config() {
   SimulationConfig config(spring_model(3));
@@ -417,7 +398,7 @@ SimulationConfig golden_sharded_config() {
 TEST(GoldenSharded, N1024BitwiseStableAcrossThreadCounts) {
   const std::vector<double> residuals{
       0x1.1f20db8c0a9e9p+10,
-      0x1.36f287789ca3ep+9,
+      0x1.36f287789ca3dp+9,
   };
   const Vec2 expected_p0{0x1.1f7a02b6730cfp+5, -0x1.7d673307eb8ap+3};
   const Vec2 expected_p511{0x1.8f5e6469cac77p+3, -0x1.e02e71f8061b6p+3};
@@ -460,12 +441,12 @@ SimulationConfig golden_double_gaussian_config() {
 
 TEST(GoldenSharded, N8192DoubleGaussianBitwiseStableAcrossWidths) {
   const std::vector<double> residuals{
-      0x1.655113ece5069p+13, 0x1.afe349ec8e7c6p+12, 0x1.d091fef159eecp+12,
-      0x1.e93e8033ad5c7p+12, 0x1.001ebbe9bea89p+13,
+      0x1.655113ece506ap+13, 0x1.afe349ec8e7c4p+12, 0x1.d091fef159eeap+12,
+      0x1.e93e8033ad5cdp+12, 0x1.001ebbe9bea8bp+13,
   };
-  const Vec2 expected_p0{0x1.04c07a68b9217p+3, 0x1.caceefcc2aaddp+3};
+  const Vec2 expected_p0{0x1.04c07a68b9218p+3, 0x1.caceefcc2aaep+3};
   const Vec2 expected_p4095{-0x1.0bb69a929832ep+5, -0x1.b3642ed2bd7ap+5};
-  const Vec2 expected_p8191{-0x1.54486751e4d82p+3, -0x1.9d552df022afbp+4};
+  const Vec2 expected_p8191{-0x1.54486751e4d82p+3, -0x1.9d552df022afcp+4};
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     SimulationConfig config = golden_double_gaussian_config();

@@ -10,19 +10,21 @@
 //     path bitwise (same pairs, same enumeration order);
 //  3. the Delaunay backend's radius-pruned adjacency matches a direct
 //     tessellation + pruning reference to 1e-12;
-//  4. the cell-sharded intra-step path is bitwise-equal to the serial loop
-//     for every backend kind.
+//  4. the intra-step path (shards, or the cell grid's stripes) is
+//     bitwise-equal to the serial loop for every backend kind.
 //
 // This replaces the previous hand-picked parity cases: random geometry
 // exercises hash-grid cell boundaries, duplicate-distance ties, and sparse/
 // dense occupancy mixes that fixed fixtures never reach.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "geom/delaunay.hpp"
 #include "geom/neighbor_backend.hpp"
+#include "half_shell_reference.hpp"
 #include "rng/samplers.hpp"
 #include "sim/drift_kernel.hpp"
 #include "sim/forces.hpp"
@@ -200,6 +202,8 @@ void expect_scalar_simd_bitwise(const ParticleSystem& system,
   }
 }
 
+constexpr auto kCellGrid = sops::geom::NeighborBackendKind::kCellGrid;
+
 constexpr sops::geom::NeighborBackendKind kAllBackendKinds[] = {
     sops::geom::NeighborBackendKind::kAllPairs,
     sops::geom::NeighborBackendKind::kCellGrid,
@@ -300,76 +304,55 @@ TEST(SimdParity, SpringNearZeroSeparationBitwise) {
   }
 }
 
-TEST(SimdParity, PackedVsIndexedRowKernels) {
-  // The dense kernel on filtered (compact-first) lanes and the indexed
-  // (masked) kernel are two summation orders of the same row. The row is
-  // gathered into contiguous lanes first, as the cell grid's block gather
-  // does, and the filter compacts those lanes. Two claims, per SIMD policy:
-  //  - all-kept rows (cut-off beyond every candidate, no coincidences) have
-  //    identical lane grouping, so the results are bitwise-equal;
-  //  - filtered rows only regroup survivors into earlier lanes, so the
-  //    results agree to 1e-12 but not necessarily bitwise.
-  // The filter's survivor selection is exact-comparison arithmetic, so the
-  // kept count must match the masked kernel's live lanes for every ISA.
+TEST(SimdParity, CompactedChunkRowsMatchMaskedRows) {
+  // The cell-grid chunk kernel compacts each double-Gaussian row to its
+  // live survivors before the law; the masked half-shell walk of
+  // half_shell_reference.hpp is the other summation order of the same rows.
+  // Three claims, per SIMD policy, through the chunk kernel:
+  //  - compacted rows reproduce the compacting reference bitwise;
+  //  - they agree with the masked walk to 1e-12 (compaction only regroups
+  //    survivors into earlier lanes);
+  //  - where every candidate survives (a cluster inside one cell, no
+  //    coincidences) the lane grouping is identical, so they are bitwise
+  //    equal to the masked walk — the filter keeps exactly the live lanes.
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const FuzzCase fuzz = draw_case(c);
+    if (fuzz.model.kind() != ForceLawKind::kDoubleGaussian) continue;
     const PairScalingTable table(fuzz.model);
-    const ParticleSystem& system = fuzz.system;
-    const std::size_t n = system.size();
-    std::vector<double> gx;
-    std::vector<double> gy;
-    std::vector<sops::sim::TypeId> gt;
-    std::vector<double> fx(n + 8);
-    std::vector<double> fy(n + 8);
-    std::vector<sops::sim::TypeId> ft(n + 8);
+    sops::rng::Xoshiro256 engine(0xC0DE + c);
+    std::vector<Vec2> cluster;
+    const std::size_t cluster_size =
+        std::min<std::size_t>(3 + engine() % 40, fuzz.system.size());
+    for (std::size_t i = 0; i < cluster_size; ++i) {
+      // Inside cell (2, 1) and within r_c of each other.
+      cluster.push_back({fuzz.cutoff * sops::rng::uniform(engine, 2.15, 2.85),
+                         fuzz.cutoff * sops::rng::uniform(engine, 1.15, 1.85)});
+    }
+    const ParticleSystem all_kept(
+        cluster,
+        std::vector<sops::sim::TypeId>(fuzz.system.types.begin(),
+                                       fuzz.system.types.begin() +
+                                           static_cast<long>(cluster_size)));
+    const auto compacted = sops::testing::half_shell_reference(
+        fuzz.system, table, fuzz.cutoff, true);
+    const auto masked = sops::testing::half_shell_reference(
+        fuzz.system, table, fuzz.cutoff, false);
+    const auto masked_kept = sops::testing::half_shell_reference(
+        all_kept, table, fuzz.cutoff, false);
     for (const auto policy : {sops::support::SimdPolicy::kScalar,
                               sops::support::SimdPolicy::kSimd}) {
-      const SimdPolicyGuard guard(policy);
-      const sops::sim::DriftKernels& kernels = sops::sim::select_drift_kernels();
-      for (std::size_t i = 0; i < n; ++i) {
-        // Candidate row: everyone but i (self would hit the d² == 0 mask
-        // and is not in any backend's row either).
-        std::vector<std::uint32_t> row_idx;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j != i && sops::geom::dist_sq(system.position(i),
-                                            system.position(j)) > 0.0) {
-            row_idx.push_back(static_cast<std::uint32_t>(j));
-          }
-        }
-        gx.clear();
-        gy.clear();
-        gt.clear();
-        for (const std::uint32_t j : row_idx) {
-          gx.push_back(system.x[j]);
-          gy.push_back(system.y[j]);
-          gt.push_back(system.types[j]);
-        }
-        for (const double cutoff_sq :
-             {fuzz.cutoff * fuzz.cutoff, 1e12 /* all kept */}) {
-          const sops::sim::IndexedRow ir{
-              system.x[i],        system.y[i],         system.types[i],
-              system.x.data(),    system.y.data(),     system.types.data(),
-              row_idx.data(),     row_idx.size(),      cutoff_sq};
-          const Vec2 via_indexed = kernels.indexed(table, ir);
-          const sops::sim::FilterRow fr{
-              system.x[i], system.y[i], gx.data(), gy.data(), gt.data(),
-              gx.size(),   cutoff_sq,   fx.data(), fy.data(), ft.data()};
-          const std::size_t kept = kernels.filter(fr);
-          const sops::sim::DenseRow pr{system.x[i], system.y[i],
-                                       system.types[i], fx.data(), fy.data(),
-                                       ft.data(),       kept,      cutoff_sq};
-          const Vec2 via_packed = kernels.dense(table, pr);
-          if (cutoff_sq == 1e12) {
-            ASSERT_EQ(kept, row_idx.size()) << "case " << c << " i " << i;
-            ASSERT_EQ(via_packed, via_indexed)
-                << "all-kept case " << c << " i " << i;
-          } else {
-            ASSERT_NEAR(via_packed.x, via_indexed.x, 1e-12)
-                << "case " << c << " i " << i;
-            ASSERT_NEAR(via_packed.y, via_indexed.y, 1e-12)
-                << "case " << c << " i " << i;
-          }
-        }
+      const auto drift = drift_under_policy(policy, fuzz.system, table,
+                                            fuzz.cutoff, kCellGrid);
+      for (std::size_t i = 0; i < drift.size(); ++i) {
+        ASSERT_EQ(drift[i], compacted[i]) << "case " << c << " i " << i;
+        ASSERT_NEAR(drift[i].x, masked[i].x, 1e-12) << "case " << c;
+        ASSERT_NEAR(drift[i].y, masked[i].y, 1e-12) << "case " << c;
+      }
+      const auto kept = drift_under_policy(policy, all_kept, table,
+                                           fuzz.cutoff, kCellGrid);
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        ASSERT_EQ(kept[i], masked_kept[i]) << "all-kept case " << c << " i "
+                                           << i;
       }
     }
   }

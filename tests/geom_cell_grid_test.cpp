@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -250,16 +251,21 @@ void expect_same_grid(CellGrid& wide, CellGrid& serial, std::size_t width) {
   EXPECT_EQ(as_vec(wide.bucket_x()), as_vec(serial.bucket_x()));
   EXPECT_EQ(as_vec(wide.bucket_y()), as_vec(serial.bucket_y()));
   for (std::size_t c = 0; c < serial.cell_count(); ++c) {
-    std::array<std::pair<std::uint32_t, std::uint32_t>, 3> a{};
-    std::array<std::pair<std::uint32_t, std::uint32_t>, 3> b{};
-    const std::size_t na = wide.block_spans(c, a);
-    ASSERT_EQ(na, serial.block_spans(c, b)) << "cell " << c;
-    for (std::size_t s = 0; s < na; ++s) EXPECT_EQ(a[s], b[s]) << "cell " << c;
+    EXPECT_EQ(wide.half_shell_spans(c), serial.half_shell_spans(c))
+        << "cell " << c;
   }
-  for (std::size_t shards = 1; shards <= 8; ++shards) {
-    EXPECT_EQ(as_vec(wide.shard_bounds(shards)),
-              as_vec(serial.shard_bounds(shards)))
-        << "width " << width << " shards " << shards;
+  const auto fields = [](const CellGrid& grid, std::size_t columns) {
+    std::vector<CellGrid::Stripe> stripes;
+    grid.stripes(columns, stripes);
+    std::vector<std::array<std::uint32_t, 3>> out;
+    for (const auto& s : stripes) {
+      out.push_back({s.cell_begin, s.cell_end, s.halo_end});
+    }
+    return out;
+  };
+  for (std::size_t columns = 1; columns <= 8; ++columns) {
+    EXPECT_EQ(fields(wide, columns), fields(serial, columns))
+        << "width " << width << " columns " << columns;
   }
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(wide.neighbors_of(i, 1.5), serial.neighbors_of(i, 1.5))
@@ -306,6 +312,52 @@ TEST(CellGridShardedRebuild, EveryWidthMatchesTheSerialBuild) {
       wide.rebuild(sops::geom::PositionLanes{xs, ys}, 1.5, pool.executor());
       expect_same_grid(wide, serial, width);
     }
+  }
+}
+
+TEST(CellGridHalfShell, EveryNeighborPairExactlyOnce) {
+  // Each point of a cell pairs with the entries after it in the cell's
+  // first span and with all of its second: across all cells that must
+  // enumerate every pair of points in neighboring cells exactly once —
+  // on every parity cloud, the sparse-box clusters included.
+  for (const auto& cloud : parity_clouds()) {
+    const CellGrid grid(cloud, 1.5);
+    const auto starts = grid.bucket_starts();
+    const auto entries = grid.bucket_entries();
+    std::map<std::pair<std::uint32_t, std::uint32_t>, int> seen;
+    for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+      const auto spans = grid.half_shell_spans(c);
+      ASSERT_EQ(spans[0].first, starts[c]);
+      ASSERT_GE(spans[0].second, starts[c + 1]);
+      for (std::uint32_t k = starts[c]; k < starts[c + 1]; ++k) {
+        const auto visit = [&](std::uint32_t e) {
+          const std::uint32_t i = entries[k];
+          const std::uint32_t j = entries[e];
+          ++seen[{std::min(i, j), std::max(i, j)}];
+        };
+        for (std::uint32_t e = k + 1; e < spans[0].second; ++e) visit(e);
+        for (std::uint32_t e = spans[1].first; e < spans[1].second; ++e) {
+          visit(e);
+        }
+      }
+    }
+    const auto key = [&](std::uint32_t i) {
+      return std::pair{std::floor(cloud[i].x / 1.5),
+                       std::floor(cloud[i].y / 1.5)};
+    };
+    std::size_t neighbors = 0;
+    for (std::uint32_t i = 0; i < cloud.size(); ++i) {
+      for (std::uint32_t j = i + 1; j < cloud.size(); ++j) {
+        const auto [xi, yi] = key(i);
+        const auto [xj, yj] = key(j);
+        if (std::abs(xi - xj) > 1.0 || std::abs(yi - yj) > 1.0) continue;
+        ++neighbors;
+        const auto it = seen.find({i, j});
+        ASSERT_TRUE(it != seen.end()) << i << " " << j;
+        EXPECT_EQ(it->second, 1) << i << " " << j;
+      }
+    }
+    EXPECT_EQ(seen.size(), neighbors);
   }
 }
 

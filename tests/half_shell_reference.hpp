@@ -1,0 +1,120 @@
+// A plain scalar reference for the cell-grid drift's summation order
+// (sim/drift_kernel.hpp), built without geom::CellGrid: particles are
+// binned by floor(z / r_c) into an ordered map, so cells come out
+// column-major with ascending particle index inside each cell.
+//
+// The walk, for each stripe of kDriftStripeColumns columns and each cell
+// in it: the candidate block is the cell, the cell above, and the right-hand
+// column's three cells; the cell's q-th particle runs over the block after
+// itself in 4-lane blocks (double-Gaussian rows compacted to their live
+// survivors first, or never when `compact` is false), adds each lane term
+// to its lane partial and subtracts it from the candidate's running sum,
+// then adds ((l0+l1)+l2)+l3 to its own. A candidate in the next stripe
+// takes the term in its halo sum instead; the drift is own + halo.
+#pragma once
+
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "sim/drift_kernel.hpp"
+#include "sim/force_law.hpp"
+#include "sim/forces.hpp"
+#include "sim/particle_system.hpp"
+
+namespace sops::testing {
+
+inline std::vector<geom::Vec2> half_shell_reference(
+    const sim::ParticleSystem& system, const sim::PairScalingTable& table,
+    double cutoff, bool compact) {
+  constexpr std::size_t kLanes = 4;
+  using Key = std::pair<std::int64_t, std::int64_t>;
+  std::map<Key, std::vector<std::size_t>> cells;
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    cells[{static_cast<std::int64_t>(std::floor(system.x[i] / cutoff)),
+           static_cast<std::int64_t>(std::floor(system.y[i] / cutoff))}]
+        .push_back(i);
+  }
+  const std::size_t n = system.size();
+  std::vector<geom::Vec2> own(n);
+  std::vector<geom::Vec2> halo(n);
+  if (cells.empty()) return own;
+  const std::int64_t x0 = cells.begin()->first.first;
+  const auto stripe_of = [&](std::int64_t x) {
+    return (x - x0) / static_cast<std::int64_t>(sim::kDriftStripeColumns);
+  };
+  const auto members = [&](std::int64_t x, std::int64_t y) {
+    const auto it = cells.find({x, y});
+    return it == cells.end() ? std::vector<std::size_t>{} : it->second;
+  };
+  const double cutoff_sq = cutoff * cutoff;
+  // The lane term of candidate j for row particle i; a dead lane (a pad,
+  // out of range, or coincident) weighs its Δz by 0.
+  const auto term = [&](std::size_t i, std::size_t j, bool pad, bool& live) {
+    const double dx = system.x[i] - system.x[j];
+    const double dy = system.y[i] - system.y[j];
+    const double d2 = dx * dx + dy * dy;
+    live = !pad && d2 < cutoff_sq && d2 != 0.0;
+    if (!live) return geom::Vec2{dx * 0.0, dy * 0.0};
+    const std::size_t e = table.pair_base(system.types[i]) + system.types[j];
+    const double w = -sim::force_scaling_of<double, std::uint64_t>(
+        table.kind(), table.k_data()[e], table.r_data()[e], table.c_data()[e],
+        table.a_data()[e], table.b_data()[e], d2);
+    return geom::Vec2{dx * w, dy * w};
+  };
+
+  for (const auto& [key, cell] : cells) {
+    const auto [x, y] = key;
+    std::vector<std::size_t> block = cell;
+    std::vector<std::size_t> right;
+    for (const std::size_t j : members(x, y + 1)) block.push_back(j);
+    for (std::int64_t dy = -1; dy <= 1; ++dy) {
+      for (const std::size_t j : members(x + 1, y + dy)) right.push_back(j);
+    }
+    const std::size_t in_stripe = block.size();
+    block.insert(block.end(), right.begin(), right.end());
+    const bool right_is_halo = stripe_of(x + 1) != stripe_of(x);
+    for (std::size_t q = 0; q < cell.size(); ++q) {
+      const std::size_t i = cell[q];
+      std::vector<std::size_t> row;  // block positions of the row's lanes
+      for (std::size_t c = q + 1; c < block.size(); ++c) {
+        bool live = false;
+        (void)term(i, block[c], false, live);
+        if (live || !compact) row.push_back(c);
+      }
+      double lx[kLanes] = {};
+      double ly[kLanes] = {};
+      for (std::size_t b = 0; b < row.size(); b += kLanes) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          // Pad lanes repeat the last candidate and come out dead.
+          const bool pad = b + l >= row.size();
+          const std::size_t c = row[pad ? row.size() - 1 : b + l];
+          bool live = false;
+          const geom::Vec2 t = term(i, block[c], pad, live);
+          lx[l] += t.x;
+          ly[l] += t.y;
+          if (pad) continue;
+          geom::Vec2& sum =
+              c >= in_stripe && right_is_halo ? halo[block[c]] : own[block[c]];
+          sum.x -= t.x;
+          sum.y -= t.y;
+        }
+      }
+      own[i].x += ((lx[0] + lx[1]) + lx[2]) + lx[3];
+      own[i].y += ((ly[0] + ly[1]) + ly[2]) + ly[3];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t x =
+        static_cast<std::int64_t>(std::floor(system.x[i] / cutoff));
+    // Only a stripe's first column is ever owed a halo.
+    if (x != x0 && stripe_of(x - 1) != stripe_of(x)) {
+      own[i] = {own[i].x + halo[i].x, own[i].y + halo[i].y};
+    }
+  }
+  return own;
+}
+
+}  // namespace sops::testing

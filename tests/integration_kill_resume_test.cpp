@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -23,7 +24,9 @@
 
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
+#include "core/shard.hpp"
 #include "io/shard_manifest.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -147,6 +150,63 @@ TEST(KillResume, SigkilledShardResumesBitwiseIdentical) {
 
   std::filesystem::remove(path);
   std::filesystem::remove(manifest_path);
+}
+
+// A cell-grid shard recorded before the grid's drift computed each pair
+// once carries the config hash of that summation order. Rewriting a fresh
+// shard's manifest with that parent-era hash (pinned literally: this
+// platform's FNV-1a over native bytes) must make resume and merge refuse
+// it by name, not mix two summation orders in one ensemble.
+TEST(KillResume, ParentEraCellGridShardIsRefused) {
+  const auto experiment = [](const std::string& path, std::size_t index,
+                             bool resume) {
+    sops::sim::SimulationConfig simulation =
+        sops::core::presets::fig4_three_type_collective();
+    simulation.types = sops::sim::evenly_distributed_types(96, 3);
+    simulation.steps = 12;
+    simulation.record_stride = 4;
+    ExperimentConfig config(simulation);
+    config.samples = 4;
+    config.shard.path = path;
+    config.shard.index = index;
+    config.shard.count = 2;
+    config.shard.resume = resume;
+    return config;
+  };
+  constexpr std::uint64_t kParentEraHash = 0x7dbe35955de1c65cull;
+  const auto temp = std::filesystem::path(::testing::TempDir());
+  const std::string current = (temp / "era_current.shard").string();
+  const std::string parent = (temp / "era_parent.shard").string();
+  const std::string merged = (temp / "era_merged.shard").string();
+  for (const std::string& path : {current, parent, merged}) {
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".manifest");
+  }
+  (void)run_experiment(experiment(current, 0, false));
+  (void)run_experiment(experiment(parent, 1, false));
+  ShardManifest era = ShardManifestFile::load(parent + ".manifest");
+  ASSERT_NE(era.config_hash, kParentEraHash);
+  era.config_hash = kParentEraHash;
+  (void)ShardManifestFile::create(parent + ".manifest", era);
+
+  try {
+    (void)run_experiment(experiment(parent, 1, true));
+    ADD_FAILURE() << "a parent-era cell-grid shard resumed";
+  } catch (const sops::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("has config hash"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)sops::core::merge_shards({current, parent}, merged);
+    ADD_FAILURE() << "a parent-era cell-grid shard merged";
+  } catch (const sops::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("config hash"), std::string::npos)
+        << e.what();
+  }
+  for (const std::string& path : {current, parent, merged}) {
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".manifest");
+  }
 }
 
 }  // namespace
