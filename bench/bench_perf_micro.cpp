@@ -132,33 +132,20 @@ void BM_DriftAllPairs(benchmark::State& state) {
   const auto system = random_system(n, std::sqrt(static_cast<double>(n)) * 1.5,
                                     3, 42);
   const auto model = default_model(3);
+  const sim::PairScalingTable table(model);  // cached per run, as the engine does
   std::vector<geom::Vec2> drift;
+  geom::NeighborBackend backend(geom::NeighborBackendKind::kAllPairs);
   for (auto _ : state) {
-    sim::accumulate_drift(system, model, 3.0, drift,
-                          sim::NeighborMode::kAllPairs);
+    sim::accumulate_drift(system, table, 3.0, drift, backend,
+                          support::serial_executor());
     benchmark::DoNotOptimize(drift.data());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_DriftAllPairs)->Range(32, 2048)->Complexity(benchmark::oNSquared);
 
-void BM_DriftCellGrid(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto system = random_system(n, std::sqrt(static_cast<double>(n)) * 1.5,
-                                    3, 42);
-  const auto model = default_model(3);
-  std::vector<geom::Vec2> drift;
-  for (auto _ : state) {
-    sim::accumulate_drift(system, model, 3.0, drift,
-                          sim::NeighborMode::kCellGrid);
-    benchmark::DoNotOptimize(drift.data());
-  }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_DriftCellGrid)->Range(32, 2048)->Complexity(benchmark::oN);
-
 void BM_DriftCellGridPersistent(benchmark::State& state) {
-  // Same work through the persistent backend: retained flat table + CSR.
+  // The cell-grid drift through a persistent backend: retained grid buckets.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto system = random_system(n, std::sqrt(static_cast<double>(n)) * 1.5,
                                     3, 42);

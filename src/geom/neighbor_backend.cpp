@@ -1,29 +1,11 @@
 #include "geom/neighbor_backend.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "geom/delaunay.hpp"
 #include "support/error.hpp"
 
 namespace sops::geom {
-
-std::span<const std::uint32_t> equal_shard_bounds(
-    std::size_t n, std::size_t max_shards,
-    std::vector<std::uint32_t>& scratch) {
-  const auto n32 = static_cast<std::uint32_t>(n);
-  const auto shards =
-      static_cast<std::uint32_t>(std::min<std::size_t>(std::max<std::size_t>(
-                                     max_shards, 1),
-                                 std::max<std::uint32_t>(n32, 1)));
-  scratch.clear();
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    scratch.push_back(static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(n32) * s) / shards));
-  }
-  scratch.push_back(n32);
-  return scratch;
-}
 
 // ------------------------------------------------------------- all-pairs
 

@@ -18,7 +18,7 @@
 //
 // The set of backends is closed: `NeighborBackend` holds exactly one of the
 // three concrete backends in a std::variant, and the drift path picks each
-// backend's fused kernel with std::get_if; there is no base class.
+// backend's fused kernel by variant alternative; there is no base class.
 #pragma once
 
 #include <cstdint>
@@ -41,26 +41,15 @@ enum class NeighborBackendKind {
   kDelaunay,  ///< direct tessellation neighbors, pruned by r_c
 };
 
-/// Equal contiguous split of [0, n) into at most `max_shards` ranges
-/// (at least one): ascending boundaries, first 0, last n, written into
-/// `scratch`. Per-particle drift sums are gathers, so any split is
-/// bitwise-safe; equal ranges suit backends without occupancy information.
-[[nodiscard]] std::span<const std::uint32_t> equal_shard_bounds(
-    std::size_t n, std::size_t max_shards, std::vector<std::uint32_t>& scratch);
-
 // Every backend offers the same surface: `rebuild(lanes, radius, executor)`
 // once per step (the lane storage must stay valid until the next rebuild;
 // capacity is retained), then `neighbors(i)` — the indices j ≠ i with
 // ‖p_j − p_i‖ < radius in the backend's enumeration order, valid until the
 // next neighbors() or rebuild() call (it may alias internal scratch) — and
-// `size()`, the point count of the current build. The all-pairs and
-// Delaunay backends add `shard_bounds(max_shards)`, their intra-step
-// partition: ascending boundaries (first 0, last size()) of at most
-// `max_shards` contiguous ranges; shards are disjoint particle sets and each
-// particle's enumeration is independent of the partition, so sharded drift
-// sums equal the serial loop bitwise for any shard count (the span aliases
-// backend scratch, valid until the next shard_bounds() or rebuild). The
-// cell grid's drift partitions by fixed column stripes instead
+// `size()`, the point count of the current build. Backends carry no
+// partition of their own: the all-pairs and Delaunay drift split particle
+// ids equally over the executor (each row's enumeration is independent of
+// the split), and the cell grid's drift partitions by fixed column stripes
 // (CellGrid::stripes).
 // Backends are not thread-safe; use one per worker.
 
@@ -71,16 +60,11 @@ class AllPairsBackend {
                support::Executor& executor = support::serial_executor());
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
-  [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards) {
-    return equal_shard_bounds(size(), max_shards, shard_bounds_);
-  }
 
  private:
   PositionLanes points_;
   double radius_ = 0.0;
   std::vector<std::uint32_t> scratch_;
-  std::vector<std::uint32_t> shard_bounds_;
 };
 
 /// Cell-grid backend; the grid is rebuilt in place each step with retained
@@ -125,8 +109,8 @@ class DelaunayBackend {
   void rebuild(PositionLanes points, double radius,
                support::Executor& executor = support::serial_executor());
   /// Tessellation neighbors within the radius. Read-only and
-  /// shared-state-free, so the sharded drift path may call it from several
-  /// threads between rebuilds.
+  /// shared-state-free, so the drift's parallel rows may call it from
+  /// several threads between rebuilds.
   [[nodiscard]] std::span<const std::uint32_t> neighbors(
       std::size_t i) const noexcept {
     return {indices_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
@@ -134,16 +118,11 @@ class DelaunayBackend {
   [[nodiscard]] std::size_t size() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
-  [[nodiscard]] std::span<const std::uint32_t> shard_bounds(
-      std::size_t max_shards) {
-    return equal_shard_bounds(size(), max_shards, shard_bounds_);
-  }
 
  private:
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> indices_;
   std::vector<Vec2> points_aos_;  // interleaved copy for the tessellation
-  std::vector<std::uint32_t> shard_bounds_;
 };
 
 /// Persistent fixed-radius neighbor index of the kind chosen by the run

@@ -90,9 +90,9 @@ void accumulate_drift_asymmetric(const ParticleSystem& system,
                                  double cutoff_radius,
                                  std::vector<geom::Vec2>& out);
 
-/// Euler–Maruyama step under an asymmetric model. Same contract as the
-/// symmetric euler_maruyama_step (returns the pre-step Σ‖drift‖), and the
-/// same position update and step noise (apply_euler_maruyama_update).
+/// Euler–Maruyama step under an asymmetric model: the drift above, then
+/// the symmetric engine's position update and step noise
+/// (apply_euler_maruyama_update). Returns the pre-step Σ‖drift‖.
 double euler_maruyama_step_asymmetric(ParticleSystem& system,
                                       const AsymmetricInteractionModel& model,
                                       double cutoff_radius,

@@ -11,36 +11,6 @@
 namespace sops::sim {
 namespace {
 
-// The one precondition checker behind both accumulate_drift entry points:
-// the enum-mode reference and the engine path must reject exactly the same
-// inputs, so they both funnel through here.
-void check_drift_preconditions(const ParticleSystem& system,
-                               std::size_t model_types, double cutoff_radius,
-                               bool needs_finite_cutoff) {
-  support::expect(cutoff_radius > 0.0, "accumulate_drift: cutoff must be positive");
-  support::expect(system.types_within(model_types),
-                  "accumulate_drift: particle type outside the model");
-  support::expect(!needs_finite_cutoff || std::isfinite(cutoff_radius),
-                  "accumulate_drift: cell grid needs finite r_c");
-}
-
-// Shards the per-particle gather `out[i] = drift_of(i)` over the backend's
-// partition `bounds` of particle-id order, dispatching the chunks on
-// `executor`. Shards hold disjoint particles and drift_of is a pure gather,
-// so any partition and worker count produce bitwise-identical output.
-template <typename DriftOf>
-void accumulate_sharded(std::span<const std::uint32_t> bounds,
-                        support::Executor& executor, const DriftOf& drift_of,
-                        std::vector<geom::Vec2>& out) {
-  support::parallel_for_shards(
-      executor, bounds,
-      [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          out[i] = drift_of(i);
-        }
-      });
-}
-
 // The cell-grid drift path: each unordered pair once, over half shells in
 // fixed column stripes (sim/drift_kernel.hpp has the order). The grid
 // scattered its bucket-ordered coordinate lanes during the rebuild, so only
@@ -157,34 +127,23 @@ geom::NeighborBackendKind neighbor_backend_kind(NeighborMode resolved_mode) {
   return geom::NeighborBackendKind::kAllPairs;
 }
 
-void accumulate_drift(const ParticleSystem& system, const InteractionModel& model,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      NeighborMode mode) {
-  mode = resolve_neighbor_mode(mode, system.size(), cutoff_radius);
-  check_drift_preconditions(system, model.types(), cutoff_radius,
-                            mode == NeighborMode::kCellGrid);
-  // One construction path for every mode: a fresh backend built and
-  // consumed once — the per-call reference the persistent engine path is
-  // (trivially) identical to.
-  geom::NeighborBackend backend(neighbor_backend_kind(mode));
-  accumulate_drift(system, PairScalingTable(model), cutoff_radius, out, backend,
-                   support::serial_executor());
-}
-
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,
                       support::Executor& executor) {
-  check_drift_preconditions(
-      system, table.types(), cutoff_radius,
-      backend.kind() == geom::NeighborBackendKind::kCellGrid);
+  support::expect(cutoff_radius > 0.0, "accumulate_drift: cutoff must be positive");
+  support::expect(system.types_within(table.types()),
+                  "accumulate_drift: particle type outside the model");
+  support::expect(backend.kind() != geom::NeighborBackendKind::kCellGrid ||
+                      std::isfinite(cutoff_radius),
+                  "accumulate_drift: cell grid needs finite r_c");
   // Executor-aware: the cell grid's counting sort shards on the same lent
   // workers the drift sum uses; the other backends rebuild serially.
   backend.rebuild(system.lanes(), cutoff_radius, executor);
 
   const std::size_t n = system.size();
   // resize, not assign: every path below writes every out[i] exactly once
-  // (each particle belongs to exactly one stripe/shard), so pre-zeroing n
+  // (each particle belongs to exactly one stripe/chunk), so pre-zeroing n
   // Vec2s per step would be pure memory traffic.
   out.resize(n);
   const double cutoff_sq = cutoff_radius * cutoff_radius;
@@ -201,34 +160,32 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
     return;
   }
   const DriftKernels& kernels = select_drift_kernels();
-  if (auto* all_pairs = std::get_if<geom::AllPairsBackend>(&concrete)) {
+  // All-pairs and Delaunay rows are pure gathers (out[i] reads only the
+  // system), so the equal parallel_for split is scheduling only.
+  if (std::holds_alternative<geom::AllPairsBackend>(concrete)) {
     // The whole particle set is one dense candidate block (self masks out
     // at Δz = 0); cutoff_sq may be +inf for the unbounded radius.
-    const auto drift_of = [&](std::size_t i) {
+    support::parallel_for(executor, 0, n, [&](std::size_t i) {
       const DenseRow row{system.x[i],      system.y[i],
                          system.types[i],  system.x.data(),
                          system.y.data(),  system.types.data(),
                          n,                cutoff_sq};
-      return kernels.dense(table, row);
-    };
-    accumulate_sharded(all_pairs->shard_bounds(executor.width()), executor,
-                       drift_of, out);
+      out[i] = kernels.dense(table, row);
+    });
     return;
   }
   // Adjacency rows are already pruned by the cut-off at rebuild; the kernel
   // mask is idempotent on them.
-  auto& delaunay = std::get<geom::DelaunayBackend>(concrete);
-  const auto drift_of = [&](std::size_t i) {
+  const auto& delaunay = std::get<geom::DelaunayBackend>(concrete);
+  support::parallel_for(executor, 0, n, [&](std::size_t i) {
     const std::span<const std::uint32_t> adj = delaunay.neighbors(i);
     const IndexedRow row{system.x[i],      system.y[i],
                          system.types[i],  system.x.data(),
                          system.y.data(),  system.types.data(),
                          adj.data(),       adj.size(),
                          cutoff_sq};
-    return kernels.indexed(table, row);
-  };
-  accumulate_sharded(delaunay.shard_bounds(executor.width()), executor,
-                     drift_of, out);
+    out[i] = kernels.indexed(table, row);
+  });
 }
 
 double total_drift_norm(std::span<const geom::Vec2> drift) {

@@ -6,11 +6,10 @@
 // Interchangeable neighbor strategies are provided; all must produce
 // identical drifts for the same pair set (tested): all-pairs O(n²), a
 // uniform cell grid that is O(n) per step for bounded density, and the
-// Delaunay-tessellation extension. The enum-mode entry point rebuilds its
-// index from scratch on every call (the reference / baseline path); the
-// engine's hot loop instead reuses a persistent geom::NeighborBackend,
-// which enumerates the same pairs in the same order without per-step
-// construction.
+// Delaunay-tessellation extension. There is one entry point: it sums
+// through a persistent geom::NeighborBackend that the caller keeps across
+// steps (SimulationWorkspace turns a NeighborMode into one), so no step
+// constructs an index.
 #pragma once
 
 #include <cmath>
@@ -113,30 +112,24 @@ class PairScalingTable {
 [[nodiscard]] geom::NeighborBackendKind neighbor_backend_kind(
     NeighborMode resolved_mode);
 
-/// Computes drift_i for every particle into `out` (resized to n).
+/// Computes drift_i for every particle into `out` (resized to n): rebuilds
+/// `backend` for the current positions on `executor`, then sums pair drifts
+/// in the backend's enumeration order. With a caller-cached scaling table
+/// and a warm backend, a call allocates nothing.
 ///
 /// Pairs at exactly zero distance are skipped: the force direction is
 /// undefined there, and with continuous noise the event has probability
 /// zero; skipping (rather than throwing) keeps hand-constructed degenerate
 /// configurations usable in tests.
-void accumulate_drift(const ParticleSystem& system, const InteractionModel& model,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      NeighborMode mode = NeighborMode::kAuto);
-
-/// The engine's steady-state path, through a persistent backend: rebuilds
-/// the backend for the current positions on `executor`, then sums pair
-/// drifts in the backend's enumeration order — bitwise-identical to the
-/// matching NeighborMode path, with no per-step index construction and,
-/// given a caller-cached scaling table, no allocation of any kind.
 ///
-/// All-pairs and Delaunay shard the particle loop over the backend's
-/// partition (`shard_bounds(executor.width())`): shards own disjoint
-/// particle ranges and every particle keeps its serial neighbor-enumeration
-/// order. The cell grid computes each unordered pair once and adds the
-/// negated term to the partner, over fixed column stripes whose count never
-/// depends on the width (sim/drift_kernel.hpp). Either way the work is
-/// dispatched on `executor`'s persistent runners, and the result is
-/// bitwise-identical for any executor width.
+/// All-pairs and Delaunay split the particle loop equally over the
+/// executor's runners (support::parallel_for): each drift row is a pure
+/// gather in its serial neighbor-enumeration order, so the split is
+/// scheduling only. The cell grid computes each unordered pair once and
+/// adds the negated term to the partner, over fixed column stripes whose
+/// count never depends on the width (sim/drift_kernel.hpp). Either way the
+/// work is dispatched on `executor`'s persistent runners, and the result
+/// is bitwise-identical for any executor width.
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,

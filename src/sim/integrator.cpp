@@ -63,15 +63,4 @@ void apply_euler_maruyama_update(ParticleSystem& system,
       });
 }
 
-double euler_maruyama_step(ParticleSystem& system, const InteractionModel& model,
-                           double cutoff_radius, const IntegratorParams& params,
-                           rng::Xoshiro256& engine,
-                           std::vector<geom::Vec2>& drift_scratch,
-                           NeighborMode mode) {
-  accumulate_drift(system, model, cutoff_radius, drift_scratch, mode);
-  const double residual = total_drift_norm(drift_scratch);
-  apply_euler_maruyama_update(system, drift_scratch, params, engine);
-  return residual;
-}
-
 }  // namespace sops::sim

@@ -32,9 +32,11 @@ struct IntegratorParams {
 };
 
 /// Applies the position update of one Euler–Maruyama step given the
-/// already-accumulated drift of the current configuration. Split out so the
-/// engine's stepping loop can share one drift computation between
-/// integration, recording, and equilibrium detection.
+/// already-accumulated drift of the current configuration. A step is
+/// accumulate_drift, then total_drift_norm (the pre-step equilibrium
+/// statistic), then this update; the engine's stepping loop shares the one
+/// drift computation between integration, recording, and equilibrium
+/// detection.
 ///
 /// A noisy step draws exactly one word from `engine`, the step key, and a
 /// noiseless one (√dt·ς = 0) draws none. Particle i's ξ is a pure function
@@ -46,15 +48,5 @@ void apply_euler_maruyama_update(
     ParticleSystem& system, std::span<const geom::Vec2> drift,
     const IntegratorParams& params, rng::Xoshiro256& engine,
     support::Executor& executor = support::serial_executor());
-
-/// One Euler–Maruyama step, in place. `drift_scratch` avoids per-step
-/// allocation; it is resized as needed. Returns the total drift norm
-/// Σ‖drift_i‖ of the *pre-step* configuration (the equilibrium statistic),
-/// so callers get it for free.
-double euler_maruyama_step(ParticleSystem& system, const InteractionModel& model,
-                           double cutoff_radius, const IntegratorParams& params,
-                           rng::Xoshiro256& engine,
-                           std::vector<geom::Vec2>& drift_scratch,
-                           NeighborMode mode = NeighborMode::kAuto);
 
 }  // namespace sops::sim

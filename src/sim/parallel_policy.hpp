@@ -25,13 +25,16 @@ enum class ParallelPolicy {
   kHybrid,         ///< samples first, leftover threads inside each step
 };
 
-/// Collective size below which kAuto never shards a step. Re-derived for
-/// the pooled executor: a step's dispatch onto parked workers measures
-/// ~7 µs (BENCH_engine.json `dispatch`, vs ~35 µs for the fork/join that
-/// set the previous floor of 2048), and a 512-particle cell-grid drift sum
-/// costs a few hundred µs — the dispatch is low-single-digit percent
-/// overhead at this size, where the old spawn cost would have eaten the
-/// sharding gain.
+/// Collective size below which kAuto never shards a step. Set for the
+/// pooled executor: a step's dispatch onto parked workers measures ~7 µs
+/// (BENCH_engine.json `dispatch`, vs ~35 µs for the fork/join that set the
+/// previous floor of 2048). Since the cell-grid drift became a half-shell
+/// kernel over fixed 4-column stripes, sharding no longer pays at 512
+/// particles: a traced 1-thread coarse_n512 run reads `sim.drift_us`
+/// 88 µs per step, the collective spans only about 2 stripes, and traced
+/// `sim.drift_scaling` (4 threads against 1) reads 0.63x. The value stays
+/// until it is re-derived from measurements (ROADMAP, "A persistent step
+/// team").
 inline constexpr std::size_t kIntraStepMinParticles = 512;
 
 /// A resolved policy: how many workers run samples concurrently, and how

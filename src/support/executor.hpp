@@ -73,8 +73,8 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Number of tasks that may execute concurrently, counting the calling
-  /// thread. Partition sizing (e.g. NeighborBackend::shard_bounds) keys off
-  /// this, so it must be stable for the executor's lifetime.
+  /// thread. Partition sizing (e.g. parallel_for_chunked's equal split)
+  /// keys off this, so it must be stable for the executor's lifetime.
   [[nodiscard]] virtual std::size_t width() const noexcept = 0;
 
   /// Runs `task(k)` for every k in [0, task_count), at most width() tasks

@@ -68,9 +68,8 @@ void parallel_for_chunked(Executor& executor, std::size_t begin,
 /// without racing (buffer k is touched only by chunk k, whichever worker
 /// runs it); callers with no per-shard state ignore it. The partition is
 /// the caller's contract with determinism: boundaries that do not depend
-/// on the machine (e.g. a neighbor structure's cell-aligned shards) give
-/// bitwise-stable results at any width. Exception semantics match
-/// `parallel_for_chunked`.
+/// on the machine give bitwise-stable results at any width. Exception
+/// semantics match `parallel_for_chunked`.
 template <typename ChunkBody, typename Index>
 void parallel_for_shards(Executor& executor, std::span<const Index> bounds,
                          ChunkBody&& chunk_body) {

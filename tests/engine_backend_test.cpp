@@ -18,6 +18,7 @@
 
 namespace {
 
+using sops::geom::NeighborBackendKind;
 using sops::geom::Vec2;
 using sops::sim::accumulate_drift;
 using sops::sim::ForceLawKind;
@@ -57,15 +58,19 @@ TEST(BackendParity, DelaunayWithinCutoffMatchesOnRing) {
     positions.push_back({radius * std::cos(angle), radius * std::sin(angle)});
   }
   const ParticleSystem system(positions, types);
-  const auto model = spring_model(1);
+  const sops::sim::PairScalingTable table(spring_model(1));
   const double cutoff = 3.0;
 
   std::vector<Vec2> all_pairs;
   std::vector<Vec2> cell_grid;
   std::vector<Vec2> delaunay;
-  accumulate_drift(system, model, cutoff, all_pairs, NeighborMode::kAllPairs);
-  accumulate_drift(system, model, cutoff, cell_grid, NeighborMode::kCellGrid);
-  accumulate_drift(system, model, cutoff, delaunay, NeighborMode::kDelaunay);
+  for (auto [kind, out] : {std::pair{NeighborBackendKind::kAllPairs, &all_pairs},
+                           std::pair{NeighborBackendKind::kCellGrid, &cell_grid},
+                           std::pair{NeighborBackendKind::kDelaunay, &delaunay}}) {
+    sops::geom::NeighborBackend backend(kind);
+    accumulate_drift(system, table, cutoff, *out, backend,
+                     sops::support::serial_executor());
+  }
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(all_pairs[i].x, cell_grid[i].x, 1e-12) << i;
     EXPECT_NEAR(all_pairs[i].y, cell_grid[i].y, 1e-12) << i;

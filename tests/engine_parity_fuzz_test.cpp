@@ -6,12 +6,14 @@
 //
 //  1. all-pairs and cell-grid enumerate the same pair set, so their drifts
 //     agree to 1e-12 (the summation orders differ, hence not bitwise);
-//  2. every persistent backend reproduces its per-step-rebuild enum-mode
-//     path bitwise (same pairs, same enumeration order);
+//  2. a backend reused across cases (n, types and r_c change between
+//     them) gives the bits of a fresh backend per case: a rebuild keeps
+//     capacity, never state that reaches the sums;
 //  3. the Delaunay backend's radius-pruned adjacency matches a direct
 //     tessellation + pruning reference to 1e-12;
-//  4. the intra-step path (shards, or the cell grid's stripes) is
-//     bitwise-equal to the serial loop for every backend kind.
+//  4. the intra-step path (equal row chunks, or the cell grid's stripes)
+//     is bitwise-equal to the serial loop for every backend kind, also for
+//     collectives smaller than the executor width.
 //
 // This replaces the previous hand-picked parity cases: random geometry
 // exercises hash-grid cell boundaries, duplicate-distance ties, and sparse/
@@ -33,11 +35,12 @@
 
 namespace {
 
+using sops::geom::NeighborBackend;
+using sops::geom::NeighborBackendKind;
 using sops::geom::Vec2;
 using sops::sim::accumulate_drift;
 using sops::sim::ForceLawKind;
 using sops::sim::InteractionModel;
-using sops::sim::NeighborMode;
 using sops::sim::PairParams;
 using sops::sim::PairScalingTable;
 using sops::sim::ParticleSystem;
@@ -77,12 +80,15 @@ constexpr std::uint64_t kCases = 50;
 TEST(ParityFuzz, AllPairsVsCellGridWithin1e12) {
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const FuzzCase fuzz = draw_case(c);
+    const PairScalingTable table(fuzz.model);
     std::vector<Vec2> brute;
     std::vector<Vec2> grid;
-    accumulate_drift(fuzz.system, fuzz.model, fuzz.cutoff, brute,
-                     NeighborMode::kAllPairs);
-    accumulate_drift(fuzz.system, fuzz.model, fuzz.cutoff, grid,
-                     NeighborMode::kCellGrid);
+    NeighborBackend all_pairs(NeighborBackendKind::kAllPairs);
+    NeighborBackend cell_grid(NeighborBackendKind::kCellGrid);
+    accumulate_drift(fuzz.system, table, fuzz.cutoff, brute, all_pairs,
+                     serial_executor());
+    accumulate_drift(fuzz.system, table, fuzz.cutoff, grid, cell_grid,
+                     serial_executor());
     for (std::size_t i = 0; i < fuzz.system.size(); ++i) {
       ASSERT_NEAR(brute[i].x, grid[i].x, 1e-12) << "case " << c << " i " << i;
       ASSERT_NEAR(brute[i].y, grid[i].y, 1e-12) << "case " << c << " i " << i;
@@ -90,30 +96,30 @@ TEST(ParityFuzz, AllPairsVsCellGridWithin1e12) {
   }
 }
 
-TEST(ParityFuzz, PersistentBackendsMatchEnumModesBitwise) {
-  const struct {
-    NeighborMode mode;
-    sops::geom::NeighborBackendKind kind;
-  } pairs[] = {
-      {NeighborMode::kAllPairs, sops::geom::NeighborBackendKind::kAllPairs},
-      {NeighborMode::kCellGrid, sops::geom::NeighborBackendKind::kCellGrid},
-      {NeighborMode::kDelaunay, sops::geom::NeighborBackendKind::kDelaunay},
-  };
-  for (std::uint64_t c = 0; c < kCases; ++c) {
-    const FuzzCase fuzz = draw_case(c);
-    for (const auto& pair : pairs) {
-      std::vector<Vec2> via_mode;
-      std::vector<Vec2> via_backend;
-      accumulate_drift(fuzz.system, fuzz.model, fuzz.cutoff, via_mode,
-                       pair.mode);
-      sops::geom::NeighborBackend backend(pair.kind);
-      accumulate_drift(fuzz.system, PairScalingTable(fuzz.model), fuzz.cutoff,
-                       via_backend, backend, serial_executor());
-      ASSERT_EQ(via_mode.size(), via_backend.size());
-      for (std::size_t i = 0; i < via_mode.size(); ++i) {
-        ASSERT_EQ(via_mode[i], via_backend[i])
-            << "case " << c << " kind " << static_cast<int>(pair.kind)
-            << " i " << i;
+TEST(ParityFuzz, ReusedBackendMatchesFreshBackendBitwise) {
+  // The engine keeps one backend for a whole run and SimulationWorkspace
+  // keeps it across runs; each call rebuilds it. Walking every fuzz case
+  // through one backend per kind must give the bits of a fresh backend.
+  for (const NeighborBackendKind kind :
+       {NeighborBackendKind::kAllPairs, NeighborBackendKind::kCellGrid,
+        NeighborBackendKind::kDelaunay}) {
+    NeighborBackend reused(kind);
+    for (std::uint64_t c = 0; c < kCases; ++c) {
+      const FuzzCase fuzz = draw_case(c);
+      const PairScalingTable table(fuzz.model);
+      std::vector<Vec2> via_reused;
+      std::vector<Vec2> via_fresh;
+      accumulate_drift(fuzz.system, table, fuzz.cutoff, via_reused, reused,
+                       serial_executor());
+      NeighborBackend fresh(kind);
+      accumulate_drift(fuzz.system, table, fuzz.cutoff, via_fresh, fresh,
+                       serial_executor());
+      ASSERT_EQ(via_reused.size(), fuzz.system.size());
+      ASSERT_EQ(via_fresh.size(), fuzz.system.size());
+      for (std::size_t i = 0; i < via_fresh.size(); ++i) {
+        ASSERT_EQ(via_reused[i], via_fresh[i])
+            << "case " << c << " kind " << static_cast<int>(kind) << " i "
+            << i;
       }
     }
   }
@@ -464,6 +470,55 @@ TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
         ASSERT_EQ(serial[i], sharded[i])
             << "case " << c << " kind " << static_cast<int>(kind) << " i "
             << i;
+      }
+    }
+  }
+}
+
+TEST(ParityFuzz, CollectivesSmallerThanTheWidthBitwiseEqualSerial) {
+  // n ≤ 3 at widths 1–5: the equal row split gets fewer rows than runners
+  // (min(width, n) chunks), and the cell grid one stripe for all of them.
+  // Every width must give the serial bits. Every pair is within
+  // r_c, so from n = 2 on every backend sees interactions (two points are a
+  // collinear set, which delaunay_adjacency links as a chain), and a lone
+  // particle's drift is exactly zero.
+  constexpr double kCutoff = 2.5;
+  for (const std::size_t n : {1u, 2u, 3u}) {
+    sops::rng::Xoshiro256 engine(0x5A11 + n);
+    std::vector<Vec2> positions;
+    std::vector<sops::sim::TypeId> type_ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      positions.push_back(sops::rng::uniform_disc(engine, 1.0));
+      type_ids.push_back(static_cast<sops::sim::TypeId>(i % 2));
+    }
+    const ParticleSystem system(positions, type_ids);
+    for (const ForceLawKind law :
+         {ForceLawKind::kSpring, ForceLawKind::kDoubleGaussian}) {
+      const PairScalingTable table(
+          InteractionModel(law, 2, PairParams{1.2, 1.5, 0.8, 3.0}));
+      for (const NeighborBackendKind kind : kAllBackendKinds) {
+        NeighborBackend serial_backend(kind);
+        std::vector<Vec2> serial;
+        accumulate_drift(system, table, kCutoff, serial, serial_backend,
+                         serial_executor());
+        ASSERT_EQ(serial.size(), n);
+        const bool all_zero =
+            std::all_of(serial.begin(), serial.end(),
+                        [](Vec2 d) { return d == Vec2{}; });
+        EXPECT_EQ(all_zero, n == 1)
+            << "n " << n << " kind " << static_cast<int>(kind);
+        for (std::size_t width = 1; width <= 5; ++width) {
+          sops::support::SpawnExecutor executor(width);
+          NeighborBackend backend(kind);
+          std::vector<Vec2> out;
+          accumulate_drift(system, table, kCutoff, out, backend, executor);
+          ASSERT_EQ(out.size(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(out[i], serial[i])
+                << "n " << n << " kind " << static_cast<int>(kind)
+                << " width " << width << " i " << i;
+          }
+        }
       }
     }
   }

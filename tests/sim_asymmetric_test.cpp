@@ -56,7 +56,9 @@ TEST(AsymmetricModel, SymmetricSpecialCaseMatchesSymmetricPath) {
                         {0, 1, 0, 1});
   std::vector<Vec2> a;
   std::vector<Vec2> b;
-  accumulate_drift(system, symmetric, kUnboundedRadius, a);
+  sops::geom::NeighborBackend backend(sops::geom::NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, sops::sim::PairScalingTable(symmetric),
+                   kUnboundedRadius, a, backend, sops::support::serial_executor());
   accumulate_drift_asymmetric(system, asymmetric, kUnboundedRadius, b);
   for (std::size_t i = 0; i < system.size(); ++i) {
     EXPECT_NEAR(a[i].x, b[i].x, 1e-12) << i;

@@ -8,9 +8,12 @@
 #include "rng/samplers.hpp"
 #include "sim/generators.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
 
 namespace {
 
+using sops::geom::NeighborBackend;
+using sops::geom::NeighborBackendKind;
 using sops::geom::Vec2;
 using sops::sim::accumulate_drift;
 using sops::sim::ForceLawKind;
@@ -18,8 +21,10 @@ using sops::sim::InteractionModel;
 using sops::sim::kUnboundedRadius;
 using sops::sim::NeighborMode;
 using sops::sim::PairParams;
+using sops::sim::PairScalingTable;
 using sops::sim::ParticleSystem;
 using sops::sim::total_drift_norm;
+using sops::support::serial_executor;
 
 InteractionModel spring_model(double k, double r, std::size_t types = 1) {
   return InteractionModel(ForceLawKind::kSpring, types, PairParams{k, r, 1, 1});
@@ -33,7 +38,9 @@ TEST(AccumulateDrift, TwoBodySpringAnalytic) {
   const double x = 2.0;
   ParticleSystem system({{0.0, 0.0}, {x, 0.0}}, {0, 0});
   std::vector<Vec2> drift;
-  accumulate_drift(system, spring_model(k, r), kUnboundedRadius, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(spring_model(k, r)),
+                   kUnboundedRadius, drift, backend, serial_executor());
 
   const double expected = -k * (1.0 - r / x) * (0.0 - x);  // on particle 0
   EXPECT_NEAR(drift[0].x, expected, 1e-12);
@@ -45,7 +52,9 @@ TEST(AccumulateDrift, TwoBodySpringAnalytic) {
 TEST(AccumulateDrift, TwoBodyAttractionBeyondPreferredDistance) {
   ParticleSystem system({{0.0, 0.0}, {5.0, 0.0}}, {0, 0});
   std::vector<Vec2> drift;
-  accumulate_drift(system, spring_model(1.0, 2.0), kUnboundedRadius, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(spring_model(1.0, 2.0)),
+                   kUnboundedRadius, drift, backend, serial_executor());
   EXPECT_GT(drift[0].x, 0.0);  // pulled toward the neighbor
   EXPECT_LT(drift[1].x, 0.0);
 }
@@ -67,7 +76,9 @@ TEST(AccumulateDrift, ActionReactionWithSymmetricMatrices) {
   }
   ParticleSystem system(positions, types);
   std::vector<Vec2> drift;
-  accumulate_drift(system, model, kUnboundedRadius, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(model), kUnboundedRadius, drift,
+                   backend, serial_executor());
 
   Vec2 total{};
   for (const Vec2 d : drift) total += d;
@@ -78,24 +89,31 @@ TEST(AccumulateDrift, ActionReactionWithSymmetricMatrices) {
 TEST(AccumulateDrift, CutoffExcludesFarPairs) {
   ParticleSystem system({{0.0, 0.0}, {10.0, 0.0}}, {0, 0});
   std::vector<Vec2> drift;
-  accumulate_drift(system, spring_model(1.0, 2.0), 5.0, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(spring_model(1.0, 2.0)), 5.0,
+                   drift, backend, serial_executor());
   EXPECT_DOUBLE_EQ(drift[0].x, 0.0);
   EXPECT_DOUBLE_EQ(drift[1].x, 0.0);
 }
 
 TEST(AccumulateDrift, CutoffIsStrict) {
   ParticleSystem system({{0.0, 0.0}, {5.0, 0.0}}, {0, 0});
+  const PairScalingTable table(spring_model(1.0, 2.0));
   std::vector<Vec2> drift;
-  accumulate_drift(system, spring_model(1.0, 2.0), 5.0, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, table, 5.0, drift, backend, serial_executor());
   EXPECT_DOUBLE_EQ(drift[0].x, 0.0);  // exactly at r_c: excluded
-  accumulate_drift(system, spring_model(1.0, 2.0), 5.0 + 1e-9, drift);
+  accumulate_drift(system, table, 5.0 + 1e-9, drift, backend,
+                   serial_executor());
   EXPECT_NE(drift[0].x, 0.0);
 }
 
 TEST(AccumulateDrift, CoincidentParticlesContributeNothing) {
   ParticleSystem system({{1.0, 1.0}, {1.0, 1.0}}, {0, 0});
   std::vector<Vec2> drift;
-  accumulate_drift(system, spring_model(1.0, 2.0), kUnboundedRadius, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(spring_model(1.0, 2.0)),
+                   kUnboundedRadius, drift, backend, serial_executor());
   EXPECT_DOUBLE_EQ(drift[0].x, 0.0);
   EXPECT_DOUBLE_EQ(drift[0].y, 0.0);
 }
@@ -105,7 +123,9 @@ TEST(AccumulateDrift, TypeDependentInteractions) {
   model.set_k(0, 1, 0.0);  // cross-type interactions disabled
   ParticleSystem system({{0.0, 0.0}, {2.0, 0.0}}, {0, 1});
   std::vector<Vec2> drift;
-  accumulate_drift(system, model, kUnboundedRadius, drift);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(model), kUnboundedRadius, drift,
+                   backend, serial_executor());
   EXPECT_DOUBLE_EQ(drift[0].x, 0.0);
   EXPECT_DOUBLE_EQ(drift[1].x, 0.0);
 }
@@ -125,11 +145,14 @@ TEST_P(StrategyAgreement, GridMatchesAllPairsExactly) {
   const InteractionModel model = sops::sim::random_spring_model(4, ranges, engine);
   ParticleSystem system(positions, types);
 
+  const PairScalingTable table(model);
   const double cutoff = 3.0;
   std::vector<Vec2> brute;
   std::vector<Vec2> grid;
-  accumulate_drift(system, model, cutoff, brute, NeighborMode::kAllPairs);
-  accumulate_drift(system, model, cutoff, grid, NeighborMode::kCellGrid);
+  NeighborBackend all_pairs(NeighborBackendKind::kAllPairs);
+  NeighborBackend cell_grid(NeighborBackendKind::kCellGrid);
+  accumulate_drift(system, table, cutoff, brute, all_pairs, serial_executor());
+  accumulate_drift(system, table, cutoff, grid, cell_grid, serial_executor());
 
   for (std::size_t i = 0; i < n; ++i) {
     // Same pair set; only summation order may differ.
@@ -141,11 +164,12 @@ TEST_P(StrategyAgreement, GridMatchesAllPairsExactly) {
 INSTANTIATE_TEST_SUITE_P(Sizes, StrategyAgreement,
                          ::testing::Values(2, 10, 63, 64, 150, 300));
 
-TEST(AccumulateDrift, AutoModeHandlesUnboundedRadius) {
+TEST(AccumulateDrift, UnboundedRadiusReachesFarPairs) {
   ParticleSystem system({{0.0, 0.0}, {100.0, 0.0}}, {0, 0});
   std::vector<Vec2> drift;
-  accumulate_drift(system, spring_model(1.0, 2.0), kUnboundedRadius, drift,
-                   NeighborMode::kAuto);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, PairScalingTable(spring_model(1.0, 2.0)),
+                   kUnboundedRadius, drift, backend, serial_executor());
   EXPECT_GT(drift[0].x, 0.0);  // long-range attraction reaches
 }
 
@@ -178,17 +202,20 @@ TEST(ResolveNeighborMode, ExhaustiveWithAutoRules) {
 TEST(AccumulateDrift, GridWithUnboundedRadiusThrows) {
   ParticleSystem system({{0.0, 0.0}}, {0});
   std::vector<Vec2> drift;
-  EXPECT_THROW(accumulate_drift(system, spring_model(1.0, 1.0), kUnboundedRadius,
-                                drift, NeighborMode::kCellGrid),
+  NeighborBackend backend(NeighborBackendKind::kCellGrid);
+  EXPECT_THROW(accumulate_drift(system, PairScalingTable(spring_model(1.0, 1.0)),
+                                kUnboundedRadius, drift, backend,
+                                serial_executor()),
                sops::PreconditionError);
 }
 
 TEST(AccumulateDrift, TypeOutsideModelThrows) {
   ParticleSystem system({{0.0, 0.0}}, {5});
   std::vector<Vec2> drift;
-  EXPECT_THROW(
-      accumulate_drift(system, spring_model(1.0, 1.0), 1.0, drift),
-      sops::PreconditionError);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  EXPECT_THROW(accumulate_drift(system, PairScalingTable(spring_model(1.0, 1.0)),
+                                1.0, drift, backend, serial_executor()),
+               sops::PreconditionError);
 }
 
 TEST(TotalDriftNorm, SumsL2Norms) {

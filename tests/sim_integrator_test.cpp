@@ -1,5 +1,7 @@
 // Euler–Maruyama integrator tests: deterministic limit, convergence to the
-// preferred distance, noise statistics, and the stability clamp.
+// preferred distance, noise statistics, and the stability clamp. A step is
+// the engine's sequence: accumulate_drift on a persistent backend, then
+// total_drift_norm, then apply_euler_maruyama_update.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,14 +19,19 @@
 
 namespace {
 
+using sops::geom::NeighborBackend;
+using sops::geom::NeighborBackendKind;
 using sops::geom::Vec2;
-using sops::sim::euler_maruyama_step;
+using sops::sim::accumulate_drift;
+using sops::sim::apply_euler_maruyama_update;
 using sops::sim::ForceLawKind;
 using sops::sim::IntegratorParams;
 using sops::sim::InteractionModel;
 using sops::sim::kUnboundedRadius;
 using sops::sim::PairParams;
+using sops::sim::PairScalingTable;
 using sops::sim::ParticleSystem;
+using sops::support::serial_executor;
 
 InteractionModel spring_model(double k, double r) {
   return InteractionModel(ForceLawKind::kSpring, 1, PairParams{k, r, 1, 1});
@@ -38,15 +45,20 @@ IntegratorParams no_noise(double dt = 0.05) {
 }
 
 TEST(Integrator, DeterministicWithoutNoise) {
-  const InteractionModel model = spring_model(1.0, 2.0);
+  const PairScalingTable table(spring_model(1.0, 2.0));
   ParticleSystem a({{0.0, 0.0}, {1.0, 0.0}}, {0, 0});
   ParticleSystem b = a;
   sops::rng::Xoshiro256 ea(1);
   sops::rng::Xoshiro256 eb(999);  // different engines, zero noise
-  std::vector<Vec2> scratch;
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
   for (int i = 0; i < 50; ++i) {
-    euler_maruyama_step(a, model, kUnboundedRadius, no_noise(), ea, scratch);
-    euler_maruyama_step(b, model, kUnboundedRadius, no_noise(), eb, scratch);
+    accumulate_drift(a, table, kUnboundedRadius, drift, backend,
+                     serial_executor());
+    apply_euler_maruyama_update(a, drift, no_noise(), ea);
+    accumulate_drift(b, table, kUnboundedRadius, drift, backend,
+                     serial_executor());
+    apply_euler_maruyama_update(b, drift, no_noise(), eb);
   }
   EXPECT_EQ(a.position(0), b.position(0));
   EXPECT_EQ(a.position(1), b.position(1));
@@ -54,26 +66,30 @@ TEST(Integrator, DeterministicWithoutNoise) {
 
 TEST(Integrator, PairConvergesToPreferredDistance) {
   const double r = 2.0;
-  const InteractionModel model = spring_model(1.0, r);
+  const PairScalingTable table(spring_model(1.0, r));
   ParticleSystem system({{0.0, 0.0}, {0.5, 0.0}}, {0, 0});
   sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
   for (int i = 0; i < 2000; ++i) {
-    euler_maruyama_step(system, model, kUnboundedRadius, no_noise(0.02), engine,
-                        scratch);
+    accumulate_drift(system, table, kUnboundedRadius, drift, backend,
+                     serial_executor());
+    apply_euler_maruyama_update(system, drift, no_noise(0.02), engine);
   }
   EXPECT_NEAR(dist(system.position(0), system.position(1)), r, 1e-6);
 }
 
 TEST(Integrator, PairApproachesFromOutside) {
   const double r = 2.0;
-  const InteractionModel model = spring_model(1.0, r);
+  const PairScalingTable table(spring_model(1.0, r));
   ParticleSystem system({{0.0, 0.0}, {6.0, 0.0}}, {0, 0});
   sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
   for (int i = 0; i < 2000; ++i) {
-    euler_maruyama_step(system, model, kUnboundedRadius, no_noise(0.02), engine,
-                        scratch);
+    accumulate_drift(system, table, kUnboundedRadius, drift, backend,
+                     serial_executor());
+    apply_euler_maruyama_update(system, drift, no_noise(0.02), engine);
   }
   EXPECT_NEAR(dist(system.position(0), system.position(1)), r, 1e-6);
 }
@@ -81,35 +97,36 @@ TEST(Integrator, PairApproachesFromOutside) {
 TEST(Integrator, CentroidConservedWithoutNoise) {
   // Symmetric interactions: drift sums to zero, so the centroid is a
   // conserved quantity of the deterministic flow.
-  const InteractionModel model = spring_model(1.5, 2.0);
+  const PairScalingTable table(spring_model(1.5, 2.0));
   ParticleSystem system({{0, 0}, {1, 0}, {0, 2}, {3, 1}}, {0, 0, 0, 0});
   const Vec2 before = sops::geom::centroid(system.positions_aos());
   sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
   for (int i = 0; i < 200; ++i) {
-    euler_maruyama_step(system, model, kUnboundedRadius, no_noise(), engine,
-                        scratch);
+    accumulate_drift(system, table, kUnboundedRadius, drift, backend,
+                     serial_executor());
+    apply_euler_maruyama_update(system, drift, no_noise(), engine);
   }
   const Vec2 after = sops::geom::centroid(system.positions_aos());
   EXPECT_NEAR(before.x, after.x, 1e-9);
   EXPECT_NEAR(before.y, after.y, 1e-9);
 }
 
-TEST(Integrator, ReturnsPreStepResidual) {
-  const InteractionModel model = spring_model(1.0, 2.0);
+TEST(Integrator, PreStepResidualIsTheDriftNorm) {
   ParticleSystem system({{0.0, 0.0}, {1.0, 0.0}}, {0, 0});
-  sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
+  accumulate_drift(system, PairScalingTable(spring_model(1.0, 2.0)),
+                   kUnboundedRadius, drift, backend, serial_executor());
   // Pair at distance 1 with r = 2: each particle feels |F|·x = |1 − 2|·1 = 1.
-  const double residual = euler_maruyama_step(system, model, kUnboundedRadius,
-                                              no_noise(), engine, scratch);
-  EXPECT_NEAR(residual, 2.0, 1e-12);
+  EXPECT_NEAR(sops::sim::total_drift_norm(drift), 2.0, 1e-12);
 }
 
 TEST(Integrator, NoiseOnlyDiffusionStatistics) {
   // With k = 0 the update is z += √dt·ς·ξ; after T steps the displacement
   // variance per axis is T·dt·ς².
-  const InteractionModel model = spring_model(0.0, 1.0);
+  const PairScalingTable table(spring_model(0.0, 1.0));
   IntegratorParams params;
   params.dt = 0.1;
   params.noise_variance = 0.05;
@@ -119,9 +136,11 @@ TEST(Integrator, NoiseOnlyDiffusionStatistics) {
   std::vector<Vec2> start(particles, Vec2{});
   ParticleSystem system(start, std::vector<sops::sim::TypeId>(particles, 0));
   sops::rng::Xoshiro256 engine(77);
-  std::vector<Vec2> scratch;
+  NeighborBackend backend(NeighborBackendKind::kCellGrid);
+  std::vector<Vec2> drift;
   for (int t = 0; t < steps; ++t) {
-    euler_maruyama_step(system, model, 0.5, params, engine, scratch);
+    accumulate_drift(system, table, 0.5, drift, backend, serial_executor());
+    apply_euler_maruyama_update(system, drift, params, engine);
   }
   double var_x = 0.0;
   for (const Vec2 p : system.positions_aos()) var_x += p.x * p.x;
@@ -133,58 +152,67 @@ TEST(Integrator, NoiseOnlyDiffusionStatistics) {
 TEST(Integrator, MaxStepClampsDrift) {
   // Huge k would fling the pair apart in one explicit step; the clamp caps
   // the displacement magnitude at max_step.
-  const InteractionModel model = spring_model(1e6, 2.0);
   IntegratorParams params = no_noise(1.0);
   params.max_step = 0.5;
   ParticleSystem system({{0.0, 0.0}, {0.1, 0.0}}, {0, 0});
   sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
-  euler_maruyama_step(system, model, kUnboundedRadius, params, engine, scratch);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
+  accumulate_drift(system, PairScalingTable(spring_model(1e6, 2.0)),
+                   kUnboundedRadius, drift, backend, serial_executor());
+  apply_euler_maruyama_update(system, drift, params, engine);
   EXPECT_LE(norm(system.position(0)), 0.5 + 1e-12);
 }
 
 TEST(Integrator, ClampDisabledAllowsLargeSteps) {
-  const InteractionModel model = spring_model(1e6, 2.0);
   IntegratorParams params = no_noise(1.0);
   params.max_step = 0.0;
   ParticleSystem system({{0.0, 0.0}, {0.1, 0.0}}, {0, 0});
   sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
-  euler_maruyama_step(system, model, kUnboundedRadius, params, engine, scratch);
+  NeighborBackend backend(NeighborBackendKind::kAllPairs);
+  std::vector<Vec2> drift;
+  accumulate_drift(system, PairScalingTable(spring_model(1e6, 2.0)),
+                   kUnboundedRadius, drift, backend, serial_executor());
+  apply_euler_maruyama_update(system, drift, params, engine);
   EXPECT_GT(norm(system.position(0)), 10.0);
 }
 
 TEST(Integrator, InvalidParamsThrow) {
-  const InteractionModel model = spring_model(1.0, 1.0);
   ParticleSystem system({{0.0, 0.0}}, {0});
   sops::rng::Xoshiro256 engine(1);
-  std::vector<Vec2> scratch;
+  const std::vector<Vec2> drift(1, Vec2{});
   IntegratorParams bad_dt;
   bad_dt.dt = 0.0;
-  EXPECT_THROW(euler_maruyama_step(system, model, 1.0, bad_dt, engine, scratch),
+  EXPECT_THROW(apply_euler_maruyama_update(system, drift, bad_dt, engine),
                sops::PreconditionError);
   IntegratorParams bad_noise;
   bad_noise.noise_variance = -0.1;
-  EXPECT_THROW(
-      euler_maruyama_step(system, model, 1.0, bad_noise, engine, scratch),
-      sops::PreconditionError);
+  EXPECT_THROW(apply_euler_maruyama_update(system, drift, bad_noise, engine),
+               sops::PreconditionError);
   const double inf = std::numeric_limits<double>::infinity();
   IntegratorParams inf_dt;
   inf_dt.dt = inf;
-  EXPECT_THROW(euler_maruyama_step(system, model, 1.0, inf_dt, engine, scratch),
+  EXPECT_THROW(apply_euler_maruyama_update(system, drift, inf_dt, engine),
                sops::PreconditionError);
   IntegratorParams inf_noise;
   inf_noise.noise_variance = inf;
-  EXPECT_THROW(
-      euler_maruyama_step(system, model, 1.0, inf_noise, engine, scratch),
-      sops::PreconditionError);
+  EXPECT_THROW(apply_euler_maruyama_update(system, drift, inf_noise, engine),
+               sops::PreconditionError);
+  // A drift of the wrong length is rejected too.
+  EXPECT_THROW(apply_euler_maruyama_update(system, std::vector<Vec2>(2),
+                                           IntegratorParams{}, engine),
+               sops::PreconditionError);
+  // A rejected update neither moves the particle nor draws a step key.
+  EXPECT_EQ(system.position(0), (Vec2{0.0, 0.0}));
+  sops::rng::Xoshiro256 fresh(1);
+  EXPECT_EQ(engine(), fresh());
 }
 
 TEST(Integrator, NoiseDrawsAreSequencedPerParticle) {
   // Two identical engines must produce identical trajectories when stepping
   // the same system — the step noise is part of the contract
   // (reproducibility does not depend on neighbor strategy or thread count).
-  const InteractionModel model = spring_model(1.0, 2.0);
+  const PairScalingTable table(spring_model(1.0, 2.0));
   IntegratorParams params;
   params.dt = 0.05;
   params.noise_variance = 0.05;
@@ -193,12 +221,15 @@ TEST(Integrator, NoiseDrawsAreSequencedPerParticle) {
   ParticleSystem b = a;
   sops::rng::Xoshiro256 ea(42);
   sops::rng::Xoshiro256 eb(42);
-  std::vector<Vec2> scratch;
+  NeighborBackend all_pairs(NeighborBackendKind::kAllPairs);
+  NeighborBackend cell_grid(NeighborBackendKind::kCellGrid);
+  std::vector<Vec2> drift;
   for (int i = 0; i < 20; ++i) {
-    euler_maruyama_step(a, model, kUnboundedRadius, params, ea, scratch,
-                        sops::sim::NeighborMode::kAllPairs);
-    euler_maruyama_step(b, model, 100.0, params, eb, scratch,
-                        sops::sim::NeighborMode::kCellGrid);
+    accumulate_drift(a, table, kUnboundedRadius, drift, all_pairs,
+                     serial_executor());
+    apply_euler_maruyama_update(a, drift, params, ea);
+    accumulate_drift(b, table, 100.0, drift, cell_grid, serial_executor());
+    apply_euler_maruyama_update(b, drift, params, eb);
   }
   // Same pair sets (everything within 100 > any distance): identical paths.
   for (std::size_t i = 0; i < 3; ++i) {
@@ -249,7 +280,7 @@ TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
     {
       const SimdPolicyGuard scalar(sops::support::SimdPolicy::kScalar);
       for (int step = 0; step < 3; ++step) {
-        sops::sim::apply_euler_maruyama_update(serial, drift, params,
+        apply_euler_maruyama_update(serial, drift, params,
                                                serial_engine);
       }
     }
@@ -261,7 +292,7 @@ TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
         ParticleSystem sharded(positions, types);
         sops::rng::Xoshiro256 engine(77);
         for (int step = 0; step < 3; ++step) {
-          sops::sim::apply_euler_maruyama_update(sharded, drift, params,
+          apply_euler_maruyama_update(sharded, drift, params,
                                                  engine, pool.executor());
         }
         for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -284,10 +315,10 @@ TEST(Integrator, EngineAdvancesOneWordPerNoisyStepAndNonePerQuiet) {
   sops::rng::Xoshiro256 shadow(9);
   sops::support::TaskPool pool(3);
   for (int step = 0; step < 4; ++step) {
-    sops::sim::apply_euler_maruyama_update(system, drift, noisy, engine,
+    apply_euler_maruyama_update(system, drift, noisy, engine,
                                            pool.executor());
     (void)shadow();
-    sops::sim::apply_euler_maruyama_update(system, drift, no_noise(), engine);
+    apply_euler_maruyama_update(system, drift, no_noise(), engine);
     sops::rng::Xoshiro256 probe = engine;
     sops::rng::Xoshiro256 shadow_probe = shadow;
     EXPECT_EQ(probe(), shadow_probe()) << "step " << step;
@@ -310,7 +341,7 @@ TEST(Integrator, NoiseIsTheStepKeysCounterStream) {
   std::vector<double> xi_y(positions.size());
   sops::rng::scalar_step_noise_kernels().normal_pairs(
       key, 0, positions.size(), xi_x.data(), xi_y.data());
-  sops::sim::apply_euler_maruyama_update(system, drift, params, engine);
+  apply_euler_maruyama_update(system, drift, params, engine);
   const double scale =
       std::sqrt(params.dt) * std::sqrt(params.noise_variance);
   for (std::size_t i = 0; i < positions.size(); ++i) {

@@ -160,12 +160,17 @@ TEST(DelaunayForces, OnlyTessellationNeighborsInteract) {
   InteractionModel model(ForceLawKind::kSpring, 1, PairParams{1.0, 2.0, 1, 1});
   ParticleSystem system({{0, 0}, {1, 1}, {1, -1}, {2, 0}, {30, 0}}, {0, 0, 0, 0, 0});
 
+  const PairScalingTable table(model);
   std::vector<Vec2> delaunay;
   std::vector<Vec2> all_pairs;
-  accumulate_drift(system, model, kUnboundedRadius, delaunay,
-                   NeighborMode::kDelaunay);
-  accumulate_drift(system, model, kUnboundedRadius, all_pairs,
-                   NeighborMode::kAllPairs);
+  sops::geom::NeighborBackend tessellation(
+      sops::geom::NeighborBackendKind::kDelaunay);
+  sops::geom::NeighborBackend everyone(
+      sops::geom::NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, table, kUnboundedRadius, delaunay, tessellation,
+                   sops::support::serial_executor());
+  accumulate_drift(system, table, kUnboundedRadius, all_pairs, everyone,
+                   sops::support::serial_executor());
   // Particle 0 is not a Delaunay neighbor of particle 4 (separated by the
   // diamond) but interacts with it under all-pairs: drifts must differ.
   EXPECT_NE(delaunay[0].x, all_pairs[0].x);
@@ -181,11 +186,15 @@ TEST(DelaunayForces, CutoffPrunesLongTessellationEdges) {
   // Two distant pairs: the tessellation connects across the gap, a finite
   // cutoff removes the bridge.
   ParticleSystem system({{0, 0}, {0, 1}, {50, 0}, {50, 1}}, {0, 0, 0, 0});
+  const PairScalingTable table(model);
   std::vector<Vec2> bounded;
   std::vector<Vec2> unbounded;
-  accumulate_drift(system, model, 5.0, bounded, NeighborMode::kDelaunay);
-  accumulate_drift(system, model, kUnboundedRadius, unbounded,
-                   NeighborMode::kDelaunay);
+  // One backend for both radii: each call rebuilds it.
+  sops::geom::NeighborBackend backend(sops::geom::NeighborBackendKind::kDelaunay);
+  accumulate_drift(system, table, 5.0, bounded, backend,
+                   sops::support::serial_executor());
+  accumulate_drift(system, table, kUnboundedRadius, unbounded, backend,
+                   sops::support::serial_executor());
   // Unbounded: particle 0 feels the distant pair (attraction, +x).
   EXPECT_GT(unbounded[0].x, 0.1);
   // Bounded at 5: only the local partner matters; no x-pull.
@@ -196,12 +205,17 @@ TEST(DelaunayForces, MatchesAllPairsOnATriangle) {
   using namespace sops::sim;
   InteractionModel model(ForceLawKind::kSpring, 1, PairParams{1.0, 2.0, 1, 1});
   ParticleSystem system({{0, 0}, {1, 0}, {0.5, 1.0}}, {0, 0, 0});
+  const PairScalingTable table(model);
   std::vector<Vec2> delaunay;
   std::vector<Vec2> all_pairs;
-  accumulate_drift(system, model, kUnboundedRadius, delaunay,
-                   NeighborMode::kDelaunay);
-  accumulate_drift(system, model, kUnboundedRadius, all_pairs,
-                   NeighborMode::kAllPairs);
+  sops::geom::NeighborBackend tessellation(
+      sops::geom::NeighborBackendKind::kDelaunay);
+  sops::geom::NeighborBackend everyone(
+      sops::geom::NeighborBackendKind::kAllPairs);
+  accumulate_drift(system, table, kUnboundedRadius, delaunay, tessellation,
+                   sops::support::serial_executor());
+  accumulate_drift(system, table, kUnboundedRadius, all_pairs, everyone,
+                   sops::support::serial_executor());
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(delaunay[i].x, all_pairs[i].x, 1e-12);
     EXPECT_NEAR(delaunay[i].y, all_pairs[i].y, 1e-12);
