@@ -424,6 +424,34 @@ double measure_intra_step_steps_per_sec(std::size_t n, std::size_t step_threads,
   return static_cast<double>(steps) / seconds;
 }
 
+// Steps/sec of the paper's fig4 collective (n = 50 spring particles,
+// r_c = 5, all-pairs under kAuto) stepped serially one sample at a time,
+// at the fig4_m500 job's recording grid (250 steps, stride 25): the
+// per-sample simulation the end-to-end fig4 rows spend their `core.sim`
+// on. Samples run back to back on one workspace, as a job's sample worker
+// runs them.
+double measure_fig4_steps_per_sec() {
+  sim::SimulationConfig config = core::presets::fig4_three_type_collective();
+  config.record_stride = 25;
+  sim::SimulationWorkspace workspace;
+  const auto recorder = [](std::size_t, std::size_t, geom::PositionLanes lanes) {
+    benchmark::DoNotOptimize(lanes.x.data());
+  };
+  const auto run = [&](std::uint64_t stream) {
+    config.stream = stream;
+    (void)sim::run_simulation_streamed(config, workspace, recorder);
+  };
+  const std::uint64_t warmup = 20;
+  const std::uint64_t samples = 400;
+  for (std::uint64_t s = 0; s < warmup; ++s) run(s);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t s = 0; s < samples; ++s) run(warmup + s);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return static_cast<double>(samples * config.steps) / seconds;
+}
+
 // Pure dispatch cost: microseconds per empty `width`-chunk batch, spawn vs
 // pool. This is the per-step overhead the intra-step path pays before any
 // drift work — the number kIntraStepMinParticles is derived from.
@@ -1044,6 +1072,14 @@ void emit_engine_json() {
                 n, baseline, engine, speedup, n * sizeof(geom::Vec2));
   }
 
+  // The paper's own collective: fig4 on the all-pairs backend, serial.
+  const double fig4_rate = best_throughput(measure_fig4_steps_per_sec);
+  std::fprintf(out,
+               "  ],\n  \"all_pairs\": {\"preset\": \"fig4\", \"n\": 50, "
+               "\"samples\": 1, \"threads\": 1, \"steps_per_sec\": %.1f},\n",
+               fig4_rate);
+  std::printf("all-pairs fig4 n=50 serial: %.0f steps/s\n", fig4_rate);
+
   // Intra-step sharding: single-sample stepping of one large collective at
   // 1/2/4/8 drift threads, dispatched on the persistent pool (the engine's
   // path; `steps_per_sec`) and on the fork-per-step baseline
@@ -1059,7 +1095,7 @@ void emit_engine_json() {
     if (threads <= std::min<std::size_t>(8, hardware)) gate_threads = threads;
   }
   double gate_scaling_at_16384 = 0.0;
-  std::fprintf(out, "  ],\n  \"intra_step\": [\n");
+  std::fprintf(out, "  \"intra_step\": [\n");
   for (std::size_t a = 0; a < 3; ++a) {
     const std::size_t n = intra_sizes[a];
     double serial = 0.0;

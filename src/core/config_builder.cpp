@@ -164,12 +164,25 @@ ConfiguredExperiment build_experiment(const io::Config& config) {
           ? std::numeric_limits<std::size_t>::max()
           : static_cast<std::size_t>(threshold_bytes);
 
+  // The analysis counts likewise: KSG needs k ≥ 1 neighbours and k-means
+  // at least one observer per type, and a 0 would otherwise surface only
+  // after the whole ensemble was simulated. Whether samples exceed k
+  // depends on the job (record-only jobs run one sample), so that stays
+  // with the estimator.
   configured.analysis.ksg.k = config.get_size("analysis_k", 4);
+  if (configured.analysis.ksg.k == 0) {
+    throw Error("config: 'analysis_k' must be >= 1, got '" +
+                config.get_string("analysis_k", "") + "'");
+  }
   configured.analysis.compute_entropies =
       config.get_bool("entropies", false);
   configured.analysis.compute_decomposition =
       config.get_bool("decomposition", false);
   configured.analysis.kmeans_per_type = config.get_size("kmeans_per_type", 4);
+  if (configured.analysis.kmeans_per_type == 0) {
+    throw Error("config: 'kmeans_per_type' must be >= 1, got '" +
+                config.get_string("kmeans_per_type", "") + "'");
+  }
   configured.analysis.coarse_grain_above =
       config.get_size("coarse_grain_above", 60);
   return configured;

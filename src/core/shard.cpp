@@ -70,10 +70,11 @@ std::uint64_t experiment_config_hash(const ExperimentConfig& config) {
       simulation.neighbor_mode, simulation.types.size(),
       simulation.cutoff_radius);
   hash.u64(static_cast<std::uint64_t>(mode));
-  // Only the cell grid's summation order has changed since shards were
-  // first hashed, so only its hash carries the order tag: all-pairs and
-  // Delaunay shards from before the tag still resume and merge.
+  // The pair-once backends carry their summation order's tag, added when
+  // each order first changed; Delaunay's order never has, so its shards
+  // from before the tags still resume and merge.
   if (mode == sim::NeighborMode::kCellGrid) hash.u64(sim::kCellGridDriftOrder);
+  if (mode == sim::NeighborMode::kAllPairs) hash.u64(sim::kAllPairsDriftOrder);
   hash.f64(simulation.init_disc_radius);
   hash.f64(simulation.integrator.dt);
   hash.f64(simulation.integrator.noise_variance);

@@ -23,8 +23,9 @@ namespace sops::core {
 /// The backend is hashed because it is not bitwise-neutral: all-pairs and
 /// the cell grid sum the same pairs in different orders, and Delaunay is a
 /// different neighbor model. It is hashed *resolved*, so kAuto and the mode
-/// it picks for this n and r_c hash equal. A cell-grid config also hashes
-/// the grid's drift summation order (sim::kCellGridDriftOrder), so a shard
+/// it picks for this n and r_c hash equal. A cell-grid or all-pairs config
+/// also hashes that backend's drift summation order
+/// (sim::kCellGridDriftOrder, sim::kAllPairsDriftOrder), so a shard
 /// recorded under another order fails to resume or merge instead of mixing
 /// two orders in one ensemble. Deliberately *excludes* pure
 /// scheduling and storage choices (threads, parallel policy, spill

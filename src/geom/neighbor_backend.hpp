@@ -7,7 +7,8 @@
 // summation follows that order, which makes the enumeration order part of
 // the engine's bitwise-reproducibility contract:
 //
-//  - all-pairs:  ascending particle index,
+//  - all-pairs:  ascending particle index; the drift kernel visits each
+//                pair once, row i against j > i, in fixed row tiles,
 //  - cell grid:  neighbors(i): 3×3 cell block in (dx, dy) order, point
 //                order within cells; the drift kernel visits each pair once
 //                over half shells in fixed column stripes,
@@ -47,9 +48,10 @@ enum class NeighborBackendKind {
 // ‖p_j − p_i‖ < radius in the backend's enumeration order, valid until the
 // next neighbors() or rebuild() call (it may alias internal scratch) — and
 // `size()`, the point count of the current build. Backends carry no
-// partition of their own: the all-pairs and Delaunay drift split particle
-// ids equally over the executor (each row's enumeration is independent of
-// the split), and the cell grid's drift partitions by fixed column stripes
+// partition of their own: the Delaunay drift splits particle ids equally
+// over the executor (each row's enumeration is independent of the split),
+// the all-pairs drift partitions by fixed row tiles
+// (sim::kAllPairsTileRows), and the cell grid's by fixed column stripes
 // (CellGrid::stripes).
 // Backends are not thread-safe; use one per worker.
 
@@ -61,10 +63,22 @@ class AllPairsBackend {
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
 
+  /// Storage the all-pairs drift path keeps between steps, so steady-state
+  /// stepping does not allocate: the row tiles' partial sums, packed in
+  /// tile order, and one gather buffer per concurrent task (sized serially,
+  /// before dispatch).
+  struct DriftScratch {
+    std::vector<double> partial_x;
+    std::vector<double> partial_y;
+    std::vector<GatherScratch> gather;
+  };
+  [[nodiscard]] DriftScratch& drift_scratch() noexcept { return drift_; }
+
  private:
   PositionLanes points_;
   double radius_ = 0.0;
   std::vector<std::uint32_t> scratch_;
+  DriftScratch drift_;
 };
 
 /// Cell-grid backend; the grid is rebuilt in place each step with retained

@@ -48,14 +48,15 @@ inline void interleave(PositionLanes lanes, std::vector<Vec2>& out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = lanes[i];
 }
 
-/// Reusable per-task buffers of the cell-grid pair kernel: one cell's
-/// half-shell candidates gathered into contiguous lanes — positions, a
-/// caller-defined tag lane (particle types) and the candidates' running
-/// drift sums — so the kernel reads and scatters sequential memory instead
-/// of scattered points. Double-Gaussian rows also compact their survivors
-/// into the lanes just past the block, with each survivor's position in the
-/// row in `slot`. `stripe_x`/`stripe_y` hold the running sums of the stripe
-/// the task runs. One scratch per task — never shared across workers.
+/// Reusable per-task buffers of the pair-once chunk kernel: one cell's
+/// candidate block (a half shell, or an all-pairs tile's suffix) gathered
+/// into contiguous lanes — positions, a caller-defined tag lane (particle
+/// types) and the candidates' running drift sums — so the kernel reads and
+/// scatters sequential memory instead of scattered points. Double-Gaussian
+/// rows also compact their survivors into the lanes just past the block,
+/// with each survivor's position in the row in `slot`. `stripe_x`/
+/// `stripe_y` hold the running sums of the cell-grid stripe the task runs.
+/// One scratch per task — never shared across workers.
 struct GatherScratch {
   std::vector<double> x;
   std::vector<double> y;

@@ -33,12 +33,25 @@ namespace {
 using geom::Vec2;
 using support::kSimdWidth;
 
-// A row of the cell-grid chunk subtracts each lane term from its
-// candidate's running sum. kNone is a plain row (all-pairs, Delaunay);
+// A particle against candidates whose coordinates/types already sit in
+// contiguous lanes: one row of a chunk, over its block's suffix (or over
+// the row's compacted survivors).
+struct DenseRow {
+  double xi;
+  double yi;
+  TypeId type_i;
+  const double* cand_x;
+  const double* cand_y;
+  const TypeId* cand_type;
+  std::size_t count;
+  double cutoff_sq;  // may be +inf (unbounded r_c)
+};
+
+// A chunk row subtracts each lane term from its candidate's running sum.
 // kContiguous rows scatter candidate c into acc_*[c] (masked spring rows
 // over the block suffix); kSlots rows into acc_*[slot[c]] (compacted
 // double-Gaussian rows, slot = the survivor's position in the suffix).
-enum class Scatter { kNone, kContiguous, kSlots };
+enum class Scatter { kContiguous, kSlots };
 
 struct RowScatter {
   double* acc_x;
@@ -108,7 +121,6 @@ template <Scatter kScatter, typename Lanes>
 __attribute__((always_inline)) inline void scatter_lanes(
     const RowScatter& out, std::size_t b, std::size_t m, const Lanes& tx,
     const Lanes& ty) {
-  if constexpr (kScatter == Scatter::kNone) return;
   for (std::size_t l = 0; l < m; ++l) {
     const std::size_t c =
         kScatter == Scatter::kSlots ? out.slot[b + l] : b + l;
@@ -144,10 +156,6 @@ Vec2 dense_scalar_row(const PairScalingTable& table, const DenseRow& row,
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
 }
 
-Vec2 dense_scalar(const PairScalingTable& table, const DenseRow& row) {
-  return dense_scalar_row<Scatter::kNone>(table, row, {});
-}
-
 // Candidate j of a FilterRow: writes its coordinates/type/position to
 // survivor slot `kept` and returns the advanced cursor. Branchless — every
 // candidate writes the slot, the cursor only advances past live ones. The
@@ -181,11 +189,11 @@ __attribute__((always_inline)) inline void copy_lanes(T* dst, const T* src,
   std::memcpy(dst, src, len * sizeof(T));
 }
 
-// Copies the half shell `spans` from the chunk's bucket-ordered lanes into
+// Copies the block `spans` from the chunk's entry-ordered lanes into
 // the scratch candidate lanes, and the candidates' running sums (`sum_x`/
 // `sum_y`: the first span's, then the second's) into the scratch sum lanes.
-// Returns the candidate count m. The block is 2 contiguous CSR ranges, so
-// this is bulk range copies. The sum lanes keep kSimdWidth of slack past
+// Returns the candidate count m. The block is 2 contiguous entry ranges,
+// so this is bulk range copies. The sum lanes keep kSimdWidth of slack past
 // the block for the masked rows' whole-block tail stores; with `compact`,
 // the candidate lanes also keep room past the block for one row's
 // survivors (m + kSimdWidth: FilterRow's compress slack). Scratch only
@@ -222,8 +230,9 @@ inline std::size_t gather_cell_block(
 }
 
 // The chunk loop shared by every dense_chunk variant: gather each cell's
-// half shell and the candidates' running sums once, run each of the cell's
-// particles over the block suffix after it, and write the sums back.
+// block (its half shell, or an all-pairs tile's [a_t, n)) and the
+// candidates' running sums once, run each of the cell's particles over the
+// block suffix after it, and write the sums back.
 // Double-Gaussian rows are first compacted by `filter` to their live
 // survivors, written just past the block, so the law's two exps run on
 // packed lanes; spring rows take the masked suffix directly (their cheap
@@ -241,7 +250,11 @@ __attribute__((always_inline)) inline void dense_chunk_loop(
   const std::uint32_t own_end = chunk.starts[chunk.cell_end];
   for (std::size_t c = chunk.cell_begin; c < chunk.cell_end; ++c) {
     const std::array<geom::CellGrid::Span, 2> spans =
-        chunk.grid->half_shell_spans(c);
+        chunk.grid != nullptr
+            ? chunk.grid->half_shell_spans(c)
+            : std::array<geom::CellGrid::Span, 2>{
+                  {{chunk.starts[c], chunk.block_end},
+                   {chunk.block_end, chunk.block_end}}};
     // The right-hand column's sums: the stripe's own, or, for the last
     // column's right-hand neighbours (the next stripe's), the halo's. An
     // empty span copies nothing.
@@ -418,7 +431,7 @@ __attribute__((always_inline)) inline void vector_block(
 template <Scatter kScatter>
 __attribute__((always_inline)) inline void vector_scatter(
     const RowScatter& out, std::size_t b, std::size_t m, v4d tx, v4d ty) {
-  if constexpr (kScatter != Scatter::kContiguous) {
+  if constexpr (kScatter == Scatter::kSlots) {
     scatter_lanes<kScatter>(out, b, m, tx, ty);
   } else {
     v4d gx;
@@ -507,15 +520,6 @@ __attribute__((always_inline)) inline Vec2 indexed_vector_law(
           ((accy[0] + accy[1]) + accy[2]) + accy[3]};
 }
 
-__attribute__((always_inline)) inline Vec2 dense_vector_body(
-    const PairScalingTable& table, const DenseRow& row) {
-  return table.kind() == ForceLawKind::kSpring
-             ? dense_vector_law<ForceLawKind::kSpring, Scatter::kNone>(
-                   table, row, {})
-             : dense_vector_law<ForceLawKind::kDoubleGaussian, Scatter::kNone>(
-                   table, row, {});
-}
-
 __attribute__((always_inline)) inline Vec2 indexed_vector_body(
     const PairScalingTable& table, const IndexedRow& row) {
   return table.kind() == ForceLawKind::kSpring
@@ -541,10 +545,6 @@ struct VectorRows {
         table, row, out);
   }
 };
-
-Vec2 dense_vector_generic(const PairScalingTable& table, const DenseRow& row) {
-  return dense_vector_body(table, row);
-}
 
 Vec2 indexed_vector_generic(const PairScalingTable& table,
                             const IndexedRow& row) {
@@ -585,11 +585,6 @@ double drift_norm_generic(const Vec2* drift, std::size_t n) {
 }
 
 #if SOPS_KERNEL_AVX2
-
-__attribute__((target("avx2"))) Vec2 dense_vector_avx2(
-    const PairScalingTable& table, const DenseRow& row) {
-  return dense_vector_body(table, row);
-}
 
 __attribute__((target("avx2"))) Vec2 indexed_vector_avx2(
     const PairScalingTable& table, const IndexedRow& row) {
@@ -707,20 +702,19 @@ __attribute__((target("avx2"), flatten)) void dense_chunk_avx2(
 }  // namespace
 
 const DriftKernels& scalar_drift_kernels() noexcept {
-  static const DriftKernels kScalar{dense_scalar, indexed_scalar,
-                                    dense_chunk_scalar, drift_norm_scalar};
+  static const DriftKernels kScalar{indexed_scalar, dense_chunk_scalar,
+                                    drift_norm_scalar};
   return kScalar;
 }
 
 const DriftKernels& select_drift_kernels() noexcept {
 #if defined(SOPS_HAVE_VECTOR_EXT)
-  static const DriftKernels kGeneric{dense_vector_generic,
-                                     indexed_vector_generic,
+  static const DriftKernels kGeneric{indexed_vector_generic,
                                      dense_chunk_generic, drift_norm_generic};
   if (!support::simd_enabled()) return scalar_drift_kernels();
 #if SOPS_KERNEL_AVX2
-  static const DriftKernels kAvx2{dense_vector_avx2, indexed_vector_avx2,
-                                  dense_chunk_avx2, drift_norm_avx2};
+  static const DriftKernels kAvx2{indexed_vector_avx2, dense_chunk_avx2,
+                                  drift_norm_avx2};
   if (support::cpu_dispatch_avx2()) return kAvx2;
 #endif
   return kGeneric;

@@ -11,6 +11,25 @@
 namespace sops::sim {
 namespace {
 
+// Runs body(k, scratch) for every chunk k in [0, count) on
+// min(width, count) tasks that claim chunks dynamically, each with its own
+// gather scratch (sized here, serially, before the dispatch).
+template <typename Body>
+void run_claimed_chunks(support::Executor& executor, std::size_t count,
+                        std::vector<geom::GatherScratch>& gather,
+                        const Body& body) {
+  const std::size_t tasks = std::min(executor.width(), count);
+  if (gather.size() < tasks) gather.resize(tasks);
+  std::atomic<std::size_t> next{0};
+  auto claim = [&](std::size_t task) {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < count; k = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(k, gather[task]);
+    }
+  };
+  executor.run(tasks, claim);
+}
+
 // The cell-grid drift path: each unordered pair once, over half shells in
 // fixed column stripes (sim/drift_kernel.hpp has the order). The grid
 // scattered its bucket-ordered coordinate lanes during the rebuild, so only
@@ -47,45 +66,103 @@ void accumulate_cell_kernel(const ParticleSystem& system,
   s.halo_x.assign(s.halo_at.back(), 0.0);
   s.halo_y.assign(s.halo_at.back(), 0.0);
 
-  const std::size_t tasks = std::min(executor.width(), stripes.size());
-  if (s.gather.size() < tasks) s.gather.resize(tasks);  // serial: before run
-  std::atomic<std::size_t> next_stripe{0};
-  auto run_stripes = [&](std::size_t task) {
-    geom::GatherScratch& g = s.gather[task];
-    for (std::size_t k = next_stripe.fetch_add(1, std::memory_order_relaxed);
-         k < stripes.size();
-         k = next_stripe.fetch_add(1, std::memory_order_relaxed)) {
-      const geom::CellGrid::Stripe stripe = stripes[k];
-      const std::uint32_t first = starts[stripe.cell_begin];
-      const std::uint32_t last = starts[stripe.cell_end];
-      g.stripe_x.assign(last - first, 0.0);
-      g.stripe_y.assign(last - first, 0.0);
-      const DenseChunk chunk{grid.bucket_x().data(),
-                             grid.bucket_y().data(),
-                             s.tags.data(),
-                             starts.data(),
-                             &grid,
-                             stripe.cell_begin,
-                             stripe.cell_end,
-                             g.stripe_x.data(),
-                             g.stripe_y.data(),
-                             s.halo_x.data() + s.halo_at[k],
-                             s.halo_y.data() + s.halo_at[k],
-                             &g,
-                             cutoff_radius * cutoff_radius};
-      kernels.dense_chunk(table, chunk);
-      for (std::uint32_t e = first; e < last; ++e) {
-        out[entries[e]] = {g.stripe_x[e - first], g.stripe_y[e - first]};
-      }
+  run_claimed_chunks(executor, stripes.size(), s.gather,
+                     [&](std::size_t k, geom::GatherScratch& g) {
+    const geom::CellGrid::Stripe stripe = stripes[k];
+    const std::uint32_t first = starts[stripe.cell_begin];
+    const std::uint32_t last = starts[stripe.cell_end];
+    g.stripe_x.assign(last - first, 0.0);
+    g.stripe_y.assign(last - first, 0.0);
+    const DenseChunk chunk{grid.bucket_x().data(),
+                           grid.bucket_y().data(),
+                           s.tags.data(),
+                           starts.data(),
+                           &grid,
+                           0,
+                           stripe.cell_begin,
+                           stripe.cell_end,
+                           g.stripe_x.data(),
+                           g.stripe_y.data(),
+                           s.halo_x.data() + s.halo_at[k],
+                           s.halo_y.data() + s.halo_at[k],
+                           &g,
+                           cutoff_radius * cutoff_radius};
+    kernels.dense_chunk(table, chunk);
+    for (std::uint32_t e = first; e < last; ++e) {
+      out[entries[e]] = {g.stripe_x[e - first], g.stripe_y[e - first]};
     }
-  };
-  executor.run(tasks, run_stripes);
+  });
   for (std::size_t k = 0; k < stripes.size(); ++k) {
     const std::uint32_t first = starts[stripes[k].cell_end];
     for (std::uint32_t e = first; e < starts[stripes[k].halo_end]; ++e) {
       const std::size_t h = s.halo_at[k] + (e - first);
       geom::Vec2& drift = out[entries[e]];
       drift = {drift.x + s.halo_x[h], drift.y + s.halo_y[h]};
+    }
+  }
+}
+
+// The all-pairs drift path: each unordered pair once, over fixed tiles of
+// kAllPairsTileRows rows in index order (sim/drift_kernel.hpp has the
+// order). Tile t is a one-cell chunk, rows [a_t, b_t) against [a_t, n),
+// streaming the system's own lanes; its running sums over [a_t, n) are its
+// partial sums, packed in tile order. Runners claim tiles dynamically. Once
+// every tile has run, a particle's drift is its own tile's sum plus each
+// earlier tile's partial, added in tile order, so no sum depends on which
+// runner took which tile and every executor width gives the serial bits.
+void accumulate_all_pairs_kernel(const ParticleSystem& system,
+                                 const PairScalingTable& table,
+                                 double cutoff_radius,
+                                 std::vector<geom::Vec2>& out,
+                                 geom::AllPairsBackend& backend,
+                                 support::Executor& executor) {
+  const std::size_t n = system.size();
+  const std::size_t rows = kAllPairsTileRows;
+  const std::size_t tiles = (n + rows - 1) / rows;
+  // Tile t's partials start at Σ_{s<t} (n − a_s) = t·n − rows·t(t−1)/2.
+  const auto partial_at = [&](std::size_t t) {
+    return t * n - rows * ((t * t - t) / 2);
+  };
+  const DriftKernels& kernels = select_drift_kernels();
+  geom::AllPairsBackend::DriftScratch& s = backend.drift_scratch();
+  s.partial_x.resize(partial_at(tiles));
+  s.partial_y.resize(partial_at(tiles));
+
+  run_claimed_chunks(executor, tiles, s.gather,
+                     [&](std::size_t t, geom::GatherScratch& g) {
+    const std::uint32_t starts[2] = {
+        static_cast<std::uint32_t>(t * rows),
+        static_cast<std::uint32_t>(std::min(n, (t + 1) * rows))};
+    double* acc_x = s.partial_x.data() + partial_at(t);
+    double* acc_y = s.partial_y.data() + partial_at(t);
+    std::fill_n(acc_x, n - starts[0], 0.0);
+    std::fill_n(acc_y, n - starts[0], 0.0);
+    const DenseChunk chunk{system.x.data(),
+                           system.y.data(),
+                           system.types.data(),
+                           starts,
+                           nullptr,
+                           static_cast<std::uint32_t>(n),
+                           0,
+                           1,
+                           acc_x,
+                           acc_y,
+                           nullptr,
+                           nullptr,
+                           &g,
+                           cutoff_radius * cutoff_radius};
+    kernels.dense_chunk(table, chunk);
+  });
+  for (std::size_t u = 0; u < tiles; ++u) {
+    const std::size_t a = u * rows;
+    for (std::size_t i = a; i < std::min(n, a + rows); ++i) {
+      const std::size_t own = partial_at(u) + (i - a);
+      geom::Vec2 drift{s.partial_x[own], s.partial_y[own]};
+      for (std::size_t t = 0; t < u; ++t) {
+        const std::size_t p = partial_at(t) + (i - t * rows);
+        drift = {drift.x + s.partial_x[p], drift.y + s.partial_y[p]};
+      }
+      out[i] = drift;
     }
   }
 }
@@ -150,32 +227,24 @@ void accumulate_drift(const ParticleSystem& system, const PairScalingTable& tabl
 
   // One fused kernel path per backend: candidates flow through the
   // lane-structured drift kernels (sim/drift_kernel.hpp) — half-shell
-  // stripes on the cell grid, dense rows for all-pairs, indexed rows for
-  // Delaunay. Every sum has a fixed order, so any width gives the serial
-  // bits, and the scalar/SIMD kernel selection never changes them.
+  // stripes on the cell grid, triangle tiles for all-pairs, indexed rows
+  // for Delaunay. Every sum has a fixed order, so any width gives the
+  // serial bits, and the scalar/SIMD kernel selection never changes them.
   geom::NeighborBackend::Variant& concrete = backend.get();
   if (auto* cell_backend = std::get_if<geom::CellGridBackend>(&concrete)) {
     accumulate_cell_kernel(system, table, cutoff_radius, out, *cell_backend,
                            executor);
     return;
   }
-  const DriftKernels& kernels = select_drift_kernels();
-  // All-pairs and Delaunay rows are pure gathers (out[i] reads only the
-  // system), so the equal parallel_for split is scheduling only.
-  if (std::holds_alternative<geom::AllPairsBackend>(concrete)) {
-    // The whole particle set is one dense candidate block (self masks out
-    // at Δz = 0); cutoff_sq may be +inf for the unbounded radius.
-    support::parallel_for(executor, 0, n, [&](std::size_t i) {
-      const DenseRow row{system.x[i],      system.y[i],
-                         system.types[i],  system.x.data(),
-                         system.y.data(),  system.types.data(),
-                         n,                cutoff_sq};
-      out[i] = kernels.dense(table, row);
-    });
+  if (auto* all_pairs = std::get_if<geom::AllPairsBackend>(&concrete)) {
+    accumulate_all_pairs_kernel(system, table, cutoff_radius, out, *all_pairs,
+                                executor);
     return;
   }
-  // Adjacency rows are already pruned by the cut-off at rebuild; the kernel
-  // mask is idempotent on them.
+  // Delaunay rows are pure gathers (out[i] reads only the system), so the
+  // equal parallel_for split is scheduling only. Adjacency rows are already
+  // pruned by the cut-off at rebuild; the kernel mask is idempotent on them.
+  const DriftKernels& kernels = select_drift_kernels();
   const auto& delaunay = std::get<geom::DelaunayBackend>(concrete);
   support::parallel_for(executor, 0, n, [&](std::size_t i) {
     const std::span<const std::uint32_t> adj = delaunay.neighbors(i);

@@ -3,10 +3,10 @@
 //
 //   drift_i = Σ_{j ∈ N_rc(i)}  −F_αβ(‖Δz_ij‖) · Δz_ij,   Δz_ij = z_i − z_j.
 //
-// Interchangeable neighbor strategies are provided; all must produce
-// identical drifts for the same pair set (tested): all-pairs O(n²), a
-// uniform cell grid that is O(n) per step for bounded density, and the
-// Delaunay-tessellation extension. There is one entry point: it sums
+// Interchangeable neighbor strategies are provided; all must produce the
+// same drifts for the same pair set, up to summation order (tested):
+// all-pairs O(n²), a uniform cell grid that is O(n) per step for bounded
+// density, and the Delaunay-tessellation extension. There is one entry point: it sums
 // through a persistent geom::NeighborBackend that the caller keeps across
 // steps (SimulationWorkspace turns a NeighborMode into one), so no step
 // constructs an index.
@@ -27,7 +27,7 @@ namespace sops::sim {
 /// Neighbor-search strategy selection.
 enum class NeighborMode {
   kAuto,       ///< grid for finite r_c and n ≥ 64, all-pairs otherwise
-  kAllPairs,   ///< O(n²) reference path; required for r_c = ∞
+  kAllPairs,   ///< O(n²) index triangle; required for r_c = ∞
   kCellGrid,   ///< uniform cell grid; requires finite r_c
   /// Cell-like tessellation (extension): interactions only between direct
   /// Delaunay neighbors, the neighbor model of the paper's base reference
@@ -122,14 +122,16 @@ class PairScalingTable {
 /// zero; skipping (rather than throwing) keeps hand-constructed degenerate
 /// configurations usable in tests.
 ///
-/// All-pairs and Delaunay split the particle loop equally over the
-/// executor's runners (support::parallel_for): each drift row is a pure
-/// gather in its serial neighbor-enumeration order, so the split is
-/// scheduling only. The cell grid computes each unordered pair once and
-/// adds the negated term to the partner, over fixed column stripes whose
-/// count never depends on the width (sim/drift_kernel.hpp). Either way the
-/// work is dispatched on `executor`'s persistent runners, and the result
-/// is bitwise-identical for any executor width.
+/// All-pairs and the cell grid compute each unordered pair once and add
+/// the negated term to the partner: all-pairs over the index triangle
+/// (row i against j > i) in fixed row tiles, the grid over half shells in
+/// fixed column stripes; neither partition depends on the width
+/// (sim/drift_kernel.hpp). Delaunay splits the particle loop equally over
+/// the executor's runners (support::parallel_for): each drift row is a
+/// pure gather in its serial neighbor-enumeration order, so the split is
+/// scheduling only. Either way the work is dispatched on `executor`'s
+/// persistent runners, and the result is bitwise-identical for any
+/// executor width.
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,

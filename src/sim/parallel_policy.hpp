@@ -25,17 +25,19 @@ enum class ParallelPolicy {
   kHybrid,         ///< samples first, leftover threads inside each step
 };
 
-/// Collective size below which kAuto never shards a step. Set for the
-/// pooled executor: a step's dispatch onto parked workers measures ~7 µs
-/// (BENCH_engine.json `dispatch`, vs ~35 µs for the fork/join that set the
-/// previous floor of 2048). Since the cell-grid drift became a half-shell
-/// kernel over fixed 4-column stripes, sharding no longer pays at 512
-/// particles: a traced 1-thread coarse_n512 run reads `sim.drift_us`
-/// 88 µs per step, the collective spans only about 2 stripes, and traced
-/// `sim.drift_scaling` (4 threads against 1) reads 0.63x. The value stays
-/// until it is re-derived from measurements (ROADMAP, "A persistent step
-/// team").
-inline constexpr std::size_t kIntraStepMinParticles = 512;
+/// Collective size below which kAuto never shards a step: the measured
+/// crossover of a whole cell-grid step (rebuild, drift over the half-shell
+/// stripes, integration) sharded on the pooled executor against the serial
+/// step. On a 4-core AVX2 Xeon (bench_perf_micro's intra-step row shape,
+/// spring law, r_c = 3, pooled steps/s at 4 threads over 1, several
+/// interleaved runs on a shared host) it read 0.77–0.86x at n = 1024,
+/// 0.77–1.10x at 1536, 0.93–1.41x at 2048 and 1.31–1.50x at 3072. Below
+/// ~2048 a collective spans too few 4-column stripes to share and the
+/// step's dispatches outweigh the split drift. (The all-pairs drift, used
+/// above 63 particles only at an unbounded r_c, would pay from smaller n;
+/// the threshold follows the cell grid, which every finite-r_c collective
+/// of that size runs on.)
+inline constexpr std::size_t kIntraStepMinParticles = 2048;
 
 /// A resolved policy: how many workers run samples concurrently, and how
 /// many threads each of those workers may use inside one step.

@@ -1,12 +1,14 @@
 // The cell-grid drift computes each unordered pair once (Newton's third
-// law) over half shells in fixed column stripes. These tests pin that
-// order against a plain scalar reference that walks it without the grid
-// (half_shell_reference.hpp): bitwise, under the scalar and the selected
-// vector kernels, at executor widths 1–4, on the geometries that reach
-// every branch of the walk — one cell, one column, a stripe's boundary
-// column, stripes separated by empty columns, and the grid's sparse-box
-// (sorted-key) lookup as well as its rank-array lookup. Named engine_* so
-// the TSan and scalar-pin CI steps run it.
+// law) over half shells in fixed column stripes, and the all-pairs drift
+// over the index triangle in fixed row tiles. These tests pin both orders
+// against plain scalar references that walk them without the grid or the
+// kernels (half_shell_reference.hpp): bitwise, under the scalar and the
+// selected vector kernels, at every executor width tested. The cell-grid
+// geometries reach every branch of the walk — one cell, one column, a
+// stripe's boundary column, stripes separated by empty columns, and the
+// grid's sparse-box (sorted-key) lookup as well as its rank-array lookup;
+// the all-pairs sizes straddle one and two tile boundaries. Named engine_*
+// so the TSan and scalar-pin CI steps run it.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -34,6 +36,8 @@ using sops::sim::ParticleSystem;
 using sops::sim::TypeId;
 
 constexpr auto kCellGrid = sops::geom::NeighborBackendKind::kCellGrid;
+constexpr auto kAllPairs = sops::geom::NeighborBackendKind::kAllPairs;
+constexpr std::size_t kTile = sops::sim::kAllPairsTileRows;
 constexpr double kColumns = static_cast<double>(sops::sim::kDriftStripeColumns);
 
 class SimdPolicyGuard {
@@ -50,10 +54,10 @@ class SimdPolicyGuard {
   sops::support::SimdPolicy saved_;
 };
 
-std::vector<Vec2> engine_drift(const ParticleSystem& system,
-                               const PairScalingTable& table, double cutoff,
-                               std::size_t width) {
-  sops::geom::NeighborBackend backend(kCellGrid);
+std::vector<Vec2> engine_drift(
+    const ParticleSystem& system, const PairScalingTable& table, double cutoff,
+    std::size_t width, sops::geom::NeighborBackendKind kind = kCellGrid) {
+  sops::geom::NeighborBackend backend(kind);
   sops::support::TaskPool pool(width);
   std::vector<Vec2> out;
   sops::sim::accumulate_drift(system, table, cutoff, out, backend,
@@ -225,8 +229,14 @@ TEST(HalfShell, GeometriesReachEveryStripeShape) {
 
 TEST(HalfShell, TwoParticlesFeelExactlyOppositeDrifts) {
   // F_αβ = F_βα and exact IEEE negation: drift_0 = −drift_1 bit for bit,
-  // wherever the pair sits — one cell, a cell and the one above, across
-  // columns, across a stripe boundary (the halo), in either index order.
+  // wherever the pair sits on the grid — one cell, a cell and the one
+  // above, across columns, across a stripe boundary (the halo), in either
+  // index order — and on the all-pairs triangle at a finite and an
+  // unbounded r_c.
+  const std::pair<sops::geom::NeighborBackendKind, double> backends[] = {
+      {kCellGrid, 1.0},
+      {kAllPairs, 2.5},
+      {kAllPairs, sops::sim::kUnboundedRadius}};
   const std::vector<std::pair<Vec2, Vec2>> pairs = {
       {{0.3, 0.4}, {0.71, 0.13}},
       {{0.3, 0.9}, {0.55, 1.2}},
@@ -238,15 +248,18 @@ TEST(HalfShell, TwoParticlesFeelExactlyOppositeDrifts) {
     const PairScalingTable table(model);
     for (const auto& [a, b] : pairs) {
       const ParticleSystem system({a, b}, {0, 2});
-      for (const auto policy : {sops::support::SimdPolicy::kScalar,
-                                sops::support::SimdPolicy::kSimd}) {
-        const SimdPolicyGuard guard(policy);
-        const std::vector<Vec2> drift = engine_drift(system, table, 1.0, 2);
-        ASSERT_NE(drift[0].x, 0.0);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(drift[0].x),
-                  std::bit_cast<std::uint64_t>(-drift[1].x));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(drift[0].y),
-                  std::bit_cast<std::uint64_t>(-drift[1].y));
+      for (const auto& [kind, cutoff] : backends) {
+        for (const auto policy : {sops::support::SimdPolicy::kScalar,
+                                  sops::support::SimdPolicy::kSimd}) {
+          const SimdPolicyGuard guard(policy);
+          const std::vector<Vec2> drift =
+              engine_drift(system, table, cutoff, 2, kind);
+          ASSERT_NE(drift[0].x, 0.0);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(drift[0].x),
+                    std::bit_cast<std::uint64_t>(-drift[1].x));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(drift[0].y),
+                    std::bit_cast<std::uint64_t>(-drift[1].y));
+        }
       }
     }
   }
@@ -287,6 +300,77 @@ TEST(HalfShell, DriftsSumToZeroWithinRounding) {
     EXPECT_LE(std::abs(total.x) + std::abs(total.y), 1e-13 * scale)
         << "seed " << seed << " scale " << scale;
     EXPECT_GT(scale, 0.0) << seed;
+  }
+}
+
+// ------------------------------------------------- all-pairs triangle
+
+// `n` particles in a disc, three types, and a coincident triple (indices 0,
+// n/2, n − 1 share a position) once n ≥ 3, so the d² = 0 mask lands in the
+// first tile and, from n > kTile, across a tile boundary.
+ParticleSystem triangle_system(std::size_t n, std::uint64_t seed) {
+  sops::rng::Xoshiro256 engine(seed);
+  std::vector<Vec2> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    points.push_back(sops::rng::uniform_disc(engine, 4.0));
+  }
+  if (n >= 3) points[n / 2] = points[n - 1] = points[0];
+  return with_types(points);
+}
+
+TEST(AllPairsTriangle, MatchesScalarReferenceAtEveryWidth) {
+  const double unbounded = sops::sim::kUnboundedRadius;
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, kTile - 1, kTile,
+        kTile + 1, 2 * kTile + 3}) {
+    const ParticleSystem system = triangle_system(n, 0xA11 + n);
+    for (const InteractionModel& model : models()) {
+      const PairScalingTable table(model);
+      const bool compact = model.kind() == ForceLawKind::kDoubleGaussian;
+      for (const double cutoff : {2.5, unbounded}) {
+        const std::vector<Vec2> reference =
+            sops::testing::all_pairs_reference(system, table, cutoff, compact);
+        for (const auto policy : {sops::support::SimdPolicy::kScalar,
+                                  sops::support::SimdPolicy::kSimd}) {
+          const SimdPolicyGuard guard(policy);
+          for (std::size_t width = 1; width <= 5; ++width) {
+            const std::vector<Vec2> drift =
+                engine_drift(system, table, cutoff, width, kAllPairs);
+            ASSERT_EQ(drift.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(drift[i], reference[i])
+                  << "n " << n << " law " << static_cast<int>(model.kind())
+                  << " r_c " << cutoff << " policy "
+                  << static_cast<int>(policy) << " width " << width << " i "
+                  << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AllPairsTriangle, ReferenceSumsEveryPairOnce) {
+  // The reference is only worth matching if it is the law's pair sum:
+  // against a plain double loop over all j ≠ i, within rounding, across
+  // two tile boundaries.
+  const ParticleSystem system = triangle_system(2 * kTile + 3, 0x7E1);
+  for (const InteractionModel& model : models()) {
+    const PairScalingTable table(model);
+    const std::vector<Vec2> reference = sops::testing::all_pairs_reference(
+        system, table, 2.5, model.kind() == ForceLawKind::kDoubleGaussian);
+    for (std::size_t i = 0; i < system.size(); ++i) {
+      Vec2 direct{};
+      for (std::size_t j = 0; j < system.size(); ++j) {
+        const Vec2 delta = system.position(i) - system.position(j);
+        const double d = std::sqrt(sops::geom::norm_sq(delta));
+        if (d >= 2.5 || d == 0.0) continue;
+        direct += delta * (-model.scaling(system.types[i], system.types[j], d));
+      }
+      EXPECT_NEAR(reference[i].x, direct.x, 1e-12) << i;
+      EXPECT_NEAR(reference[i].y, direct.y, 1e-12) << i;
+    }
   }
 }
 

@@ -360,6 +360,29 @@ TEST(ParallelPolicyResolution, AutoPicksTheExpectedAxis) {
   EXPECT_EQ(
       resolve_parallel_policy(ParallelPolicy::kAuto, 256, 1, 8).step_threads,
       1u);
+  // The boundary: a single collective shards its steps from exactly
+  // kIntraStepMinParticles on, whether alone or as a few samples.
+  constexpr std::size_t kMin = sops::sim::kIntraStepMinParticles;
+  EXPECT_EQ(resolve_parallel_policy(ParallelPolicy::kAuto, kMin - 1, 1, 4)
+                .step_threads,
+            1u);
+  EXPECT_EQ(
+      resolve_parallel_policy(ParallelPolicy::kAuto, kMin, 1, 4).step_threads,
+      4u);
+  EXPECT_EQ(resolve_parallel_policy(ParallelPolicy::kAuto, kMin - 1, 2, 4)
+                .sample_threads,
+            2u);
+  EXPECT_EQ(resolve_parallel_policy(ParallelPolicy::kAuto, kMin - 1, 2, 4)
+                .step_threads,
+            1u);
+  EXPECT_EQ(
+      resolve_parallel_policy(ParallelPolicy::kAuto, kMin, 2, 4).step_threads,
+      2u);
+  // n = 1024, where a sharded step measured slower than the serial one,
+  // runs serially.
+  EXPECT_EQ(
+      resolve_parallel_policy(ParallelPolicy::kAuto, 1024, 1, 4).step_threads,
+      1u);
   // Few samples of a huge collective: hybrid split.
   const ThreadBudget hybrid =
       resolve_parallel_policy(ParallelPolicy::kAuto, 16384, 2, 8);

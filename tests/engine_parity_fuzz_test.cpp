@@ -11,9 +11,10 @@
 //     capacity, never state that reaches the sums;
 //  3. the Delaunay backend's radius-pruned adjacency matches a direct
 //     tessellation + pruning reference to 1e-12;
-//  4. the intra-step path (equal row chunks, or the cell grid's stripes)
-//     is bitwise-equal to the serial loop for every backend kind, also for
-//     collectives smaller than the executor width.
+//  4. the intra-step path (all-pairs row tiles, the cell grid's stripes,
+//     or Delaunay's equal row chunks) is bitwise-equal to the serial loop
+//     for every backend kind, also for collectives smaller than the
+//     executor width.
 //
 // This replaces the previous hand-picked parity cases: random geometry
 // exercises hash-grid cell boundaries, duplicate-distance ties, and sparse/
@@ -476,8 +477,9 @@ TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
 }
 
 TEST(ParityFuzz, CollectivesSmallerThanTheWidthBitwiseEqualSerial) {
-  // n ≤ 3 at widths 1–5: the equal row split gets fewer rows than runners
-  // (min(width, n) chunks), and the cell grid one stripe for all of them.
+  // n ≤ 3 at widths 1–5: Delaunay's equal row split gets fewer rows than
+  // runners (min(width, n) chunks), all-pairs one tile and the cell grid
+  // one stripe for all of them.
   // Every width must give the serial bits. Every pair is within
   // r_c, so from n = 2 on every backend sees interactions (two points are a
   // collinear set, which delaunay_adjacency links as a chain), and a lone

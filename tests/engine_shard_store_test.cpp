@@ -292,13 +292,13 @@ TEST(ShardStore, ConfigHashSeparatesNeighborBackends) {
   EXPECT_EQ(hash_with(NeighborMode::kAuto, 96),
             hash_with(NeighborMode::kCellGrid, 96));
 
-  // Literal pins (this platform's FNV-1a over native bytes). All-pairs
-  // and Delaunay hash as they did before the cell grid's summation order
-  // was tagged; the cell grid moved off the value its previous order
-  // (full 3×3 rows, no tag) hashed to, and a tag bump moves it again.
-  EXPECT_EQ(hash_with(NeighborMode::kAllPairs, 50), 0xef919cdc3b4b5240ull);
+  // Literal pins (this platform's FNV-1a over native bytes). Delaunay
+  // hashes as it did before any summation order was tagged. The cell grid
+  // and all-pairs moved off the values their previous orders (full rows,
+  // no tag) hashed to, and a tag bump moves them again.
   EXPECT_EQ(hash_with(NeighborMode::kDelaunay, 96), 0xe466569051c8a519ull);
   EXPECT_NE(hash_with(NeighborMode::kCellGrid, 96), 0x09fce128daaa4cd0ull);
+  EXPECT_NE(hash_with(NeighborMode::kAllPairs, 50), 0xef919cdc3b4b5240ull);
 
   // Scheduling stays out of the hash: threads and parallel policy are
   // bitwise-neutral, so shards may differ in them and still merge.

@@ -152,17 +152,18 @@ TEST(KillResume, SigkilledShardResumesBitwiseIdentical) {
   std::filesystem::remove(manifest_path);
 }
 
-// A cell-grid shard recorded before the grid's drift computed each pair
-// once carries the config hash of that summation order. Rewriting a fresh
-// shard's manifest with that parent-era hash (pinned literally: this
-// platform's FNV-1a over native bytes) must make resume and merge refuse
+// Rewrites shard `index` of a fresh two-shard recording with the config
+// hash its backend's previous summation order produced (pinned literally:
+// this platform's FNV-1a over native bytes). Resume and merge must refuse
 // it by name, not mix two summation orders in one ensemble.
-TEST(KillResume, ParentEraCellGridShardIsRefused) {
-  const auto experiment = [](const std::string& path, std::size_t index,
-                             bool resume) {
+void expect_parent_era_shard_refused(std::size_t particles,
+                                     std::uint64_t parent_era_hash,
+                                     const std::string& label) {
+  const auto experiment = [&](const std::string& path, std::size_t index,
+                              bool resume) {
     sops::sim::SimulationConfig simulation =
         sops::core::presets::fig4_three_type_collective();
-    simulation.types = sops::sim::evenly_distributed_types(96, 3);
+    simulation.types = sops::sim::evenly_distributed_types(particles, 3);
     simulation.steps = 12;
     simulation.record_stride = 4;
     ExperimentConfig config(simulation);
@@ -173,11 +174,10 @@ TEST(KillResume, ParentEraCellGridShardIsRefused) {
     config.shard.resume = resume;
     return config;
   };
-  constexpr std::uint64_t kParentEraHash = 0x7dbe35955de1c65cull;
   const auto temp = std::filesystem::path(::testing::TempDir());
-  const std::string current = (temp / "era_current.shard").string();
-  const std::string parent = (temp / "era_parent.shard").string();
-  const std::string merged = (temp / "era_merged.shard").string();
+  const std::string current = (temp / (label + "_current.shard")).string();
+  const std::string parent = (temp / (label + "_parent.shard")).string();
+  const std::string merged = (temp / (label + "_merged.shard")).string();
   for (const std::string& path : {current, parent, merged}) {
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".manifest");
@@ -185,20 +185,20 @@ TEST(KillResume, ParentEraCellGridShardIsRefused) {
   (void)run_experiment(experiment(current, 0, false));
   (void)run_experiment(experiment(parent, 1, false));
   ShardManifest era = ShardManifestFile::load(parent + ".manifest");
-  ASSERT_NE(era.config_hash, kParentEraHash);
-  era.config_hash = kParentEraHash;
+  ASSERT_NE(era.config_hash, parent_era_hash);
+  era.config_hash = parent_era_hash;
   (void)ShardManifestFile::create(parent + ".manifest", era);
 
   try {
     (void)run_experiment(experiment(parent, 1, true));
-    ADD_FAILURE() << "a parent-era cell-grid shard resumed";
+    ADD_FAILURE() << "a parent-era " << label << " shard resumed";
   } catch (const sops::Error& e) {
     EXPECT_NE(std::string(e.what()).find("has config hash"), std::string::npos)
         << e.what();
   }
   try {
     (void)sops::core::merge_shards({current, parent}, merged);
-    ADD_FAILURE() << "a parent-era cell-grid shard merged";
+    ADD_FAILURE() << "a parent-era " << label << " shard merged";
   } catch (const sops::Error& e) {
     EXPECT_NE(std::string(e.what()).find("config hash"), std::string::npos)
         << e.what();
@@ -207,6 +207,18 @@ TEST(KillResume, ParentEraCellGridShardIsRefused) {
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".manifest");
   }
+}
+
+// A cell-grid shard (n = 96) recorded before the grid's drift computed
+// each pair once.
+TEST(KillResume, ParentEraCellGridShardIsRefused) {
+  expect_parent_era_shard_refused(96, 0x7dbe35955de1c65cull, "cell_grid");
+}
+
+// An all-pairs shard (fig4's n = 50) recorded before the all-pairs drift
+// computed each pair once.
+TEST(KillResume, ParentEraAllPairsShardIsRefused) {
+  expect_parent_era_shard_refused(50, 0x6352f148be82cbccull, "all_pairs");
 }
 
 }  // namespace

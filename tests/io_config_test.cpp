@@ -260,15 +260,15 @@ TEST(ConfigBuilder, InvalidInputsThrow) {
                  sops::Error)
         << radius;
   }
-  // Integrator keys: each bad value fails at build time, before any sample
-  // is simulated, with an error naming the key.
-  const std::pair<const char*, const char*> bad_integrator[] = {
+  // Integrator keys and the analysis counts: each bad value fails at build
+  // time, before any sample is simulated, with an error naming the key.
+  const std::pair<const char*, const char*> bad_values[] = {
       {"dt", "0"},          {"dt", "-0.1"},       {"dt", "inf"},
       {"dt", "nan"},        {"noise", "-1"},      {"noise", "inf"},
       {"noise", "nan"},     {"max_step", "-1"},   {"max_step", "inf"},
-      {"max_step", "nan"},
+      {"max_step", "nan"},  {"analysis_k", "0"},  {"kmeans_per_type", "0"},
   };
-  for (const auto& [key, value] : bad_integrator) {
+  for (const auto& [key, value] : bad_values) {
     const std::string text = std::string("preset = fig4\n") + key + " = " +
                              value + "\n";
     try {
@@ -283,6 +283,10 @@ TEST(ConfigBuilder, InvalidInputsThrow) {
   // 0 is a valid noise (deterministic drift) and a valid cap (disabled).
   EXPECT_NO_THROW((void)build_experiment(
       Config::parse("preset = fig4\nnoise = 0\nmax_step = 0\n")));
+  // k is not checked against the sample count at build time: a record-only
+  // job runs a single sample.
+  EXPECT_NO_THROW((void)build_experiment(Config::parse(
+      "preset = fig4\nsamples = 1\nanalysis_k = 1\nkmeans_per_type = 1\n")));
 }
 
 TEST(ConfigBuilder, BuiltExperimentActuallyRuns) {

@@ -62,6 +62,10 @@ def flatten_metrics(engine_json):
     hardware = engine_json.get("hardware_threads") or 0
     for row in engine_json.get("results", []):
         metrics[f"engine/n={row['n']}"] = row["engine_steps_per_sec"]
+    all_pairs = engine_json.get("all_pairs", {})
+    if all_pairs.get("steps_per_sec"):
+        metrics[f"all_pairs/{all_pairs['preset']}/n={all_pairs['n']}"] = \
+            all_pairs["steps_per_sec"]
     for row in engine_json.get("intra_step", []):
         key = f"intra_step/n={row['n']}/threads={row['threads']}"
         metrics[key] = row["steps_per_sec"]
