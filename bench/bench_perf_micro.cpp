@@ -9,9 +9,9 @@
 // (pooled vs fork-per-step dispatch), the executor layer's per-dispatch
 // overhead, the SoA/SIMD kernel speedup (scalar reference vs vector kernels, with
 // the dispatched ISA and compiler identity for cross-machine hygiene),
-// analyzer (KSG) frames/sec — including the paper-shaped streaming row
-// (n = 1024, m = 100) against the frozen pre-streaming post-hoc baseline
-// — the job-service overhead row (JobManager vs direct run_experiment,
+// analyzer (KSG) frames/sec — including the paper-shaped row (n = 1024,
+// m = 100, simulate + analyze) against the frozen pre-streaming analysis
+// baseline — the job-service overhead row (JobManager vs direct run_experiment,
 // submit → first-streamed-sample latency) — and the run's peak RSS — the
 // engine's perf trajectory, gated by tools/bench_trend.py.
 #include <benchmark/benchmark.h>
@@ -517,12 +517,12 @@ double measure_analyzer_frames_per_sec(std::size_t* frames_out) {
 // per-query heap/stack/result allocations the production tree has since
 // shed — the materialize-and-sort greedy matcher, and the KSG estimator,
 // all run post-hoc after the recording finishes. It is the fixed yardstick
-// the streaming row's speedup is measured against; do not optimize it. (Its
+// the paper row's speedup is measured against; do not optimize it. (Its
 // brute-force KSG is now the library's only KSG path, the symmetric pair
 // passes: on 100 samples of 12 coarse-grained observers that costs well
 // under a millisecond per frame, next to seconds of n = 1024 ICP.) By the estimator and alignment bitwise contracts it must
 // also produce the exact bits of the production pipeline, which the
-// streaming CHECK below asserts.
+// paper-row CHECK below asserts.
 namespace prestream {
 
 // The seed k-d tree, reduced to what the baseline ICP queries: median
@@ -861,7 +861,7 @@ double analyze_frame(geom::FrameView frame,
 }  // namespace prestream
 
 // The paper-shaped analyzer row: n = 1024 particles, m = 100 samples on a
-// 6-frame recording grid — the workload the streaming pipeline targets.
+// 6-frame recording grid.
 core::ExperimentConfig paper_row_experiment() {
   sim::SimulationConfig simulation(default_model(3));
   simulation.types = sim::evenly_distributed_types(1024, 3);
@@ -875,38 +875,37 @@ core::ExperimentConfig paper_row_experiment() {
   return experiment;
 }
 
-struct StreamingRow {
+struct PaperRow {
   std::size_t n = 0;
   std::size_t samples = 0;
   std::size_t frames = 0;
-  double streaming_frames_per_sec = 0.0;
-  double post_hoc_baseline_frames_per_sec = 0.0;
+  double frames_per_sec = 0.0;
+  double frozen_baseline_frames_per_sec = 0.0;
   bool bitwise_match = false;
 };
 
-// Streaming analyzer throughput at the paper row vs the frozen baseline.
-// The streamed run is timed end to end (simulation + overlapped analysis;
-// the simulation is ~1 s here, analysis dominates). The baseline is timed
+// Analyzer throughput at the paper row vs the frozen baseline. The
+// production run is core::measure_experiment timed end to end (simulation,
+// then analysis; the simulation is ~1 s here, analysis dominates). The
+// baseline is timed
 // on a single frame with a single rep: one frame runs tens of seconds
 // through the lifted-tree ICP, which dwarfs timer jitter, and kBenchReps
 // of it would triple an already minute-scale benchmark.
-StreamingRow measure_streaming_row() {
+PaperRow measure_paper_row() {
   const core::ExperimentConfig experiment = paper_row_experiment();
-  StreamingRow row;
+  PaperRow row;
   row.n = experiment.simulation.types.size();
   row.samples = experiment.samples;
 
   const core::AnalysisOptions options;
-  const auto stream_start = std::chrono::steady_clock::now();
-  const core::AnalysisResult streamed =
-      core::measure_experiment_streamed(experiment, options);
-  const double stream_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    stream_start)
-                                    .count();
-  row.frames = streamed.points.size();
-  row.streaming_frames_per_sec =
-      static_cast<double>(row.frames) / stream_seconds;
+  const auto start = std::chrono::steady_clock::now();
+  const core::AnalysisResult measured =
+      core::measure_experiment(experiment, options);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  row.frames = measured.points.size();
+  row.frames_per_sec = static_cast<double>(row.frames) / seconds;
 
   const core::EnsembleSeries series = core::run_experiment(experiment);
   const auto baseline_start = std::chrono::steady_clock::now();
@@ -916,9 +915,9 @@ StreamingRow measure_streaming_row() {
                                       std::chrono::steady_clock::now() -
                                       baseline_start)
                                       .count();
-  row.post_hoc_baseline_frames_per_sec = 1.0 / baseline_seconds;
+  row.frozen_baseline_frames_per_sec = 1.0 / baseline_seconds;
   row.bitwise_match =
-      baseline_mi == streamed.points.front().multi_information;
+      baseline_mi == measured.points.front().multi_information;
   return row;
 }
 
@@ -1196,36 +1195,34 @@ void emit_engine_json() {
 
   // Analyzer throughput (align → KSG per recorded frame) and this run's
   // peak resident set — both gated by tools/bench_trend.py. The nested
-  // streaming row is the paper-shaped workload: streamed simulate+analyze
-  // frames/sec (gated) against the frozen pre-streaming post-hoc baseline
-  // (recorded, ungated — it is a fixed yardstick, not a trend).
+  // paper row is the paper-shaped workload: simulate + analyze frames/sec
+  // (gated) against the frozen pre-streaming analysis baseline (recorded,
+  // ungated — it is a fixed yardstick, not a trend).
   std::size_t analyzer_frames = 0;
   const double frames_per_sec = measure_analyzer_frames_per_sec(&analyzer_frames);
   std::printf("analyzer: %.1f KSG frames/s (n=24, m=96, %zu frames)\n",
               frames_per_sec, analyzer_frames);
-  const StreamingRow streaming = measure_streaming_row();
-  const double streaming_speedup =
-      streaming.post_hoc_baseline_frames_per_sec > 0.0
-          ? streaming.streaming_frames_per_sec /
-                streaming.post_hoc_baseline_frames_per_sec
+  const PaperRow paper = measure_paper_row();
+  const double paper_speedup =
+      paper.frozen_baseline_frames_per_sec > 0.0
+          ? paper.frames_per_sec / paper.frozen_baseline_frames_per_sec
           : 0.0;
   std::fprintf(out,
                "  \"analyzer\": {\"n\": 24, \"samples\": 96, \"frames\": %zu, "
                "\"frames_per_sec\": %.2f,\n"
-               "    \"streaming\": {\"n\": %zu, \"samples\": %zu, "
-               "\"frames\": %zu, \"streaming_frames_per_sec\": %.4f, "
-               "\"post_hoc_baseline_frames_per_sec\": %.4f, "
+               "    \"paper_row\": {\"n\": %zu, \"samples\": %zu, "
+               "\"frames\": %zu, \"frames_per_sec\": %.4f, "
+               "\"frozen_baseline_frames_per_sec\": %.4f, "
                "\"speedup\": %.2f}},\n",
-               analyzer_frames, frames_per_sec, streaming.n, streaming.samples,
-               streaming.frames, streaming.streaming_frames_per_sec,
-               streaming.post_hoc_baseline_frames_per_sec, streaming_speedup);
-  std::printf("streaming analyzer n=%zu m=%zu F=%zu: %.4f frames/s streamed "
-              "end-to-end vs %.4f frames/s frozen post-hoc (%.2fx), bitwise "
+               analyzer_frames, frames_per_sec, paper.n, paper.samples,
+               paper.frames, paper.frames_per_sec,
+               paper.frozen_baseline_frames_per_sec, paper_speedup);
+  std::printf("paper-row analyzer n=%zu m=%zu F=%zu: %.4f frames/s simulate "
+              "+ analyze vs %.4f frames/s frozen baseline (%.2fx), bitwise "
               "%s\n",
-              streaming.n, streaming.samples, streaming.frames,
-              streaming.streaming_frames_per_sec,
-              streaming.post_hoc_baseline_frames_per_sec, streaming_speedup,
-              streaming.bitwise_match ? "identical" : "DIVERGED");
+              paper.n, paper.samples, paper.frames, paper.frames_per_sec,
+              paper.frozen_baseline_frames_per_sec, paper_speedup,
+              paper.bitwise_match ? "identical" : "DIVERGED");
 
   // Read the engine's whole-run high-water mark *before* the frame-store
   // fill below: the fill's deliberate 125 MiB heap allocation would
@@ -1323,13 +1320,11 @@ void emit_engine_json() {
                   ? "[PASS]"
                   : "[FAIL]",
               simd_vs_pre_soa[0], simd_vs_pre_soa[1], simd_speedup_at_16384);
-  std::printf("CHECK %s streaming analyzer >= 3x the frozen post-hoc "
-              "baseline at n=1024, m=100 (%.2fx) with bitwise-identical "
-              "output (%s)\n",
-              streaming_speedup >= 3.0 && streaming.bitwise_match ? "[PASS]"
-                                                                  : "[FAIL]",
-              streaming_speedup,
-              streaming.bitwise_match ? "identical" : "DIVERGED");
+  std::printf("CHECK %s paper-row analyzer >= 3x the frozen baseline at "
+              "n=1024, m=100 (%.2fx) with bitwise-identical output (%s)\n",
+              paper_speedup >= 3.0 && paper.bitwise_match ? "[PASS]"
+                                                          : "[FAIL]",
+              paper_speedup, paper.bitwise_match ? "identical" : "DIVERGED");
   std::printf("CHECK %s mapped frame store keeps < 50%% of the heap "
               "recording footprint resident (%ld vs %ld KB at m=%zu)\n",
               heap_fill_kb <= 0 ? "[SKIP, no /proc/self/statm]"

@@ -31,6 +31,18 @@ std::vector<double> AnalysisResult::mi_values() const {
   return out;
 }
 
+namespace {
+
+/// One frame's measurement.
+struct FrameAnalysis {
+  TimePoint point;
+  std::size_t observer_count = 0;
+};
+
+// Analyzes a single recorded frame. All inner loops dispatch on
+// `executor`; `options.threads` is ignored here. Deterministic in
+// (frame, types, step, frame_index, coarse, options) — the executor's
+// width never affects any estimate.
 FrameAnalysis analyze_frame(geom::FrameView frame,
                             const std::vector<sim::TypeId>& types,
                             std::size_t step, std::size_t frame_index,
@@ -102,8 +114,11 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
   return out;
 }
 
+}  // namespace
+
 AnalysisResult analyze_self_organization(const EnsembleSeries& series,
-                                         const AnalysisOptions& options) {
+                                         const AnalysisOptions& options,
+                                         const support::CancelToken* cancel) {
   support::expect(series.frame_count() >= 1, "analyze: empty series");
   support::expect(series.sample_count() >= options.ksg.k + 1,
                   "analyze: need more samples than the estimator's k");
@@ -118,11 +133,12 @@ AnalysisResult analyze_self_organization(const EnsembleSeries& series,
   result.coarse_grained = coarse;
   result.points.resize(frame_count);
 
-  // One pool for the whole analysis, the streaming consumer's schedule:
-  // frames run in order, and every worker serves the current frame's inner
-  // loops (the alignment rows and the estimators' pair passes).
+  // One pool for the whole analysis: frames run in order, and every worker
+  // serves the current frame's inner loops (the alignment rows and the
+  // estimators' pair passes).
   support::TaskPool pool(options.threads);
   for (std::size_t f = 0; f < frame_count; ++f) {
+    support::CancelToken::check(cancel, "analysis cancelled");
     FrameAnalysis frame =
         analyze_frame(series.frames[f], series.types, series.frame_steps[f], f,
                       coarse, options, pool.executor());

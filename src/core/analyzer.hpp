@@ -71,37 +71,22 @@ struct AnalysisResult {
   [[nodiscard]] std::vector<double> mi_values() const;
 };
 
-/// One frame's measurement — the shared body of the post-hoc analyzer and
-/// the streaming consumer (core/streaming_analyzer.hpp).
-struct FrameAnalysis {
-  TimePoint point;
-  std::size_t observer_count = 0;
-};
-
-/// Analyzes a single recorded frame: align to shape space, optionally
-/// coarse-grain (seeded by `frame_index`, so results do not depend on
-/// evaluation order), then estimate per `options`. All inner loops dispatch
-/// on `executor`; `options.threads` is ignored here. Deterministic in
-/// (frame, types, step, frame_index, coarse, options) — the executor's
-/// width never affects any estimate. The frame view is consumed before
-/// returning, so callers may hand out views into storage they later move.
-[[nodiscard]] FrameAnalysis analyze_frame(geom::FrameView frame,
-                                          const std::vector<sim::TypeId>& types,
-                                          std::size_t step,
-                                          std::size_t frame_index, bool coarse,
-                                          const AnalysisOptions& options,
-                                          support::Executor& executor);
-
 /// Runs the full measurement pipeline on a recorded ensemble.
 ///
 /// Per frame: align to shape space (centroid + ICP + same-type permutation),
-/// optionally coarse-grain, then estimate. The streaming consumer's
-/// schedule on one TaskPool of `options.threads` width: frames run in
-/// order, each on the whole pool (its alignment rows, then the estimator's
-/// passes), so no worker idles while another finishes a whole frame. The
-/// pool's width never affects any estimate.
+/// optionally coarse-grain (seeded by the frame index, so no frame depends
+/// on another), then estimate. One TaskPool of `options.threads` width
+/// serves the whole analysis: frames run in order, each on the whole pool
+/// (its alignment rows, then the estimator's passes), so no worker idles
+/// while another finishes a whole frame. The pool's width never affects
+/// any estimate.
+///
+/// `cancel` (not owned; may be null) is polled before each frame: a raised
+/// token throws sops::CancelledError after the in-flight frame, so a job
+/// cancelled during its analysis stops at the next frame boundary.
 [[nodiscard]] AnalysisResult analyze_self_organization(
-    const EnsembleSeries& series, const AnalysisOptions& options = {});
+    const EnsembleSeries& series, const AnalysisOptions& options = {},
+    const support::CancelToken* cancel = nullptr);
 
 /// Convenience: run + analyze in one call.
 [[nodiscard]] AnalysisResult measure_experiment(const ExperimentConfig& config,

@@ -146,20 +146,8 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
         FrameStore(series.frame_steps.size(), m_local, n, config.storage);
   }
 
-  // The store and grid exist: let the observer set up, then hand it every
-  // sample a resumed shard already holds (their bytes are durable in the
-  // mapped file, so their frames are as readable as freshly recorded ones).
-  if (config.observer != nullptr) {
-    config.observer->on_recording_started(series);
-    if (sharded) {
-      for (std::size_t local = 0; local < m_local; ++local) {
-        if (manifest.manifest().is_complete(local)) {
-          config.observer->on_frames_recorded(0, series.frame_steps.size(),
-                                              local);
-        }
-      }
-    }
-  }
+  // The store and grid exist: let the caller set up before any sample runs.
+  if (config.on_recording_started) config.on_recording_started(series);
 
   // Local indices still to simulate: everything on a fresh run, the
   // cleared manifest bits on a resume. Completed samples' bytes are
@@ -244,9 +232,6 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
                   for (std::size_t i = 0; i < positions.size(); ++i) {
                     slot[i] = positions[i];
                   }
-                  if (config.observer != nullptr) {
-                    config.observer->on_frames_recorded(f, f + 1, local);
-                  }
                 });
             support::expect(run.frame_steps == series.frame_steps,
                             "run_experiment: recording grids diverged");
@@ -279,11 +264,11 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
               // off the sample fan-out. No-op on heap backing.
               series.frames.flush_samples(local, local + 1, &step_executor);
             }
-            if (config.observer != nullptr) {
+            if (config.on_sample_recorded) {
               // After the durability step (sync + manifest bit for shards,
-              // flush for scratch spill): the sample the observer is told
-              // about is exactly as final as the store claims.
-              config.observer->on_sample_recorded(local);
+              // flush for scratch spill): the sample the hook is told about
+              // is exactly as final as the store claims.
+              config.on_sample_recorded(series, local);
             }
           }
         });

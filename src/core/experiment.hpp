@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -37,46 +38,6 @@ struct ShardOptions {
 
 struct EnsembleSeries;
 
-/// Hook into the recording fan-out, so a consumer (the streaming analyzer,
-/// a progress meter) can start working on recorded frames while later
-/// samples still simulate.
-class RecordingObserver {
- public:
-  virtual ~RecordingObserver() = default;
-
-  /// Called once, on run_experiment's calling thread, after the series'
-  /// store and recording grid exist but before any sample simulates. The
-  /// series outlives the call only as run_experiment's local — observers
-  /// that keep working after this call must copy what they need (frame
-  /// views into the store stay valid: the store's backing allocation is
-  /// stable across the series' later move to the caller). An exception
-  /// thrown here propagates out of run_experiment before any work starts.
-  virtual void on_recording_started(const EnsembleSeries& series) = 0;
-
-  /// Frames [begin_frame, end_frame) of sample `local_sample` are now
-  /// fully written into the store. Called from the sample workers — one
-  /// frame at a time as each is recorded, concurrently across samples —
-  /// and once per resumed sample with the full frame range before the
-  /// fan-out starts. Must be thread-safe and must not throw (a throw
-  /// would abort the worker fan-out).
-  virtual void on_frames_recorded(std::size_t begin_frame,
-                                  std::size_t end_frame,
-                                  std::size_t local_sample) = 0;
-
-  /// Sample `local_sample` is fully finished: every frame recorded, its
-  /// equilibrium step stored in the series, and — for spilled or durable
-  /// recordings — its extents flushed (scratch) or synced and marked
-  /// complete in the manifest (shard). This is the per-sample result
-  /// boundary the job layer streams on: the sample's slots in the store
-  /// are final and safe to read concurrently with later samples. Called
-  /// from the sample workers; must be thread-safe and must not throw.
-  /// Not replayed for resumed samples (their completing run announced
-  /// them); default no-op so frame-level observers are unaffected.
-  virtual void on_sample_recorded(std::size_t local_sample) {
-    (void)local_sample;
-  }
-};
-
 /// Specification of a full experiment: one simulation config replicated over
 /// m RNG streams. Everything is deterministic in (config, samples).
 struct ExperimentConfig {
@@ -105,11 +66,21 @@ struct ExperimentConfig {
   /// default; when on, `storage` spill settings are ignored in favor of
   /// the shard file.
   ShardOptions shard{};
-  /// Optional recording observer (not owned; must outlive the run):
-  /// notified as frames land in the store, so analysis can overlap the
-  /// remaining simulation (see core/streaming_analyzer.hpp). Never affects
-  /// the recording itself.
-  RecordingObserver* observer = nullptr;
+  /// Optional recording hooks; neither affects the recording.
+  /// `on_recording_started` runs once, on run_experiment's calling thread,
+  /// after the series' store and recording grid exist but before any
+  /// sample simulates; an exception thrown there propagates out of
+  /// run_experiment before any work starts. `on_sample_recorded` runs from
+  /// the sample workers once sample `local_sample` is fully finished: every
+  /// frame recorded, its equilibrium step stored, and its extents flushed
+  /// (scratch spill) or synced and marked complete in the manifest (shard).
+  /// Its slots in the store are then final and safe to read concurrently
+  /// with later samples; the hook must be thread-safe and must not throw.
+  /// Resumed shard samples are not replayed (their completing run announced
+  /// them; the series counts them in `resumed_samples`).
+  std::function<void(const EnsembleSeries&)> on_recording_started;
+  std::function<void(const EnsembleSeries&, std::size_t local_sample)>
+      on_sample_recorded;
   /// Cooperative cancellation (not owned; may be null). Polled at every
   /// sample boundary and once per simulation step inside each sample:
   /// a raised token makes run_experiment throw sops::CancelledError after

@@ -117,20 +117,17 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
   if (!options.shard_path.empty()) {
     // Durable shard: the mapping *is* the recording, so there is no heap
     // fallback — a store that silently could not persist would defeat the
-    // whole checkpoint/restart contract. kEmpty keeps the failed attempt
-    // from allocating a full payload we would immediately throw away.
+    // whole checkpoint/restart contract.
     io::MappedBuffer buffer =
         options.open_existing
-            ? io::MappedBuffer::open_existing(options.shard_path, payload,
-                                              io::MappedBuffer::OnFailure::kEmpty)
+            ? io::MappedBuffer::open_existing(options.shard_path, payload)
             : io::MappedBuffer(options.shard_path, payload,
-                               io::MappedBuffer::OnFailure::kEmpty,
                                io::MappedBuffer::Lifetime::kPersist);
     if (!buffer.mapped()) {
       throw Error("FrameStore: cannot " +
                   std::string(options.open_existing ? "reopen" : "create") +
                   " shard '" + options.shard_path +
-                  "': " + buffer.fallback_reason());
+                  "': " + buffer.failure_reason());
     }
     data_ = static_cast<geom::Vec2*>(buffer.data());
     buffer_ = std::move(buffer);
@@ -146,11 +143,8 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
     // a multi-hour spill that died at hour three otherwise sits in
     // spill_dir forever, silently eating the disk the next run needs.
     sweep_stale_spill_files(options.spill_dir);
-    // kEmpty: on failure the store resizes its own typed vector below —
-    // the buffer's default heap fallback would be a discarded full-payload
-    // allocation.
-    io::MappedBuffer buffer(next_spill_path(options.spill_dir), payload,
-                            io::MappedBuffer::OnFailure::kEmpty);
+    // On failure the store falls back to its own typed vector below.
+    io::MappedBuffer buffer(next_spill_path(options.spill_dir), payload);
     if (buffer.mapped()) {
       // Fresh file pages read as zero, matching the heap vector's value
       // initialization; Vec2 is an implicit-lifetime type, so the mapped
@@ -162,7 +156,7 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
       io_error_ = std::make_unique<IoErrorState>();
       return;
     }
-    fallback_reason_ = buffer.fallback_reason();
+    fallback_reason_ = buffer.failure_reason();
   }
   heap_.resize(frames * samples * particles);
   data_ = heap_.data();

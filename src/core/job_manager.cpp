@@ -13,45 +13,6 @@
 namespace sops::core {
 namespace {
 
-/// Forwarding observer the job driver installs on every run: passes the
-/// frame-level stream through to the job's analyzer (when one is attached)
-/// and turns the per-sample boundary into the manager's progress/streaming
-/// event, with the live series in hand.
-class JobRunObserver final : public RecordingObserver {
- public:
-  JobRunObserver(RecordingObserver* inner,
-                 std::function<void(const EnsembleSeries&)> on_start,
-                 std::function<void(std::size_t, const EnsembleSeries&)>
-                     on_sample)
-      : inner_(inner),
-        on_start_(std::move(on_start)),
-        on_sample_(std::move(on_sample)) {}
-
-  void on_recording_started(const EnsembleSeries& series) override {
-    series_ = &series;
-    if (on_start_) on_start_(series);
-    if (inner_ != nullptr) inner_->on_recording_started(series);
-  }
-
-  void on_frames_recorded(std::size_t begin_frame, std::size_t end_frame,
-                          std::size_t local_sample) override {
-    if (inner_ != nullptr) {
-      inner_->on_frames_recorded(begin_frame, end_frame, local_sample);
-    }
-  }
-
-  void on_sample_recorded(std::size_t local_sample) override {
-    if (inner_ != nullptr) inner_->on_sample_recorded(local_sample);
-    if (on_sample_) on_sample_(local_sample, *series_);
-  }
-
- private:
-  RecordingObserver* inner_;
-  const EnsembleSeries* series_ = nullptr;
-  std::function<void(const EnsembleSeries&)> on_start_;
-  std::function<void(std::size_t, const EnsembleSeries&)> on_sample_;
-};
-
 /// Local sample-slot count of a config: the shard's slice when sharding is
 /// on, the whole ensemble otherwise — mirrors run_experiment's slot math.
 std::size_t local_samples(const ExperimentConfig& config) {
@@ -118,8 +79,8 @@ const char* to_string(JobState state) noexcept {
 }
 
 /// Everything the manager tracks per job. Entries are append-only and live
-/// until the manager is destroyed, so driver/observer threads may hold
-/// plain pointers across unlocked sections.
+/// until the manager is destroyed, so driver and sample-worker threads may
+/// hold plain pointers across unlocked sections.
 struct JobManager::Job {
   Job(std::uint64_t id_, ConfiguredExperiment configured_, JobOptions options_,
       const support::CancelToken* root)
@@ -208,6 +169,20 @@ JobManager::~JobManager() {
 
 std::uint64_t JobManager::submit(ConfiguredExperiment configured,
                                  JobOptions options) {
+  if (options.analysis != JobAnalysis::kNone) {
+    // analyze_self_organization's own preconditions, checked before any
+    // sample simulates rather than after the whole recording.
+    const std::size_t samples = local_samples(configured.experiment);
+    const std::size_t k = configured.analysis.ksg.k;
+    if (samples < k + 1) {
+      throw Error("JobManager::submit: analysis needs more samples than the "
+                  "estimator's k = " + std::to_string(k) + ", the job records " +
+                  std::to_string(samples));
+    }
+    if (configured.experiment.simulation.types.size() < 2) {
+      throw Error("JobManager::submit: analysis needs at least two particles");
+    }
+  }
   const std::size_t payload = projected_payload_bytes(configured.experiment);
   const std::size_t resident = projected_resident_bytes(configured.experiment);
   if (resident > limits_.memory_budget_bytes) {
@@ -375,37 +350,26 @@ void JobManager::drive(std::size_t slot) {
 void JobManager::run_job(Job& job, std::size_t slot) {
   set_state(job, JobState::kRunning);
 
-  // Declaration order matters: `outcome` (owning the frame store) before
-  // `analyzer`, so the analyzer — whose destructor joins a consumer that
-  // reads views into that store — is destroyed first on every exit path.
-  JobOutcome outcome;
-  std::optional<StreamingAnalyzer> analyzer;
   // Only this thread reads the config, unlocked, until the terminal
   // set_state below releases it.
   const ConfiguredExperiment& configured = *job.configured;
-  if (job.analysis == JobAnalysis::kStreamed) {
-    analyzer.emplace(configured.analysis, &job.token);
-  }
-
-  JobRunObserver observer(
-      analyzer.has_value() ? &*analyzer : nullptr,
-      [&](const EnsembleSeries& series) {
-        // Resumed shard samples never replay on_sample_recorded; count
-        // them up front so progress reflects the whole slot range.
-        if (series.resumed_samples == 0) return;
-        const std::lock_guard<std::mutex> lock(mutex_);
-        job.samples_done = series.resumed_samples;
-      },
-      [&](std::size_t local_sample, const EnsembleSeries& series) {
-        note_sample(job, local_sample, series);
-      });
-
   ExperimentConfig config = configured.experiment;
-  config.observer = &observer;
+  config.on_recording_started = [&](const EnsembleSeries& series) {
+    // Resumed shard samples never announce themselves; count them up front
+    // so progress reflects the whole slot range.
+    if (series.resumed_samples == 0) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    job.samples_done = series.resumed_samples;
+  };
+  config.on_sample_recorded = [&](const EnsembleSeries& series,
+                                  std::size_t local_sample) {
+    note_sample(job, local_sample, series);
+  };
   config.cancel = &job.token;
   config.pool = &slices_[slot];
 
   try {
+    JobOutcome outcome;
     outcome.series = run_experiment(config);
     const std::string flush_error = outcome.series.frames.flush_error();
     if (!flush_error.empty()) {
@@ -415,18 +379,14 @@ void JobManager::run_job(Job& job, std::size_t slot) {
       throw Error("job " + std::to_string(job.id) +
                   ": recording flush failed: " + flush_error);
     }
-    if (job.analysis == JobAnalysis::kStreamed) {
+    if (job.analysis == JobAnalysis::kPostHoc) {
       set_state(job, JobState::kStreaming);
-      outcome.analysis = analyzer->finish();
-    } else if (job.analysis == JobAnalysis::kPostHoc) {
-      set_state(job, JobState::kStreaming);
-      support::CancelToken::check(&job.token,
-                                  "job cancelled before analysis");
       // The analysis pool gets the slot's share, like the simulation: left
       // at 0, every job would spawn a pool as wide as the machine.
       AnalysisOptions analysis = configured.analysis;
       analysis.threads = slices_[slot].width();
-      outcome.analysis = analyze_self_organization(outcome.series, analysis);
+      outcome.analysis =
+          analyze_self_organization(outcome.series, analysis, &job.token);
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -438,14 +398,12 @@ void JobManager::run_job(Job& job, std::size_t slot) {
     }
     set_state(job, JobState::kDone);
   } catch (const CancelledError& cancelled) {
-    if (analyzer.has_value()) analyzer->abort();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       job.error = cancelled.what();
     }
     set_state(job, JobState::kCancelled);
   } catch (const std::exception& failure) {
-    if (analyzer.has_value()) analyzer->abort();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       job.error = failure.what();

@@ -3,8 +3,8 @@
 // Everything below core/ runs one experiment per call; a JobManager turns
 // that into a service. Submitted jobs queue under admission control, run
 // concurrently on disjoint slices of one shared machine-wide TaskPool, and
-// report per-sample progress through the RecordingObserver hook — the same
-// code path whether the manager lives inside a one-shot `sops_run` batch
+// report per-sample progress through run_experiment's recording hooks — the
+// same code path whether the manager lives inside a one-shot `sops_run` batch
 // invocation (one job slot, whole machine) or inside the `sopsd` daemon
 // (several slots, jobs arriving over a socket).
 //
@@ -28,17 +28,18 @@
 //
 //  - Cancellation: each job carries a support::CancelToken chained to the
 //    manager's shutdown token. cancel() raises the job's token; the
-//    per-step and per-sample poll points unwind the run via
-//    sops::CancelledError, RAII reclaims spill files and returns the pool
-//    slice, and a durable shard's manifest stays valid (exactly the synced
-//    samples are marked). Raising shutdown_token() — signal-handler-safe —
-//    cancels everything at once, which is how sops_run and sopsd translate
-//    SIGINT/SIGTERM into a clean drain.
+//    per-step, per-sample and per-frame (analysis) poll points unwind the
+//    job via sops::CancelledError, RAII reclaims spill files and returns
+//    the pool slice, and a durable shard's manifest stays valid (exactly
+//    the synced samples are marked). Raising shutdown_token() — signal-
+//    handler-safe — cancels everything at once, which is how sops_run and
+//    sopsd translate SIGINT/SIGTERM into a clean drain.
 //
 // Scheduling only, by construction: a job's recording and analysis are the
-// same run_experiment / analyze_frame calls batch mode makes, on the same
-// deterministic (seed, stream) grid — results are bitwise-identical to a
-// solo batch run of the same config, whatever else ran alongside.
+// same run_experiment / analyze_self_organization calls batch mode makes,
+// both on the job's slot share and on the same deterministic (seed, stream)
+// grid — results are bitwise-identical to a solo batch run of the same
+// config, whatever else ran alongside.
 #pragma once
 
 #include <condition_variable>
@@ -53,7 +54,6 @@
 
 #include "core/analyzer.hpp"
 #include "core/config_builder.hpp"
-#include "core/streaming_analyzer.hpp"
 #include "io/csv.hpp"
 #include "support/cancel.hpp"
 #include "support/executor.hpp"
@@ -66,7 +66,7 @@ enum class JobState {
   kQueued,     ///< submitted, waiting for a slot and admission headroom
   kAdmitted,   ///< claimed by a job slot, about to start
   kRunning,    ///< samples simulating (and streaming out as they finish)
-  kStreaming,  ///< simulation done; analysis tail still draining
+  kStreaming,  ///< simulation done; analysis running
   kDone,       ///< finished; outcome available via wait()
   kFailed,     ///< failed; wait() rethrows the named error
   kCancelled,  ///< cancelled; wait() throws sops::CancelledError
@@ -93,11 +93,10 @@ struct JobLimits {
   std::size_t memory_budget_bytes = static_cast<std::size_t>(-1);
 };
 
-/// What to compute after (or while) a job's samples record.
+/// What to compute after a job's samples record.
 enum class JobAnalysis {
-  kNone,      ///< record only (sharded runs, merge inputs)
-  kPostHoc,   ///< analyze_self_organization after the run completes
-  kStreamed,  ///< StreamingAnalyzer rides the recording (daemon default)
+  kNone,     ///< record only (sharded runs, merge inputs)
+  kPostHoc,  ///< analyze_self_organization on the slot's share
 };
 
 /// Point-in-time view of a job, safe to copy out of the manager.
@@ -162,9 +161,11 @@ class JobManager {
   [[nodiscard]] const JobLimits& limits() const noexcept { return limits_; }
 
   /// Admission-checks and enqueues a job. Throws sops::Error when the job
-  /// can never be admitted (resident footprint above the memory budget);
-  /// otherwise returns its id and the scheduler picks it up as soon as a
-  /// slot and the budget allow.
+  /// can never be admitted (resident footprint above the memory budget) or
+  /// its analysis can never run (fewer than ksg.k + 1 local samples, or
+  /// fewer than two particles; record-only jobs are exempt); otherwise
+  /// returns its id and the scheduler picks it up as soon as a slot and the
+  /// budget allow.
   std::uint64_t submit(ConfiguredExperiment configured, JobOptions options = {});
 
   /// Requests cancellation: a queued job terminates immediately, a running

@@ -178,11 +178,11 @@ MergeResult merge_shards(const std::vector<std::string>& shard_paths,
   const std::size_t row_bytes = particles * sizeof(geom::Vec2);
   const std::size_t out_bytes = frames * samples_total * row_bytes;
 
-  io::MappedBuffer out(out_path, out_bytes, io::MappedBuffer::OnFailure::kEmpty,
+  io::MappedBuffer out(out_path, out_bytes,
                        io::MappedBuffer::Lifetime::kPersist);
   if (!out.mapped()) {
     throw Error("merge: cannot create '" + out_path +
-                "': " + out.fallback_reason());
+                "': " + out.failure_reason());
   }
 
   io::ShardManifest merged = reference;
@@ -197,10 +197,9 @@ MergeResult merge_shards(const std::vector<std::string>& shard_paths,
     const std::size_t in_bytes = frames * local_samples * row_bytes;
     // open_existing validates the data file's size against its manifest's
     // geometry — a truncated or foreign file fails here, named.
-    io::MappedBuffer in = io::MappedBuffer::open_existing(
-        shard.path, in_bytes, io::MappedBuffer::OnFailure::kEmpty);
+    io::MappedBuffer in = io::MappedBuffer::open_existing(shard.path, in_bytes);
     if (!in.mapped()) {
-      merge_fail(shard.path, "cannot map data file: " + in.fallback_reason());
+      merge_fail(shard.path, "cannot map data file: " + in.failure_reason());
     }
     in.advise_sequential();
     const auto* in_ptr = static_cast<const std::byte*>(in.data());

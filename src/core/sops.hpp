@@ -23,7 +23,6 @@
 #include "core/config_builder.hpp"
 #include "core/job_manager.hpp"
 #include "core/presets.hpp"
-#include "core/streaming_analyzer.hpp"
 #include "geom/aabb.hpp"
 #include "geom/cell_grid.hpp"
 #include "geom/delaunay.hpp"

@@ -36,8 +36,9 @@ std::string errno_message(const char* operation) {
 }
 
 #if SOPS_HAVE_MMAP
-// Reserves the file's blocks so a full filesystem fails here (clean heap
-// fallback) instead of SIGBUS-ing the first write to an unbackable page.
+// Reserves the file's blocks so a full filesystem fails here (a clean
+// mapping failure) instead of SIGBUS-ing the first write to an unbackable
+// page.
 // Returns 0 on success, an errno otherwise. macOS has no posix_fallocate;
 // its best-effort F_PREALLOCATE is not a guarantee, so the sparse-file
 // risk is accepted there.
@@ -55,7 +56,7 @@ int reserve_blocks(int fd, std::size_t bytes) {
 }  // namespace
 
 MappedBuffer::MappedBuffer(const std::string& path, std::size_t bytes,
-                           OnFailure on_failure, Lifetime lifetime) {
+                           Lifetime lifetime) {
   support::expect(bytes > 0, "MappedBuffer: size must be positive");
   support::expect(!path.empty(), "MappedBuffer: path must be non-empty");
   size_ = bytes;
@@ -68,18 +69,18 @@ MappedBuffer::MappedBuffer(const std::string& path, std::size_t bytes,
   // be opened via open_existing (resume), never clobbered by a fresh run.
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
   if (fd_ < 0) {
-    fallback_reason_ = errno_message("open");
+    failure_reason_ = errno_message("open");
   } else if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) {
-    fallback_reason_ = errno_message("ftruncate");
+    failure_reason_ = errno_message("ftruncate");
   } else if (const int alloc_errno = reserve_blocks(fd_, bytes);
              alloc_errno != 0) {
     errno = alloc_errno;
-    fallback_reason_ = errno_message("posix_fallocate");
+    failure_reason_ = errno_message("posix_fallocate");
   } else {
     void* mapping = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
                            fd_, 0);
     if (mapping == MAP_FAILED) {
-      fallback_reason_ = errno_message("mmap");
+      failure_reason_ = errno_message("mmap");
     } else {
       data_ = static_cast<std::byte*>(mapping);
       mapped_ = true;
@@ -93,20 +94,14 @@ MappedBuffer::MappedBuffer(const std::string& path, std::size_t bytes,
     fd_ = -1;
   }
 #else
-  fallback_reason_ = "mmap unavailable on this platform";
+  failure_reason_ = "mmap unavailable on this platform";
 #endif
+  size_ = 0;
   lifetime_ = Lifetime::kScratch;  // nothing mapped, nothing to persist
-  if (on_failure == OnFailure::kEmpty) {
-    size_ = 0;
-    return;
-  }
-  heap_.resize(bytes);  // zero-initialized, matching fresh file pages
-  data_ = heap_.data();
 }
 
 MappedBuffer MappedBuffer::open_existing(const std::string& path,
-                                         std::size_t bytes,
-                                         OnFailure on_failure) {
+                                         std::size_t bytes) {
   support::expect(bytes > 0, "MappedBuffer: size must be positive");
   support::expect(!path.empty(), "MappedBuffer: path must be non-empty");
   MappedBuffer buffer;
@@ -115,23 +110,23 @@ MappedBuffer MappedBuffer::open_existing(const std::string& path,
 #if SOPS_HAVE_MMAP
   buffer.fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
   if (buffer.fd_ < 0) {
-    buffer.fallback_reason_ = errno_message("open");
+    buffer.failure_reason_ = errno_message("open");
   } else {
     struct ::stat info {};
     if (::fstat(buffer.fd_, &info) != 0) {
-      buffer.fallback_reason_ = errno_message("fstat");
+      buffer.failure_reason_ = errno_message("fstat");
     } else if (info.st_size < 0 ||
                static_cast<std::size_t>(info.st_size) != bytes) {
       // Validate before mapping: a shard file of the wrong geometry would
       // read as silent garbage (or SIGBUS past a short file).
-      buffer.fallback_reason_ =
+      buffer.failure_reason_ =
           "size mismatch: file has " + std::to_string(info.st_size) +
           " bytes, expected " + std::to_string(bytes);
     } else {
       void* mapping = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                              MAP_SHARED, buffer.fd_, 0);
       if (mapping == MAP_FAILED) {
-        buffer.fallback_reason_ = errno_message("mmap");
+        buffer.failure_reason_ = errno_message("mmap");
       } else {
         buffer.data_ = static_cast<std::byte*>(mapping);
         buffer.mapped_ = true;
@@ -144,15 +139,10 @@ MappedBuffer MappedBuffer::open_existing(const std::string& path,
     buffer.fd_ = -1;
   }
 #else
-  buffer.fallback_reason_ = "mmap unavailable on this platform";
+  buffer.failure_reason_ = "mmap unavailable on this platform";
 #endif
+  buffer.size_ = 0;
   buffer.lifetime_ = Lifetime::kScratch;
-  if (on_failure == OnFailure::kEmpty) {
-    buffer.size_ = 0;
-    return buffer;
-  }
-  buffer.heap_.resize(bytes);
-  buffer.data_ = buffer.heap_.data();
   return buffer;
 }
 
@@ -165,10 +155,9 @@ MappedBuffer::MappedBuffer(MappedBuffer&& other) noexcept
       mapped_(std::exchange(other.mapped_, false)),
       lifetime_(std::exchange(other.lifetime_, Lifetime::kScratch)),
       path_(std::move(other.path_)),
-      fallback_reason_(std::move(other.fallback_reason_)),
-      heap_(std::move(other.heap_)) {
+      failure_reason_(std::move(other.failure_reason_)) {
   other.path_.clear();
-  other.fallback_reason_.clear();
+  other.failure_reason_.clear();
 }
 
 MappedBuffer& MappedBuffer::operator=(MappedBuffer&& other) noexcept {
@@ -180,10 +169,9 @@ MappedBuffer& MappedBuffer::operator=(MappedBuffer&& other) noexcept {
     mapped_ = std::exchange(other.mapped_, false);
     lifetime_ = std::exchange(other.lifetime_, Lifetime::kScratch);
     path_ = std::move(other.path_);
-    fallback_reason_ = std::move(other.fallback_reason_);
-    heap_ = std::move(other.heap_);
+    failure_reason_ = std::move(other.failure_reason_);
     other.path_.clear();
-    other.fallback_reason_.clear();
+    other.failure_reason_.clear();
   }
   return *this;
 }
@@ -209,8 +197,7 @@ void MappedBuffer::reset() noexcept {
   mapped_ = false;
   lifetime_ = Lifetime::kScratch;
   path_.clear();
-  fallback_reason_.clear();
-  heap_.clear();
+  failure_reason_.clear();
 }
 
 bool MappedBuffer::flush(std::size_t offset, std::size_t length) noexcept {

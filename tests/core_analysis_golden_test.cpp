@@ -16,7 +16,6 @@
 
 #include "core/analyzer.hpp"
 #include "core/config_builder.hpp"
-#include "core/streaming_analyzer.hpp"
 #include "io/config.hpp"
 
 namespace {
@@ -39,9 +38,9 @@ void expect_result(const sops::core::AnalysisResult& result, bool coarse,
   }
 }
 
-// Checks the pins at the default pool width (0: every hardware thread), at
-// widths 1, 2, 3 and 5 — the 3-frame jobs meet fewer frames than workers
-// and widths that divide no row count — and through the streaming analyzer.
+// Checks the pins at the default pool width (0: every hardware thread) and
+// at widths 1, 2, 3 and 5 — the 3-frame jobs meet fewer frames than workers
+// and widths that divide no row count.
 void expect_pinned(const std::string& config_text, bool coarse,
                    std::size_t observers, const std::vector<Pin>& pins) {
   const sops::core::ConfiguredExperiment configured =
@@ -55,10 +54,6 @@ void expect_pinned(const std::string& config_text, bool coarse,
     expect_result(sops::core::analyze_self_organization(series, options),
                   coarse, observers, pins);
   }
-  SCOPED_TRACE("streamed");
-  expect_result(sops::core::measure_experiment_streamed(configured.experiment,
-                                                        configured.analysis),
-                coarse, observers, pins);
 }
 
 // n = 128 spring collective: above coarse_grain_above, so every frame runs

@@ -134,25 +134,6 @@ TEST(CoreJobManager, SingleJobMatchesDirectRun) {
   EXPECT_EQ(status.delta_mi, reference_analysis.delta_mi());
 }
 
-TEST(CoreJobManager, StreamedAnalysisMatchesPostHoc) {
-  JobManager manager(JobLimits{.machine_threads = 2, .job_slots = 1});
-  JobOptions post_hoc;
-  post_hoc.analysis = JobAnalysis::kPostHoc;
-  JobOptions streamed;
-  streamed.analysis = JobAnalysis::kStreamed;
-  const std::uint64_t a = manager.submit(small_job(77, 12), post_hoc);
-  const JobOutcome post = manager.wait(a);
-  const std::uint64_t b = manager.submit(small_job(77, 12), streamed);
-  const JobOutcome live = manager.wait(b);
-  ASSERT_TRUE(post.analysis.has_value());
-  ASSERT_TRUE(live.analysis.has_value());
-  ASSERT_EQ(post.analysis->points.size(), live.analysis->points.size());
-  for (std::size_t f = 0; f < post.analysis->points.size(); ++f) {
-    EXPECT_EQ(post.analysis->points[f].multi_information,
-              live.analysis->points[f].multi_information);
-  }
-}
-
 TEST(CoreJobManager, PerSampleEventsCoverEverySample) {
   JobManager manager(JobLimits{.machine_threads = 4, .job_slots = 1});
   std::atomic<std::size_t> samples_seen{0};
@@ -188,11 +169,11 @@ TEST(CoreJobManager, TwoConcurrentJobsMatchSequentialBatchRuns) {
       analyze_self_organization(solo_a, config_a.analysis);
 
   JobManager manager(JobLimits{.machine_threads = 4, .job_slots = 2});
-  JobOptions streamed;
-  streamed.analysis = JobAnalysis::kStreamed;
+  JobOptions post_hoc;
+  post_hoc.analysis = JobAnalysis::kPostHoc;
   JobOptions record_only;
   record_only.analysis = JobAnalysis::kNone;
-  const std::uint64_t a = manager.submit(config_a, streamed);
+  const std::uint64_t a = manager.submit(config_a, post_hoc);
   const std::uint64_t b = manager.submit(config_b, record_only);
   JobOutcome outcome_b = manager.wait(b);
   JobOutcome outcome_a = manager.wait(a);
@@ -289,6 +270,32 @@ TEST(CoreJobManager, RejectsJobWhoseResidentFootprintExceedsBudget) {
   EXPECT_EQ(outcome.series.sample_count(), 8u);
 }
 
+TEST(CoreJobManager, RejectsAnalysisThatCanNeverRun) {
+  // The estimator needs k + 1 samples and the alignment two particles:
+  // an analyzed job short of either fails at submit, before any sample
+  // simulates, with the reason named.
+  JobManager manager(JobLimits{.machine_threads = 1, .job_slots = 1});
+  ConfiguredExperiment few_samples = small_job(1, 4);
+  few_samples.analysis.ksg.k = 4;
+  try {
+    (void)manager.submit(few_samples);
+    ADD_FAILURE() << "a 4-sample job with k = 4 was accepted";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("k = 4"), std::string::npos)
+        << error.what();
+  }
+  ConfiguredExperiment one_particle = small_job(1, 8);
+  one_particle.experiment.simulation.types.resize(1);
+  EXPECT_THROW((void)manager.submit(one_particle), Error);
+  EXPECT_TRUE(manager.statuses().empty()) << "a rejected job was queued";
+
+  // Record-only jobs have no analysis to refuse.
+  JobOptions record_only;
+  record_only.analysis = JobAnalysis::kNone;
+  const std::uint64_t id = manager.submit(few_samples, record_only);
+  EXPECT_EQ(manager.wait(id).series.sample_count(), 4u);
+}
+
 TEST(CoreJobManager, QueuesJobsUntilResidentBudgetFrees) {
   const ConfiguredExperiment config = small_job(9, 6);
   const std::size_t resident =
@@ -368,6 +375,28 @@ TEST(CoreJobManager, SettledJobsReleaseTheirHooks) {
   EXPECT_EQ(status.samples_done, 4u);
   EXPECT_EQ(status.samples_total, 4u);
   EXPECT_EQ(manager.status(cancelled).state, JobState::kCancelled);
+}
+
+TEST(CoreJobManager, CancelDuringAnalysisStopsAtAFrameBoundary) {
+  // The job is cancelled the moment it enters its analysis phase: the
+  // analyzer polls the job's token before each frame, so the job ends
+  // cancelled instead of analyzing its frames.
+  JobManager manager(JobLimits{.machine_threads = 2, .job_slots = 1});
+  std::atomic<bool> cancelled{false};
+  JobOptions options;
+  options.analysis = JobAnalysis::kPostHoc;
+  options.events.on_state_change = [&](const JobStatus& status) {
+    if (status.state == JobState::kStreaming) {
+      cancelled = manager.cancel(status.id);
+    }
+  };
+  const std::uint64_t id = manager.submit(small_job(12, 8), options);
+  EXPECT_THROW((void)manager.wait(id), CancelledError);
+  EXPECT_TRUE(cancelled.load());
+  const JobStatus status = manager.status(id);
+  EXPECT_EQ(status.state, JobState::kCancelled);
+  EXPECT_FALSE(status.analyzed);
+  EXPECT_EQ(status.samples_done, status.samples_total);
 }
 
 TEST(CoreJobManager, CancellationFuzzReclaimsEverything) {

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -193,6 +196,82 @@ TEST(Analyzer, PreconditionsEnforced) {
   options.ksg.k = 5;
   EXPECT_THROW((void)analyze_self_organization(series, options),
                sops::PreconditionError);
+}
+
+AnalysisOptions full_analysis() {
+  AnalysisOptions options;
+  options.compute_entropies = true;
+  options.compute_decomposition = true;
+  return options;
+}
+
+// Every curve the analyzer computes, compared bit for bit.
+void expect_identical(const AnalysisResult& a, const AnalysisResult& b) {
+  EXPECT_EQ(a.observer_count, b.observer_count);
+  EXPECT_EQ(a.coarse_grained, b.coarse_grained);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t f = 0; f < a.points.size(); ++f) {
+    const auto& p = a.points[f];
+    const auto& q = b.points[f];
+    EXPECT_EQ(p.step, q.step);
+    EXPECT_EQ(p.multi_information, q.multi_information);
+    EXPECT_EQ(p.joint_entropy, q.joint_entropy);
+    EXPECT_EQ(p.marginal_entropy_sum, q.marginal_entropy_sum);
+    EXPECT_EQ(p.decomposition.total, q.decomposition.total);
+    EXPECT_EQ(p.decomposition.between_groups, q.decomposition.between_groups);
+    EXPECT_EQ(p.decomposition.within_group, q.decomposition.within_group);
+  }
+}
+
+TEST(Analyzer, CacheKnobDoesNotChangeResults) {
+  const EnsembleSeries series = run_experiment(small_experiment(12, 20));
+  AnalysisOptions uncached = full_analysis();
+  uncached.reuse_neighbor_cache = false;
+  expect_identical(analyze_self_organization(series, full_analysis()),
+                   analyze_self_organization(series, uncached));
+}
+
+TEST(Analyzer, FullyResumedShardAnalyzesLikeTheFreshRun) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "analyzer_resume.shard")
+          .string();
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".manifest");
+
+  ExperimentConfig experiment = small_experiment(12, 20);
+  experiment.shard.path = path;
+  const AnalysisResult fresh =
+      analyze_self_organization(run_experiment(experiment), full_analysis());
+
+  // The resumed run finds every sample complete and simulates none: its
+  // whole recording is read back from the shard file.
+  experiment.shard.resume = true;
+  const EnsembleSeries resumed = run_experiment(experiment);
+  EXPECT_EQ(resumed.resumed_samples, resumed.sample_count());
+  expect_identical(analyze_self_organization(resumed, full_analysis()), fresh);
+
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".manifest");
+}
+
+TEST(Analyzer, RaisedTokenCancelsBeforeAnyFrame) {
+  const EnsembleSeries series = run_experiment(small_experiment(12, 10));
+  // An analysis whose first frame would throw a PreconditionError
+  // (coarse_grain_ensemble rejects zero clusters): only CancelledError
+  // escaping shows that no frame was analyzed.
+  AnalysisOptions options;
+  options.coarse_grain_above = 10;
+  options.kmeans_per_type = 0;
+  EXPECT_THROW((void)analyze_self_organization(series, options),
+               sops::PreconditionError);
+  sops::support::CancelToken token;
+  token.request();
+  EXPECT_THROW((void)analyze_self_organization(series, options, &token),
+               sops::CancelledError);
+  // An unraised token changes nothing.
+  const sops::support::CancelToken idle;
+  expect_identical(analyze_self_organization(series, {}, &idle),
+                   analyze_self_organization(series));
 }
 
 TEST(Presets, Fig4MatchesCaption) {

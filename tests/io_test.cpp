@@ -188,7 +188,7 @@ TEST(MappedBuffer, MapsWritesFlushesAndCleansUp) {
   {
     MappedBuffer buffer(path, 1 << 16);
     if (!buffer.mapped()) {
-      GTEST_SKIP() << "mmap unavailable: " << buffer.fallback_reason();
+      GTEST_SKIP() << "mmap unavailable: " << buffer.failure_reason();
     }
     EXPECT_EQ(buffer.size(), std::size_t{1} << 16);
     EXPECT_EQ(buffer.path(), path);
@@ -208,12 +208,12 @@ TEST(MappedBuffer, MapsWritesFlushesAndCleansUp) {
     // interior pages — possibly to nothing).
     EXPECT_TRUE(buffer.flush(100, 50));
     EXPECT_TRUE(buffer.release(100, 50));
-    // A second buffer refuses to clobber the live file (O_EXCL) and falls
-    // back to heap.
+    // A second buffer refuses to clobber the live file (O_EXCL) and stays
+    // empty.
     MappedBuffer collision(path, 4096);
     EXPECT_FALSE(collision.mapped());
-    EXPECT_FALSE(collision.fallback_reason().empty());
-    EXPECT_NE(collision.data(), nullptr);
+    EXPECT_FALSE(collision.failure_reason().empty());
+    EXPECT_TRUE(collision.empty());
     // Move transfers the mapping and the cleanup duty.
     MappedBuffer moved = std::move(buffer);
     EXPECT_TRUE(moved.mapped());
@@ -223,28 +223,16 @@ TEST(MappedBuffer, MapsWritesFlushesAndCleansUp) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-TEST(MappedBuffer, FallsBackToHeapOnUnwritablePath) {
+// A failed mapping leaves no storage behind, just the failure report:
+// callers with their own fallback (FrameStore's heap vector) pay no
+// discarded full-payload allocation.
+TEST(MappedBuffer, StaysEmptyOnUnwritablePath) {
   sops::io::MappedBuffer buffer("/nonexistent-dir/spill.bin", 4096);
   EXPECT_FALSE(buffer.mapped());
-  EXPECT_FALSE(buffer.fallback_reason().empty());
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.data(), nullptr);
   EXPECT_TRUE(buffer.path().empty());
-  ASSERT_NE(buffer.data(), nullptr);
-  // The fallback is working zeroed storage; flush/release are no-ops.
-  auto* bytes = static_cast<unsigned char*>(buffer.data());
-  EXPECT_EQ(bytes[0], 0);
-  bytes[0] = 7;
-  EXPECT_TRUE(buffer.flush(0, 4096));
-  EXPECT_TRUE(buffer.release(0, 4096));
-  EXPECT_EQ(bytes[0], 7);
-
-  // kEmpty: callers with their own fallback storage get no discarded
-  // full-payload allocation, just the failure report.
-  sops::io::MappedBuffer empty("/nonexistent-dir/spill.bin", 4096,
-                               sops::io::MappedBuffer::OnFailure::kEmpty);
-  EXPECT_FALSE(empty.mapped());
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(empty.data(), nullptr);
-  EXPECT_FALSE(empty.fallback_reason().empty());
+  EXPECT_FALSE(buffer.failure_reason().empty());
 }
 
 }  // namespace

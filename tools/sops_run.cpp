@@ -42,10 +42,9 @@
 //       on a fully-complete shard (e.g. a merge output) runs zero samples
 //       and goes straight to analysis — the "analyze a recording" path.
 //
-// `--stream` overlaps analysis with simulation: finished frames are handed
-// to the streaming analyzer while later samples still simulate, and the
-// reported wall time covers the combined simulate+analyze pipeline. The
-// results are bitwise-identical to the post-hoc path.
+// Analysis runs once the last sample is recorded, frame by frame on the
+// job's whole thread budget; the reported analysis time covers that phase
+// alone.
 //
 // Against a running `sopsd` daemon (see tools/sopsd.cpp), the client
 // subcommands speak the unix-socket frame protocol:
@@ -369,7 +368,6 @@ int main(int argc, char** argv) {
   std::string shard_out;
   bool resume = false;
   bool merge = false;
-  bool stream = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg == "--smoke") return run_smoke();
@@ -377,8 +375,6 @@ int main(int argc, char** argv) {
       merge = true;
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--stream") {
-      stream = true;
     } else if (arg == "--shard" && i + 1 < argc) {
       shard_spec = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -394,7 +390,7 @@ int main(int argc, char** argv) {
   try {
     if (merge) return run_merge(positional);
     if (positional.empty()) {
-      std::cerr << "usage: sops_run <config-file> [output.csv] [--stream]\n"
+      std::cerr << "usage: sops_run <config-file> [output.csv]\n"
                    "       sops_run <config-file> --shard k/N --out "
                    "<file.shard> [--resume]\n"
                    "       sops_run --merge <output.shard> <shard...>\n"
@@ -426,16 +422,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (stream && experiment.shard.count > 1) {
-      throw Error("--stream analyzes the full ensemble; run the shards "
-                  "without it and stream the merged recording instead");
-    }
     const bool partial_shard = experiment.shard.count > 1;
 
     std::cout << "running " << experiment.samples << " samples of "
               << experiment.simulation.types.size() << " particles for "
-              << experiment.simulation.steps << " steps"
-              << (stream ? " (analysis streaming alongside)" : "") << "...\n";
+              << experiment.simulation.steps << " steps...\n";
 
     // Batch mode is a one-slot JobManager: the same admission/cancellation/
     // flush-error semantics as the daemon, with the whole machine as the
@@ -448,9 +439,8 @@ int main(int argc, char** argv) {
     install_signal_handlers();
 
     core::JobOptions job_options;
-    job_options.analysis = partial_shard ? core::JobAnalysis::kNone
-                           : stream      ? core::JobAnalysis::kStreamed
-                                         : core::JobAnalysis::kPostHoc;
+    job_options.analysis =
+        partial_shard ? core::JobAnalysis::kNone : core::JobAnalysis::kPostHoc;
     // The moment the job's simulation hands over to analysis — the batch
     // report splits its timing there.
     std::atomic<std::chrono::steady_clock::time_point::rep> analysis_start_rep{0};
@@ -462,7 +452,6 @@ int main(int argc, char** argv) {
       }
     };
 
-    const auto run_start = std::chrono::steady_clock::now();
     const std::uint64_t job = manager.submit(configured, job_options);
     core::JobOutcome outcome;
     try {
@@ -497,21 +486,16 @@ int main(int argc, char** argv) {
     }
     const core::AnalysisResult& result = *outcome.analysis;
     const auto analysis_end = std::chrono::steady_clock::now();
-    // Post-hoc: the analysis wall time proper. Streamed: the whole
-    // simulate+analyze pipeline, since the two phases overlap.
-    const auto analysis_start =
-        stream ? run_start
-               : std::chrono::steady_clock::time_point(
-                     std::chrono::steady_clock::duration(
-                         analysis_start_rep.load(std::memory_order_relaxed)));
+    const auto analysis_start = std::chrono::steady_clock::time_point(
+        std::chrono::steady_clock::duration(
+            analysis_start_rep.load(std::memory_order_relaxed)));
     const double analysis_seconds =
         std::chrono::duration<double>(analysis_end - analysis_start).count();
     const double frames_per_sec =
         analysis_seconds > 0.0
             ? static_cast<double>(result.points.size()) / analysis_seconds
             : 0.0;
-    std::printf("%s: %.2f s for %zu frames (%.3f frames/s)\n",
-                stream ? "streamed simulate+analyze" : "analysis",
+    std::printf("analysis: %.2f s for %zu frames (%.3f frames/s)\n",
                 analysis_seconds, result.points.size(), frames_per_sec);
 
     std::vector<io::Series> chart{{"I(W1..Wn) [bits]", result.steps(),

@@ -8,10 +8,11 @@
 //         [--spill-dir <dir>]
 //
 // Clients (`sops_run submit/status/cancel/watch`) submit the same key=value
-// config text the batch CLI reads; jobs run with a streaming analyzer
-// attached and every finished sample is pushed to watchers as the exact CSV
-// bytes the batch path would write — streamed output is byte-identical to a
-// batch run of the same config, because both go through
+// config text the batch CLI reads; every finished sample is pushed to
+// watchers as the exact CSV bytes the batch path would write, and once the
+// last sample is in, the job is analyzed post-hoc on its slot's share of
+// the machine, exactly as a batch job is. Streamed output is byte-identical
+// to a batch run of the same config, because both go through
 // core::sample_recording_csv / core::analysis_csv_table.
 //
 // Watchers attaching mid-run miss nothing: a running job's frames are kept
@@ -99,7 +100,6 @@ class Daemon {
     configured.experiment.storage.spill_dir = options_.spill_dir;
 
     core::JobOptions job_options;
-    job_options.analysis = core::JobAnalysis::kStreamed;
     job_options.events.on_state_change = [this](const core::JobStatus& status) {
       // Terminal frames are pushed by the waiter thread (which also owns
       // the curve), so a watcher always sees curve_csv before job_done.
