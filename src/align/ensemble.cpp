@@ -56,20 +56,18 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
       // space demands exact centroid-centering, so re-center.
       moved = geom::centered(moved);
     }
-    if (options.permutations) {
-      const std::vector<std::size_t> match =
-          match_by_type(moved, types, reference, types);
-      // Observer j of this sample is the particle matched to reference
-      // particle j.
-      std::vector<geom::Vec2> permuted(n);
-      for (std::size_t i = 0; i < n; ++i) permuted[match[i]] = moved[i];
-      moved = std::move(permuted);
-    }
-    write_row(s, moved);
+    const std::vector<std::size_t> match =
+        match_by_type(moved, types, reference, types);
+    // Observer j of this sample is the particle matched to reference
+    // particle j.
+    std::vector<geom::Vec2> permuted(n);
+    for (std::size_t i = 0; i < n; ++i) permuted[match[i]] = moved[i];
+    write_row(s, permuted);
   };
-  support::SpawnExecutor spawned(options.threads);
-  support::Executor& executor =
-      options.executor != nullptr ? *options.executor : spawned;
+  std::optional<support::TaskPool> own_pool;
+  if (options.executor == nullptr) own_pool.emplace(options.threads);
+  const support::Executor& executor =
+      options.executor != nullptr ? *options.executor : own_pool->executor();
   support::parallel_for(executor, 1, m, align_sample);
 
   return out;

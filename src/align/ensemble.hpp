@@ -53,16 +53,14 @@ struct EnsembleOptions {
   IcpOptions icp{};
   std::size_t threads = 0;
   /// When set, the per-sample alignment loop dispatches on this executor (a
-  /// persistent pool slice the caller reuses across frames) and `threads`
-  /// is ignored; when null, a transient fork/join of `threads` workers runs
-  /// per call. Never affects results: every sample's alignment is
+  /// persistent pool view the caller reuses across frames) and `threads`
+  /// is ignored; when null, a transient TaskPool of `threads` width runs the
+  /// call. Never affects results: every sample's alignment is
   /// independent and writes its own row.
-  support::Executor* executor = nullptr;
+  const support::Executor* executor = nullptr;
   /// Skip the ICP rotation (still centers and permutes). Used by ablations
   /// to show the effect of factoring rotations out.
   bool rotations = true;
-  /// Skip the permutation reduction (keeps simulation particle order).
-  bool permutations = true;
 };
 
 /// Aligns m same-shaped configurations into shape space. `configs[s]` is

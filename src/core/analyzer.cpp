@@ -47,7 +47,7 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
                             const std::vector<sim::TypeId>& types,
                             std::size_t step, std::size_t frame_index,
                             bool coarse, const AnalysisOptions& options,
-                            support::Executor& executor) {
+                            const support::Executor& executor) {
   // The inner stages never fork on their own (threads = 1); every loop —
   // the alignment rows, the estimator's pair passes — dispatches on the
   // caller's executor. Neither affects results.

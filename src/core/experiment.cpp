@@ -168,7 +168,7 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
     // cannot nest beyond sample_threads × step_threads ≤ threads live
     // workers. Sized to the *pending* count — a nearly-complete resume
     // should not spin up workers with nothing to run. With a shared-pool
-    // slice the budget is the slice's width (narrowed further by
+    // view the budget is the view's width (narrowed further by
     // config.threads if set): the experiment's whole fan-out must fit the
     // workers its job was lent.
     std::size_t thread_budget = config.threads;
@@ -182,10 +182,10 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
     const std::size_t sample_workers = budget.sample_threads;
     const std::size_t step_share = budget.step_threads;
 
-    // One pool slice for the whole experiment, sized to the full budget:
-    // the caller's own pool normally, the lent shared-pool slice under a
+    // One pool view for the whole experiment, sized to the full budget:
+    // the caller's own pool normally, the lent shared-pool view under a
     // JobManager. run_partitioned lends sample chunk k a disjoint helper
-    // sub-slice for its per-step drift dispatches while the sample fan-out
+    // sub-view for its per-step drift dispatches while the sample fan-out
     // runs on the rest, so nested dispatches never contend for a worker
     // and the live-thread count never exceeds the budget. One workspace
     // per sample chunk, reused across the chunk's whole run of samples:
@@ -195,16 +195,15 @@ EnsembleSeries run_experiment(const ExperimentConfig& config) {
     if (config.pool == nullptr) {
       own_pool.emplace(sample_workers * step_share);
     }
-    const support::PoolSlice slice = config.pool != nullptr
-                                         ? *config.pool
-                                         : support::slice_all(*own_pool);
-    slice.run_partitioned(
+    const support::Executor& pool =
+        config.pool != nullptr ? *config.pool : own_pool->executor();
+    pool.run_partitioned(
         sample_workers, step_share,
-        [&](std::size_t k, support::Executor& step_executor) {
+        [&](std::size_t k, const support::Executor& step_executor) {
           const support::ChunkRange chunk =
               support::chunk_range(k, pending.size(), sample_workers);
           sim::SimulationWorkspace workspace;
-          workspace.lend_executor(&step_executor);
+          workspace.lend_executor(step_executor);
           sim::SimulationConfig sample_config = config.simulation;
           // Recorded for introspection; the lent executor's width is what
           // the workspace actually uses.

@@ -12,7 +12,7 @@
 #include "sim/simulation.hpp"
 
 namespace sops::support {
-class PoolSlice;
+class Executor;
 }  // namespace sops::support
 
 namespace sops::core {
@@ -89,15 +89,15 @@ struct ExperimentConfig {
   /// manifest listing exactly the samples whose bytes were synced, and
   /// the pool (own or lent) is released.
   const support::CancelToken* cancel = nullptr;
-  /// Execution slice of a shared machine-wide TaskPool (not owned; may be
-  /// null). When set, the sample × step fan-out runs entirely inside this
-  /// slice — the caller's thread plus the slice's workers — instead of a
+  /// Executor view over a share of a machine-wide TaskPool (not owned; may
+  /// be null). When set, the sample × step fan-out runs entirely inside
+  /// this view — the caller's thread plus the view's workers — instead of a
   /// pool created for the run, so several experiments can run concurrently
   /// on one pool under per-job budgets (see core::JobManager). The thread
-  /// budget resolves against the slice's width; `threads` may narrow it
+  /// budget resolves against the view's width; `threads` may narrow it
   /// further but never widens it. Purely a scheduling choice: recordings
   /// are bitwise-identical with and without a shared pool.
-  const support::PoolSlice* pool = nullptr;
+  const support::Executor* pool = nullptr;
 };
 
 /// The recorded ensemble: frames[f][s] is sample s at step frame_steps[f],

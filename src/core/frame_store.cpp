@@ -26,7 +26,7 @@ constexpr const char kSpillSuffix[] = ".spill";
 
 // Spill files are private scratch; the name only has to be unique within
 // the machine for the store's lifetime (MappedBuffer opens O_EXCL, so a
-// collision falls back to heap instead of clobbering a live recording).
+// collision fails the store instead of clobbering a live recording).
 // pid + counter disambiguate live processes; the timestamp keeps a pid
 // recycled after a crashed run (whose leaked file still holds the old
 // name) from colliding with it.
@@ -143,20 +143,23 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
     // a multi-hour spill that died at hour three otherwise sits in
     // spill_dir forever, silently eating the disk the next run needs.
     sweep_stale_spill_files(options.spill_dir);
-    // On failure the store falls back to its own typed vector below.
+    // No heap fallback: admission charged a spilled store nothing, so a
+    // store that quietly held its payload on the heap would grow memory
+    // past the budget unseen.
     io::MappedBuffer buffer(next_spill_path(options.spill_dir), payload);
-    if (buffer.mapped()) {
-      // Fresh file pages read as zero, matching the heap vector's value
-      // initialization; Vec2 is an implicit-lifetime type, so the mapped
-      // block is usable as a Vec2 array without touching its pages (an
-      // explicit construction pass would fault the whole payload in
-      // upfront, defeating the spill).
-      data_ = static_cast<geom::Vec2*>(buffer.data());
-      buffer_ = std::move(buffer);
-      io_error_ = std::make_unique<IoErrorState>();
-      return;
+    if (!buffer.mapped()) {
+      throw Error("FrameStore: cannot create spill file in '" +
+                  options.spill_dir + "': " + buffer.failure_reason());
     }
-    fallback_reason_ = buffer.failure_reason();
+    // Fresh file pages read as zero, matching the heap vector's value
+    // initialization; Vec2 is an implicit-lifetime type, so the mapped
+    // block is usable as a Vec2 array without touching its pages (an
+    // explicit construction pass would fault the whole payload in upfront,
+    // defeating the spill).
+    data_ = static_cast<geom::Vec2*>(buffer.data());
+    buffer_ = std::move(buffer);
+    io_error_ = std::make_unique<IoErrorState>();
+    return;
   }
   heap_.resize(frames * samples * particles);
   data_ = heap_.data();
@@ -180,8 +183,7 @@ std::string FrameStore::flush_error() const {
 
 void FrameStore::note_io_error(const char* operation) {
   // errno is thread-local, so the text is captured on the failing thread;
-  // only the first failure is kept (à la fallback_reason_ — the root cause,
-  // not the cascade).
+  // only the first failure is kept (the root cause, not the cascade).
   const std::string message =
       std::string(operation) + ": " + std::strerror(errno);
   const std::lock_guard<std::mutex> lock(io_error_->mutex);
@@ -194,7 +196,7 @@ void FrameStore::note_io_error(const char* operation) {
 // extents of different frames (and of disjoint sample ranges) never
 // overlap, so any sharding of the frame axis touches disjoint file ranges.
 template <typename FlushFrame>
-void FrameStore::for_each_frame_extent(support::Executor* executor,
+void FrameStore::for_each_frame_extent(const support::Executor* executor,
                                        FlushFrame&& flush) {
   if (executor == nullptr || executor->width() <= 1 || frames_ == 1) {
     for (std::size_t f = 0; f < frames_; ++f) flush(f);
@@ -205,7 +207,7 @@ void FrameStore::for_each_frame_extent(support::Executor* executor,
 }
 
 void FrameStore::flush_samples(std::size_t begin, std::size_t end,
-                               support::Executor* executor) {
+                               const support::Executor* executor) {
   support::expect(begin <= end && end <= samples_,
                   "FrameStore::flush_samples: sample range out of bounds");
   if (!buffer_.mapped() || begin == end) return;
@@ -219,7 +221,7 @@ void FrameStore::flush_samples(std::size_t begin, std::size_t end,
 }
 
 bool FrameStore::sync_samples(std::size_t begin, std::size_t end,
-                              support::Executor* executor) {
+                              const support::Executor* executor) {
   support::expect(begin <= end && end <= samples_,
                   "FrameStore::sync_samples: sample range out of bounds");
   if (!buffer_.mapped() || begin == end) return true;

@@ -18,8 +18,8 @@
 // only when the projected payload crosses a threshold. The swap is purely
 // a storage-layer concern: every accessor hands out the same spans/views
 // either way, so the analyzer and alignment paths run unchanged on mapped
-// recordings. Mapping failures (unwritable spill_dir, …) fall back to heap
-// silently — see io::MappedBuffer.
+// recordings. A spill that cannot map its file (unwritable spill_dir, …)
+// throws sops::Error with the reason — see io::MappedBuffer.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +51,7 @@ enum class StorageMode {
 struct FrameStoreOptions {
   StorageMode mode = StorageMode::kHeap;
   /// Directory the spill file is created in (must exist; an unwritable or
-  /// missing directory falls back to heap).
+  /// missing directory fails the store with a named error).
   std::string spill_dir = ".";
   /// kAuto spills once frames·samples·particles·sizeof(Vec2) is at least
   /// this many bytes. Default: 256 MiB.
@@ -59,8 +59,7 @@ struct FrameStoreOptions {
   /// Non-empty turns the store into a durable *shard*: the payload is
   /// backed by exactly this file (not a generated scratch name in
   /// spill_dir), kept — and MS_SYNC'd — on clean destruction instead of
-  /// unlinked, and reopenable later. Unlike scratch spill, shard mode has
-  /// no silent heap fallback: durability is the point, so any mapping
+  /// unlinked, and reopenable later. As with scratch spill, any mapping
   /// failure throws sops::Error with the reason. `mode` is ignored (a
   /// shard is always mapped).
   std::string shard_path;
@@ -128,18 +127,13 @@ class FrameStore {
     return frames_ * samples_ * particles_ * sizeof(geom::Vec2);
   }
 
-  /// The backing actually in use: kHeap or kMapped, never kAuto (and kHeap
-  /// when a requested mapping fell back).
+  /// The backing actually in use: kHeap or kMapped, never kAuto.
   [[nodiscard]] StorageMode storage() const noexcept {
     return buffer_.mapped() ? StorageMode::kMapped : StorageMode::kHeap;
   }
   /// Path of the spill file; empty when heap-backed.
   [[nodiscard]] const std::string& spill_path() const noexcept {
     return buffer_.path();
-  }
-  /// Why a requested mapping fell back to heap; empty otherwise.
-  [[nodiscard]] const std::string& spill_fallback_reason() const noexcept {
-    return fallback_reason_;
   }
   /// First spill I/O failure seen by flush_samples/sync_samples (msync or
   /// madvise errno text), empty while everything succeeded. Spill flushes
@@ -156,7 +150,7 @@ class FrameStore {
   /// calls are sharded over its width (the engine lends its step executor,
   /// keeping the flush off the sample fan-out). No-op on heap backing.
   void flush_samples(std::size_t begin, std::size_t end,
-                     support::Executor* executor = nullptr);
+                     const support::Executor* executor = nullptr);
 
   /// Durable variant of flush_samples(): blocks until the extents of
   /// samples [begin, end) are on disk (msync MS_SYNC per frame extent),
@@ -167,7 +161,7 @@ class FrameStore {
   /// heap backing (nothing to make durable — but shard stores are never
   /// heap-backed by construction).
   [[nodiscard]] bool sync_samples(std::size_t begin, std::size_t end,
-                                  support::Executor* executor = nullptr);
+                                  const support::Executor* executor = nullptr);
 
   /// Hints the kernel that the store will now be read front to back — the
   /// analyzer's frame-by-frame pass over a finished recording. No-op on
@@ -183,7 +177,8 @@ class FrameStore {
   };
 
   template <typename FlushFrame>
-  void for_each_frame_extent(support::Executor* executor, FlushFrame&& flush);
+  void for_each_frame_extent(const support::Executor* executor,
+                             FlushFrame&& flush);
   void note_io_error(const char* operation);
 
   std::size_t frames_ = 0;
@@ -192,7 +187,6 @@ class FrameStore {
   geom::Vec2* data_ = nullptr;  // into heap_ or buffer_; stable under move
   std::vector<geom::Vec2> heap_;
   io::MappedBuffer buffer_;  // engaged only when actually mapped
-  std::string fallback_reason_;
   std::unique_ptr<IoErrorState> io_error_;  // engaged only when mapped
 };
 

@@ -135,7 +135,7 @@ JobManager::JobManager(JobLimits limits) : limits_(limits) {
   slices_.reserve(limits_.job_slots);
   std::size_t first = 0;
   for (std::size_t j = 0; j < limits_.job_slots; ++j) {
-    slices_.push_back(support::slice_of(*pool_, first, shares[j] - 1));
+    slices_.push_back(pool_->executor().lend(first, shares[j] - 1));
     first += shares[j] - 1;
   }
 

@@ -12,8 +12,8 @@
 //
 //  - Thread budgeting: the jobs × samples × steps split. The manager owns
 //    one TaskPool sized so that every job slot's share
-//    (sim::resolve_job_threads) is a disjoint support::PoolSlice; a job
-//    runs entirely inside its slot's slice and the slice returns to the
+//    (sim::resolve_job_threads) is a disjoint support::Executor view; a
+//    job runs entirely inside its slot's view and the view returns to the
 //    slot when the job finishes. No job can starve another of workers, and
 //    within the job the familiar samples × steps resolution applies
 //    unchanged — the budget is still split exactly once per job.
@@ -216,9 +216,9 @@ class JobManager {
   JobLimits limits_;
   support::CancelToken shutdown_;
 
-  // The shared machine-wide pool and each slot's fixed slice of it.
+  // The shared machine-wide pool and each slot's fixed view of it.
   std::unique_ptr<support::TaskPool> pool_;
-  std::vector<support::PoolSlice> slices_;
+  std::vector<support::Executor> slices_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // state changes, admissions, shutdown

@@ -51,7 +51,7 @@ void CellGrid::rebuild(std::span<const Vec2> points, double cell_size) {
 }
 
 void CellGrid::rebuild(PositionLanes points, double cell_size,
-                       support::Executor& executor) {
+                       const support::Executor& executor) {
   support::expect(cell_size > 0.0 && std::isfinite(cell_size),
                   "CellGrid: cell size must be positive and finite");
   xs_ = points.x;

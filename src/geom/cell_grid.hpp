@@ -77,7 +77,7 @@ class CellGrid {
   /// executor.width() chunks dispatched on `executor`. The result does not
   /// depend on the executor.
   void rebuild(PositionLanes points, double cell_size,
-               support::Executor& executor = support::serial_executor());
+               const support::Executor& executor = support::serial_executor());
   void rebuild(std::span<const Vec2> points, double cell_size);
 
   /// Number of indexed points.

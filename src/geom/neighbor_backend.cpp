@@ -10,7 +10,7 @@ namespace sops::geom {
 // ------------------------------------------------------------- all-pairs
 
 void AllPairsBackend::rebuild(PositionLanes points, double radius,
-                              support::Executor& /*executor*/) {
+                              const support::Executor& /*executor*/) {
   support::expect(radius > 0.0, "AllPairsBackend: radius must be positive");
   points_ = points;
   radius_ = radius;
@@ -32,7 +32,7 @@ std::span<const std::uint32_t> AllPairsBackend::neighbors(std::size_t i) {
 // ------------------------------------------------------------- cell grid
 
 void CellGridBackend::rebuild(PositionLanes points, double radius,
-                              support::Executor& executor) {
+                              const support::Executor& executor) {
   support::expect(std::isfinite(radius),
                   "CellGridBackend: cell grid needs a finite radius");
   grid_.rebuild(points, radius, executor);
@@ -50,7 +50,7 @@ std::span<const std::uint32_t> CellGridBackend::neighbors(std::size_t i) {
 // -------------------------------------------------------------- Delaunay
 
 void DelaunayBackend::rebuild(PositionLanes points, double radius,
-                              support::Executor& /*executor*/) {
+                              const support::Executor& /*executor*/) {
   support::expect(radius > 0.0, "DelaunayBackend: radius must be positive");
   for (std::size_t i = 0; i < points.size(); ++i) {
     support::expect(std::isfinite(points.x[i]) && std::isfinite(points.y[i]),

@@ -59,7 +59,7 @@ enum class NeighborBackendKind {
 class AllPairsBackend {
  public:
   void rebuild(PositionLanes points, double radius,
-               support::Executor& executor = support::serial_executor());
+               const support::Executor& executor = support::serial_executor());
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
 
@@ -87,7 +87,7 @@ class CellGridBackend {
  public:
   /// Dispatches the grid's rebuild chunks on `executor`.
   void rebuild(PositionLanes points, double radius,
-               support::Executor& executor = support::serial_executor());
+               const support::Executor& executor = support::serial_executor());
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i);
   [[nodiscard]] std::size_t size() const noexcept { return grid_.size(); }
 
@@ -121,7 +121,7 @@ class CellGridBackend {
 class DelaunayBackend {
  public:
   void rebuild(PositionLanes points, double radius,
-               support::Executor& executor = support::serial_executor());
+               const support::Executor& executor = support::serial_executor());
   /// Tessellation neighbors within the radius. Read-only and
   /// shared-state-free, so the drift's parallel rows may call it from
   /// several threads between rebuilds.
@@ -155,7 +155,7 @@ class NeighborBackend {
   /// whose rebuild shards (the cell grid's counting sort) dispatches it on
   /// `executor`; results never depend on its width.
   void rebuild(PositionLanes points, double radius,
-               support::Executor& executor = support::serial_executor()) {
+               const support::Executor& executor = support::serial_executor()) {
     std::visit([&](auto& b) { b.rebuild(points, radius, executor); },
                backend_);
   }

@@ -41,7 +41,7 @@ double log2_unit_ball_volume(std::size_t dim) {
 }
 
 double entropy_kl_block(const SampleMatrix& samples, const Block& block,
-                        std::size_t k, support::Executor& executor,
+                        std::size_t k, const support::Executor& executor,
                         FrameNeighborCache* cache) {
   const std::size_t m = samples.count();
   support::expect(k >= 1 && m >= k + 1,
@@ -87,13 +87,14 @@ double entropy_kl_block(const SampleMatrix& samples, const Block& block,
 }
 
 double entropy_kl(const SampleMatrix& samples, std::size_t k,
-                  support::Executor& executor, FrameNeighborCache* cache) {
+                  const support::Executor& executor,
+                  FrameNeighborCache* cache) {
   return entropy_kl_block(samples, Block{0, samples.dim()}, k, executor, cache);
 }
 
 double multi_information_kl(const SampleMatrix& samples,
                             std::span<const Block> blocks, std::size_t k,
-                            support::Executor& executor) {
+                            const support::Executor& executor) {
   validate_blocks(blocks, samples.dim());
   double marginal_sum = 0.0;
   for (const Block& block : blocks) {

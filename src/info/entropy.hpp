@@ -39,7 +39,7 @@ class FrameNeighborCache;
 /// Requirements: k >= 1, at least k+1 samples, every coordinate finite (a
 /// NaN or ±inf throws PreconditionError).
 [[nodiscard]] double entropy_kl(const SampleMatrix& samples, std::size_t k,
-                                support::Executor& executor,
+                                const support::Executor& executor,
                                 FrameNeighborCache* cache = nullptr);
 
 /// Entropy of the coordinates restricted to one block, which must be
@@ -47,7 +47,7 @@ class FrameNeighborCache;
 /// Dispatch, cache and requirements as in entropy_kl.
 [[nodiscard]] double entropy_kl_block(const SampleMatrix& samples,
                                       const Block& block, std::size_t k,
-                                      support::Executor& executor,
+                                      const support::Executor& executor,
                                       FrameNeighborCache* cache = nullptr);
 
 /// Multi-information as entropy difference Σ_i h(W_i) − h(W): noisier than
@@ -56,7 +56,7 @@ class FrameNeighborCache;
 [[nodiscard]] double multi_information_kl(const SampleMatrix& samples,
                                           std::span<const Block> blocks,
                                           std::size_t k,
-                                          support::Executor& executor);
+                                          const support::Executor& executor);
 
 /// log₂ of the volume of the D-dimensional unit L2 ball.
 [[nodiscard]] double log2_unit_ball_volume(std::size_t dim);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "support/parallel_for.hpp"
@@ -64,9 +65,10 @@ std::vector<double> kde_log2_density(const SampleMatrix& samples,
       log_density[s] = std::log2(std::max(sum, 1e-300)) + log2_norm;
     }
   };
-  support::SpawnExecutor spawned(options.threads);
-  support::Executor& executor =
-      options.executor != nullptr ? *options.executor : spawned;
+  std::optional<support::TaskPool> own_pool;
+  if (options.executor == nullptr) own_pool.emplace(options.threads);
+  const support::Executor& executor =
+      options.executor != nullptr ? *options.executor : own_pool->executor();
   support::parallel_for_chunked(executor, 0, m, chunk);
   return log_density;
 }

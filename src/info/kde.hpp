@@ -29,10 +29,10 @@ struct KdeOptions {
   std::size_t threads = 0;
   /// When set, density evaluations dispatch their sample chunks on this
   /// executor (a persistent pool the caller reuses across calls) and
-  /// `threads` is ignored; when null, a transient fork/join of `threads`
-  /// workers runs per call — mirroring KsgOptions::executor. Never affects
+  /// `threads` is ignored; when null, a transient TaskPool of `threads`
+  /// width runs the call — mirroring KsgOptions::executor. Never affects
   /// the estimate.
-  support::Executor* executor = nullptr;
+  const support::Executor* executor = nullptr;
 };
 
 /// Leave-one-out log₂ density estimate of block coordinates at each sample;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "info/digamma.hpp"
@@ -68,9 +69,10 @@ double multi_information_ksg(const SampleMatrix& samples,
   validate_blocks(blocks, samples.dim());
   validate_finite(samples, Block{0, samples.dim()});
 
-  support::SpawnExecutor spawned(options.threads);
-  support::Executor& executor =
-      options.executor != nullptr ? *options.executor : spawned;
+  std::optional<support::TaskPool> own_pool;
+  if (options.executor == nullptr) own_pool.emplace(options.threads);
+  const support::Executor& executor =
+      options.executor != nullptr ? *options.executor : own_pool->executor();
   const std::vector<std::size_t> bounds =
       pair_bands(m, std::min(executor.width(), m));
   const std::size_t bands = bounds.size() - 1;

@@ -53,9 +53,9 @@ struct KsgOptions {
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// When set, both pair passes dispatch their row bands on this executor
   /// (a persistent pool the caller reuses across frames) and `threads` is
-  /// ignored; when null, a transient fork/join of `threads` workers runs per
+  /// ignored; when null, a transient TaskPool of `threads` width runs the
   /// call. Never affects the estimate (see multi_information_ksg).
-  support::Executor* executor = nullptr;
+  const support::Executor* executor = nullptr;
   /// Ignored by multi_information_ksg; kept for callers that still set it.
   NeighborSearch search = NeighborSearch::kBlockedTree;
   /// Ignored by multi_information_ksg, which builds no kd-trees; kept for

@@ -134,9 +134,10 @@ double conditional_mutual_information_ksg(
                       digamma_int(n_c + 1);
     }
   };
-  support::SpawnExecutor spawned(options.threads);
-  support::Executor& executor =
-      options.executor != nullptr ? *options.executor : spawned;
+  std::optional<support::TaskPool> own_pool;
+  if (options.executor == nullptr) own_pool.emplace(options.threads);
+  const support::Executor& executor =
+      options.executor != nullptr ? *options.executor : own_pool->executor();
   support::parallel_for_chunked(executor, 0, m, chunk);
 
   double mean_psi = 0.0;
@@ -222,9 +223,10 @@ std::vector<std::vector<double>> transfer_entropy_matrix(
   // serial so the lent (or transient) workers are never oversubscribed.
   TransferEntropyOptions inner = options;
   inner.executor = &support::serial_executor();
-  support::SpawnExecutor spawned(options.threads);
-  support::Executor& executor =
-      options.executor != nullptr ? *options.executor : spawned;
+  std::optional<support::TaskPool> own_pool;
+  if (options.executor == nullptr) own_pool.emplace(options.threads);
+  const support::Executor& executor =
+      options.executor != nullptr ? *options.executor : own_pool->executor();
   support::parallel_for(executor, 0, n * n, [&](std::size_t cell) {
     const std::size_t a = cell / n;
     const std::size_t b = cell % n;

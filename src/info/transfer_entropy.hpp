@@ -43,9 +43,9 @@ struct TransferEntropyOptions {
   /// When set, the estimator's parallel loops (per-sample queries; the TE
   /// matrix's pair fan-out) dispatch on this executor and `threads` is
   /// ignored — mirroring KsgOptions::executor, so batch analyses reuse one
-  /// persistent pool instead of forking workers per call. Never affects
+  /// persistent pool instead of starting workers per call. Never affects
   /// the estimate.
-  support::Executor* executor = nullptr;
+  const support::Executor* executor = nullptr;
   /// Neighbor-search implementation of conditional_mutual_information_ksg
   /// and the transfer entropies built on it: per-call subspace kd-trees
   /// (the default) or the exhaustive reference scan. Never affects the

@@ -15,7 +15,7 @@ namespace {
 // min(width, count) tasks that claim chunks dynamically, each with its own
 // gather scratch (sized here, serially, before the dispatch).
 template <typename Body>
-void run_claimed_chunks(support::Executor& executor, std::size_t count,
+void run_claimed_chunks(const support::Executor& executor, std::size_t count,
                         std::vector<geom::GatherScratch>& gather,
                         const Body& body) {
   const std::size_t tasks = std::min(executor.width(), count);
@@ -43,7 +43,7 @@ void accumulate_cell_kernel(const ParticleSystem& system,
                             const PairScalingTable& table, double cutoff_radius,
                             std::vector<geom::Vec2>& out,
                             geom::CellGridBackend& backend,
-                            support::Executor& executor) {
+                            const support::Executor& executor) {
   const geom::CellGrid& grid = backend.grid();
   const std::span<const std::uint32_t> entries = grid.bucket_entries();
   const std::span<const std::uint32_t> starts = grid.bucket_starts();
@@ -115,7 +115,7 @@ void accumulate_all_pairs_kernel(const ParticleSystem& system,
                                  double cutoff_radius,
                                  std::vector<geom::Vec2>& out,
                                  geom::AllPairsBackend& backend,
-                                 support::Executor& executor) {
+                                 const support::Executor& executor) {
   const std::size_t n = system.size();
   const std::size_t rows = kAllPairsTileRows;
   const std::size_t tiles = (n + rows - 1) / rows;
@@ -207,7 +207,7 @@ geom::NeighborBackendKind neighbor_backend_kind(NeighborMode resolved_mode) {
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,
-                      support::Executor& executor) {
+                      const support::Executor& executor) {
   support::expect(cutoff_radius > 0.0, "accumulate_drift: cutoff must be positive");
   support::expect(system.types_within(table.types()),
                   "accumulate_drift: particle type outside the model");

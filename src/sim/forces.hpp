@@ -135,7 +135,7 @@ class PairScalingTable {
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,
-                      support::Executor& executor);
+                      const support::Executor& executor);
 
 /// Sum over particles of ‖drift_i‖₂ — the residual-force statistic the
 /// paper's equilibrium criterion thresholds (§4.1).

@@ -27,7 +27,7 @@ void apply_euler_maruyama_update(ParticleSystem& system,
                                  std::span<const geom::Vec2> drift,
                                  const IntegratorParams& params,
                                  rng::Xoshiro256& engine,
-                                 support::Executor& executor) {
+                                 const support::Executor& executor) {
   support::expect(
       params.dt > 0.0 && std::isfinite(params.dt),
       "apply_euler_maruyama_update: dt must be positive and finite");

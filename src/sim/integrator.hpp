@@ -47,6 +47,6 @@ struct IntegratorParams {
 void apply_euler_maruyama_update(
     ParticleSystem& system, std::span<const geom::Vec2> drift,
     const IntegratorParams& params, rng::Xoshiro256& engine,
-    support::Executor& executor = support::serial_executor());
+    const support::Executor& executor = support::serial_executor());
 
 }  // namespace sops::sim

@@ -64,7 +64,7 @@ StreamedRun run_simulation_streamed(const SimulationConfig& config,
   // slice lent by the ensemble driver), so per-step sharding — grid
   // rebuild, drift, noise transform — is a dispatch onto parked workers,
   // not a fork/join.
-  support::Executor& step_executor = workspace.step_executor();
+  const support::Executor& step_executor = workspace.step_executor();
   for (std::size_t t = 0;; ++t) {
     // The per-step poll point: a cancelled run stops before the next
     // drift evaluation, so cancellation latency is one step, not one

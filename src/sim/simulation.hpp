@@ -60,7 +60,7 @@ struct SimulationConfig {
   /// Thread budget of this single run (0 = hardware concurrency). Spent
   /// inside each step's drift sum via the resolved `parallel_policy`: the
   /// workspace sizes a persistent TaskPool to the resolved width (or uses
-  /// the slice an ensemble driver lent it), so sharded steps dispatch onto
+  /// the view an ensemble driver lent it), so sharded steps dispatch onto
   /// parked workers instead of forking. The default of 1 keeps standalone
   /// runs serial. Never affects results: the sharded drift path is
   /// bitwise-identical to serial for any thread count.

@@ -13,30 +13,22 @@ void SimulationWorkspace::prepare(const SimulationConfig& config) {
   scaling_table_.emplace(config.model);
   drift_.reserve(config.types.size());
 
-  if (lent_executor_ != nullptr) {
-    // The lender already resolved the budget; its width is authoritative.
-    step_threads_ = lent_executor_->width();
-    return;
-  }
-  step_threads_ = resolve_parallel_policy(config.parallel_policy,
-                                          config.types.size(), 1,
-                                          config.threads)
-                      .step_threads;
+  // A lender already resolved the budget; its view's width is
+  // authoritative.
+  if (lent_) return;
+  const std::size_t step_threads =
+      resolve_parallel_policy(config.parallel_policy, config.types.size(), 1,
+                              config.threads)
+          .step_threads;
   // The pool persists across prepare() calls (and therefore across runs);
   // it is only rebuilt when the resolved width actually changes. A width of
   // 1 keeps any existing pool parked and steps serially.
-  if (step_threads_ > 1 &&
-      (!owned_pool_ || owned_pool_->width() != step_threads_)) {
-    owned_pool_ = std::make_unique<support::TaskPool>(step_threads_);
+  if (step_threads > 1 &&
+      (!owned_pool_ || owned_pool_->width() != step_threads)) {
+    owned_pool_ = std::make_unique<support::TaskPool>(step_threads);
   }
-}
-
-support::Executor& SimulationWorkspace::step_executor() noexcept {
-  if (lent_executor_ != nullptr) return *lent_executor_;
-  if (step_threads_ > 1 && owned_pool_ != nullptr) {
-    return owned_pool_->executor();
-  }
-  return support::serial_executor();
+  step_executor_ =
+      step_threads > 1 ? owned_pool_->executor() : support::Executor{};
 }
 
 geom::NeighborBackend& SimulationWorkspace::backend() {

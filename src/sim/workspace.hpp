@@ -9,7 +9,7 @@
 // scratch, and the pool's parked workers warm up once and are retained —
 // steady-state stepping performs no allocation and no thread creation.
 //
-// An ensemble driver that already owns a pool lends a slice of it instead
+// An ensemble driver that already owns a pool lends a view of it instead
 // (`lend_executor`), so sample × step parallelism never exceeds the
 // experiment's resolved budget in live threads.
 //
@@ -50,22 +50,24 @@ class SimulationWorkspace {
   [[nodiscard]] std::vector<geom::Vec2>& drift() noexcept { return drift_; }
   [[nodiscard]] rng::Xoshiro256& engine() noexcept { return engine_; }
 
-  /// Borrows an executor for the intra-step drift dispatch instead of the
-  /// workspace sizing its own pool — the ensemble driver lends each sample
-  /// worker a disjoint slice of the experiment's pool this way. Pass
-  /// nullptr to return to owned sizing. The lent executor must outlive
-  /// every run that uses this workspace.
-  void lend_executor(support::Executor* executor) noexcept {
-    lent_executor_ = executor;
+  /// Borrows an executor view for the intra-step drift dispatch instead of
+  /// the workspace sizing its own pool — the ensemble driver lends each
+  /// sample worker a disjoint view of the experiment's pool this way. The
+  /// view's pool must outlive every run that uses this workspace.
+  void lend_executor(const support::Executor& executor) noexcept {
+    step_executor_ = executor;
+    lent_ = true;
   }
 
   /// The executor the prepared run's per-step drift dispatch runs on.
-  [[nodiscard]] support::Executor& step_executor() noexcept;
+  [[nodiscard]] support::Executor& step_executor() noexcept {
+    return step_executor_;
+  }
 
   /// Width of `step_executor()` — the threads the prepared run may spend
   /// inside each step's drift sum.
   [[nodiscard]] std::size_t step_threads() const noexcept {
-    return step_threads_;
+    return step_executor_.width();
   }
 
  private:
@@ -73,9 +75,9 @@ class SimulationWorkspace {
   std::optional<geom::NeighborBackend> backend_;
   std::optional<PairScalingTable> scaling_table_;
   rng::Xoshiro256 engine_{0};
-  support::Executor* lent_executor_ = nullptr;
   std::unique_ptr<support::TaskPool> owned_pool_;
-  std::size_t step_threads_ = 1;
+  support::Executor step_executor_;
+  bool lent_ = false;
 };
 
 }  // namespace sops::sim

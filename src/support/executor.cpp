@@ -59,42 +59,9 @@ std::size_t default_thread_count() noexcept {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-Executor& serial_executor() noexcept {
-  static SerialExecutor serial;
+const Executor& serial_executor() noexcept {
+  static const Executor serial;
   return serial;
-}
-
-// ---------------------------------------------------------- SpawnExecutor
-
-SpawnExecutor::SpawnExecutor(std::size_t width) noexcept
-    : width_(width == 0 ? default_thread_count() : width) {}
-
-void SpawnExecutor::run(std::size_t task_count, TaskRef task) {
-  if (task_count == 0) return;
-  const std::size_t helpers = std::min(width_ - 1, task_count - 1);
-  if (helpers == 0) {
-    for (std::size_t k = 0; k < task_count; ++k) task(k);
-    return;
-  }
-
-  detail::Job job(task, task_count);
-  std::vector<std::thread> threads;
-  threads.reserve(helpers);
-  try {
-    for (std::size_t w = 0; w < helpers; ++w) {
-      threads.emplace_back([&job] { job.drain(); });
-    }
-  } catch (...) {
-    // Thread exhaustion mid-spawn: finish the batch with whoever exists,
-    // join them, and surface the spawn failure (not std::terminate via a
-    // joinable thread's destructor).
-    job.drain();
-    for (std::thread& thread : threads) thread.join();
-    throw;
-  }
-  job.drain();
-  for (std::thread& thread : threads) thread.join();
-  if (job.first_error) std::rethrow_exception(job.first_error);
 }
 
 // ---------------------------------------------------------------- TaskPool
@@ -107,14 +74,9 @@ struct TaskPool::Slot {
   std::thread thread;
 };
 
-std::size_t TaskPool::worker_count_for(std::size_t width) noexcept {
-  if (width == 0) width = default_thread_count();
-  return width - 1;
-}
-
-TaskPool::TaskPool(std::size_t width)
-    : all_(this, 0, worker_count_for(width)) {
-  const std::size_t workers = worker_count_for(width);
+TaskPool::TaskPool(std::size_t width) {
+  const std::size_t workers =
+      (width == 0 ? default_thread_count() : width) - 1;
   slots_.reserve(workers);
   try {
     for (std::size_t w = 0; w < workers; ++w) {
@@ -140,6 +102,7 @@ TaskPool::TaskPool(std::size_t width)
     shutdown();  // park and join whatever was already spawned
     throw;
   }
+  all_ = Executor(this, 0, workers);
 }
 
 TaskPool::~TaskPool() { shutdown(); }
@@ -158,37 +121,16 @@ void TaskPool::shutdown() noexcept {
   slots_.clear();
 }
 
-PoolExecutor TaskPool::lend(std::size_t first_worker,
-                            std::size_t workers) noexcept {
-  if (first_worker >= slots_.size()) return PoolExecutor(this, 0, 0);
-  workers = std::min(workers, slots_.size() - first_worker);
-  return PoolExecutor(this, first_worker, workers);
+// ---------------------------------------------------------------- Executor
+
+Executor Executor::lend(std::size_t first_worker,
+                        std::size_t workers) const noexcept {
+  if (first_worker >= workers_) return {};
+  return {pool_, first_ + first_worker,
+          std::min(workers, workers_ - first_worker)};
 }
 
-// ---------------------------------------------------------------- PoolSlice
-
-PoolExecutor PoolSlice::lend(std::size_t first_worker,
-                             std::size_t workers) const noexcept {
-  if (pool_ == nullptr || first_worker >= workers_) {
-    return PoolExecutor(pool_, 0, 0);
-  }
-  workers = std::min(workers, workers_ - first_worker);
-  return pool_->lend(first_ + first_worker, workers);
-}
-
-PoolSlice slice_of(TaskPool& pool, std::size_t first_worker,
-                   std::size_t workers) noexcept {
-  const std::size_t total = pool.worker_count();
-  if (first_worker >= total) return PoolSlice(&pool, 0, 0);
-  return PoolSlice(&pool, first_worker,
-                   std::min(workers, total - first_worker));
-}
-
-PoolSlice slice_all(TaskPool& pool) noexcept {
-  return PoolSlice(&pool, 0, pool.worker_count());
-}
-
-void PoolExecutor::run(std::size_t task_count, TaskRef task) {
+void Executor::run(std::size_t task_count, TaskRef task) const {
   if (task_count == 0) return;
   // The caller is a runner too, so a batch of k tasks engages at most k-1
   // workers; a width-1 view (or single task) runs inline like a plain loop.

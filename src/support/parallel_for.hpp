@@ -8,12 +8,12 @@
 // output range, so results are identical for any width, including 1).
 //
 // The wrappers compute the chunk partition; the executor only decides which
-// runner executes which chunk. Each loop has one form, taking the Executor&
-// to dispatch on: a lent PoolExecutor on the engine's pooled paths,
-// serial_executor() for serial callers, or a SpawnExecutor where an options
-// struct's `threads` fallback asks for transient fork/join workers. The
-// partition depends only on the range and the executor's width, so two
-// executors of equal width never change results.
+// runner executes which chunk. Each loop has one form, taking the Executor
+// view to dispatch on: a lent view of a TaskPool on the engine's pooled
+// paths, serial_executor() for serial callers, or a transient pool's view
+// where an options struct's `threads` fallback asks for one. The partition
+// depends only on the range and the executor's width, so two executors of
+// equal width never change results.
 //
 // Every loop is templated on the body type: the body is invoked directly
 // (inlined into the chunk loop), with type erasure only at the chunk level.
@@ -39,7 +39,7 @@ namespace sops::support {
 /// exception is rethrown on the calling thread after all chunks finished
 /// (inline runs propagate immediately).
 template <typename ChunkBody>
-void parallel_for_chunked(Executor& executor, std::size_t begin,
+void parallel_for_chunked(const Executor& executor, std::size_t begin,
                           std::size_t end, ChunkBody&& chunk_body) {
   if (begin >= end) return;
   const std::size_t count = end - begin;
@@ -71,7 +71,8 @@ void parallel_for_chunked(Executor& executor, std::size_t begin,
 /// on the machine give bitwise-stable results at any width. Exception
 /// semantics match `parallel_for_chunked`.
 template <typename ChunkBody, typename Index>
-void parallel_for_shards(Executor& executor, std::span<const Index> bounds,
+void parallel_for_shards(const Executor& executor,
+                         std::span<const Index> bounds,
                          ChunkBody&& chunk_body) {
   if (bounds.size() < 2) return;
   std::size_t non_empty = 0;
@@ -102,7 +103,7 @@ void parallel_for_shards(Executor& executor, std::span<const Index> bounds,
 /// so neighboring iterations share cache lines of the same output region.
 /// Same semantics as `parallel_for_chunked`.
 template <typename Body>
-void parallel_for(Executor& executor, std::size_t begin, std::size_t end,
+void parallel_for(const Executor& executor, std::size_t begin, std::size_t end,
                   Body&& body) {
   parallel_for_chunked(
       executor, begin, end,

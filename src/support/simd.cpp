@@ -9,9 +9,8 @@ namespace {
 
 SimdPolicy initial_policy() noexcept {
   const char* env = std::getenv("SOPS_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) return SimdPolicy::kScalar;
-    if (std::strcmp(env, "simd") == 0) return SimdPolicy::kSimd;
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
+    return SimdPolicy::kScalar;
   }
   return SimdPolicy::kAuto;
 }

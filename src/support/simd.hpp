@@ -45,11 +45,10 @@ typedef long long v4m __attribute__((vector_size(32)));
 enum class SimdPolicy {
   kAuto,    ///< vector kernels (best compiled ISA); the default
   kScalar,  ///< the scalar reference kernels — the parity fuzzer's anchor
-  kSimd,    ///< force the vector kernels (same selection as kAuto)
 };
 
 /// Current process-wide policy. Initialized from the SOPS_SIMD environment
-/// variable ("scalar" or "simd"; anything else leaves kAuto).
+/// variable ("scalar"; anything else leaves kAuto).
 [[nodiscard]] SimdPolicy simd_policy() noexcept;
 
 /// Overrides the policy (tests flip this to cross-check paths).

@@ -84,9 +84,7 @@ TEST(FrameStore, MappedStoreSameLayoutAndZeroed) {
   options.mode = sops::core::StorageMode::kMapped;
   options.spill_dir = ::testing::TempDir();
   FrameStore store(2, 3, 4, options);
-  if (store.storage() != sops::core::StorageMode::kMapped) {
-    GTEST_SKIP() << "mmap unavailable: " << store.spill_fallback_reason();
-  }
+  EXPECT_EQ(store.storage(), sops::core::StorageMode::kMapped);
   EXPECT_FALSE(store.spill_path().empty());
   EXPECT_EQ(store.bytes(), 2u * 3u * 4u * sizeof(Vec2));
   // Same flat [frame][sample][particle] stride as the heap backing, and
@@ -118,25 +116,38 @@ TEST(FrameStore, AutoModeSpillsOnThresholdOnly) {
   const FrameStore kept(2, 3, 4, options);
   EXPECT_EQ(kept.storage(), sops::core::StorageMode::kHeap);
   EXPECT_TRUE(kept.spill_path().empty());
-  if (spilled.storage() == sops::core::StorageMode::kMapped) {
-    EXPECT_FALSE(spilled.spill_path().empty());
-  }
+  EXPECT_EQ(spilled.storage(), sops::core::StorageMode::kMapped);
+  EXPECT_FALSE(spilled.spill_path().empty());
 }
 
-TEST(FrameStore, UnwritableSpillDirFallsBackToHeap) {
+TEST(FrameStore, UnwritableSpillDirThrowsNamedError) {
+  // No silent heap fallback: a spill that cannot map its file names the
+  // directory and the failing call, for kMapped and for kAuto past its
+  // threshold alike.
   sops::core::FrameStoreOptions options;
   options.mode = sops::core::StorageMode::kMapped;
   options.spill_dir = "/nonexistent/sops-spill-dir";
-  FrameStore store(2, 3, 4, options);
-  EXPECT_EQ(store.storage(), sops::core::StorageMode::kHeap);
-  EXPECT_TRUE(store.spill_path().empty());
-  EXPECT_FALSE(store.spill_fallback_reason().empty());
-  // The fallback is fully functional storage.
-  store.sample_slot(0, 0)[0] = {1.0, 2.0};
-  store.flush_samples(0, 3);  // no-op on heap
-  EXPECT_EQ(store.sample(0, 0)[0], (Vec2{1.0, 2.0}));
+  try {
+    const FrameStore store(2, 3, 4, options);
+    ADD_FAILURE() << "an unmappable spill built a store";
+  } catch (const sops::Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("/nonexistent/sops-spill-dir"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("open: "), std::string::npos) << what;
+  }
+  options.mode = sops::core::StorageMode::kAuto;
+  options.auto_spill_bytes = 1;
+  EXPECT_THROW(FrameStore(2, 3, 4, options), sops::Error);
+  // Below the threshold kAuto stays on the heap and needs no directory.
+  options.auto_spill_bytes = std::size_t{1} << 40;
+  FrameStore heap(2, 3, 4, options);
+  EXPECT_EQ(heap.storage(), sops::core::StorageMode::kHeap);
+  heap.sample_slot(0, 0)[0] = {1.0, 2.0};
+  heap.flush_samples(0, 3);  // no-op on heap
+  EXPECT_EQ(heap.sample(0, 0)[0], (Vec2{1.0, 2.0}));
   // An out-of-range flush is a caller bug, not a silent no-op.
-  EXPECT_THROW(store.flush_samples(0, 4), sops::PreconditionError);
+  EXPECT_THROW(heap.flush_samples(0, 4), sops::PreconditionError);
 }
 
 TEST(StreamedExperiment, StrideBeyondStepsStillRecordsFrames) {

@@ -270,6 +270,34 @@ TEST(CoreJobManager, RejectsJobWhoseResidentFootprintExceedsBudget) {
   EXPECT_EQ(outcome.series.sample_count(), 8u);
 }
 
+TEST(CoreJobManager, UnmappableSpillFailsTheJobWithTheReason) {
+  // Admission charges a mapped job ~zero resident bytes, so a spill that
+  // cannot map its file must fail the job by name — never hold the whole
+  // payload on the heap under a budget far below it.
+  JobLimits limits;
+  limits.machine_threads = 1;
+  limits.job_slots = 1;
+  limits.memory_budget_bytes = 1024;  // way below the heap payload
+  JobManager manager(limits);
+  ConfiguredExperiment mapped = small_job(1);
+  mapped.experiment.storage.mode = StorageMode::kMapped;
+  mapped.experiment.storage.spill_dir = "/nonexistent/sops-spill-dir";
+  JobOptions options;
+  options.analysis = JobAnalysis::kNone;
+  const std::uint64_t id = manager.submit(mapped, options);
+  try {
+    (void)manager.wait(id);
+    ADD_FAILURE() << "an unmappable spill job finished";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("/nonexistent/sops-spill-dir"),
+              std::string::npos)
+        << error.what();
+  }
+  const JobStatus status = manager.status(id);
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_NE(status.error.find("open: "), std::string::npos) << status.error;
+}
+
 TEST(CoreJobManager, RejectsAnalysisThatCanNeverRun) {
   // The estimator needs k + 1 samples and the alignment two particles:
   // an analyzed job short of either fails at submit, before any sample

@@ -76,10 +76,7 @@ TEST(FrameSpill, MappedRecordingIsBitwiseIdenticalToHeap) {
   const EnsembleSeries heap = run_with_storage(StorageMode::kHeap);
   const EnsembleSeries mapped = run_with_storage(StorageMode::kMapped);
   ASSERT_EQ(heap.frames.storage(), StorageMode::kHeap);
-  if (mapped.frames.storage() != StorageMode::kMapped) {
-    GTEST_SKIP() << "mmap unavailable: "
-                 << mapped.frames.spill_fallback_reason();
-  }
+  ASSERT_EQ(mapped.frames.storage(), StorageMode::kMapped);
   EXPECT_TRUE(stores_bitwise_equal(heap, mapped));
   EXPECT_EQ(heap.frame_steps, mapped.frame_steps);
   EXPECT_EQ(heap.equilibrium_steps, mapped.equilibrium_steps);
@@ -99,10 +96,7 @@ TEST(FrameSpill, AnalyzerOutputMatchesAcrossStorageModes) {
   // able to tell a mapped recording from a heap one — bit for bit.
   const EnsembleSeries heap = run_with_storage(StorageMode::kHeap);
   const EnsembleSeries mapped = run_with_storage(StorageMode::kMapped);
-  if (mapped.frames.storage() != StorageMode::kMapped) {
-    GTEST_SKIP() << "mmap unavailable: "
-                 << mapped.frames.spill_fallback_reason();
-  }
+  ASSERT_EQ(mapped.frames.storage(), StorageMode::kMapped);
   const AnalysisResult heap_result = analyze_self_organization(heap);
   const AnalysisResult mapped_result = analyze_self_organization(mapped);
   ASSERT_EQ(heap_result.points.size(), mapped_result.points.size());
@@ -117,10 +111,7 @@ TEST(FrameSpill, SpillFileLivesWithTheSeriesAndIsRemovedAfter) {
   std::string spill_path;
   {
     const EnsembleSeries mapped = run_with_storage(StorageMode::kMapped);
-    if (mapped.frames.storage() != StorageMode::kMapped) {
-      GTEST_SKIP() << "mmap unavailable: "
-                   << mapped.frames.spill_fallback_reason();
-    }
+    ASSERT_EQ(mapped.frames.storage(), StorageMode::kMapped);
     spill_path = mapped.frames.spill_path();
     EXPECT_TRUE(std::filesystem::exists(spill_path));
     EXPECT_GE(std::filesystem::file_size(spill_path), mapped.frames.bytes());
@@ -129,15 +120,19 @@ TEST(FrameSpill, SpillFileLivesWithTheSeriesAndIsRemovedAfter) {
   EXPECT_FALSE(std::filesystem::exists(spill_path));
 }
 
-TEST(FrameSpill, UnwritableSpillDirFallsBackAndStillRecords) {
+TEST(FrameSpill, UnwritableSpillDirFailsTheRunWithTheReason) {
   ExperimentConfig experiment = small_experiment();
   experiment.storage.mode = StorageMode::kMapped;
   experiment.storage.spill_dir = "/nonexistent/sops-spill-dir";
-  const EnsembleSeries fallback = run_experiment(experiment);
-  EXPECT_EQ(fallback.frames.storage(), StorageMode::kHeap);
-  EXPECT_FALSE(fallback.frames.spill_fallback_reason().empty());
-  const EnsembleSeries heap = run_with_storage(StorageMode::kHeap);
-  EXPECT_TRUE(stores_bitwise_equal(heap, fallback));
+  try {
+    (void)run_experiment(experiment);
+    ADD_FAILURE() << "an unmappable spill recorded on the heap";
+  } catch (const sops::Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("/nonexistent/sops-spill-dir"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("open: "), std::string::npos) << what;
+  }
 }
 
 TEST(FrameSpill, AutoModeHonorsProjectedBytesThreshold) {
@@ -147,14 +142,12 @@ TEST(FrameSpill, AutoModeHonorsProjectedBytesThreshold) {
   experiment.storage.auto_spill_bytes = std::size_t{1} << 40;
   const EnsembleSeries kept = run_experiment(experiment);
   EXPECT_EQ(kept.frames.storage(), StorageMode::kHeap);
-  EXPECT_TRUE(kept.frames.spill_fallback_reason().empty());
 
   experiment.storage.auto_spill_bytes = 1;
   const EnsembleSeries spilled = run_experiment(experiment);
-  if (spilled.frames.storage() == StorageMode::kMapped) {
-    const EnsembleSeries heap = run_with_storage(StorageMode::kHeap);
-    EXPECT_TRUE(stores_bitwise_equal(heap, spilled));
-  }
+  EXPECT_EQ(spilled.frames.storage(), StorageMode::kMapped);
+  const EnsembleSeries heap = run_with_storage(StorageMode::kHeap);
+  EXPECT_TRUE(stores_bitwise_equal(heap, spilled));
 }
 
 TEST(FrameSpill, ShardedFlushOnLentExecutorKeepsData) {
@@ -164,9 +157,7 @@ TEST(FrameSpill, ShardedFlushOnLentExecutorKeepsData) {
   options.mode = StorageMode::kMapped;
   options.spill_dir = ::testing::TempDir();
   sops::core::FrameStore store(5, 6, 64, options);
-  if (store.storage() != StorageMode::kMapped) {
-    GTEST_SKIP() << "mmap unavailable: " << store.spill_fallback_reason();
-  }
+  ASSERT_EQ(store.storage(), StorageMode::kMapped);
   for (std::size_t f = 0; f < 5; ++f) {
     for (std::size_t s = 0; s < 6; ++s) {
       auto slot = store.sample_slot(f, s);

@@ -165,7 +165,7 @@ TEST(HalfShell, MatchesScalarReferenceAtEveryWidth) {
       const std::vector<Vec2> reference =
           sops::testing::half_shell_reference(system, table, 1.0, compact);
       for (const auto policy : {sops::support::SimdPolicy::kScalar,
-                                sops::support::SimdPolicy::kSimd}) {
+                                sops::support::SimdPolicy::kAuto}) {
         const SimdPolicyGuard guard(policy);
         for (std::size_t width = 1; width <= 4; ++width) {
           const std::vector<Vec2> drift =
@@ -250,7 +250,7 @@ TEST(HalfShell, TwoParticlesFeelExactlyOppositeDrifts) {
       const ParticleSystem system({a, b}, {0, 2});
       for (const auto& [kind, cutoff] : backends) {
         for (const auto policy : {sops::support::SimdPolicy::kScalar,
-                                  sops::support::SimdPolicy::kSimd}) {
+                                  sops::support::SimdPolicy::kAuto}) {
           const SimdPolicyGuard guard(policy);
           const std::vector<Vec2> drift =
               engine_drift(system, table, cutoff, 2, kind);
@@ -331,7 +331,7 @@ TEST(AllPairsTriangle, MatchesScalarReferenceAtEveryWidth) {
         const std::vector<Vec2> reference =
             sops::testing::all_pairs_reference(system, table, cutoff, compact);
         for (const auto policy : {sops::support::SimdPolicy::kScalar,
-                                  sops::support::SimdPolicy::kSimd}) {
+                                  sops::support::SimdPolicy::kAuto}) {
           const SimdPolicyGuard guard(policy);
           for (std::size_t width = 1; width <= 5; ++width) {
             const std::vector<Vec2> drift =

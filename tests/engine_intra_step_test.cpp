@@ -76,9 +76,9 @@ TEST(IntraStepInvariance, DriftBitwiseAcrossThreadCounts) {
     }
     for (const std::size_t threads : kThreadMatrix) {
       sops::geom::NeighborBackend backend(kind);
-      sops::support::SpawnExecutor executor(threads);
+      sops::support::TaskPool pool(threads);
       std::vector<Vec2> sharded;
-      accumulate_drift(system, table, 3.0, sharded, backend, executor);
+      accumulate_drift(system, table, 3.0, sharded, backend, pool.executor());
       ASSERT_EQ(reference.size(), sharded.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(reference[i], sharded[i])
@@ -89,10 +89,10 @@ TEST(IntraStepInvariance, DriftBitwiseAcrossThreadCounts) {
   }
 }
 
-TEST(IntraStepInvariance, PooledDriftBitwiseMatchesSerialAndSpawn) {
-  // The pooled dispatch (the engine's path) against the serial loop and the
-  // fork-per-call path, across pool widths — including widths far above the
-  // core count and a worker-starved pool against a wide shard partition.
+TEST(IntraStepInvariance, PooledDriftBitwiseMatchesSerial) {
+  // The pooled dispatch against the serial loop across pool widths —
+  // including widths far above the core count and a worker-starved pool
+  // against a wide shard partition.
   const auto system = random_system(700, 19.0, 3, 123);
   const auto model = spring_model(3);
   const PairScalingTable table(model);

@@ -201,7 +201,7 @@ void expect_scalar_simd_bitwise(const ParticleSystem& system,
   const std::vector<Vec2> scalar = drift_under_policy(
       sops::support::SimdPolicy::kScalar, system, table, cutoff, kind);
   const std::vector<Vec2> simd = drift_under_policy(
-      sops::support::SimdPolicy::kSimd, system, table, cutoff, kind);
+      sops::support::SimdPolicy::kAuto, system, table, cutoff, kind);
   ASSERT_EQ(scalar.size(), simd.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
     ASSERT_EQ(scalar[i], simd[i])
@@ -279,7 +279,7 @@ TEST(SimdParity, CoincidentParticlesBitwiseAndFinite) {
       expect_scalar_simd_bitwise(system, table, 3.0, backend_kind,
                                  "coincident");
       const std::vector<Vec2> drift =
-          drift_under_policy(sops::support::SimdPolicy::kSimd, system, table,
+          drift_under_policy(sops::support::SimdPolicy::kAuto, system, table,
                              3.0, backend_kind);
       for (const Vec2 d : drift) {
         EXPECT_TRUE(std::isfinite(d.x) && std::isfinite(d.y));
@@ -304,7 +304,7 @@ TEST(SimdParity, SpringNearZeroSeparationBitwise) {
         sops::geom::NeighborBackendKind::kCellGrid}) {
     expect_scalar_simd_bitwise(system, table, 2.0, backend_kind, "near zero");
     const std::vector<Vec2> drift = drift_under_policy(
-        sops::support::SimdPolicy::kSimd, system, table, 2.0, backend_kind);
+        sops::support::SimdPolicy::kAuto, system, table, 2.0, backend_kind);
     for (const Vec2 d : drift) {
       EXPECT_TRUE(std::isfinite(d.x) && std::isfinite(d.y));
     }
@@ -347,7 +347,7 @@ TEST(SimdParity, CompactedChunkRowsMatchMaskedRows) {
     const auto masked_kept = sops::testing::half_shell_reference(
         all_kept, table, fuzz.cutoff, false);
     for (const auto policy : {sops::support::SimdPolicy::kScalar,
-                              sops::support::SimdPolicy::kSimd}) {
+                              sops::support::SimdPolicy::kAuto}) {
       const auto drift = drift_under_policy(policy, fuzz.system, table,
                                             fuzz.cutoff, kCellGrid);
       for (std::size_t i = 0; i < drift.size(); ++i) {
@@ -424,7 +424,7 @@ TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
   }
 
   const sops::support::SimdPolicy policies[] = {
-      sops::support::SimdPolicy::kScalar, sops::support::SimdPolicy::kSimd};
+      sops::support::SimdPolicy::kScalar, sops::support::SimdPolicy::kAuto};
   const auto kind = sops::geom::NeighborBackendKind::kCellGrid;
   const std::vector<Vec2> anchor = drift_under_policy(
       sops::support::SimdPolicy::kScalar, system, table, kCutoff, kind);
@@ -436,9 +436,9 @@ TEST(SimdParity, DoubleGaussianCompactionSurvivorCounts) {
     const SimdPolicyGuard guard(policy);
     for (std::size_t width = 1; width <= 4; ++width) {
       sops::geom::NeighborBackend backend(kind);
-      sops::support::SpawnExecutor executor(width);
+      sops::support::TaskPool pool(width);
       std::vector<Vec2> out;
-      accumulate_drift(system, table, kCutoff, out, backend, executor);
+      accumulate_drift(system, table, kCutoff, out, backend, pool.executor());
       ASSERT_EQ(out.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(out[i], anchor[i])
@@ -459,13 +459,13 @@ TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
           sops::geom::NeighborBackendKind::kDelaunay}) {
       sops::geom::NeighborBackend serial_backend(kind);
       sops::geom::NeighborBackend sharded_backend(kind);
-      sops::support::SpawnExecutor executor(3);
+      sops::support::TaskPool pool(3);
       std::vector<Vec2> serial;
       std::vector<Vec2> sharded;
       accumulate_drift(fuzz.system, table, fuzz.cutoff, serial, serial_backend,
                        serial_executor());
       accumulate_drift(fuzz.system, table, fuzz.cutoff, sharded,
-                       sharded_backend, executor);
+                       sharded_backend, pool.executor());
       ASSERT_EQ(serial.size(), sharded.size());
       for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(serial[i], sharded[i])
@@ -510,10 +510,11 @@ TEST(ParityFuzz, CollectivesSmallerThanTheWidthBitwiseEqualSerial) {
         EXPECT_EQ(all_zero, n == 1)
             << "n " << n << " kind " << static_cast<int>(kind);
         for (std::size_t width = 1; width <= 5; ++width) {
-          sops::support::SpawnExecutor executor(width);
+          sops::support::TaskPool pool(width);
           NeighborBackend backend(kind);
           std::vector<Vec2> out;
-          accumulate_drift(system, table, kCutoff, out, backend, executor);
+          accumulate_drift(system, table, kCutoff, out, backend,
+                           pool.executor());
           ASSERT_EQ(out.size(), n);
           for (std::size_t i = 0; i < n; ++i) {
             ASSERT_EQ(out[i], serial[i])

@@ -57,7 +57,7 @@ TEST(NeighborBackend, NeighborsMatchBruteForceForEveryKind) {
   sops::support::TaskPool pool(3);
 
   for (const NeighborBackendKind kind : kAllKinds) {
-    for (sops::support::Executor* executor :
+    for (const sops::support::Executor* executor :
          {&sops::support::serial_executor(), &pool.executor()}) {
       NeighborBackend backend(kind);
       backend.rebuild({xs, ys}, radius, *executor);

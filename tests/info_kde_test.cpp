@@ -133,8 +133,8 @@ TEST(KdeMi, PreconditionsEnforced) {
 
 TEST(KdeMultiInformation, BitwiseEqualAcrossExecutorWidths) {
   // KdeOptions::executor mirrors KsgOptions::executor: a lent persistent
-  // pool of any width, or the `threads` fork/join fallback, never changes
-  // the estimate.
+  // pool of any width, or the `threads` transient-pool fallback, never
+  // changes the estimate.
   const SampleMatrix samples = correlated_pair(400, 0.8, 21);
   const std::vector<Block> blocks{{0, 1}, {1, 1}};
   KdeOptions serial;
@@ -146,9 +146,9 @@ TEST(KdeMultiInformation, BitwiseEqualAcrossExecutorWidths) {
     pooled.executor = &pool.executor();
     EXPECT_EQ(multi_information_kde(samples, blocks, pooled), reference)
         << width;
-    KdeOptions spawned;
-    spawned.threads = width;
-    EXPECT_EQ(multi_information_kde(samples, blocks, spawned), reference)
+    KdeOptions fallback;
+    fallback.threads = width;
+    EXPECT_EQ(multi_information_kde(samples, blocks, fallback), reference)
         << width;
   }
 }

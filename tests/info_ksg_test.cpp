@@ -309,7 +309,7 @@ TEST(Ksg, SymmetricPassMatchesPerSampleReferenceBitwise) {
               KsgOptions options;
               options.k = k;
               options.convention = convention;
-              options.threads = 3;  // the transient fork/join path
+              options.threads = 3;  // the transient-pool fallback
               const auto where = ::testing::Message()
                                  << "seed " << seed << " k " << k << " m "
                                  << m << " dim " << dim << " fill "

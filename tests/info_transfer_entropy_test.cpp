@@ -252,7 +252,7 @@ TEST(ActiveInformationStorage, ParticleHelperRuns) {
 TEST(TransferEntropy, BitwiseEqualAcrossExecutorWidths) {
   // TransferEntropyOptions::executor mirrors KsgOptions::executor; the
   // estimate never depends on who runs the per-sample queries: a lent pool
-  // of any width, or the `threads` fork/join fallback.
+  // of any width, or the `threads` transient-pool fallback.
   const CoupledSeries series = coupled_ar(400, 0.8, 9);
   TransferEntropyOptions serial;
   serial.executor = &sops::support::serial_executor();
@@ -263,9 +263,9 @@ TEST(TransferEntropy, BitwiseEqualAcrossExecutorWidths) {
     sops::support::TaskPool pool(width);
     TransferEntropyOptions pooled;
     pooled.executor = &pool.executor();
-    TransferEntropyOptions spawned;
-    spawned.threads = width;
-    for (const TransferEntropyOptions& options : {pooled, spawned}) {
+    TransferEntropyOptions fallback;
+    fallback.threads = width;
+    for (const TransferEntropyOptions& options : {pooled, fallback}) {
       EXPECT_EQ(transfer_entropy(series.x, series.y, 1, options), te) << width;
       EXPECT_EQ(sops::info::active_information_storage(series.y, 1, options),
                 ais)

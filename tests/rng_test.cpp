@@ -232,7 +232,7 @@ Pairs step_noise(const StepNoiseKernels& kernels, std::uint64_t key,
 // -DSOPS_SIMD_DISPATCH=OFF build).
 const StepNoiseKernels& simd_step_noise_kernels() {
   const sops::support::SimdPolicy previous = sops::support::simd_policy();
-  sops::support::set_simd_policy(sops::support::SimdPolicy::kSimd);
+  sops::support::set_simd_policy(sops::support::SimdPolicy::kAuto);
   const StepNoiseKernels& kernels = select_step_noise_kernels();
   sops::support::set_simd_policy(previous);
   return kernels;

@@ -285,7 +285,7 @@ TEST(Integrator, ShardedUpdateBitwiseMatchesSerial) {
       }
     }
     for (const auto policy : {sops::support::SimdPolicy::kScalar,
-                              sops::support::SimdPolicy::kSimd}) {
+                              sops::support::SimdPolicy::kAuto}) {
       const SimdPolicyGuard guard(policy);
       for (std::size_t width = 1; width <= 5; ++width) {
         sops::support::TaskPool pool(width);

@@ -1,6 +1,7 @@
 // Executor-layer lifecycle tests: pooled dispatch correctness, worker caps,
-// exception propagation, pool reuse across dispatch rounds, and the
-// disjoint-lending pattern the engine's sample × step nesting relies on.
+// exception propagation, pool reuse across dispatch rounds, view-relative
+// lending, and the disjoint-lending pattern the engine's sample × step
+// nesting and the job manager's per-slot views rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,34 +22,49 @@
 namespace {
 
 using sops::support::Executor;
-using sops::support::PoolExecutor;
-using sops::support::SerialExecutor;
-using sops::support::SpawnExecutor;
 using sops::support::TaskPool;
 
-TEST(SerialExecutorTest, RunsTasksInlineInOrder) {
-  SerialExecutor executor;
-  EXPECT_EQ(executor.width(), 1u);
-  std::vector<std::size_t> order;
-  std::thread::id runner;
-  auto task = [&](std::size_t k) {
-    order.push_back(k);
-    runner = std::this_thread::get_id();
-  };
-  executor.run(5, task);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(runner, std::this_thread::get_id());
+TEST(ExecutorTest, DefaultViewRunsTasksInlineInOrder) {
+  const Executor executor;
+  for (const Executor* view : {&executor, &sops::support::serial_executor()}) {
+    EXPECT_EQ(view->width(), 1u);
+    std::vector<std::size_t> order;
+    std::thread::id runner;
+    auto task = [&](std::size_t k) {
+      order.push_back(k);
+      runner = std::this_thread::get_id();
+    };
+    view->run(5, task);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(runner, std::this_thread::get_id());
+    // A default view lends only default views.
+    EXPECT_EQ(view->lend(0, 4).width(), 1u);
+  }
+}
+
+TEST(ExecutorTest, InlineDispatchPropagatesImmediately) {
+  // Width 1 (or a single task on any view) runs like a plain loop: the
+  // throw ends the batch, later tasks never start.
+  TaskPool pool(3);
+  for (const Executor& view : {Executor{}, pool.executor().lend(0, 0)}) {
+    std::vector<int> visits(5, 0);
+    auto task = [&](std::size_t k) {
+      ++visits[k];
+      if (k == 1) throw std::runtime_error("boom");
+    };
+    EXPECT_THROW(view.run(5, task), std::runtime_error);
+    EXPECT_EQ(visits, (std::vector<int>{1, 1, 0, 0, 0}));
+  }
 }
 
 TEST(TaskPoolTest, WidthCountsTheCaller) {
   TaskPool pool(4);
   EXPECT_EQ(pool.width(), 4u);
-  EXPECT_EQ(pool.worker_count(), 3u);
   EXPECT_EQ(pool.executor().width(), 4u);
 
   TaskPool serial_pool(1);
   EXPECT_EQ(serial_pool.width(), 1u);
-  EXPECT_EQ(serial_pool.worker_count(), 0u);
+  EXPECT_EQ(serial_pool.executor().width(), 1u);
 }
 
 TEST(TaskPoolTest, EveryTaskRunsExactlyOnce) {
@@ -124,15 +140,15 @@ TEST(TaskPoolTest, MoreTasksThanWorkersDrainsThroughTheCap) {
 
 TEST(TaskPoolTest, LendingDisjointSlicesSupportsNestedDispatch) {
   // The engine's sample × step pattern: an outer dispatch of S tasks on the
-  // runner slice, each task dispatching inner work on its own helper
-  // slice. S = 2 outer tasks × T = 2: pool width 4 → helper slices
-  // [0,1) and [1,2), runner slice [2,3).
+  // runner view, each task dispatching inner work on its own helper
+  // view. S = 2 outer tasks × T = 2: pool width 4 → helper views
+  // [0,1) and [1,2), runner view [2,3).
   TaskPool pool(4);
-  PoolExecutor outer = pool.lend(2, 1);
+  const Executor outer = pool.executor().lend(2, 1);
   EXPECT_EQ(outer.width(), 2u);
   std::vector<std::atomic<int>> inner_visits(40);
   auto outer_task = [&](std::size_t k) {
-    PoolExecutor inner = pool.lend(k, 1);
+    const Executor inner = pool.executor().lend(k, 1);
     EXPECT_EQ(inner.width(), 2u);
     auto inner_task = [&](std::size_t j) {
       inner_visits[k * 20 + j].fetch_add(1);
@@ -262,19 +278,23 @@ TEST(ChunkRangeTest, PartitionsExactlyAndMatchesParallelFor) {
   }
 }
 
-TEST(TaskPoolTest, LendClampsToTheWorkerRange) {
+TEST(ExecutorTest, LendClampsToTheWorkerRange) {
   TaskPool pool(3);  // workers 0, 1
-  EXPECT_EQ(pool.lend(0, 2).width(), 3u);
-  EXPECT_EQ(pool.lend(1, 5).width(), 2u);   // clamped to worker 1 only
-  EXPECT_EQ(pool.lend(7, 2).width(), 1u);   // out of range → caller-only
-  EXPECT_EQ(pool.lend(0, 0).width(), 1u);   // explicit caller-only view
+  const Executor& all = pool.executor();
+  EXPECT_EQ(all.lend(0, 2).width(), 3u);
+  EXPECT_EQ(all.lend(1, 5).width(), 2u);   // clamped to worker 1 only
+  EXPECT_EQ(all.lend(7, 2).width(), 1u);   // out of range → caller-only
+  EXPECT_EQ(all.lend(0, 0).width(), 1u);   // explicit caller-only view
+  EXPECT_EQ(all.lend(2, 1).width(), 1u);   // one past the last worker
 }
 
-TEST(SpawnExecutorTest, CapsLiveWorkersAtWidth) {
-  // The historical explicit-partition overload spawned one thread per
-  // chunk; the executor must bound distinct runners by its width no matter
-  // how many tasks the batch holds.
-  SpawnExecutor executor(3);
+TEST(ExecutorTest, LentViewCapsRunnersAtItsWidth) {
+  // A width-3 view carved out of a wider pool: a batch of far more tasks
+  // than runners engages the caller plus the view's two workers, never a
+  // worker outside the view.
+  TaskPool pool(6);
+  const Executor view = pool.executor().lend(1, 2);
+  EXPECT_EQ(view.width(), 3u);
   const std::size_t count = 64;
   std::vector<std::atomic<int>> visits(count);
   std::mutex ids_mutex;
@@ -284,30 +304,26 @@ TEST(SpawnExecutorTest, CapsLiveWorkersAtWidth) {
     const std::lock_guard<std::mutex> lock(ids_mutex);
     ids.insert(std::this_thread::get_id());
   };
-  executor.run(count, task);
-  for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(visits[k].load(), 1) << k;
+  for (int round = 0; round < 20; ++round) view.run(count, task);
+  for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(visits[k].load(), 20) << k;
   EXPECT_LE(ids.size(), 3u);
 }
 
-TEST(SpawnExecutorTest, MatchesPooledResultsBitwise) {
-  // Same partition arithmetic + disjoint chunk outputs → the executor
-  // choice can never change bits. Fill a buffer through both and compare.
+TEST(ExecutorTest, ResultsBitwiseEqualAcrossViews) {
+  // Same partition arithmetic + disjoint chunk outputs → the view choice
+  // can never change bits. Fill a buffer through several and compare.
   const std::size_t count = 1000;
-  auto fill = [&](Executor& executor) {
+  auto fill = [&](const Executor& executor) {
     std::vector<double> out(count, 0.0);
     sops::support::parallel_for(executor, 0, count, [&](std::size_t i) {
       out[i] = static_cast<double>(i) * 1.75 + 0.5;
     });
     return out;
   };
-  SpawnExecutor spawn(4);
   TaskPool pool(4);
-  SerialExecutor serial;
-  const std::vector<double> spawn_out = fill(spawn);
-  const std::vector<double> pool_out = fill(pool.executor());
-  const std::vector<double> serial_out = fill(serial);
-  EXPECT_EQ(spawn_out, serial_out);
-  EXPECT_EQ(pool_out, serial_out);
+  const std::vector<double> serial_out = fill(sops::support::serial_executor());
+  EXPECT_EQ(fill(pool.executor()), serial_out);
+  EXPECT_EQ(fill(pool.executor().lend(1, 2)), serial_out);
 }
 
 TEST(ParallelForExecutor, ExplicitPartitionCapsWorkersAtExecutorWidth) {
@@ -330,63 +346,50 @@ TEST(ParallelForExecutor, ExplicitPartitionCapsWorkersAtExecutorWidth) {
   EXPECT_LE(ids.size(), 2u);
 }
 
-TEST(PoolSliceTest, DefaultSliceIsCallerOnlyAndInline) {
-  sops::support::PoolSlice slice;
-  EXPECT_EQ(slice.width(), 1u);
-  EXPECT_EQ(slice.worker_count(), 0u);
-  std::vector<std::size_t> order;
-  std::thread::id runner;
-  auto task = [&](std::size_t k) {
-    order.push_back(k);
-    runner = std::this_thread::get_id();
-  };
-  slice.executor().run(4, task);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(runner, std::this_thread::get_id());
-}
-
-TEST(PoolSliceTest, SliceOfClampsAndSliceAllCoversThePool) {
-  TaskPool pool(5);  // workers 0..3
-  EXPECT_EQ(sops::support::slice_all(pool).width(), 5u);
-  EXPECT_EQ(sops::support::slice_of(pool, 1, 2).width(), 3u);
-  EXPECT_EQ(sops::support::slice_of(pool, 3, 9).width(), 2u);  // clamped
-  EXPECT_EQ(sops::support::slice_of(pool, 9, 2).width(), 1u);  // out of range
-}
-
-TEST(PoolSliceTest, LendIsSliceRelativeAndCannotEscapeTheSlice) {
+TEST(ExecutorTest, LendIsViewRelativeAndCannotEscapeTheView) {
   // A job must not be able to reach a sibling's workers by arithmetic slip:
-  // lend() indexes relative to the slice and clamps to its extent.
+  // lend() indexes relative to the view and clamps to its extent.
   TaskPool pool(7);  // workers 0..5
-  const sops::support::PoolSlice slice = sops::support::slice_of(pool, 2, 3);
-  EXPECT_EQ(slice.first_worker(), 2u);
-  EXPECT_EQ(slice.width(), 4u);
-  EXPECT_EQ(slice.lend(0, 3).width(), 4u);
-  EXPECT_EQ(slice.lend(1, 99).width(), 3u);  // clamped to workers 3..4
-  EXPECT_EQ(slice.lend(5, 1).width(), 1u);   // past the slice → caller-only
+  const Executor view = pool.executor().lend(2, 3);  // workers 2..4
+  EXPECT_EQ(view.width(), 4u);
+  EXPECT_EQ(view.lend(0, 3).width(), 4u);
+  EXPECT_EQ(view.lend(1, 99).width(), 3u);  // clamped to workers 3..4
+  EXPECT_EQ(view.lend(5, 1).width(), 1u);   // past the view → caller-only
+  EXPECT_EQ(view.lend(1, 99).lend(1, 99).width(), 2u);  // worker 4 only
+
+  // A sub-view's dispatches stay inside the view while a sibling view
+  // over workers 0..1 dispatches concurrently: neither can wedge waiting
+  // on the other's workers.
+  const Executor sibling = pool.executor().lend(0, 2);
+  std::atomic<int> total{0};
+  auto task = [&](std::size_t) { total.fetch_add(1); };
+  std::thread other([&] {
+    for (int round = 0; round < 100; ++round) sibling.run(8, task);
+  });
+  for (int round = 0; round < 100; ++round) view.lend(1, 99).run(8, task);
+  other.join();
+  EXPECT_EQ(total.load(), 2 * 100 * 8);
 }
 
-TEST(PoolSliceTest, DisjointSlicesDispatchConcurrentlyFromTwoDrivers) {
+TEST(ExecutorTest, DisjointViewsDispatchConcurrentlyFromTwoDrivers) {
   // The machine-wide sharing pattern: two driver threads, each owning a
-  // disjoint slice of one pool, dispatch simultaneously. Both must make
+  // disjoint view of one pool, dispatch simultaneously. Both must make
   // progress without borrowing the other's workers — the pool serves the
   // two fan-outs as independently as two pools would.
-  TaskPool pool(5);  // workers 0..3: slice A = [0,2), slice B = [2,4)
-  const sops::support::PoolSlice slice_a = sops::support::slice_of(pool, 0, 2);
-  const sops::support::PoolSlice slice_b = sops::support::slice_of(pool, 2, 2);
+  TaskPool pool(5);  // workers 0..3: view A = [0,2), view B = [2,4)
+  const Executor view_a = pool.executor().lend(0, 2);
+  const Executor view_b = pool.executor().lend(2, 2);
   constexpr std::size_t kItems = 64;
   constexpr int kRounds = 200;
   std::vector<std::atomic<int>> visits_a(kItems);
   std::vector<std::atomic<int>> visits_b(kItems);
-  auto drive = [&](const sops::support::PoolSlice& slice,
+  auto drive = [&](const Executor& view,
                    std::vector<std::atomic<int>>& visits) {
     auto task = [&](std::size_t k) { visits[k].fetch_add(1); };
-    for (int round = 0; round < kRounds; ++round) {
-      PoolExecutor executor = slice.executor();
-      executor.run(kItems, task);
-    }
+    for (int round = 0; round < kRounds; ++round) view.run(kItems, task);
   };
-  std::thread driver_b([&] { drive(slice_b, visits_b); });
-  drive(slice_a, visits_a);
+  std::thread driver_b([&] { drive(view_b, visits_b); });
+  drive(view_a, visits_a);
   driver_b.join();
   for (std::size_t k = 0; k < kItems; ++k) {
     EXPECT_EQ(visits_a[k].load(), kRounds) << k;
@@ -394,16 +397,16 @@ TEST(PoolSliceTest, DisjointSlicesDispatchConcurrentlyFromTwoDrivers) {
   }
 }
 
-TEST(PoolSliceTest, RunPartitionedStaysInsideTheSlice) {
-  // outer × inner on a slice: 2 outer chunks × inner width 2 needs a slice
-  // of width 4. Run it on a slice carved out of a wider pool, concurrently
+TEST(ExecutorTest, RunPartitionedStaysInsideTheView) {
+  // outer × inner on a view: 2 outer chunks × inner width 2 needs a view
+  // of width 4. Run it on a view carved out of a wider pool, concurrently
   // with a sibling doing the same on the remaining workers.
-  TaskPool pool(9);  // workers 0..7: two width-4 slices
-  const sops::support::PoolSlice slice_a = sops::support::slice_of(pool, 0, 4);
-  const sops::support::PoolSlice slice_b = sops::support::slice_of(pool, 4, 4);
-  auto drive = [](const sops::support::PoolSlice& slice,
+  TaskPool pool(9);  // workers 0..7: two width-4 views
+  const Executor view_a = pool.executor().lend(0, 4);
+  const Executor view_b = pool.executor().lend(4, 4);
+  auto drive = [](const Executor& view,
                   std::vector<std::atomic<int>>& visits) {
-    slice.run_partitioned(2, 2, [&](std::size_t k, Executor& inner) {
+    view.run_partitioned(2, 2, [&](std::size_t k, Executor& inner) {
       EXPECT_EQ(inner.width(), 2u);
       auto inner_task = [&](std::size_t j) { visits[k * 16 + j].fetch_add(1); };
       for (int repeat = 0; repeat < 25; ++repeat) inner.run(16, inner_task);
@@ -411,8 +414,8 @@ TEST(PoolSliceTest, RunPartitionedStaysInsideTheSlice) {
   };
   std::vector<std::atomic<int>> visits_a(32);
   std::vector<std::atomic<int>> visits_b(32);
-  std::thread driver_b([&] { drive(slice_b, visits_b); });
-  drive(slice_a, visits_a);
+  std::thread driver_b([&] { drive(view_b, visits_b); });
+  drive(view_a, visits_a);
   driver_b.join();
   for (std::size_t i = 0; i < 32; ++i) {
     EXPECT_EQ(visits_a[i].load(), 25) << i;
@@ -465,10 +468,11 @@ TEST(CancelTokenTest, RequestFromAnotherThreadIsSeenByPollers) {
   EXPECT_TRUE(token.requested());
 }
 
-TEST(ParallelForExecutor, PoolAndSpawnChunkingAgree) {
-  // A pool and a SpawnExecutor of equal width (the `threads` fallback's
-  // fork/join path) must produce the identical contiguous partition:
-  // record chunk boundaries through both.
+TEST(ParallelForExecutor, EqualWidthViewsChunkAlike) {
+  // A whole pool and an equally wide view lent out of a wider one (the
+  // `threads` fallback's transient pool and a job's lent view) must
+  // produce the identical contiguous partition: record chunk boundaries
+  // through both.
   const std::size_t count = 103;
   const std::size_t width = 4;
   auto partition_of = [&](auto dispatch) {
@@ -485,11 +489,12 @@ TEST(ParallelForExecutor, PoolAndSpawnChunkingAgree) {
   const auto pooled = partition_of([&](auto body) {
     sops::support::parallel_for_chunked(pool.executor(), 10, 10 + count, body);
   });
-  SpawnExecutor spawn(width);
-  const auto spawned = partition_of([&](auto body) {
-    sops::support::parallel_for_chunked(spawn, 10, 10 + count, body);
+  TaskPool wide(width + 2);
+  const auto lent = partition_of([&](auto body) {
+    sops::support::parallel_for_chunked(wide.executor().lend(1, width - 1),
+                                        10, 10 + count, body);
   });
-  EXPECT_EQ(pooled, spawned);
+  EXPECT_EQ(pooled, lent);
   ASSERT_EQ(pooled.size(), width);
   EXPECT_EQ(pooled.front().first, 10u);
   EXPECT_EQ(pooled.back().second, 10u + count);

@@ -21,7 +21,7 @@ using sops::support::expect;
 using sops::support::parallel_for;
 using sops::support::parallel_for_chunked;
 using sops::support::parallel_for_shards;
-using sops::support::SpawnExecutor;
+using sops::support::TaskPool;
 
 TEST(Expect, PassesOnTrue) { EXPECT_NO_THROW(expect(true, "never")); }
 
@@ -44,15 +44,15 @@ TEST(ErrorHierarchy, AllDeriveFromError) {
   EXPECT_THROW(throw sops::Error("x"), std::runtime_error);
 }
 
-// The loops over a SpawnExecutor of each width (0 = every hardware
-// thread): the fork/join path an options struct's `threads` fallback takes.
+// The loops over a TaskPool of each width (0 = every hardware thread): the
+// transient pool an options struct's `threads` fallback builds.
 class ParallelForThreads : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelForThreads, VisitsEveryIndexExactlyOnce) {
   const std::size_t count = 1000;
   std::vector<std::atomic<int>> visits(count);
-  SpawnExecutor executor(GetParam());
-  parallel_for(executor, 0, count,
+  TaskPool pool(GetParam());
+  parallel_for(pool.executor(), 0, count,
                [&](std::size_t i) { visits[i].fetch_add(1); });
   for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
 }
@@ -60,8 +60,8 @@ TEST_P(ParallelForThreads, VisitsEveryIndexExactlyOnce) {
 TEST_P(ParallelForThreads, ChunksPartitionTheRange) {
   const std::size_t count = 777;
   std::vector<std::atomic<int>> visits(count);
-  SpawnExecutor executor(GetParam());
-  parallel_for_chunked(executor, 0, count,
+  TaskPool pool(GetParam());
+  parallel_for_chunked(pool.executor(), 0, count,
                        [&](std::size_t begin, std::size_t end) {
                          EXPECT_LE(begin, end);
                          for (std::size_t i = begin; i < end; ++i) {
@@ -73,8 +73,8 @@ TEST_P(ParallelForThreads, ChunksPartitionTheRange) {
 
 TEST_P(ParallelForThreads, NonZeroBegin) {
   std::atomic<int> sum{0};
-  SpawnExecutor executor(GetParam());
-  parallel_for(executor, 10, 20,
+  TaskPool pool(GetParam());
+  parallel_for(pool.executor(), 10, 20,
                [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 145);  // 10 + 11 + … + 19
 }
@@ -82,8 +82,8 @@ TEST_P(ParallelForThreads, NonZeroBegin) {
 TEST_P(ParallelForThreads, ResultsMatchSerialReference) {
   const std::size_t count = 257;
   std::vector<double> out(count, 0.0);
-  SpawnExecutor executor(GetParam());
-  parallel_for(executor, 0, count, [&](std::size_t i) {
+  TaskPool pool(GetParam());
+  parallel_for(pool.executor(), 0, count, [&](std::size_t i) {
     out[i] = static_cast<double>(i) * 1.5 + 1.0;
   });
   for (std::size_t i = 0; i < count; ++i) {
@@ -96,30 +96,30 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelForThreads,
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   bool called = false;
-  SpawnExecutor executor;
-  parallel_for(executor, 5, 5, [&](std::size_t) { called = true; });
+  TaskPool pool(0);
+  parallel_for(pool.executor(), 5, 5, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, ReversedRangeIsNoop) {
   bool called = false;
-  SpawnExecutor executor;
-  parallel_for(executor, 7, 3, [&](std::size_t) { called = true; });
+  TaskPool pool(0);
+  parallel_for(pool.executor(), 7, 3, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, SingleElementRunsInline) {
   std::thread::id body_thread;
-  SpawnExecutor executor(4);
-  parallel_for(executor, 0, 1, [&](std::size_t) {
+  TaskPool pool(4);
+  parallel_for(pool.executor(), 0, 1, [&](std::size_t) {
     body_thread = std::this_thread::get_id();
   });
   EXPECT_TRUE(body_thread == std::this_thread::get_id());
 }
 
 TEST(ParallelFor, ExceptionsPropagateToCaller) {
-  SpawnExecutor executor(4);
-  EXPECT_THROW(parallel_for(executor, 0, 100,
+  TaskPool pool(4);
+  EXPECT_THROW(parallel_for(pool.executor(), 0, 100,
                             [](std::size_t i) {
                               if (i == 42) throw std::runtime_error("boom");
                             }),
@@ -132,9 +132,9 @@ TEST(ParallelFor, ExceptionAbandonsOnlyTheThrowingChunk) {
   // contiguous partition is [0, 50) and [50, 100); a throw at index 0 must
   // leave the second chunk fully processed.
   std::vector<std::atomic<int>> visits(100);
-  SpawnExecutor executor(2);
+  TaskPool pool(2);
   try {
-    parallel_for(executor, 0, 100, [&](std::size_t i) {
+    parallel_for(pool.executor(), 0, 100, [&](std::size_t i) {
       visits[i].fetch_add(1);
       if (i == 0) throw std::runtime_error("boom");
     });
@@ -147,8 +147,8 @@ TEST(ParallelFor, ExceptionAbandonsOnlyTheThrowingChunk) {
 
 TEST(ParallelFor, MoreThreadsThanWorkIsSafe) {
   std::atomic<int> count{0};
-  SpawnExecutor executor(64);
-  parallel_for(executor, 0, 3, [&](std::size_t) { count.fetch_add(1); });
+  TaskPool pool(8);
+  parallel_for(pool.executor(), 0, 3, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 3);
 }
 
@@ -157,7 +157,8 @@ TEST(ExplicitPartition, ChunksFollowCallerBoundaries) {
   std::vector<std::atomic<int>> visits(40);
   std::mutex chunks_mutex;
   std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> chunks;
-  SpawnExecutor executor(4);
+  TaskPool pool(4);
+  const sops::support::Executor& executor = pool.executor();
   parallel_for_shards(executor, std::span<const std::uint32_t>(bounds),
                       [&](std::size_t k, std::size_t begin, std::size_t end) {
                         {
@@ -183,7 +184,8 @@ TEST(ExplicitPartition, SingleChunkRunsInline) {
   const std::vector<std::uint32_t> bounds{0, 0, 5, 5};
   std::thread::id body_thread;
   std::size_t index = 0;
-  SpawnExecutor executor(4);
+  TaskPool pool(4);
+  const sops::support::Executor& executor = pool.executor();
   parallel_for_shards(executor, std::span<const std::uint32_t>(bounds),
                       [&](std::size_t k, std::size_t, std::size_t) {
                         body_thread = std::this_thread::get_id();
@@ -198,7 +200,8 @@ TEST(ExplicitPartition, DegenerateBoundsAreNoops) {
   const auto body = [&](std::size_t, std::size_t, std::size_t) {
     called = true;
   };
-  SpawnExecutor executor(4);
+  TaskPool pool(4);
+  const sops::support::Executor& executor = pool.executor();
   parallel_for_shards(executor, std::span<const std::uint32_t>(), body);
   const std::vector<std::uint32_t> single{7};
   parallel_for_shards(executor, std::span<const std::uint32_t>(single), body);
@@ -210,7 +213,8 @@ TEST(ExplicitPartition, DegenerateBoundsAreNoops) {
 
 TEST(ExplicitPartition, ExceptionsPropagateToCaller) {
   const std::vector<std::uint32_t> bounds{0, 10, 20, 30};
-  SpawnExecutor executor(4);
+  TaskPool pool(4);
+  const sops::support::Executor& executor = pool.executor();
   EXPECT_THROW(
       parallel_for_shards(executor, std::span<const std::uint32_t>(bounds),
                           [](std::size_t, std::size_t begin, std::size_t) {

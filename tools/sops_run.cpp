@@ -161,19 +161,14 @@ void report_spill(const sops::core::EnsembleSeries& series,
                   const sops::core::ExperimentConfig& experiment) {
   using sops::core::StorageMode;
   const bool shard = !experiment.shard.path.empty();
-  if (!shard && experiment.storage.mode == StorageMode::kHeap) return;
-  if (series.frames.storage() == StorageMode::kMapped) {
-    const std::size_t bytes = series.frames.bytes();
-    std::cout << (shard ? "shard recorded to " : "recording spilled to ")
-              << series.frames.spill_path();
-    if (bytes >= 1024 * 1024) {
-      std::cout << " (" << bytes / (1024 * 1024) << " MiB mapped)\n";
-    } else {
-      std::cout << " (" << bytes / 1024 << " KiB mapped)\n";
-    }
-  } else if (!series.frames.spill_fallback_reason().empty()) {
-    std::cerr << "warning: frame_storage fell back to heap: "
-              << series.frames.spill_fallback_reason() << "\n";
+  if (series.frames.storage() != StorageMode::kMapped) return;
+  const std::size_t bytes = series.frames.bytes();
+  std::cout << (shard ? "shard recorded to " : "recording spilled to ")
+            << series.frames.spill_path();
+  if (bytes >= 1024 * 1024) {
+    std::cout << " (" << bytes / (1024 * 1024) << " MiB mapped)\n";
+  } else {
+    std::cout << " (" << bytes / 1024 << " KiB mapped)\n";
   }
 }
 
